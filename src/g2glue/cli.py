@@ -60,7 +60,6 @@ from .gluing import (
     Diverged,
     GluingReport,
     MismatchedLimits,
-    NeckTooShort,
     closed_perturbation_structure,
     fit_torsion_slope,
     flat_structure,
@@ -252,6 +251,11 @@ def _load_structure(path: str, sign: int, modes: int | None):
         raise InputError(
             f"{path}: unknown parameter(s) {unknown} for kind {kind!r}")
     params = dict(params)
+    for key, value in params.items():
+        values = value if isinstance(value, list) else [value]
+        if any(isinstance(v, float) and not math.isfinite(v) for v in values):
+            raise InputError(
+                f"{path}: parameter {key!r} must be finite, got {value!r}")
     if "component" in params:
         comp = params["component"]
         if (not isinstance(comp, (list, tuple)) or len(comp) != 2
@@ -419,7 +423,14 @@ def cmd_pointwise_check(cfg: ScenarioConfig, corrupt: bool = False) -> int:
 # -- glue-sweep ------------------------------------------------------------
 
 def _sweep_row(plus, minus, length: float, tol: float) -> GluingReport:
-    glued = glue_fields(plus, minus, length, CutoffSpec())
+    try:
+        glued = glue_fields(plus, minus, length, CutoffSpec())
+    except MismatchedLimits as exc:
+        raise InputError(
+            f"the two structures do not form a matching pair: {exc}"
+        ) from exc
+    except ValueError as exc:
+        raise InputError(f"cannot glue at L = {length!r}: {exc}") from exc
     try:
         _, rep = torsion_reduce(glued, tol=tol, max_iter=25)
     except (Diverged, ValueError):
@@ -432,17 +443,10 @@ def cmd_glue_sweep(cfg: ScenarioConfig) -> int:
     plus = _load_structure(cfg.need("input"), 1, cfg.modes)
     minus = _load_structure(cfg.need("input2"), -1, cfg.modes)
     lengths = cfg.lengths()
-    try:
-        with ThreadPoolExecutor(max_workers=min(4, len(lengths))) as pool:
-            reports = list(pool.map(
-                lambda length: _sweep_row(plus, minus, length, cfg.tol),
-                lengths))
-    except NeckTooShort as exc:
-        raise InputError(str(exc)) from exc
-    except MismatchedLimits as exc:
-        raise InputError(
-            f"the two structures do not form a matching pair: {exc}"
-        ) from exc
+    with ThreadPoolExecutor(max_workers=min(4, len(lengths))) as pool:
+        reports = list(pool.map(
+            lambda length: _sweep_row(plus, minus, length, cfg.tol),
+            lengths))
     slope = fit_torsion_slope(reports)
     reports = [replace(r, slope=slope) for r in reports]
     ok = all(r.converged for r in reports)

@@ -273,14 +273,16 @@ def gram_from_3form(phi: ConstForm) -> np.ndarray:
     """Matrix B with (e_i . phi) ^ (e_j . phi) ^ phi = B_ij * vol.
 
     Exact (object dtype, Fraction entries) when the input has rational
-    coefficients; float otherwise.
+    coefficients; float otherwise, through gram_batch on R^7.
     """
     if phi.degree != 3:
         raise ValueError("the bilinear form is defined for 3-forms")
     axes = phi.axes
+    exact = phi.is_exact_rational()
+    if not exact and axes == AXES7:
+        return gram_batch(phi.tovector())
     n = len(axes)
     top = tuple(axes)
-    exact = phi.is_exact_rational()
     b = np.empty((n, n), dtype=object) if exact else np.zeros((n, n))
     contr = [phi.contract(ax) for ax in axes]
     for i in range(n):
@@ -549,18 +551,23 @@ def _metric_norm(g: np.ndarray, f: ConstForm) -> float:
 # The same maps as gram_from_3form / metric_from_3form / hodge_star, but
 # acting on arrays of coefficient rows at once.  These back the sampled
 # torsion pipeline, where the metric varies from grid point to grid point.
+# Both kernels are chains of batched matmuls against constant structure
+# matrices:
+#
+#   B = U Q U^T, where U (7 x 21) holds the contractions e_i . c in the
+#     2-form basis and Q (21 x 21) the coefficients of vol in
+#     dx^u ^ dx^v ^ c; both are linear in c,
+#   (*c)_J = sqrt(det g) * sign(Jc, J) * (g^-1 g^-1 g^-1 . c)^{Jc}, the
+#     antisymmetric tensor of c with all three indices raised by g^-1,
+#     read at the triple Jc complementary to J.
 
 @lru_cache(maxsize=1)
-def _gram_tensors() -> tuple[np.ndarray, np.ndarray]:
-    """Structure constants for the batched bilinear form.
+def _gram_matrices() -> tuple[np.ndarray, np.ndarray]:
+    """Flat structure matrices (u, q) for the batched bilinear form.
 
-    Returns (ct, qt) with
-
-        ct[i]       : (21, 35) matrix of e_{i+1} contraction on 3-forms,
-        qt[u, v, c] : coefficient of vol in dx^U ^ dx^V ^ dx^C for the
-                      2-form bases U, V and 3-form basis C,
-
-    so that B_ij(c) = (ct[i] c)^T (qt . c) (ct[j] c).
+    For a coefficient row c, (c @ u.T).reshape(7, 21) is U, whose row i
+    is the 2-form e_{i+1} . c, and (c @ q.T).reshape(21, 21) is Q, whose
+    entry (u, v) is the coefficient of vol in dx^U ^ dx^V ^ c.
     """
     basis3 = basis_indices(AXES7, 3)
     basis2 = basis_indices(AXES7, 2)
@@ -580,21 +587,23 @@ def _gram_tensors() -> tuple[np.ndarray, np.ndarray]:
             rest = tuple(ax for ax in AXES7 if ax not in merged)
             s2, _ = _merge_sign(merged, rest)
             qt[u, v, pos3[rest]] = s1 * s2
-    return ct, qt
+    return ct.reshape(7 * 21, 35), qt.reshape(21 * 21, 35)
 
 
 def gram_batch(coeffs: np.ndarray) -> np.ndarray:
-    """Bilinear forms B for a batch of 3-forms.
+    """Bilinear forms B = U Q U^T for a batch of 3-forms.
 
     ``coeffs`` has shape (..., 35), rows ordered like
     basis_indices(AXES7, 3); the result has shape (..., 7, 7) and agrees
-    with gram_from_3form row by row.
+    with gram_from_3form row by row.  U and Q are the linear images of
+    each row under the structure matrices of _gram_matrices.
     """
     c = np.asarray(coeffs, dtype=float)
-    ct, qt = _gram_tensors()
-    u = np.einsum("iuc,...c->...iu", ct, c)
-    q = np.einsum("uvc,...c->...uv", qt, c)
-    return np.einsum("...iu,...uv,...jv->...ij", u, q, u)
+    u_mat, q_mat = _gram_matrices()
+    lead = c.shape[:-1]
+    u = (c @ u_mat.T).reshape(lead + (7, 21))
+    q = (c @ q_mat.T).reshape(lead + (21, 21))
+    return u @ q @ np.swapaxes(u, -1, -2)
 
 
 def metric_batch(coeffs: np.ndarray) -> np.ndarray:
@@ -618,10 +627,11 @@ def metric_batch(coeffs: np.ndarray) -> np.ndarray:
 
 @lru_cache(maxsize=1)
 def _star3_index() -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """(rows, cols, signs) index arrays for the batched star on 3-forms.
+    """(expand, rows, signs) arrays for the batched star on 3-forms.
 
+    expand   : (35, 343) matrix taking a coefficient row to the flattened
+               antisymmetric 7 x 7 x 7 tensor of the 3-form,
     rows[j]  : 0-based axis triple complementary to the j-th 4-form index,
-    cols[i]  : 0-based axis triple of the i-th 3-form index,
     signs[j] : sign of the permutation (complement, j-th 4-index).
     """
     basis4 = basis_indices(AXES7, 4)
@@ -632,35 +642,32 @@ def _star3_index() -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         jc = tuple(ax for ax in AXES7 if ax not in jdx)
         rows[j] = [ax - 1 for ax in jc]
         signs[j] = _perm_sign(jc, AXES7)
-    cols = np.array([[ax - 1 for ax in idx] for idx in basis3], dtype=np.intp)
-    return rows, cols, signs
+    expand = np.zeros((35, 7, 7, 7))
+    for i, idx in enumerate(basis3):
+        for perm in itertools.permutations(idx):
+            expand[(i,) + tuple(ax - 1 for ax in perm)] = _perm_sign(perm, idx)
+    return expand.reshape(35, 343), rows, signs
 
 
-def _det3(m: np.ndarray) -> np.ndarray:
-    """Determinants of an (..., 3, 3) stack, cofactor expansion."""
-    return (m[..., 0, 0] * (m[..., 1, 1] * m[..., 2, 2] - m[..., 1, 2] * m[..., 2, 1])
-            - m[..., 0, 1] * (m[..., 1, 0] * m[..., 2, 2] - m[..., 1, 2] * m[..., 2, 0])
-            + m[..., 0, 2] * (m[..., 1, 0] * m[..., 2, 1] - m[..., 1, 1] * m[..., 2, 0]))
-
-
-def star3_batch(metrics: np.ndarray, coeffs: np.ndarray, chunk: int = 1024) -> np.ndarray:
+def star3_batch(metrics: np.ndarray, coeffs: np.ndarray) -> np.ndarray:
     """Hodge star of a batch of 3-forms, one metric per row.
 
     ``metrics`` is (..., 7, 7) positive definite, ``coeffs`` (..., 35);
-    returns 4-form coefficient rows (..., 35) matching hodge_star.
+    returns 4-form coefficient rows (..., 35) matching hodge_star, from
+
+        (*c)_J = sqrt(det g) * sign(Jc, J) * (g^-1 g^-1 g^-1 . c)^{Jc}.
     """
     g = np.asarray(metrics, dtype=float)
     c = np.asarray(coeffs)
     lead = c.shape[:-1]
     g = g.reshape(-1, 7, 7)
     c = c.reshape(-1, 35)
-    rows, cols, signs = _star3_index()
+    n = c.shape[0]
+    expand, rows, signs = _star3_index()
     ginv = np.linalg.inv(g)
     scale = np.sqrt(np.linalg.det(g))
-    out = np.empty_like(c)
-    for lo in range(0, c.shape[0], chunk):
-        hi = min(lo + chunk, c.shape[0])
-        sub = ginv[lo:hi][:, rows[:, None, :, None], cols[None, :, None, :]]
-        minors = _det3(sub)                       # (n, 35 out, 35 in)
-        out[lo:hi] = scale[lo:hi, None] * signs * np.einsum("nji,ni->nj", minors, c[lo:hi])
+    t = (c @ expand).reshape(n, 7, 49)
+    t = (ginv @ t).reshape(n, 49, 7) @ ginv      # raise the first and last index
+    t = ginv[:, None] @ t.reshape(n, 7, 7, 7)     # raise the middle index
+    out = scale[:, None] * signs * t[:, rows[:, 0], rows[:, 1], rows[:, 2]]
     return out.reshape(lead + (35,))

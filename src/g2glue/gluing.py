@@ -30,7 +30,7 @@ field is structurally preserved.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field as dataclass_field, replace
 from fractions import Fraction
 from functools import lru_cache
 
@@ -316,7 +316,9 @@ def glue_fields(plus, minus, length: float,
     ``plus`` and ``minus`` are CylStructures with signs +1 and -1 whose
     cross-section pairs agree to 1e-12.  The neck has circumference
     2 * length; the minus half is transplanted through t -> 2L - t, which
-    negates dt-components.
+    negates dt-components.  Every ValueError raised here (NeckTooShort and
+    MismatchedLimits included) names a violated precondition on the
+    inputs: signs, length, grids, limits, support or finiteness.
     """
     if plus.sign != 1 or minus.sign != -1:
         raise ValueError("expected signs +1 and -1 for the two halves")
@@ -361,6 +363,8 @@ def glue_fields(plus, minus, length: float,
             mirrored = half_m[xi][1:q].copy()   # t- in (0, L), seamless ends
             mirrored[:, dtslots] *= -1.0
             arr[q + 1:] = mirrored[::-1]
+        if not np.isfinite(arr).all():
+            raise ValueError(f"non-finite samples in glued mode {xi}")
         if np.abs(arr).max() > 0.0:
             modes[xi] = arr
     return GluedField(SpectralForm(3, band, neck, modes, check=False),
@@ -371,12 +375,18 @@ def glue_fields(plus, minus, length: float,
 
 @dataclass(frozen=True)
 class TorsionMeasure:
-    """L2 and sup norms of d(phi) and of d(induced 4-form)."""
+    """L2 and sup norms of d(phi) and of d(induced 4-form).
+
+    ``dstar`` carries the measured d(induced 4-form) itself, so the
+    reducer can solve against it without starring the field again.
+    """
 
     d_l2: float
     d_sup: float
     dstar_l2: float
     dstar_sup: float
+    dstar: SpectralForm | None = dataclass_field(default=None, repr=False,
+                                                 compare=False)
 
     @property
     def worst(self) -> float:
@@ -406,7 +416,8 @@ def torsion_residual(phi) -> TorsionMeasure:
         raise ValueError("torsion is defined for degree-3 fields")
     d3 = exterior_d(field)
     d4 = exterior_d(induced_4form(field))
-    return TorsionMeasure(norm_l2(d3), norm_sup(d3), norm_l2(d4), norm_sup(d4))
+    return TorsionMeasure(norm_l2(d3), norm_sup(d3), norm_l2(d4), norm_sup(d4),
+                          dstar=d4)
 
 
 # -- linearization at the flat model ---------------------------------------
@@ -567,11 +578,16 @@ def torsion_reduce(glued: GluedField, tol: float = 1e-10, max_iter: int = 25,
     """Iteratively remove torsion by adding exact forms.
 
     Each step solves the flat-model linearization mode by mode (spectral
-    pseudoinverse) for a 2-form sigma and updates phi += d sigma, leaving
-    the harmonic block bitwise untouched.  Stops at torsion <= tol (sup
-    norms) or max_iter; raises Diverged after three consecutive
-    increases, ValueError if the initial torsion exceeds the smallness
-    threshold relative to the field.
+    pseudoinverse) for a 2-form sigma against d(induced 4-form), then
+    updates phi += d sigma with the xi = 0 t-mean pinned, so the harmonic
+    block is preserved (its free part bitwise, its dt part to one
+    rounding quantum of the mean).  The residual solved against is the
+    one torsion_residual measured at the end of the previous step, so
+    each step stars the field once.  Stops at torsion <= tol (sup norms)
+    or max_iter; raises Diverged after three consecutive steps that do
+    not improve on the best torsion so far, ValueError if the initial
+    torsion exceeds the smallness threshold relative to the field.  The
+    report carries the torsion of the returned field.
     """
     field = glued.field
     meas = torsion_residual(field)
@@ -587,9 +603,8 @@ def torsion_reduce(glued: GluedField, tol: float = 1e-10, max_iter: int = 25,
     worse = 0
     best = meas.worst
     while meas.worst > tol and iterations < max_iter:
-        resid = exterior_d(induced_4form(field))
         sig_modes = {}
-        for xi, arr in resid.modes.items():
+        for xi, arr in meas.dstar.modes.items():
             pinv = _solver_stack(xi, omega, n_t)
             rhat = np.fft.fft(arr, axis=0)
             shat = -np.einsum("nij,nj->ni", pinv, rhat)

@@ -162,6 +162,27 @@ def test_glue_sweep_below_threshold_reports_unconverged(tmp_path, flat_pair,
     assert [row["converged"] for row in payload["rows"]] == [False]
 
 
+def test_glue_sweep_rejects_non_finite_param(tmp_path, flat_pair, capsys):
+    _, minus = flat_pair
+    bad = tmp_path / "nan.json"
+    bad.write_text('{"schema": "g2glue-structure/1", "kind": '
+                   '"modulated-shear", "sign": 1, '
+                   '"params": {"amplitude": NaN}}')
+    rc, out, err = run_cli(["glue-sweep", "--input", str(bad),
+                            "--input2", minus, "--L-stop", "4"], capsys)
+    assert rc == 2 and out == ""
+    assert err.count("\n") == 1 and "amplitude" in err and "finite" in err
+
+
+def test_glue_sweep_rejects_mismatched_density(tmp_path, flat_pair, capsys):
+    _, minus = flat_pair
+    coarse = write_structure(tmp_path / "coarse.json", 1, density=32)
+    rc, out, err = run_cli(["glue-sweep", "--input", coarse,
+                            "--input2", minus, "--L-stop", "4"], capsys)
+    assert rc == 2 and out == ""
+    assert err.count("\n") == 1 and "spacing" in err
+
+
 def test_glue_sweep_missing_file(flat_pair, capsys):
     plus, _ = flat_pair
     rc, _, err = run_cli(["glue-sweep", "--input", plus,

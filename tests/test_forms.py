@@ -6,7 +6,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from g2glue import forms
+from g2glue import forms, ratmat
 from g2glue.forms import (
     AXES6,
     AXES7,
@@ -296,3 +296,73 @@ def test_reversed_orientation_still_stable():
     phi_minus = assemble_cylindrical(Omega0(), omega0(), -1)
     g = metric_from_3form(phi_minus)
     assert np.abs(np.asarray(g.mat, dtype=float) - np.eye(7)).max() < 1e-12
+
+
+# -- batched kernels -------------------------------------------------------
+
+def stable_rows(rng, count):
+    """``2 * count`` stable 3-forms: phi0 plus noise on the 1/512 grid,
+    then phi0 pulled back by maps I + R/8 with R in {-1, 0, 1}^49
+    (condition number about 2, coefficients on the same grid)."""
+    base = phi0().tovector()
+    rows = [base + rng.integers(-32, 33, 35) / 512 for _ in range(count)]
+    for _ in range(count):
+        a = np.eye(7) + rng.integers(-1, 2, (7, 7)) / 8
+        rows.append(phi0().pullback(a).tovector())
+    return np.array(rows)
+
+
+def rel_err(got, want):
+    return np.abs(got - want).max() / np.abs(want).max()
+
+
+def test_batched_kernels_match_dict_reference():
+    coeffs = stable_rows(np.random.default_rng(41), 120)
+    b = forms.gram_batch(coeffs)
+    g = forms.metric_batch(coeffs)
+    s = forms.star3_batch(g, coeffs)
+    for k, c in enumerate(coeffs):
+        phi = ConstForm.fromvector(AXES7, 3, c)
+        metric = metric_from_3form(phi).mat
+        assert rel_err(g[k], metric) <= 1e-12
+        assert rel_err(s[k], hodge_star(metric, phi).tovector()) <= 1e-12
+    # Float gram_from_3form on R^7 is gram_batch itself; the dict code
+    # runs on the exact path (about 40 ms a form), so a spread of rows
+    # is checked against it, rounded to the 1/512 grid.
+    for k in range(0, len(coeffs), 15):
+        num = np.rint(coeffs[k] * 512)
+        exact = ConstForm.fromvector(AXES7, 3, [int(x) for x in num])
+        want = ratmat.tofloat(gram_from_3form(exact)) / 512.0 ** 3
+        assert rel_err(b[k], want) <= 1e-12
+        float_form = ConstForm.fromvector(AXES7, 3, num / 512)
+        assert rel_err(gram_from_3form(float_form), want) <= 1e-12
+
+
+def test_batched_kernels_keep_leading_shape():
+    coeffs = stable_rows(np.random.default_rng(43), 12)
+    b = forms.gram_batch(coeffs)
+    g = forms.metric_batch(coeffs)
+    s = forms.star3_batch(g, coeffs)
+    shaped = coeffs.reshape(4, 6, 35)
+    b46 = forms.gram_batch(shaped)
+    g46 = forms.metric_batch(shaped)
+    assert b46.shape == (4, 6, 7, 7)
+    assert rel_err(b46.reshape(-1, 7, 7), b) <= 1e-14
+    assert rel_err(g46.reshape(-1, 7, 7), g) <= 1e-14
+    s46 = forms.star3_batch(g46, shaped)
+    assert s46.shape == (4, 6, 35)
+    assert rel_err(s46.reshape(-1, 35), s) <= 1e-14
+    one = coeffs[:1]
+    assert forms.gram_batch(one).shape == (1, 7, 7)
+    g1 = forms.metric_batch(one)
+    assert rel_err(g1[0], g[0]) <= 1e-14
+    assert rel_err(forms.star3_batch(g1, one)[0], s[0]) <= 1e-14
+
+
+def test_batched_metric_rejects_a_degenerate_row():
+    coeffs = stable_rows(np.random.default_rng(47), 4)
+    coeffs[3] = KForm7(3, {(1, 2, 3): 1.0}).tovector()
+    with pytest.raises(NotStable):
+        forms.metric_batch(coeffs)
+    with pytest.raises(NotStable):
+        forms.metric_batch(coeffs[3:4])

@@ -5,6 +5,7 @@ import math
 import numpy as np
 import pytest
 
+from g2glue import gluing
 from g2glue.fields import (
     CylStructure,
     NoLimit,
@@ -204,6 +205,12 @@ def test_glue_rejects_mismatched_sampling():
         glue_fields(plus, minus, 5.0)
 
 
+def test_glue_rejects_non_finite_samples():
+    plus = modulated_shear_structure(1, amplitude=float("nan"))
+    with pytest.raises(ValueError, match="non-finite"):
+        glue_fields(plus, flat_structure(-1), 5.0)
+
+
 def test_glue_rejects_support_at_inner_end():
     grid = TGrid.interval(0.0, 11.0, 64)
     slot3, _ = zeta_slot()
@@ -334,6 +341,27 @@ def test_reduce_converges_and_preserves_the_class(flat_glued):
     free = slice(15, 35)
     assert np.array_equal(got[free], pin[free])
     assert np.abs(got[:15] - pin[:15]).max() < 2e-15
+
+
+def test_reduce_stars_the_field_once_per_step(monkeypatch):
+    plus = closed_perturbation_structure(1, amplitude=1e-3)
+    glued = glue_fields(plus, flat_structure(-1), 5.0)
+    calls = []
+    real = gluing.induced_4form
+
+    def counting(*args, **kwargs):
+        calls.append(1)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(gluing, "induced_4form", counting)
+    out, report = torsion_reduce(glued, tol=1e-10)
+    assert report.iterations >= 1
+    assert len(calls) == report.iterations + 1
+    monkeypatch.undo()
+    meas = torsion_residual(out.field)
+    assert (report.torsion_d_l2, report.torsion_d_sup,
+            report.torsion_ds_l2, report.torsion_ds_sup) == (
+        meas.d_l2, meas.d_sup, meas.dstar_l2, meas.dstar_sup)
 
 
 def test_reduce_rejects_large_torsion(flat_glued):
