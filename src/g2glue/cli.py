@@ -57,9 +57,9 @@ from .forms import (
 )
 from .gluing import (
     CutoffSpec,
-    Diverged,
     GluingReport,
     MismatchedLimits,
+    ReductionStopped,
     closed_perturbation_structure,
     fit_torsion_slope,
     flat_structure,
@@ -67,7 +67,7 @@ from .gluing import (
     modulated_shear_structure,
     sheared_structure,
     torsion_reduce,
-    torsion_residual,
+    torsion_residual,  # noqa: F401  (perfbench/tracer.py rebinds it here)
 )
 
 SCHEMA = "g2glue-report/1"
@@ -433,9 +433,11 @@ def _sweep_row(plus, minus, length: float, tol: float) -> GluingReport:
         raise InputError(f"cannot glue at L = {length!r}: {exc}") from exc
     try:
         _, rep = torsion_reduce(glued, tol=tol, max_iter=25)
-    except (Diverged, ValueError):
-        rep = GluingReport.from_measure(length, torsion_residual(glued),
-                                        0, False)
+    except ReductionStopped as exc:
+        rep = GluingReport.from_measure(length, exc.measure, exc.iterations,
+                                        False)
+    except ValueError as exc:
+        raise InputError(f"cannot reduce at L = {length!r}: {exc}") from exc
     return rep
 
 

@@ -107,7 +107,23 @@ def _as2d(a, rows: int, cols: int) -> np.ndarray:
         out = np.zeros((rows, cols))
     if out.shape != (rows, cols):
         raise ValueError(f"matrix shape {out.shape} does not match ({rows}, {cols})")
+    if not np.isfinite(out).all():
+        raise ValueError("matrix has a non-finite entry")
     return out
+
+
+def _as_gram(a, dim: int, m: int) -> np.ndarray:
+    """``_as2d`` for the cross-section pairing: symmetric positive definite."""
+    ip = _as2d(a, dim, dim)
+    if not ip.size:
+        return ip
+    if np.abs(ip - ip.T).max() > 1e-12 * np.abs(ip).max():
+        raise ValueError(f"ip_X at degree {m} is not symmetric")
+    low = np.linalg.eigvalsh(ip)[0]
+    if not low > 0.0:
+        raise ValueError(f"ip_X at degree {m} is not positive definite: "
+                         f"smallest eigenvalue {low:.3e}")
+    return ip
 
 
 @dataclass(frozen=True)
@@ -1051,7 +1067,11 @@ def diagram_to_json(d: SumDiagram) -> dict:
 
 
 def diagram_from_json(obj: dict) -> SumDiagram:
-    """Inverse of diagram_to_json, with shape validation on construction."""
+    """Inverse of diagram_to_json, with shape validation on construction.
+
+    Raises ValueError on a non-finite entry and on an ip_X that is not
+    symmetric positive definite.
+    """
     blocks = []
     degs = sorted(obj["degrees"], key=lambda blk: blk["m"])
     prev_hx = 0
@@ -1065,7 +1085,7 @@ def diagram_from_json(obj: dict) -> SumDiagram:
             maps[key] = _as2d(blk["maps"][key], rows, cols)
         blocks.append(DegreeBlock(
             int(blk["m"]), dims, maps,
-            _as2d(blk["ip_X"], dims["H_X"], dims["H_X"]),
+            _as_gram(blk["ip_X"], dims["H_X"], int(blk["m"])),
             _as2d(blk["C_plus"], dims["Hcpt_Mplus"], prev_hx),
             _as2d(blk["C_minus"], dims["Hcpt_Mminus"], prev_hx)))
         prev_hx = dims["H_X"]

@@ -21,6 +21,7 @@ trapezoid rule (interval) or uniform rule (circle) in t.
 
 from __future__ import annotations
 
+import itertools
 import math
 import numbers
 from dataclasses import dataclass
@@ -226,11 +227,6 @@ class SpectralForm:
         """Largest coefficient magnitude over all modes and samples."""
         return max((np.abs(a).max() for a in self.modes.values()), default=0.0)
 
-    def prune(self, tol: float = 0.0) -> "SpectralForm":
-        """Drop modes whose amplitude is <= tol (absolute)."""
-        keep = {xi: a for xi, a in self.modes.items() if np.abs(a).max() > tol}
-        return SpectralForm(self.degree, self.band, self.grid, keep, check=False)
-
     def _like(self, modes, degree=None, band=None) -> "SpectralForm":
         return SpectralForm(self.degree if degree is None else degree,
                             self.band if band is None else band,
@@ -267,13 +263,6 @@ class SpectralForm:
 
     def __neg__(self):
         return self.scale(-1.0)
-
-    def scale_t(self, values: np.ndarray) -> "SpectralForm":
-        """Multiply by a real function of t given by its sample values."""
-        v = np.asarray(values, dtype=float)
-        if v.shape != (self.grid.n,):
-            raise ValueError("expected one value per t-sample")
-        return self._like({xi: v[:, None] * a for xi, a in self.modes.items()})
 
     # ---- block structure along dt ----
 
@@ -476,13 +465,20 @@ def norm_l2(f: SpectralForm, metric=None) -> float:
     return math.sqrt(max(inner_l2(f, f, metric), 0.0))
 
 
+def _active_axes(dims) -> tuple[int, ...]:
+    """Array axes of the torus directions with more than one sample."""
+    return tuple(d + 1 for d, m in enumerate(dims) if m > 1)
+
+
 def sample_physical(f: SpectralForm, oversample: int = 2) -> tuple[np.ndarray, tuple[int, ...]]:
     """Evaluate on a physical grid: (samples, torus shape).
 
     Returns an array of shape (grid.n, M_1, .., M_6, ncomp) with M_d = 1
     for torus directions carrying no nonzero frequency and
     M_d = 2 * oversample * max|xi_d| otherwise, together with the M tuple.
-    The grid in each active direction is uniform on [0, 2*pi).
+    The grid in each active direction is uniform on [0, 2*pi).  Only the
+    active directions are transformed: an FFT over a length-1 axis is the
+    identity, so skipping it leaves the samples bitwise unchanged.
     """
     maxfreq = [0] * 6
     for xi in f.modes:
@@ -493,9 +489,10 @@ def sample_physical(f: SpectralForm, oversample: int = 2) -> tuple[np.ndarray, t
     for xi, a in f.modes.items():
         pos = tuple(xi[d] % dims[d] for d in range(6))
         spec[(slice(None),) + pos + (slice(None),)] += a
-    axes = tuple(range(1, 7))
-    phys = np.fft.ifftn(spec, axes=axes) * np.prod(dims)
-    return np.real(phys), dims
+    axes = _active_axes(dims)
+    if axes:
+        spec = np.fft.ifftn(spec, axes=axes) * np.prod(dims)
+    return np.real(spec), dims
 
 
 def spectral_from_samples(samples: np.ndarray, degree: int, band: int, grid: TGrid,
@@ -510,24 +507,22 @@ def spectral_from_samples(samples: np.ndarray, degree: int, band: int, grid: TGr
     dims = arr.shape[1:-1]
     if len(dims) != 6:
         raise ValueError("expected six torus axes between t and components")
-    spec = np.fft.fftn(arr.astype(complex), axes=tuple(range(1, 7))) / np.prod(dims)
+    spec = arr.astype(complex)
+    axes = _active_axes(dims)
+    if axes:
+        spec = np.fft.fftn(spec, axes=axes) / np.prod(dims)
     ranges = []
     for m in dims:
         lim = min(band, (m - 1) // 2)
         ranges.append(range(-lim, lim + 1) if m > 1 else range(0, 1))
     modes = {}
     scale = np.abs(arr).max() if arr.size else 0.0
-    for xi in _product(ranges):
+    for xi in itertools.product(*ranges):
         pos = tuple(xi[d] % dims[d] for d in range(6))
         a = spec[(slice(None),) + pos + (slice(None),)]
         if np.abs(a).max() > prune_tol * scale:
             modes[xi] = a
     return SpectralForm(degree, band, grid, modes)
-
-
-def _product(ranges):
-    import itertools
-    return itertools.product(*ranges)
 
 
 def norm_sup(f: SpectralForm) -> float:

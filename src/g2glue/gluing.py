@@ -24,7 +24,12 @@ Torsion is measured as the pair (d phi, d of the induced 4-form), the
 pointwise kernels.  The reduction iterates phi += d sigma with sigma
 solved mode by mode from the linearization of the induced-4-form map at
 the flat model; updates are exact forms, so the harmonic class of the
-field is structurally preserved.
+field is structurally preserved.  On the torus-constant mode xi = 0 the
+linearization at t-frequency n is -(w n)^2 times one fixed 21 x 21
+matrix, so its solve is a single cached pseudoinverse scaled per n and
+builds nothing per neck length; modes with xi != 0 get a batched
+pseudoinverse over the t-frequencies that lives only as long as one
+reduction.
 """
 
 from __future__ import annotations
@@ -76,8 +81,22 @@ class NeckTooShort(ValueError):
     """L is too small for the cutoff, or the half grids do not reach L."""
 
 
-class Diverged(RuntimeError):
+class ReductionStopped(Exception):
+    """torsion_reduce gave up; ``iterations`` and ``measure`` record the
+    steps it took and the TorsionMeasure of the field it stopped at."""
+
+    def __init__(self, message: str, iterations: int, measure):
+        super().__init__(message)
+        self.iterations = iterations
+        self.measure = measure
+
+
+class Diverged(ReductionStopped, RuntimeError):
     """Torsion increased for three consecutive reduction steps."""
+
+
+class AboveSmallness(ReductionStopped, ValueError):
+    """The initial torsion exceeds the smallness threshold of the reducer."""
 
 
 # -- cutoff profiles -------------------------------------------------------
@@ -457,13 +476,13 @@ def _flat_star3() -> np.ndarray:
     return np.array(cols).T
 
 
-@lru_cache(maxsize=64)
-def _solver_stack(xi: tuple, omega: float, n_t: int) -> np.ndarray:
-    """Pseudoinverses of the linearized per-mode torsion operator.
+def _t_blocks(xi: tuple) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(T_tt, T_tx + T_xt, T_xx): the pieces of the linearized torsion
+    operator A(n) = -((w n)^2 T_tt + w n (T_tx + T_xt) + T_xx).
 
-    For t-frequency index n, the operator taking the 2-form update sigma
-    to the linearized residual is  A(n) = D5(n) M D3(n)  with
-    D(n) = i (n w W_t + sum_d xi_d W_{x_d}); returns (n_t, 21, 21).
+    A(n) = D5(n) M D3(n) takes the 2-form update sigma to the linearized
+    residual at t-frequency index n, with D(n) = i (n w W_t + sum_d xi_d W_{x_d})
+    and M the star derivative at the flat model.
     """
     m = star_derivative_matrix()
     wt3 = _axis_wedge_matrix(1, 2)
@@ -474,15 +493,49 @@ def _solver_stack(xi: tuple, omega: float, n_t: int) -> np.ndarray:
         if xi[d]:
             x3 += xi[d] * _axis_wedge_matrix(d + 2, 2)
             x5 += xi[d] * _axis_wedge_matrix(d + 2, 4)
-    t_tt = wt5 @ m @ wt3
-    t_tx = wt5 @ m @ x3
-    t_xt = x5 @ m @ wt3
-    t_xx = x5 @ m @ x3
+    return wt5 @ m @ wt3, wt5 @ m @ x3 + x5 @ m @ wt3, x5 @ m @ x3
+
+
+@lru_cache(maxsize=1)
+def _tt_pinv() -> np.ndarray:
+    """Pseudoinverse of T_tt, the whole operator at xi = 0 up to -(w n)^2.
+
+    T_tt has eight singular values equal to 1 and thirteen at roundoff,
+    so the rcond=1e-9 cut is the same for every nonzero scale of it.
+    """
+    return np.linalg.pinv(_t_blocks(ZERO_XI)[0], rcond=1e-9)
+
+
+def _mode_solver(omega: float, n_t: int):
+    """Per-mode solver of the linearized torsion operator for one neck.
+
+    Returns solve(xi, rhat) -> -A(n)^+ rhat row by row, for rhat the
+    t-Fourier coefficients (n_t, 21) of a residual mode.  At xi = 0,
+    A(n) = -(w n)^2 T_tt, so the solve is T_tt^+ rhat / (w n)^2 (0 at
+    n = 0) from one cached 21 x 21 matrix.  Any other mode takes a batched
+    pseudoinverse of its quadratic pencil, built on first use and held
+    only by the returned function, so nothing sized by the neck outlives
+    the reduction that made it.
+    """
     n = np.fft.fftfreq(n_t, d=1.0 / n_t)
-    a = -(omega ** 2 * n[:, None, None] ** 2 * t_tt
-          + omega * n[:, None, None] * (t_tx + t_xt)
-          + t_xx)
-    return np.linalg.pinv(a, rcond=1e-9)
+    wn2 = (omega * n) ** 2
+    stacks = {}
+
+    def solve(xi: tuple, rhat: np.ndarray) -> np.ndarray:
+        if xi == ZERO_XI:
+            shat = rhat @ _tt_pinv().T
+            shat[0] = 0.0
+            shat[1:] /= wn2[1:, None]
+            return shat
+        pinv = stacks.get(xi)
+        if pinv is None:
+            t_tt, t_mix, t_xx = _t_blocks(xi)
+            a = -(wn2[:, None, None] * t_tt + omega * n[:, None, None] * t_mix
+                  + t_xx)
+            pinv = stacks[xi] = np.linalg.pinv(a, rcond=1e-9)
+        return -np.einsum("nij,nj->ni", pinv, rhat)
+
+    return solve
 
 
 def _zero_mean_update(update: SpectralForm) -> SpectralForm:
@@ -581,33 +634,37 @@ def torsion_reduce(glued: GluedField, tol: float = 1e-10, max_iter: int = 25,
     pseudoinverse) for a 2-form sigma against d(induced 4-form), then
     updates phi += d sigma with the xi = 0 t-mean pinned, so the harmonic
     block is preserved (its free part bitwise, its dt part to one
-    rounding quantum of the mean).  The residual solved against is the
-    one torsion_residual measured at the end of the previous step, so
-    each step stars the field once.  Stops at torsion <= tol (sup norms)
-    or max_iter; raises Diverged after three consecutive steps that do
-    not improve on the best torsion so far, ValueError if the initial
-    torsion exceeds the smallness threshold relative to the field.  The
-    report carries the torsion of the returned field.
+    rounding quantum of the mean).  The xi = 0 mode is solved in closed
+    form from one cached 21 x 21 pseudoinverse scaled by 1 / (w n)^2;
+    every other mode uses a batched pseudoinverse over the t-frequencies,
+    built once per reduction and dropped when it returns (see
+    _mode_solver).  The residual solved against is the one
+    torsion_residual measured at the end of the previous step, so each
+    step stars the field once.  Stops at torsion <= tol (sup norms) or
+    max_iter; raises Diverged after three consecutive steps that do not
+    improve on the best torsion so far, AboveSmallness (a ValueError) if
+    the initial torsion exceeds the smallness threshold relative to the
+    field.  Both carry the steps taken and the last measured torsion.
+    The report carries the torsion of the returned field.
     """
     field = glued.field
     meas = torsion_residual(field)
     if meas.worst > smallness * max(norm_sup(field), 1e-30):
-        raise ValueError("initial torsion is above the smallness threshold")
+        raise AboveSmallness("initial torsion is above the smallness threshold",
+                             0, meas)
     m0 = field.modes.get(ZERO_XI)
     pin = (np.mean(np.real(m0), axis=0) if m0 is not None
            else np.zeros(field.ncomp))
     length = glued.length
     omega = 2.0 * np.pi / (2.0 * length)
-    n_t = field.grid.n
+    solve = _mode_solver(omega, field.grid.n)
     iterations = 0
     worse = 0
     best = meas.worst
     while meas.worst > tol and iterations < max_iter:
         sig_modes = {}
         for xi, arr in meas.dstar.modes.items():
-            pinv = _solver_stack(xi, omega, n_t)
-            rhat = np.fft.fft(arr, axis=0)
-            shat = -np.einsum("nij,nj->ni", pinv, rhat)
+            shat = solve(xi, np.fft.fft(arr, axis=0))
             sig_modes[xi] = np.fft.ifft(shat, axis=0)
         sigma = SpectralForm(2, field.band, field.grid, sig_modes, check=False)
         update = _zero_mean_update(exterior_d(sigma))
@@ -617,7 +674,8 @@ def torsion_reduce(glued: GluedField, tol: float = 1e-10, max_iter: int = 25,
         if meas.worst >= best:
             worse += 1
             if worse >= 3:
-                raise Diverged(f"torsion stopped decreasing after {iterations} steps")
+                raise Diverged(f"torsion stopped decreasing after {iterations} steps",
+                               iterations, meas)
         else:
             worse = 0
             best = meas.worst

@@ -7,7 +7,14 @@ import pytest
 
 from g2glue import cli
 from g2glue.cohomology import diagram_from_json, save_diagram, synth_diagram
-from g2glue.gluing import GluingReport
+from g2glue.gluing import (
+    Diverged,
+    GluingReport,
+    flat_structure,
+    glue_fields,
+    modulated_shear_structure,
+    torsion_reduce,
+)
 
 
 def run_cli(argv, capsys):
@@ -183,6 +190,37 @@ def test_glue_sweep_rejects_mismatched_density(tmp_path, flat_pair, capsys):
     assert err.count("\n") == 1 and "spacing" in err
 
 
+def test_glue_sweep_unstable_perturbation_exits_two(tmp_path, flat_pair,
+                                                   capsys):
+    _, minus = flat_pair
+    big = write_structure(tmp_path / "big.json", 1,
+                          kind="closed-perturbation", amplitude=5)
+    rc, out, err = run_cli(["glue-sweep", "--input", big, "--input2", minus,
+                            "--L-start", "6", "--L-stop", "6"], capsys)
+    assert rc == 2 and out == ""
+    assert err.count("\n") == 1 and "L = 6.0" in err
+
+
+def test_glue_sweep_diverged_row_reports_its_steps(tmp_path, flat_pair,
+                                                   capsys):
+    _, minus = flat_pair
+    shear = write_structure(tmp_path / "shear.json", 1,
+                            kind="modulated-shear", amplitude=0.05)
+    rc, out, _ = run_cli(["glue-sweep", "--input", shear, "--input2", minus,
+                          "--L-start", "5", "--L-stop", "5"], capsys)
+    assert rc == 1
+    [row] = json.loads(out)["rows"]
+    glued = glue_fields(modulated_shear_structure(1, amplitude=0.05),
+                        flat_structure(-1), 5.0)
+    with pytest.raises(Diverged) as info:
+        torsion_reduce(glued, tol=1e-10, max_iter=25)
+    meas = info.value.measure
+    assert row["iters"] == info.value.iterations > 0
+    assert row["converged"] is False
+    assert (row["torsion_d_sup"], row["torsion_ds_sup"]) == (meas.d_sup,
+                                                             meas.dstar_sup)
+
+
 def test_glue_sweep_missing_file(flat_pair, capsys):
     plus, _ = flat_pair
     rc, _, err = run_cli(["glue-sweep", "--input", plus,
@@ -232,6 +270,32 @@ def test_spectrum_unparseable_input(tmp_path, capsys):
     rc, _, err = run_cli(["spectrum", "--input", str(path)], capsys)
     assert rc == 2
     assert "garbage.json" in err
+
+
+def _broken_diagram(tmp_path, diagram_file, probe):
+    obj = json.loads(open(diagram_file).read())
+    if probe == "nan-mv-delta":
+        block = next(b for b in obj["degrees"]
+                     if np.asarray(b["maps"]["mv_delta"]).size)
+        block["maps"]["mv_delta"][0][0] = float("nan")
+    else:
+        block = next(b for b in obj["degrees"] if np.asarray(b["ip_X"]).size)
+        block["ip_X"][0][0] = -abs(block["ip_X"][0][0])
+    path = tmp_path / f"{probe}.json"
+    path.write_text(json.dumps(obj))
+    return str(path)
+
+
+@pytest.mark.parametrize("command", ["spectrum", "derivative"])
+@pytest.mark.parametrize("probe", ["nan-mv-delta", "negative-ip-x"])
+def test_unusable_diagram_exits_two(tmp_path, diagram_file, capsys,
+                                    command, probe):
+    bad = _broken_diagram(tmp_path, diagram_file, probe)
+    rc, out, err = run_cli([command, "--input", bad], capsys)
+    assert rc == 2 and out == ""
+    assert err.count("\n") == 1 and f"{probe}.json" in err
+    assert ("non-finite" if probe == "nan-mv-delta"
+            else "positive definite") in err
 
 
 def test_spectrum_malformed_diagram(tmp_path, diagram_file, capsys):

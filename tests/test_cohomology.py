@@ -433,3 +433,24 @@ def test_malformed_shape_rejected(rigged):
     obj["degrees"][3]["maps"]["mv_delta"] = [[1.0]]
     with pytest.raises(ValueError, match="shape"):
         diagram_from_json(obj)
+
+
+def test_non_finite_entry_rejected(rigged):
+    obj = diagram_to_json(rigged)
+    obj["degrees"][2]["C_plus"] = [[float("inf")] * len(row)
+                                   for row in obj["degrees"][2]["C_plus"]]
+    assert np.asarray(obj["degrees"][2]["C_plus"]).size
+    with pytest.raises(ValueError, match="non-finite"):
+        diagram_from_json(obj)
+
+
+def test_pairing_must_be_symmetric_positive_definite(rigged):
+    m = next(m for m in range(8) if rigged.dim("H_X", m) >= 2)
+    obj = diagram_to_json(rigged)
+    obj["degrees"][m]["ip_X"][0][1] += 1e-3
+    with pytest.raises(ValueError, match="symmetric"):
+        diagram_from_json(obj)
+    obj = diagram_to_json(rigged)
+    obj["degrees"][m]["ip_X"] = (-rigged.gram(m)).tolist()
+    with pytest.raises(ValueError, match="positive definite"):
+        diagram_from_json(obj)

@@ -198,6 +198,26 @@ def test_physical_roundtrip():
     assert (back - f).amplitude() < 1e-12 * max(1.0, f.amplitude())
 
 
+@pytest.mark.parametrize("active", [(), (2,)])
+def test_physical_sampling_bitwise_equals_six_axis_fft(active):
+    rng = np.random.default_rng(9)
+    f = rand_field(3, 2, CIRCLE, rng, active=active, nmodes=3)
+    phys, dims = sample_physical(f)
+    assert sum(m > 1 for m in dims) == len(active)
+    spec = np.zeros((CIRCLE.n,) + dims + (35,), dtype=complex)
+    for xi, a in f.modes.items():
+        spec[(slice(None),) + tuple(xi[d] % dims[d] for d in range(6))] += a
+    axes = tuple(range(1, 7))
+    want = np.real(np.fft.ifftn(spec, axes=axes) * np.prod(dims))
+    assert np.array_equal(phys, want)
+    back = spectral_from_samples(phys, 3, 2, CIRCLE)
+    full = np.fft.fftn(phys.astype(complex), axes=axes) / np.prod(dims)
+    assert set(f.modes) <= set(back.modes)
+    for xi, a in back.modes.items():
+        pos = tuple(xi[d] % dims[d] for d in range(6))
+        assert np.array_equal(a, full[(slice(None),) + pos])
+
+
 # -- harmonic projection ---------------------------------------------------
 
 def test_harmonic_project_constant_fixed():

@@ -1,6 +1,8 @@
 """Neck assembly tests: cutoffs, tail integrals, surgery, torsion, reduction."""
 
+import gc
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -8,6 +10,7 @@ import pytest
 from g2glue import gluing
 from g2glue.fields import (
     CylStructure,
+    _axis_wedge_matrix,
     NoLimit,
     SpectralForm,
     TGrid,
@@ -19,6 +22,7 @@ from g2glue.fields import (
 )
 from g2glue.forms import AXES7, Omega0, basis_position, omega0, phi0
 from g2glue.gluing import (
+    AboveSmallness,
     CutoffSpec,
     Diverged,
     GluingReport,
@@ -375,6 +379,82 @@ def test_reduce_raises_diverged_at_the_closedness_floor():
     glued = glue_fields(plus, flat_structure(-1), 5.0)
     with pytest.raises(Diverged):
         torsion_reduce(glued, tol=1e-7)
+
+
+def test_stopped_reductions_carry_steps_and_last_torsion(flat_glued):
+    start = exact_perturbed(flat_glued, seed=5, eps=0.5)
+    with pytest.raises(AboveSmallness) as info:
+        torsion_reduce(start)
+    meas = torsion_residual(start)
+    assert info.value.iterations == 0
+    assert info.value.measure == meas
+    plus = modulated_shear_structure(1, amplitude=0.05)
+    glued = glue_fields(plus, flat_structure(-1), 5.0)
+    with pytest.raises(Diverged) as info:
+        torsion_reduce(glued, tol=1e-10)
+    assert info.value.iterations == 5
+    assert info.value.measure.worst > 1e-10
+
+
+# -- the per-mode solve ----------------------------------------------------
+
+def explicit_pinv(xi, omega, n_t):
+    """pinv(A(n)) for A(n) = D5(n) M D3(n), D(n) = i (n w W_t + sum xi_d W_d)."""
+    m = gluing.star_derivative_matrix()
+    out = []
+    for n in np.fft.fftfreq(n_t, d=1.0 / n_t):
+        d3 = n * omega * _axis_wedge_matrix(1, 2)
+        d5 = n * omega * _axis_wedge_matrix(1, 4)
+        for d in range(6):
+            d3 = d3 + xi[d] * _axis_wedge_matrix(d + 2, 2)
+            d5 = d5 + xi[d] * _axis_wedge_matrix(d + 2, 4)
+        out.append((1j * d5) @ m @ (1j * d3))
+    return np.linalg.pinv(np.array(out), rcond=1e-9)
+
+
+@pytest.mark.parametrize("length", [4.0, 5.25, 7.5])
+def test_closed_form_xi0_solve_matches_explicit_pinv(length):
+    n_t = round(2 * length * 64)
+    omega = np.pi / length
+    rng = np.random.default_rng(7)
+    rhat = rng.standard_normal((n_t, 21)) + 1j * rng.standard_normal((n_t, 21))
+    got = gluing._mode_solver(omega, n_t)(ZERO_XI, rhat)
+    want = -np.einsum("nij,nj->ni", explicit_pinv(ZERO_XI, omega, n_t), rhat)
+    assert not got[0].any() and not want[0].any()
+    nyquist = n_t // 2
+    assert np.fft.fftfreq(n_t, d=1.0 / n_t)[nyquist] == -n_t / 2
+    assert np.abs(want[nyquist]).max() > 0.0
+    for n in range(1, n_t):
+        assert np.abs(got[n] - want[n]).max() <= 1e-12 * np.abs(want[n]).max()
+
+
+def test_nonzero_xi_solve_matches_explicit_pinv():
+    length, n_t = 5.0, 640
+    omega = np.pi / length
+    xi = (1, 0, -2, 0, 0, 0)
+    rng = np.random.default_rng(8)
+    rhat = rng.standard_normal((n_t, 21)) + 1j * rng.standard_normal((n_t, 21))
+    solve = gluing._mode_solver(omega, n_t)
+    got = solve(xi, rhat)
+    want = -np.einsum("nij,nj->ni", explicit_pinv(xi, omega, n_t), rhat)
+    assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
+    assert np.array_equal(solve(xi, rhat), got)
+
+
+def test_reductions_retain_nothing_per_length(flat_pair):
+    retained = []
+    tracemalloc.start()
+    try:
+        for length in (5.0, 5.5, 6.0, 6.5, 7.0):
+            start = exact_perturbed(glue_fields(*flat_pair, length), seed=3)
+            _, report = torsion_reduce(start, tol=1e-10)
+            assert report.converged and report.iterations >= 1
+            del start, report
+            gc.collect()
+            retained.append(tracemalloc.get_traced_memory()[0])
+    finally:
+        tracemalloc.stop()
+    assert retained[4] - retained[1] < 1_000_000
 
 
 # -- reports and sweeps ----------------------------------------------------
