@@ -36,8 +36,9 @@ from .forms import (
     Metric7,
     basis_indices,
     basis_position,
+    _compound,
     _merge_sign,
-    hodge_star,
+    _star_matrix,
 )
 
 ZERO_XI = (0, 0, 0, 0, 0, 0)
@@ -387,26 +388,6 @@ def _constant_metric(metric) -> np.ndarray:
     return g.astype(float)
 
 
-@lru_cache(maxsize=None)
-def _star_matrix_id(degree: int) -> np.ndarray:
-    return _star_matrix_of(np.eye(7).tobytes(), degree)
-
-
-def _star_matrix(g: np.ndarray, degree: int) -> np.ndarray:
-    if np.array_equal(g, np.eye(7)):
-        return _star_matrix_id(degree)
-    return _star_matrix_of(g.tobytes(), degree)
-
-
-@lru_cache(maxsize=32)
-def _star_matrix_of(gbytes: bytes, degree: int) -> np.ndarray:
-    g = np.frombuffer(gbytes, dtype=float).reshape(7, 7)
-    cols = []
-    for idx in basis_indices(AXES7, degree):
-        cols.append(hodge_star(g, ConstForm(AXES7, degree, {idx: 1.0})).tovector())
-    return np.array(cols).T
-
-
 def codifferential(f: SpectralForm, metric=None) -> SpectralForm:
     """Formal adjoint of exterior_d for a translation-invariant metric.
 
@@ -426,30 +407,18 @@ def codifferential(f: SpectralForm, metric=None) -> SpectralForm:
 
 # -- pairings and norms ----------------------------------------------------
 
-@lru_cache(maxsize=32)
-def _pairing_matrix_of(gbytes: bytes, degree: int) -> np.ndarray:
-    g = np.frombuffer(gbytes, dtype=float).reshape(7, 7)
-    ginv = np.linalg.inv(g)
-    scale = math.sqrt(float(np.linalg.det(g)))
-    basis = basis_indices(AXES7, degree)
-    p = np.empty((len(basis), len(basis)))
-    for i, ia in enumerate(basis):
-        rows = [ax - 1 for ax in ia]
-        for j, ib in enumerate(basis):
-            cols = [ax - 1 for ax in ib]
-            p[i, j] = scale * np.linalg.det(ginv[np.ix_(rows, cols)])
-    return p
-
-
 def inner_l2(f: SpectralForm, h: SpectralForm, metric=None) -> float:
-    """L^2 pairing: probability measure on the torus, t-quadrature in t."""
+    """L^2 pairing: probability measure on the torus, t-quadrature in t.
+
+    The pointwise pairing of k-forms is sqrt(det g) Lambda^k(g^-1).
+    """
     if f.degree != h.degree or f.grid != h.grid:
         raise ValueError("mismatched degree or grid")
     g = _constant_metric(metric)
     if np.array_equal(g, np.eye(7)):
         pmat = None
     else:
-        pmat = _pairing_matrix_of(g.tobytes(), f.degree)
+        pmat = math.sqrt(np.linalg.det(g)) * _compound(np.linalg.inv(g), f.degree)
     w = f.grid.weights
     acc = 0.0
     for xi, a in f.modes.items():

@@ -64,20 +64,36 @@ def basis_position(axes: tuple[int, ...], k: int) -> dict[tuple[int, ...], int]:
 
 
 def _merge_sign(a: tuple[int, ...], b: tuple[int, ...]) -> tuple[int, tuple[int, ...]]:
-    """Sign and sorted index of dx^a ^ dx^b, or (0, ()) if they collide."""
+    """Sign and sorted index of dx^a ^ dx^b, or (0, ()) if they collide.
+
+    The sign is that of the permutation sorting a + b: -1 to the number of
+    its inversions.
+    """
     if set(a) & set(b):
         return 0, ()
     merged = a + b
-    order = sorted(range(len(merged)), key=lambda i: merged[i])
-    sign = 1
-    perm = list(order)
-    # count inversions by selection
-    for i in range(len(perm)):
-        j = perm.index(i)
-        if j != i:
-            perm[i], perm[j] = perm[j], perm[i]
-            sign = -sign
-    return sign, tuple(sorted(merged))
+    inversions = sum(x > y for i, x in enumerate(merged) for y in merged[i + 1:])
+    return (-1) ** inversions, tuple(sorted(merged))
+
+
+def _compound(a: np.ndarray, k: int) -> np.ndarray:
+    """The k-th compound matrix: entry (I, J) is det(a[I, J]).
+
+    Rows and columns run over the increasing k-subsets of range(n) in
+    basis_indices order, so Cauchy-Binet reads compound(A B) =
+    compound(A) compound(B).  Object (Fraction) input stays exact, one
+    ratmat.det per minor; any other input takes one batched np.linalg.det
+    over all minors.  k = 0 gives [[1]].
+    """
+    n = a.shape[0]
+    sub = np.array(basis_indices(tuple(range(n)), k), dtype=np.intp)
+    if a.dtype != object:
+        return np.linalg.det(a[sub[:, None, :, None], sub[None, :, None, :]])
+    out = np.empty((len(sub), len(sub)), dtype=object)
+    for i, rows in enumerate(sub):
+        for j, cols in enumerate(sub):
+            out[i, j] = ratmat.det(a[np.ix_(rows, cols)])
+    return out
 
 
 class ConstForm:
@@ -164,27 +180,19 @@ class ConstForm:
         """Pullback under the linear map with matrix ``a`` in these axes.
 
         (A* alpha)(v_1, .., v_k) = alpha(A v_1, .., A v_k), so the new
-        coefficient on dx^J is sum_I alpha_I det(A[I, J]).
+        coefficient on dx^J is sum_I alpha_I det(A[I, J]): the coefficient
+        vector maps by the transposed compound matrix, Lambda^k(A)^T c.
+        Exact when ``a`` is an object (Fraction) array.
         """
         n = len(self.axes)
         a = np.asarray(a)
         if a.shape != (n, n):
             raise ValueError(f"matrix must be {n}x{n}")
-        pos = {ax: i for i, ax in enumerate(self.axes)}
         exact = a.dtype == object
-        out: dict = {}
-        for jdx in basis_indices(self.axes, self.degree):
-            cols = [pos[j] for j in jdx]
-            acc = None
-            for idx, c in self.coeffs.items():
-                rows = [pos[i] for i in idx]
-                sub = a[np.ix_(rows, cols)]
-                d = ratmat.det(sub) if exact else np.linalg.det(sub.astype(float))
-                term = c * d
-                acc = term if acc is None else acc + term
-            if acc is not None and acc != 0:
-                out[jdx] = acc
-        return ConstForm(self.axes, self.degree, out)
+        if not exact:
+            a = a.astype(float)
+        vec = _compound(a, self.degree).T @ _vector(self, exact)
+        return ConstForm.fromvector(self.axes, self.degree, vec)
 
     # -- coefficient vector bridge ----------------------------------------
 
@@ -224,6 +232,13 @@ class KForm6(ConstForm):
 
     def __init__(self, degree: int, coeffs: dict | None = None):
         super().__init__(AXES6, degree, coeffs)
+
+
+def _vector(f: ConstForm, exact: bool) -> np.ndarray:
+    """f's coefficient vector: object when ``exact``, else float or complex."""
+    if exact:
+        return f.tovector(object)
+    return f.tovector(complex if np.iscomplexobj(list(f.coeffs.values())) else float)
 
 
 @dataclass(frozen=True)
@@ -294,23 +309,27 @@ def gram_from_3form(phi: ConstForm) -> np.ndarray:
     return b
 
 
+def _iroot(n: int, k: int) -> int:
+    """Integer part of the k-th root of n >= 0, by Newton's method on ints."""
+    if n < 2:
+        return n
+    x = 1 << -(-n.bit_length() // k)          # 2^ceil(bits / k) >= root
+    while True:
+        y = ((k - 1) * x + n // x ** (k - 1)) // k
+        if y >= x:
+            return x
+        x = y
+
+
 def _exact_ninth_root(q: Fraction) -> Fraction | None:
     """Rational r with r^9 == q, if one exists."""
     if q == 0:
         return Fraction(0)
     sign = 1 if q > 0 else -1
     q = abs(q)
-
-    def iroot9(n: int) -> int | None:
-        r = round(n ** (1.0 / 9.0))
-        for c in (r - 1, r, r + 1):
-            if c >= 0 and c ** 9 == n:
-                return c
-        return None
-
-    rn = iroot9(q.numerator)
-    rd = iroot9(q.denominator)
-    if rn is None or rd is None:
+    rn = _iroot(q.numerator, 9)
+    rd = _iroot(q.denominator, 9)
+    if rn ** 9 != q.numerator or rd ** 9 != q.denominator:
         return None
     return sign * Fraction(rn, rd)
 
@@ -338,7 +357,9 @@ def metric_from_3form(phi: ConstForm) -> Metric7:
             g = (1 / root) * b
             gf = ratmat.tofloat(g)
         else:
-            s = math.copysign(KAPPA * abs(float(detb)) ** (-1.0 / 9.0), float(detb))
+            # From logs: det B of a large or small rational form overflows a float.
+            log_det = math.log(abs(detb.numerator)) - math.log(detb.denominator)
+            s = math.copysign(KAPPA * math.exp(-log_det / 9.0), -1 if detb < 0 else 1)
             g = s * ratmat.tofloat(b)
             gf = g
     else:
@@ -366,31 +387,22 @@ def is_g2_form(phi: ConstForm) -> bool:
 
 # -- Hodge star ------------------------------------------------------------
 
-def _minor_det(m: np.ndarray, rows, cols, exact: bool):
-    sub = m[np.ix_(rows, cols)]
-    return ratmat.det(sub) if exact else float(np.linalg.det(sub))
+@lru_cache(maxsize=None)
+def _hodge_table(n: int, k: int) -> tuple[np.ndarray, np.ndarray]:
+    """(comp, signs) for the star from k-forms to (n-k)-forms on R^n.
 
-
-def _perm_sign(first: tuple[int, ...], axes: tuple[int, ...]) -> int:
-    """Sign of the permutation (first, axes \\ first) of ``axes``."""
-    rest = tuple(ax for ax in axes if ax not in first)
-    seq = first + rest
-    pos = {v: i for i, v in enumerate(sorted(seq))}
-    perm = [pos[v] for v in seq]
-    sign = 1
-    seen = [False] * len(perm)
-    for i in range(len(perm)):
-        if seen[i]:
-            continue
-        j = i
-        clen = 0
-        while not seen[j]:
-            seen[j] = True
-            j = perm[j]
-            clen += 1
-        if clen % 2 == 0:
-            sign = -sign
-    return sign
+    For the j-th (n-k)-index J of basis_indices, comp[j] is the position
+    of its complement Jc among the k-indices and signs[j] the sign of the
+    permutation (Jc, J).
+    """
+    axes = tuple(range(n))
+    pos = basis_position(axes, k)
+    comp, signs = [], []
+    for jdx in basis_indices(axes, n - k):
+        jc = tuple(ax for ax in axes if ax not in jdx)
+        comp.append(pos[jc])
+        signs.append(_merge_sign(jc, jdx)[0])
+    return np.array(comp, dtype=np.intp), np.array(signs, dtype=np.intp)
 
 
 def _sqrt_exact(q):
@@ -402,11 +414,31 @@ def _sqrt_exact(q):
     return math.sqrt(float(q))
 
 
+def _star_matrix(g: np.ndarray, k: int) -> np.ndarray:
+    """Matrix of the Hodge star on k-forms for the n x n metric g:
+
+        *[J, I] = sqrt(det g) * sign(Jc, J) * Lambda^k(g^-1)[Jc, I].
+
+    Exact on an object (Fraction) g whose determinant is a rational
+    square; any other g is taken in floats.
+    """
+    comp, signs = _hodge_table(len(g), k)
+    if g.dtype == object:
+        scale = _sqrt_exact(ratmat.det(g))
+        if isinstance(scale, Fraction):
+            return scale * signs[:, None] * _compound(ratmat.inv(g), k)[comp]
+        g = ratmat.tofloat(g)
+    g = np.asarray(g, dtype=float)
+    scale = math.sqrt(float(np.linalg.det(g)))
+    return scale * signs[:, None] * _compound(np.linalg.inv(g), k)[comp]
+
+
 def hodge_star(metric, alpha: ConstForm) -> ConstForm:
     """Hodge star of alpha, defined by a ^ (*b) = <a, b>_g vol_g.
 
     ``metric`` is a Metric7 or a raw symmetric matrix over alpha's axes.
-    The computation raises indices with minors of g^{-1}:
+    The result is the star matrix of _star_matrix, built from the compound
+    matrix Lambda^k(g^-1), applied to alpha's coefficient vector:
 
         (*b)_J = sqrt(det g) * sign(Jc, J) * sum_I det(g^{-1}[Jc, I]) b_I.
 
@@ -418,55 +450,11 @@ def hodge_star(metric, alpha: ConstForm) -> ConstForm:
     n = len(axes)
     if g.shape != (n, n):
         raise ValueError("metric size does not match form axes")
-    exact = g.dtype == object and alpha.is_exact_rational()
-    if exact:
-        ginv = ratmat.inv(g)
-        detg = ratmat.det(g)
-        scale = _sqrt_exact(detg)
-        if not isinstance(scale, Fraction):
-            exact = False
-    if not exact:
-        g = ratmat.tofloat(g) if g.dtype == object else np.asarray(g, dtype=float)
-        ginv = np.linalg.inv(g)
-        detg = float(np.linalg.det(g))
-        scale = math.sqrt(detg)
-    k = alpha.degree
-    pos = {ax: i for i, ax in enumerate(axes)}
-    out: dict = {}
-    if not exact and alpha.coeffs:
-        # One batched determinant call over all (J, I) minor pairs.
-        jdxs = basis_indices(axes, n - k)
-        jcs = [tuple(ax for ax in axes if ax not in jdx) for jdx in jdxs]
-        sgns = np.array([_perm_sign(jc, axes) for jc in jcs], dtype=float)
-        rows = np.array([[pos[i] for i in jc] for jc in jcs], dtype=int)
-        rows = rows.reshape(len(jdxs), k)
-        idxs = list(alpha.coeffs)
-        cols = np.array([[pos[i] for i in idx] for idx in idxs], dtype=int)
-        cols = cols.reshape(len(idxs), k)
-        bvec = np.array([alpha.coeffs[idx] for idx in idxs], dtype=complex)
-        if np.isrealobj(np.asarray(list(alpha.coeffs.values()))):
-            bvec = bvec.real
-        minors = ginv[rows[:, None, :, None], cols[None, :, None, :]]
-        dets = np.linalg.det(minors) if k else np.ones((len(jdxs), len(idxs)))
-        vals = scale * sgns * (dets @ bvec)
-        for jdx, val in zip(jdxs, vals):
-            if val != 0:
-                out[jdx] = val
-        return ConstForm(axes, n - k, out)
-    for jdx in basis_indices(axes, n - k):
-        jc = tuple(ax for ax in axes if ax not in jdx)
-        sgn = _perm_sign(jc, axes)
-        acc = None
-        rows = [pos[i] for i in jc]
-        for idx, c in alpha.coeffs.items():
-            cols = [pos[i] for i in idx]
-            term = c * _minor_det(ginv, rows, cols, exact)
-            acc = term if acc is None else acc + term
-        if acc is not None:
-            val = scale * sgn * acc
-            if val != 0:
-                out[jdx] = val
-    return ConstForm(axes, n - k, out)
+    if g.dtype == object and not alpha.is_exact_rational():
+        g = ratmat.tofloat(g)
+    smat = _star_matrix(g, alpha.degree)
+    vec = smat @ _vector(alpha, smat.dtype == object)
+    return ConstForm.fromvector(axes, n - alpha.degree, vec)
 
 
 # -- cylindrical splitting -------------------------------------------------
@@ -534,16 +522,9 @@ def _asfloat6(f: ConstForm) -> ConstForm:
 
 
 def _metric_norm(g: np.ndarray, f: ConstForm) -> float:
-    """Norm sqrt(<f, f>_g) using minors of g^{-1}."""
-    ginv = np.linalg.inv(g)
-    pos = {ax: i for i, ax in enumerate(f.axes)}
-    acc = 0.0
-    for ia, ca in f.coeffs.items():
-        for ib, cb in f.coeffs.items():
-            rows = [pos[i] for i in ia]
-            cols = [pos[i] for i in ib]
-            acc += ca * cb * float(np.linalg.det(ginv[np.ix_(rows, cols)]))
-    return math.sqrt(max(acc, 0.0))
+    """Norm sqrt(<f, f>_g) = sqrt(c . Lambda^k(g^-1) . c)."""
+    c = f.tovector()
+    return math.sqrt(max(float(c @ _compound(np.linalg.inv(g), f.degree) @ c), 0.0))
 
 
 # -- vectorized pointwise kernels ------------------------------------------
@@ -559,7 +540,9 @@ def _metric_norm(g: np.ndarray, f: ConstForm) -> float:
 #     dx^u ^ dx^v ^ c; both are linear in c,
 #   (*c)_J = sqrt(det g) * sign(Jc, J) * (g^-1 g^-1 g^-1 . c)^{Jc}, the
 #     antisymmetric tensor of c with all three indices raised by g^-1,
-#     read at the triple Jc complementary to J.
+#     read at the triple Jc complementary to J.  This is the 3-form row of
+#     _star_matrix without forming Lambda^3(g^-1) per sample; the
+#     complements and signs come from the same _hodge_table.
 
 @lru_cache(maxsize=1)
 def _gram_matrices() -> tuple[np.ndarray, np.ndarray]:
@@ -634,18 +617,13 @@ def _star3_index() -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     rows[j]  : 0-based axis triple complementary to the j-th 4-form index,
     signs[j] : sign of the permutation (complement, j-th 4-index).
     """
-    basis4 = basis_indices(AXES7, 4)
     basis3 = basis_indices(AXES7, 3)
-    rows = np.zeros((35, 3), dtype=np.intp)
-    signs = np.zeros(35)
-    for j, jdx in enumerate(basis4):
-        jc = tuple(ax for ax in AXES7 if ax not in jdx)
-        rows[j] = [ax - 1 for ax in jc]
-        signs[j] = _perm_sign(jc, AXES7)
+    comp, signs = _hodge_table(7, 3)
+    rows = np.array(basis_indices(tuple(range(7)), 3), dtype=np.intp)[comp]
     expand = np.zeros((35, 7, 7, 7))
     for i, idx in enumerate(basis3):
         for perm in itertools.permutations(idx):
-            expand[(i,) + tuple(ax - 1 for ax in perm)] = _perm_sign(perm, idx)
+            expand[(i,) + tuple(ax - 1 for ax in perm)] = _merge_sign(perm, ())[0]
     return expand.reshape(35, 343), rows, signs
 
 

@@ -59,8 +59,7 @@ from .fields import (
 )
 from .forms import (
     AXES7,
-    ConstForm,
-    basis_indices,
+    _star_matrix,
     basis_position,
     hodge_star,
     metric_batch,
@@ -464,16 +463,7 @@ def star_derivative_matrix() -> np.ndarray:
     equal to *0 composed with (4/3, 1, -1) weights on the three pieces."""
     p1, p7, p27 = flat_projectors()
     j = (4.0 / 3.0) * p1 + p7 - p27
-    star0 = _flat_star3()
-    return star0 @ j
-
-
-@lru_cache(maxsize=1)
-def _flat_star3() -> np.ndarray:
-    cols = []
-    for idx in basis_indices(AXES7, 3):
-        cols.append(hodge_star(np.eye(7), ConstForm(AXES7, 3, {idx: 1.0})).tovector())
-    return np.array(cols).T
+    return _star_matrix(np.eye(7), 3) @ j
 
 
 def _t_blocks(xi: tuple) -> tuple[np.ndarray, np.ndarray, np.ndarray]:

@@ -106,6 +106,7 @@ def test_criterion_01_pointwise_calibration():
 
 
 def test_criterion_02_pullback_equivariance():
+    start = time.perf_counter()
     rng = np.random.default_rng(7)
     phi = phi0()
     base = gram_from_3form(phi)
@@ -120,9 +121,11 @@ def test_criterion_02_pullback_equivariance():
         want = np.linalg.det(a) * a.T @ base @ a
         worst = max(worst, float(np.abs(got - want).max()
                                  / np.abs(want).max()))
+    elapsed = time.perf_counter() - start
     assert worst <= 1e-8
+    assert elapsed < 3.0
     report(f"criterion 2 (pullback equivariance): PASS "
-           f"1000 maps, worst relative error {worst:.2e}")
+           f"1000 maps, worst relative error {worst:.2e}, {elapsed:.2f}s")
 
 
 def test_criterion_03_flat_gluing():

@@ -122,6 +122,18 @@ def test_metric_scaling_exact():
                 assert g.mat[i, j] == (lam ** 2 if i == j else 0)
 
 
+def test_metric_exact_far_from_unit_scale():
+    # det B of phi0 * 10^21 is 6^7 10^441, too large for a float; 36 det B
+    # is the ninth power of 6 10^49, so the metric stays exact.
+    g = metric_from_3form(phi0(exact=True).scale(Fraction(10 ** 21))).mat
+    assert g.dtype == object
+    assert all(g[i, j] == (10 ** 14 if i == j else 0) for i in range(7) for j in range(7))
+    # 10^20 and 10^-20 give no rational ninth root: float metrics.
+    for s, want in ((Fraction(10 ** 20), 10 ** (40 / 3)), (Fraction(1, 10 ** 20), 10 ** (-40 / 3))):
+        g = np.asarray(metric_from_3form(phi0(exact=True).scale(s)).mat, dtype=float)
+        assert np.abs(g - want * np.eye(7)).max() <= 1e-12 * want
+
+
 def test_star_phi0_expansion():
     g = metric_from_3form(phi0())
     sp = hodge_star(g, phi0())
@@ -212,6 +224,59 @@ def test_star_exact_at_identity():
     exact_w = ConstForm(AXES7, 2, {i: Fraction(str(round(c, 3))) for i, c in w.coeffs.items()})
     ss = hodge_star(g, hodge_star(g, exact_w))
     assert ss.coeffs == exact_w.coeffs  # Fraction arithmetic all the way
+
+
+# -- compound matrices -----------------------------------------------------
+
+def test_compound_cauchy_binet():
+    rng = np.random.default_rng(29)
+    a = rng.standard_normal((7, 7))
+    b = rng.standard_normal((7, 7))
+    ia = ratmat.asfrac(rng.integers(-3, 4, (7, 7)))
+    ib = ratmat.asfrac(rng.integers(-3, 4, (7, 7)))
+    for k in range(8):
+        lhs = forms._compound(a @ b, k)
+        rhs = forms._compound(a, k) @ forms._compound(b, k)
+        assert np.abs(lhs - rhs).max() <= 1e-12 * max(1.0, np.abs(lhs).max())
+        # Exact products of 35 x 35 Fraction matrices take seconds, so the
+        # exact identity is checked on an integer vector.
+        v = ratmat.asfrac(rng.integers(-3, 4, len(lhs)))
+        exact = forms._compound(ia @ ib, k)
+        assert exact.dtype == object
+        assert (exact @ v == forms._compound(ia, k) @ (forms._compound(ib, k) @ v)).all()
+
+
+def test_compound_identity_first_and_top():
+    rng = np.random.default_rng(31)
+    a = rng.standard_normal((7, 7))
+    ia = ratmat.asfrac(rng.integers(-3, 4, (7, 7)))
+    for k in range(8):
+        n = len(basis_indices(AXES7, k))
+        assert np.array_equal(forms._compound(np.eye(7), k), np.eye(n))
+        assert (forms._compound(ratmat.asfrac(np.eye(7, dtype=int)), k) == np.eye(n)).all()
+    assert np.abs(forms._compound(a, 1) - a).max() <= 1e-15 * np.abs(a).max()
+    assert (forms._compound(ia, 1) == ia).all()
+    assert forms._compound(a, 0).tolist() == [[1.0]]
+    assert forms._compound(ia, 0).tolist() == [[1]]
+    assert abs(forms._compound(a, 7)[0, 0] - np.linalg.det(a)) <= 1e-12 * abs(np.linalg.det(a))
+    assert forms._compound(ia, 7).tolist() == [[ratmat.det(ia)]]
+
+
+def test_star_and_pullback_exact_match_float_off_identity():
+    # det diag(1, 4, 9, 1, 4, 1, 1) = 12^2, so the exact star stays rational.
+    rng = np.random.default_rng(37)
+    gf = np.diag([1.0, 4.0, 9.0, 1.0, 4.0, 1.0, 1.0])
+    gq = ratmat.asfrac(np.diag([1, 4, 9, 1, 4, 1, 1]))
+    aq = ratmat.asfrac(rng.integers(-2, 3, (7, 7)))
+    af = ratmat.tofloat(aq)
+    for k in range(8):
+        vec = [Fraction(int(n), 8) for n in rng.integers(-16, 17, len(basis_indices(AXES7, k)))]
+        form = ConstForm.fromvector(AXES7, k, vec)
+        for exact, approx in ((hodge_star(gq, form), hodge_star(gf, form)),
+                              (form.pullback(aq), form.pullback(af))):
+            assert exact.is_exact_rational()
+            want = exact.tovector()
+            assert np.abs(approx.tovector() - want).max() <= 1e-12 * max(1.0, np.abs(want).max())
 
 
 # -- cylindrical splitting -------------------------------------------------
