@@ -21,8 +21,12 @@ input was unusable.
 from __future__ import annotations
 
 import argparse
+import contextlib
+import ctypes
+import functools
 import json
 import math
+import os
 import sys
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
@@ -98,6 +102,10 @@ class ScenarioConfig:
     out: str = "-"
 
     def __post_init__(self):
+        for name, value in (("tolerance", self.tol), ("L-start", self.l_start),
+                            ("L-stop", self.l_stop), ("L-step", self.l_step)):
+            if value is not None and not math.isfinite(value):
+                raise InputError(f"{name} must be finite, got {value!r}")
         if self.tol <= 0.0:
             raise InputError("tolerance must be positive")
         if self.fmt not in ("json", "csv"):
@@ -183,7 +191,7 @@ def _resolve_config(args) -> ScenarioConfig:
         for key in ("input", "input2"):
             if key in allowed and pick(key) is not None:
                 values[key] = str(pick(key))
-    except (TypeError, ValueError) as exc:
+    except (OverflowError, TypeError, ValueError) as exc:
         raise InputError(f"bad configuration value: {exc}") from exc
     return ScenarioConfig(command=args.command, **values)
 
@@ -441,11 +449,71 @@ def _sweep_row(plus, minus, length: float, tol: float) -> GluingReport:
     return rep
 
 
+@functools.cache
+def _openblas_thread_controls() -> tuple:
+    """(get, set) thread-count functions of each OpenBLAS in this process.
+
+    The libraries are found among the files mapped into the process;
+    builds differ in symbol prefix and suffix (``scipy_``, ``64_``).
+    Empty where there is no OpenBLAS or no ``/proc``.
+    """
+    try:
+        with open("/proc/self/maps") as maps:
+            rows = [line.split(maxsplit=5) for line in maps]
+    except OSError:
+        return ()
+    paths = sorted({row[5].rstrip("\n") for row in rows if len(row) == 6
+                    and "openblas" in os.path.basename(row[5]).lower()})
+    names = [(f"{pre}openblas_get_num_threads{suf}",
+              f"{pre}openblas_set_num_threads{suf}")
+             for pre in ("", "scipy_") for suf in ("", "64_", "_64")]
+    controls = []
+    for path in paths:
+        try:
+            lib = ctypes.CDLL(path)
+        except OSError:
+            continue
+        found = next(((getattr(lib, get), getattr(lib, put))
+                      for get, put in names
+                      if hasattr(lib, get) and hasattr(lib, put)), None)
+        if found is None:
+            continue
+        get, put = found
+        get.argtypes, get.restype = [], ctypes.c_int
+        put.argtypes, put.restype = [ctypes.c_int], None
+        controls.append(found)
+    return tuple(controls)
+
+
+@contextlib.contextmanager
+def _one_blas_thread():
+    """Pin every loaded OpenBLAS to one thread for the body.
+
+    The sweep pool keeps the cores busy with one row per worker; BLAS
+    threads on top of it only oversubscribe them.  The previous counts
+    come back on exit, also when the body raises.  The count is process
+    wide: BLAS calls from other threads during the body run on one thread
+    too.
+    """
+    controls = _openblas_thread_controls()
+    before = [get() for get, _ in controls]
+    for _, put in controls:
+        put(1)
+    try:
+        yield
+    finally:
+        for (_, put), count in zip(controls, before):
+            put(count)
+
+
 def cmd_glue_sweep(cfg: ScenarioConfig) -> int:
     plus = _load_structure(cfg.need("input"), 1, cfg.modes)
     minus = _load_structure(cfg.need("input2"), -1, cfg.modes)
     lengths = cfg.lengths()
-    with ThreadPoolExecutor(max_workers=min(4, len(lengths))) as pool:
+    workers = min(4, len(lengths))
+    # A lone row keeps the BLAS threads: they speed up its mode solves.
+    pin = _one_blas_thread() if workers > 1 else contextlib.nullcontext()
+    with pin, ThreadPoolExecutor(max_workers=workers) as pool:
         reports = list(pool.map(
             lambda length: _sweep_row(plus, minus, length, cfg.tol),
             lengths))
@@ -552,7 +620,7 @@ def cmd_derivative(cfg: ScenarioConfig) -> int:
         try:
             models.append(derivative_model(diagram, omega, length,
                                            tol=cfg.tol))
-        except B1NotZero as exc:
+        except (B1NotZero, SingularBoundary) as exc:
             raise InputError(str(exc)) from exc
         except ValueError as exc:
             raise InputError(f"distinguished class rejected: {exc}") from exc
@@ -643,8 +711,15 @@ def _add_common(sub, lengths=False, modes=False):
                               "whatever the descriptors request, usually 2)")
 
 
+class _Parser(argparse.ArgumentParser):
+    """Usage errors exit 2 with one line, like other unusable input."""
+
+    def error(self, message):
+        self.exit(2, f"error: {self.prog}: {message}\n")
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="g2glue",
         description="Scenario runners for the connected-sum gluing toolkit.")
     subs = parser.add_subparsers(dest="command", required=True)

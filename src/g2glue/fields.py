@@ -633,6 +633,9 @@ class CylStructure:
             raise ValueError("perturbation must be a 3-form")
         if self.perturbation.grid.periodic:
             raise ValueError("half-cylinder fields live on interval grids")
+        if not all(np.isfinite(a).all()
+                   for a in self.perturbation.modes.values()):
+            raise ValueError("perturbation has non-finite samples")
         if not is_g2_form(assemble_cylindrical(self.big, self.small, self.sign)):
             raise ValueError("asymptotic pair does not assemble to a stable form")
 

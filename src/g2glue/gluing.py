@@ -843,6 +843,9 @@ def closed_perturbation_structure(sign: int, rate: float = 1.0,
     """
     from .fields import CylStructure
     from .forms import Omega0, omega0
+    if not 2 <= component[0] < component[1] <= 7:
+        raise ValueError("component indexes two torus axes in increasing "
+                         "order, 2..7")
     grid = TGrid.interval(0.0, extent, density)
     t = grid.points
     env = _support_envelope(t)

@@ -32,7 +32,7 @@ def tofloat(a: np.ndarray) -> np.ndarray:
 
 def det(a: np.ndarray) -> Fraction:
     """Exact determinant by elimination with row pivoting."""
-    m = asfrac(a).copy()
+    m = asfrac(a)
     n = m.shape[0]
     if m.shape != (n, n):
         raise ValueError("det needs a square matrix")
@@ -55,7 +55,7 @@ def det(a: np.ndarray) -> Fraction:
 
 def rref(a: np.ndarray) -> tuple[np.ndarray, list[int]]:
     """Reduced row echelon form; returns (matrix, pivot column list)."""
-    m = asfrac(a).copy()
+    m = asfrac(a)
     rows, cols = m.shape
     pivots: list[int] = []
     r = 0

@@ -6,13 +6,20 @@ import numpy as np
 import pytest
 
 from g2glue import cli
-from g2glue.cohomology import diagram_from_json, save_diagram, synth_diagram
+from g2glue.cohomology import (
+    diagram_from_json,
+    diagram_to_json,
+    save_diagram,
+    synth_diagram,
+)
 from g2glue.gluing import (
     Diverged,
     GluingReport,
+    closed_perturbation_structure,
     flat_structure,
     glue_fields,
     modulated_shear_structure,
+    sweep_reports,
     torsion_reduce,
 )
 
@@ -221,6 +228,90 @@ def test_glue_sweep_diverged_row_reports_its_steps(tmp_path, flat_pair,
                                                              meas.dstar_sup)
 
 
+@pytest.mark.filterwarnings("ignore:overflow encountered")
+def test_glue_sweep_rejects_non_finite_samples(tmp_path, flat_pair, capsys):
+    # Finite parameters whose perturbation overflows to inf.
+    _, minus = flat_pair
+    huge = write_structure(tmp_path / "huge.json", 1,
+                           kind="closed-perturbation", rate=0.1,
+                           amplitude=1.5e308)
+    rc, out, err = run_cli(["glue-sweep", "--input", huge, "--input2", minus,
+                            "--L-stop", "5"], capsys)
+    assert rc == 2 and out == ""
+    assert err.count("\n") == 1 and "huge.json" in err and "finite" in err
+
+
+def test_glue_sweep_pool_rows_equal_serial_rows(tmp_path, flat_pair, capsys):
+    _, minus = flat_pair
+    closed = write_structure(tmp_path / "closed.json", 1,
+                             kind="closed-perturbation", amplitude=2e-3)
+    rc, out, _ = run_cli(["glue-sweep", "--input", closed, "--input2", minus,
+                          "--L-start", "5", "--L-stop", "6",
+                          "--L-step", "0.5"], capsys)
+    assert rc == 0
+    payload = json.loads(out)
+    serial = sweep_reports(closed_perturbation_structure(1, amplitude=2e-3),
+                           flat_structure(-1), [5.0, 5.5, 6.0],
+                           reduce_tol=1e-10)
+    assert payload["rows"] == [cli._jsonable(r.to_json_obj()) for r in serial]
+    assert payload["slope"] == serial[0].slope
+
+
+def test_one_blas_thread_pins_and_restores():
+    controls = cli._openblas_thread_controls()
+    if not controls:
+        pytest.skip("no OpenBLAS loaded")
+    def counts():
+        return {get() for get, _ in controls}
+
+    before = [get() for get, _ in controls]
+    try:
+        for _, put in controls:
+            put(2)
+        with cli._one_blas_thread():
+            assert counts() == {1}
+        assert counts() == {2}
+        with pytest.raises(RuntimeError):
+            with cli._one_blas_thread():
+                assert counts() == {1}
+                raise RuntimeError("row failed")
+        assert counts() == {2}
+    finally:
+        for (_, put), count in zip(controls, before):
+            put(count)
+
+
+@pytest.mark.parametrize("extra", [["--L-stop=inf"], ["--tol=nan"],
+                                   ["--L-start=abc"], ["--bogus"]])
+def test_glue_sweep_bad_flag_exits_two_with_one_line(flat_pair, capsys,
+                                                     extra):
+    plus, minus = flat_pair
+    try:
+        rc = cli.main(["glue-sweep", "--input", plus, "--input2", minus,
+                       *extra])
+    except SystemExit as exc:
+        rc = exc.code
+    captured = capsys.readouterr()
+    assert rc == 2 and captured.out == ""
+    assert captured.err.count("\n") == 1
+
+
+def test_glue_sweep_rejects_bad_config_and_component(tmp_path, flat_pair,
+                                                     capsys):
+    plus, minus = flat_pair
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({"seed": float("inf")}))
+    rc, out, err = run_cli(["glue-sweep", "--input", plus, "--input2", minus,
+                            "--config", str(config)], capsys)
+    assert rc == 2 and out == "" and "configuration" in err
+    same = write_structure(tmp_path / "same.json", 1,
+                           kind="closed-perturbation", component=[2, 2])
+    rc, out, err = run_cli(["glue-sweep", "--input", same, "--input2", minus],
+                           capsys)
+    assert rc == 2 and out == "" and err.count("\n") == 1
+    assert "component" in err
+
+
 def test_glue_sweep_missing_file(flat_pair, capsys):
     plus, _ = flat_pair
     rc, _, err = run_cli(["glue-sweep", "--input", plus,
@@ -359,6 +450,16 @@ def test_derivative_needs_trivial_degree_one(tmp_path, capsys):
     rc, _, err = run_cli(["derivative", "--input", str(path)], capsys)
     assert rc == 2
     assert "degree-1" in err
+
+
+def test_derivative_singular_boundary_exits_two(tmp_path, capsys):
+    obj = diagram_to_json(synth_diagram(2, 2, (-6.0, -2.0)))
+    obj["degrees"][2]["maps"]["jstar_minus"][1][0] = 0.0
+    path = tmp_path / "singular.json"
+    path.write_text(json.dumps(obj))
+    rc, out, err = run_cli(["derivative", "--input", str(path)], capsys)
+    assert rc == 2 and out == ""
+    assert err.count("\n") == 1 and "degenerates" in err
 
 
 # -- synth -----------------------------------------------------------------

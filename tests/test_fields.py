@@ -329,6 +329,10 @@ def test_cyl_structure_validation():
         CylStructure(Omega0(), omega0(), 2, pert, 1.0)
     with pytest.raises(ValueError, match="stable"):
         CylStructure(Omega0().scale(0.0), omega0(), 1, pert, 1.0)
+    arr[3, 20] = np.inf
+    bad = SpectralForm(3, 2, INTERVAL, {ZERO_XI: arr}, check=False)
+    with pytest.raises(ValueError, match="finite"):
+        CylStructure(Omega0(), omega0(), 1, bad, 1.0)
 
 
 def test_payload_roundtrip():

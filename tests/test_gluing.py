@@ -210,8 +210,9 @@ def test_glue_rejects_mismatched_sampling():
 
 
 def test_glue_rejects_non_finite_samples():
-    plus = modulated_shear_structure(1, amplitude=float("nan"))
+    # The structure constructor already refuses the NaN samples.
     with pytest.raises(ValueError, match="non-finite"):
+        plus = modulated_shear_structure(1, amplitude=float("nan"))
         glue_fields(plus, flat_structure(-1), 5.0)
 
 
