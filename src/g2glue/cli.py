@@ -264,13 +264,6 @@ def _load_structure(path: str, sign: int, modes: int | None):
         if any(isinstance(v, float) and not math.isfinite(v) for v in values):
             raise InputError(
                 f"{path}: parameter {key!r} must be finite, got {value!r}")
-    if "component" in params:
-        comp = params["component"]
-        if (not isinstance(comp, (list, tuple)) or len(comp) != 2
-                or not all(isinstance(c, int) for c in comp)):
-            raise InputError(
-                f"{path}: parameter 'component' must be a pair of axes")
-        params["component"] = tuple(comp)
     if modes is not None:
         params["band"] = modes
     try:
@@ -490,10 +483,10 @@ def _one_blas_thread():
     """Pin every loaded OpenBLAS to one thread for the body.
 
     The sweep pool keeps the cores busy with one row per worker; BLAS
-    threads on top of it only oversubscribe them.  The previous counts
-    come back on exit, also when the body raises.  The count is process
-    wide: BLAS calls from other threads during the body run on one thread
-    too.
+    threads on top of it only oversubscribe them, and a lone row runs no
+    slower without them.  The previous counts come back on exit, also
+    when the body raises.  The count is process wide: BLAS calls from
+    other threads during the body run on one thread too.
     """
     controls = _openblas_thread_controls()
     before = [get() for get, _ in controls]
@@ -510,10 +503,8 @@ def cmd_glue_sweep(cfg: ScenarioConfig) -> int:
     plus = _load_structure(cfg.need("input"), 1, cfg.modes)
     minus = _load_structure(cfg.need("input2"), -1, cfg.modes)
     lengths = cfg.lengths()
-    workers = min(4, len(lengths))
-    # A lone row keeps the BLAS threads: they speed up its mode solves.
-    pin = _one_blas_thread() if workers > 1 else contextlib.nullcontext()
-    with pin, ThreadPoolExecutor(max_workers=workers) as pool:
+    with (_one_blas_thread(),
+          ThreadPoolExecutor(max_workers=min(4, len(lengths))) as pool):
         reports = list(pool.map(
             lambda length: _sweep_row(plus, minus, length, cfg.tol),
             lengths))

@@ -35,6 +35,7 @@ reduction.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass, field as dataclass_field, replace
 from fractions import Fraction
 from functools import lru_cache
@@ -843,9 +844,13 @@ def closed_perturbation_structure(sign: int, rate: float = 1.0,
     """
     from .fields import CylStructure
     from .forms import Omega0, omega0
-    if not 2 <= component[0] < component[1] <= 7:
-        raise ValueError("component indexes two torus axes in increasing "
-                         "order, 2..7")
+    try:
+        axes = tuple(operator.index(c) for c in component)
+    except TypeError:
+        axes = ()
+    if len(axes) != 2 or not 2 <= axes[0] < axes[1] <= 7:
+        raise ValueError("component must be two torus axes in increasing "
+                         f"order, 2..7, got {component!r}")
     grid = TGrid.interval(0.0, extent, density)
     t = grid.points
     env = _support_envelope(t)
@@ -853,6 +858,6 @@ def closed_perturbation_structure(sign: int, rate: float = 1.0,
     decay = np.exp(-rate * t)
     dg = amplitude * (denv - rate * env) * decay
     arr = np.zeros((grid.n, 35), dtype=complex)
-    arr[:, basis_position(AXES7, 3)[(1,) + tuple(component)]] = dg
+    arr[:, basis_position(AXES7, 3)[(1,) + axes]] = dg
     pert = SpectralForm(3, band, grid, {ZERO_XI: arr}, check=False)
     return CylStructure(Omega0(), omega0(), sign, pert, rate)

@@ -210,9 +210,13 @@ def test_glue_rejects_mismatched_sampling():
 
 
 def test_glue_rejects_non_finite_samples():
-    # The structure constructor already refuses the NaN samples.
-    with pytest.raises(ValueError, match="non-finite"):
-        plus = modulated_shear_structure(1, amplitude=float("nan"))
+    # CylStructure refuses NaN samples, so set them past its constructor.
+    plus = modulated_shear_structure(1)
+    pert = plus.perturbation
+    nan_modes = {xi: np.full_like(a, np.nan) for xi, a in pert.modes.items()}
+    object.__setattr__(plus, "perturbation", SpectralForm(
+        3, pert.band, pert.grid, nan_modes, check=False))
+    with pytest.raises(ValueError, match="glued mode"):
         glue_fields(plus, flat_structure(-1), 5.0)
 
 
@@ -513,6 +517,22 @@ def test_modulated_shear_validates_axes():
         modulated_shear_structure(1, direction=1)
     with pytest.raises(ValueError, match="well-defined"):
         modulated_shear_structure(1, direction=3, modulation=3)
+
+
+@pytest.mark.parametrize("component", [(2, 2), (4, 2), (1, 3), (2, 8),
+                                       (2,), (2, 3, 4), (2.0, 3), "23", 5,
+                                       None])
+def test_closed_perturbation_validates_component(component):
+    with pytest.raises(ValueError, match="component"):
+        closed_perturbation_structure(1, component=component)
+
+
+def test_closed_perturbation_takes_a_component_list():
+    got = closed_perturbation_structure(1, component=[3, 5]).perturbation
+    want = closed_perturbation_structure(1, component=(3, 5)).perturbation
+    assert np.array_equal(got.modes[ZERO_XI], want.modes[ZERO_XI])
+    assert np.flatnonzero(got.modes[ZERO_XI].any(axis=0)).tolist() == [
+        POS3[(1, 3, 5)]]
 
 
 def test_sheared_structure_rejects_steep_drift():
