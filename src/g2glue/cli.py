@@ -12,8 +12,8 @@ the derivative model of the gluing map and tracks its conditioning, and
 Run parameters come from flags, optionally backed by a JSON config file
 (``--config``); explicit flags override the file.  Every run is
 reproducible: outputs carry the schema tag and the seed, JSON is emitted
-with sorted keys, sweep rows are computed in parallel but assembled in
-length order, and no timestamps or environment state leak into reports.
+with sorted keys, sweep rows are computed and reported in length order,
+and no timestamps or environment state leak into reports.
 Exit codes: 0 all checks passed, 1 a mathematical check failed, 2 the
 input was unusable.
 """
@@ -28,7 +28,6 @@ import json
 import math
 import os
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
 from pathlib import Path
 
@@ -482,11 +481,11 @@ def _openblas_thread_controls() -> tuple:
 def _one_blas_thread():
     """Pin every loaded OpenBLAS to one thread for the body.
 
-    The sweep pool keeps the cores busy with one row per worker; BLAS
-    threads on top of it only oversubscribe them, and a lone row runs no
-    slower without them.  The previous counts come back on exit, also
-    when the body raises.  The count is process wide: BLAS calls from
-    other threads during the body run on one thread too.
+    A sweep row's BLAS calls are too small to gain from more threads; the
+    extra OpenBLAS threads only spin on the other core.  The previous
+    counts come back on exit, also when the body raises.  The count is
+    process wide: BLAS calls from other threads during the body run on
+    one thread too.
     """
     controls = _openblas_thread_controls()
     before = [get() for get, _ in controls]
@@ -499,15 +498,43 @@ def _one_blas_thread():
             put(count)
 
 
+# glibc mallopt parameters and the values glue-sweep sets.
+_M_TRIM_THRESHOLD, _M_MMAP_THRESHOLD = -1, -3
+_MMAP_THRESHOLD = 32 << 20
+_TRIM_THRESHOLD = 128 << 20
+
+
+@functools.cache
+def _keep_freed_memory() -> None:
+    """Let glibc's malloc keep freed heap memory for reuse.
+
+    A reduction step allocates and frees megabyte-sized temporaries.  Under
+    glibc's default, self-adjusting thresholds most of that memory goes
+    back to the kernel after each step and returns as fresh zeroed pages
+    in the next: about 8000 page faults in a two-row sweep.  Fixed
+    thresholds (blocks under 32 MB come from the heap; the heap top is
+    trimmed only past 128 MB free) keep it in the process.  The setting is
+    process wide and stays; under another C library this does nothing.
+    """
+    try:
+        if not os.confstr("CS_GNU_LIBC_VERSION"):
+            return
+        mallopt = ctypes.CDLL(None).mallopt
+    except (AttributeError, OSError, ValueError):
+        return
+    mallopt.argtypes, mallopt.restype = [ctypes.c_int] * 2, ctypes.c_int
+    mallopt(_M_MMAP_THRESHOLD, _MMAP_THRESHOLD)
+    mallopt(_M_TRIM_THRESHOLD, _TRIM_THRESHOLD)
+
+
 def cmd_glue_sweep(cfg: ScenarioConfig) -> int:
     plus = _load_structure(cfg.need("input"), 1, cfg.modes)
     minus = _load_structure(cfg.need("input2"), -1, cfg.modes)
     lengths = cfg.lengths()
-    with (_one_blas_thread(),
-          ThreadPoolExecutor(max_workers=min(4, len(lengths))) as pool):
-        reports = list(pool.map(
-            lambda length: _sweep_row(plus, minus, length, cfg.tol),
-            lengths))
+    _keep_freed_memory()
+    with _one_blas_thread():
+        reports = [_sweep_row(plus, minus, length, cfg.tol)
+                   for length in lengths]
     slope = fit_torsion_slope(reports)
     reports = [replace(r, slope=slope) for r in reports]
     ok = all(r.converged for r in reports)
