@@ -21,7 +21,6 @@ input was unusable.
 from __future__ import annotations
 
 import argparse
-import contextlib
 import ctypes
 import functools
 import json
@@ -77,6 +76,7 @@ SCHEMA = "g2glue-report/1"
 STRUCTURE_SCHEMA = "g2glue-structure/1"
 
 _RANK_TOL = 1e-8
+_MAX_LENGTHS = 10_000
 
 
 class InputError(Exception):
@@ -118,10 +118,16 @@ class ScenarioConfig:
                 raise InputError(
                     f"empty length range: start {self.l_start} exceeds "
                     f"stop {self.l_stop}")
+            if not self._steps() < _MAX_LENGTHS:
+                raise InputError(
+                    f"length range has more than {_MAX_LENGTHS} lengths")
+
+    def _steps(self) -> float:
+        """L-steps from start to stop; may overflow to inf."""
+        return (self.l_stop - self.l_start) / self.l_step + 1e-9
 
     def lengths(self) -> list[float]:
-        count = int(math.floor((self.l_stop - self.l_start) / self.l_step
-                               + 1e-9)) + 1
+        count = int(math.floor(self._steps())) + 1
         return [self.l_start + i * self.l_step for i in range(count)]
 
     def need(self, key: str) -> str:
@@ -441,63 +447,6 @@ def _sweep_row(plus, minus, length: float, tol: float) -> GluingReport:
     return rep
 
 
-@functools.cache
-def _openblas_thread_controls() -> tuple:
-    """(get, set) thread-count functions of each OpenBLAS in this process.
-
-    The libraries are found among the files mapped into the process;
-    builds differ in symbol prefix and suffix (``scipy_``, ``64_``).
-    Empty where there is no OpenBLAS or no ``/proc``.
-    """
-    try:
-        with open("/proc/self/maps") as maps:
-            rows = [line.split(maxsplit=5) for line in maps]
-    except OSError:
-        return ()
-    paths = sorted({row[5].rstrip("\n") for row in rows if len(row) == 6
-                    and "openblas" in os.path.basename(row[5]).lower()})
-    names = [(f"{pre}openblas_get_num_threads{suf}",
-              f"{pre}openblas_set_num_threads{suf}")
-             for pre in ("", "scipy_") for suf in ("", "64_", "_64")]
-    controls = []
-    for path in paths:
-        try:
-            lib = ctypes.CDLL(path)
-        except OSError:
-            continue
-        found = next(((getattr(lib, get), getattr(lib, put))
-                      for get, put in names
-                      if hasattr(lib, get) and hasattr(lib, put)), None)
-        if found is None:
-            continue
-        get, put = found
-        get.argtypes, get.restype = [], ctypes.c_int
-        put.argtypes, put.restype = [ctypes.c_int], None
-        controls.append(found)
-    return tuple(controls)
-
-
-@contextlib.contextmanager
-def _one_blas_thread():
-    """Pin every loaded OpenBLAS to one thread for the body.
-
-    A sweep row's BLAS calls are too small to gain from more threads; the
-    extra OpenBLAS threads only spin on the other core.  The previous
-    counts come back on exit, also when the body raises.  The count is
-    process wide: BLAS calls from other threads during the body run on
-    one thread too.
-    """
-    controls = _openblas_thread_controls()
-    before = [get() for get, _ in controls]
-    for _, put in controls:
-        put(1)
-    try:
-        yield
-    finally:
-        for (_, put), count in zip(controls, before):
-            put(count)
-
-
 # glibc mallopt parameters and the values glue-sweep sets.
 _M_TRIM_THRESHOLD, _M_MMAP_THRESHOLD = -1, -3
 _MMAP_THRESHOLD = 32 << 20
@@ -532,9 +481,7 @@ def cmd_glue_sweep(cfg: ScenarioConfig) -> int:
     minus = _load_structure(cfg.need("input2"), -1, cfg.modes)
     lengths = cfg.lengths()
     _keep_freed_memory()
-    with _one_blas_thread():
-        reports = [_sweep_row(plus, minus, length, cfg.tol)
-                   for length in lengths]
+    reports = [_sweep_row(plus, minus, length, cfg.tol) for length in lengths]
     slope = fit_torsion_slope(reports)
     reports = [replace(r, slope=slope) for r in reports]
     ok = all(r.converged for r in reports)
@@ -787,7 +734,10 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         cfg = _resolve_config(args)
-        return args.func(cfg, args)
+        # Overflow on unusable input is caught by the non-finite checks,
+        # which report it in one line; numpy's warnings would add more.
+        with np.errstate(all="ignore"):
+            return args.func(cfg, args)
     except InputError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -460,7 +460,7 @@ def _side_preimages(d: SumDiagram, m: int, side: int, taus: np.ndarray,
                 f"boundary map on side {tag} degenerates on the "
                 f"degree-{m - 1} exact-parameter space")
     if taus.size == 0 or cmat.size == 0:
-        return np.zeros((d.dim("H_X", m - 1), taus.shape[1] if taus.ndim == 2 else 0))
+        return np.zeros((d.dim("H_X", m - 1), taus.shape[1]))
     rhs = cmat @ taus
     sol, *_ = np.linalg.lstsq(dmat, rhs, rcond=None)
     gram = d.gram(m - 1)
@@ -468,19 +468,22 @@ def _side_preimages(d: SumDiagram, m: int, side: int, taus: np.ndarray,
     return proj @ sol
 
 
-def _common_operator(d: SumDiagram, m: int,
-                     tol: float = 1e-10) -> tuple[np.ndarray, np.ndarray]:
-    """Self-adjoint neck operator on the common complement, plus its basis."""
-    sub = subspaces(d, m - 1)
+def _common_operator(d: SumDiagram, m: int, tol: float = 1e-10,
+                     sub: Subspaces | None = None):
+    """(op, E, Z): neck operator, common-complement basis, preimages of C(E).
+
+    Z sums the two canonical boundary preimages of C(E), column by column;
+    this is the one place they are solved.  ``sub`` passes in
+    ``subspaces(d, m - 1)`` when the caller already has it.
+    """
+    sub = subspaces(d, m - 1) if sub is None else sub
     basis = sub.e_common
-    k = basis.shape[1]
-    if k == 0:
-        return np.zeros((0, 0)), basis
-    gram = d.gram(m - 1)
+    if basis.shape[1] == 0:
+        return np.zeros((0, 0)), basis, basis
     z = (_side_preimages(d, m, +1, basis, sub, tol)
          + _side_preimages(d, m, -1, basis, sub, tol))
-    op = basis.T @ gram @ z
-    return 0.5 * (op + op.T), basis
+    op = basis.T @ d.gram(m - 1) @ z
+    return 0.5 * (op + op.T), basis, z
 
 
 def singular_levels(d: SumDiagram, m: int) -> np.ndarray:
@@ -489,7 +492,7 @@ def singular_levels(d: SumDiagram, m: int) -> np.ndarray:
     Each eigenvalue lam of the neck operator contributes the level -lam/2;
     the map is an isomorphism at every other length.  Sorted ascending.
     """
-    op, _ = _common_operator(d, m)
+    op, _, _ = _common_operator(d, m)
     if op.shape[0] == 0:
         return np.zeros(0)
     return np.sort(-0.5 * np.linalg.eigvalsh(op))
@@ -538,9 +541,10 @@ def validate_C(d: SumDiagram, *, tol: float = 1e-10,
                 rec.append(CheckRecord(f"corr-selfadjoint-{tag}", m,
                                        asym <= tol * opscale,
                                        f"asymmetry={asym:.3e}"))
-        op0, basis = _common_operator(d, m, tol)
+        # shift_C moves only C, so both diagrams share these subspaces.
+        op0, _, _ = _common_operator(d, m, tol, sub)
         if op0.shape[0]:
-            op1, _ = _common_operator(shifted, m, tol)
+            op1, _, _ = _common_operator(shifted, m, tol, sub)
             drift = float(np.abs(op1 - op0 - shift_probe * np.eye(op0.shape[0])).max())
             rec.append(CheckRecord(
                 "corr-shift-rule", m, drift <= tol * (1.0 + abs(shift_probe)),
@@ -600,31 +604,30 @@ def sample_pair(d: SumDiagram, m: int, rng: np.random.Generator,
 
 def yh_exact(d: SumDiagram, m: int, tau: np.ndarray, length: float, *,
              tol: float = 1e-10) -> np.ndarray:
-    """Exact-parameter part of the harmonic gluing map.
+    """Exact-parameter part of the harmonic gluing map, affine in the length.
 
-    Applies the connecting map to the sum of the two canonical boundary
-    preimages of the corrections plus twice the neck length times ``tau``
-    itself.  The preimage ambiguity lies in the boundary images, which the
-    connecting map kills, so the result does not depend on that choice.
+    With E, Z from ``_common_operator`` and c = Eᵀ G τ the coordinates of
+    ``tau`` in E, the result is δ(Z c + 2L τ): the connecting map applied
+    to the canonical boundary preimages of the corrections plus twice the
+    neck length times ``tau`` itself.  The preimage ambiguity lies in the
+    boundary images, which the connecting map kills, so the result does
+    not depend on that choice.
     """
     tau = np.asarray(tau, dtype=float)
     hx = d.dim("H_X", m - 1)
     if tau.shape != (hx,):
         raise ValueError(f"exact parameter must have length {hx}")
-    delta = d.mat("mv_delta", m)
     if hx == 0:
         return np.zeros(d.dim("H_M", m))
-    sub = subspaces(d, m - 1)
+    _, basis, z = _common_operator(d, m, tol)
     gram = d.gram(m - 1)
-    resid = tau - sub.projector @ tau
+    coords = basis.T @ gram @ tau
+    resid = tau - basis @ coords
     norm = float(np.sqrt(max(tau @ gram @ tau, 0.0)))
     if float(np.sqrt(max(resid @ gram @ resid, 0.0))) > tol * (1.0 + norm):
         raise ValueError(
             "exact parameter is not orthogonal to both boundary images")
-    col = tau.reshape(-1, 1)
-    z = (_side_preimages(d, m, +1, col, sub, tol)
-         + _side_preimages(d, m, -1, col, sub, tol)).ravel()
-    return delta @ (z + 2.0 * length * tau)
+    return d.mat("mv_delta", m) @ (z @ coords + 2.0 * length * tau)
 
 
 def yh_full(d: SumDiagram, m: int, pair: HarmonicPair, length: float, *,
@@ -661,21 +664,17 @@ def yh_full(d: SumDiagram, m: int, pair: HarmonicPair, length: float, *,
 def gluing_matrix(d: SumDiagram, m: int, length: float) -> np.ndarray:
     """Matrix of the harmonic gluing map over a spanning input set.
 
-    Columns are the images of a basis of total classes (restricted to both
-    halves, exact part zero) followed by the images of a basis of the
-    common complement (zero matching part).  Rank equal to the total-space
-    dimension is the brute-force isomorphism test.
+    G(L) = [section·K | δ(Z + 2L·E)], affine in the length.  The first
+    block holds the images of a basis of total classes (restricted to both
+    halves by K, exact part zero); the second holds ``yh_exact`` of each
+    column of the common-complement basis E, with E and Z read from
+    ``_common_operator``.  Rank equal to the total-space dimension is the
+    brute-force isomorphism test.
     """
-    hm = d.dim("H_M", m)
     kmap = np.vstack([d.mat("istar_plus", m), d.mat("istar_minus", m)])
-    section = np.linalg.pinv(kmap)
-    cols = [section @ (kmap @ np.eye(hm))] if hm else []
-    _, basis = _common_operator(d, m)
-    for j in range(basis.shape[1]):
-        cols.append(yh_exact(d, m, basis[:, j], length).reshape(-1, 1))
-    if not cols:
-        return np.zeros((hm, 0))
-    return np.hstack(cols)
+    _, basis, z = _common_operator(d, m)
+    exact = d.mat("mv_delta", m) @ (z + 2.0 * length * basis)
+    return np.hstack([np.linalg.pinv(kmap) @ kmap, exact])
 
 
 # ---------------------------------------------------------------------------
@@ -727,7 +726,7 @@ def derivative_model(d: SumDiagram, omega_class: np.ndarray, length: float, *,
     if omega_class.shape != (d.dim("H_X", 2),):
         raise ValueError("distinguished class must live on the degree-2 "
                          "cross-section")
-    op, basis = _common_operator(d, 3)
+    op, basis, _ = _common_operator(d, 3)
     k = basis.shape[1]
     delta = d.mat("mv_delta", 3)
     gram = d.gram(2)

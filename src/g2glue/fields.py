@@ -43,6 +43,7 @@ from .forms import (
 
 ZERO_XI = (0, 0, 0, 0, 0, 0)
 BAND_MAX = 4
+_MAX_INTERVAL_SAMPLES = 2 ** 16
 
 
 class NonFlatMetric(ValueError):
@@ -89,7 +90,12 @@ class TGrid:
 
     @classmethod
     def interval(cls, a: float, b: float, density: int = 64) -> "TGrid":
-        return cls(float(a), float(b), max(8, round((b - a) * density) + 1))
+        """Raises ValueError past ``_MAX_INTERVAL_SAMPLES`` samples."""
+        steps = (b - a) * density
+        if not steps < _MAX_INTERVAL_SAMPLES - 0.5:
+            raise ValueError(f"grid needs {steps + 1:.3g} samples, more than "
+                             f"{_MAX_INTERVAL_SAMPLES}")
+        return cls(float(a), float(b), max(8, round(steps) + 1))
 
     @classmethod
     def circle(cls, length: float, density: int = 64) -> "TGrid":

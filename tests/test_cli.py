@@ -4,6 +4,7 @@ import json
 import os
 import subprocess
 import sys
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -244,6 +245,43 @@ def test_glue_sweep_rejects_non_finite_samples(tmp_path, flat_pair, capsys):
     assert err.count("\n") == 1 and "huge.json" in err and "finite" in err
 
 
+def test_glue_sweep_overflow_prints_one_stderr_line(tmp_path, flat_pair):
+    # Warnings left unfiltered: numpy's overflow warnings would reach stderr.
+    _, minus = flat_pair
+    huge = write_structure(tmp_path / "huge.json", 1,
+                           kind="closed-perturbation", rate=1.0,
+                           amplitude=1e308)
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)}
+    proc = subprocess.run(
+        [sys.executable, "-W", "default", "-m", "g2glue.cli", "glue-sweep",
+         "--input", huge, "--input2", minus, "--L-stop", "5"],
+        capture_output=True, text=True, env=env)
+    assert proc.returncode == 2 and proc.stdout == ""
+    assert proc.stderr.count("\n") == 1
+    assert proc.stderr.startswith("error: cannot reduce at L = 4.0")
+
+
+@pytest.mark.parametrize("probe", ["lengths", "extent"])
+def test_oversized_input_exits_two_without_allocating(tmp_path, flat_pair,
+                                                      capsys, probe):
+    plus, minus = flat_pair
+    if probe == "lengths":
+        extra = ["--L-start", "0", "--L-stop", "1e300", "--L-step", "1"]
+    else:
+        plus = write_structure(tmp_path / "long.json", 1, extent=1e9)
+        extra = []
+    tracemalloc.start()
+    try:
+        rc, out, err = run_cli(["glue-sweep", "--input", plus,
+                                "--input2", minus, *extra], capsys)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert rc == 2 and out == ""
+    assert err.count("\n") == 1 and err.startswith("error: ")
+    assert peak < 4 << 20
+
+
 def test_glue_sweep_rows_equal_sweep_reports(tmp_path, flat_pair, capsys):
     _, minus = flat_pair
     closed = write_structure(tmp_path / "closed.json", 1,
@@ -258,30 +296,6 @@ def test_glue_sweep_rows_equal_sweep_reports(tmp_path, flat_pair, capsys):
                            reduce_tol=1e-10)
     assert payload["rows"] == [cli._jsonable(r.to_json_obj()) for r in serial]
     assert payload["slope"] == serial[0].slope
-
-
-def test_one_blas_thread_pins_and_restores():
-    controls = cli._openblas_thread_controls()
-    if not controls:
-        pytest.skip("no OpenBLAS loaded")
-    def counts():
-        return {get() for get, _ in controls}
-
-    before = [get() for get, _ in controls]
-    try:
-        for _, put in controls:
-            put(2)
-        with cli._one_blas_thread():
-            assert counts() == {1}
-        assert counts() == {2}
-        with pytest.raises(RuntimeError):
-            with cli._one_blas_thread():
-                assert counts() == {1}
-                raise RuntimeError("row failed")
-        assert counts() == {2}
-    finally:
-        for (_, put), count in zip(controls, before):
-            put(count)
 
 
 _FAULTS_PER_STEP = """

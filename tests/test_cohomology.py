@@ -5,6 +5,7 @@ import dataclasses
 import numpy as np
 import pytest
 
+from g2glue import cohomology
 from g2glue.cohomology import (
     B1NotZero,
     HarmonicPair,
@@ -211,6 +212,23 @@ def test_degenerate_boundary_raises():
         singular_levels(broken, 3)
 
 
+@pytest.mark.parametrize("path", [
+    lambda d: gluing_matrix(d, 3, 2.0),
+    lambda d: yh_exact(d, 3, np.zeros(d.dim("H_X", 2)), 2.0),
+    lambda d: validate_C(d),
+    lambda d: derivative_model(d, np.zeros(d.dim("H_X", 2)), 2.0),
+], ids=["gluing_matrix", "yh_exact", "validate_C", "derivative_model"])
+def test_degenerate_boundary_raises_on_every_path(path):
+    d = synth_diagram(6, 1, (-2.0,))
+    blk = d.degrees[3]
+    maps = {**blk.maps, "del_plus": np.zeros_like(blk.maps["del_plus"])}
+    broken = dataclasses.replace(d, degrees=tuple(
+        dataclasses.replace(b, maps=maps) if b.m == 3 else b
+        for b in d.degrees))
+    with pytest.raises(SingularBoundary):
+        path(broken)
+
+
 def test_shift_moves_levels_by_half(rigged):
     base = singular_levels(rigged, 3)
     for lam in (1.0, -3.5, 0.25):
@@ -322,6 +340,53 @@ def test_product_gluing_never_degenerates(product):
         gm = gluing_matrix(product, 3, length)
         assert np.linalg.matrix_rank(gm) == product.dim("H_M", 3)
     assert singular_levels(product, 3).size == 0
+
+
+@pytest.fixture(scope="module", params=range(5), ids=lambda k: f"e2d{k}")
+def e2d_diagram(request):
+    """dim_e2d 0..4, singular levels at 0.75, 1.75, 2.75, 3.75."""
+    k = request.param
+    return synth_diagram(29 + k, k, tuple(-1.5 - 2.0 * i for i in range(k)))
+
+
+def test_gluing_matrix_takes_subspaces_once(e2d_diagram, monkeypatch):
+    calls = []
+
+    def counting(d, m):
+        calls.append(m)
+        return subspaces(d, m)
+
+    monkeypatch.setattr(cohomology, "subspaces", counting)
+    for length in (0.75, 4.0):
+        calls.clear()
+        gluing_matrix(e2d_diagram, 3, length)
+        assert calls == [2]
+
+
+def test_gluing_matrix_exact_block_is_yh_exact(e2d_diagram):
+    d = e2d_diagram
+    hm = d.dim("H_M", 3)
+    basis = subspaces(d, 2).e_common
+    for length in (*singular_levels(d, 3), 2.2, 6.0):
+        gm = gluing_matrix(d, 3, length)
+        assert gm.shape == (hm, hm + basis.shape[1])
+        want = np.zeros((hm, 0))
+        if basis.shape[1]:
+            want = np.column_stack([yh_exact(d, 3, e, length) for e in basis.T])
+        scale = float(np.abs(want).max(initial=1.0))
+        assert np.abs(gm[:, hm:] - want).max(initial=0.0) <= 1e-12 * scale
+
+
+def test_gluing_matrix_is_affine_in_length(e2d_diagram):
+    d = e2d_diagram
+    hm = d.dim("H_M", 3)
+    delta_e = d.mat("mv_delta", 3) @ subspaces(d, 2).e_common
+    for length, h in ((0.75, 1.0), (2.2, -1.45), (6.0, 3.5)):
+        base = gluing_matrix(d, 3, length)
+        diff = gluing_matrix(d, 3, length + h) - base
+        want = np.hstack([np.zeros((hm, hm)), 2.0 * h * delta_e])
+        scale = 1.0 + float(np.abs(base).max(initial=0.0))
+        assert np.abs(diff - want).max(initial=0.0) <= 1e-12 * scale
 
 
 # ---------------------------------------------------------------------------
