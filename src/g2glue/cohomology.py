@@ -34,6 +34,7 @@ __all__ = [
     "CheckRecord",
     "DegreeBlock",
     "DerivativeModel",
+    "DiagramPlan",
     "DiagramReport",
     "HarmonicPair",
     "InconsistentTargets",
@@ -468,15 +469,13 @@ def _side_preimages(d: SumDiagram, m: int, side: int, taus: np.ndarray,
     return proj @ sol
 
 
-def _common_operator(d: SumDiagram, m: int, tol: float = 1e-10,
-                     sub: Subspaces | None = None):
+def _common_operator(d: SumDiagram, m: int, tol: float, sub: Subspaces):
     """(op, E, Z): neck operator, common-complement basis, preimages of C(E).
 
     Z sums the two canonical boundary preimages of C(E), column by column;
-    this is the one place they are solved.  ``sub`` passes in
-    ``subspaces(d, m - 1)`` when the caller already has it.
+    this is the one place they are solved.  ``sub`` is
+    ``subspaces(d, m - 1)``; ``DiagramPlan.operator`` is the caller.
     """
-    sub = subspaces(d, m - 1) if sub is None else sub
     basis = sub.e_common
     if basis.shape[1] == 0:
         return np.zeros((0, 0)), basis, basis
@@ -486,34 +485,126 @@ def _common_operator(d: SumDiagram, m: int, tol: float = 1e-10,
     return 0.5 * (op + op.T), basis, z
 
 
-def singular_levels(d: SumDiagram, m: int) -> np.ndarray:
+class DiagramPlan:
+    """One diagram's length-independent gluing data, each piece solved once.
+
+    The harmonic gluing map is affine in the neck length, so apart from a
+    final product everything a length scan needs is fixed by the diagram:
+    per degree the boundary-image ``subspaces``, the neck ``operator``
+    (op, E, Z) of ``_common_operator``, the section block pinv(K)·K, and
+    the derivative model's compression along a distinguished class.  A
+    plan computes each the first time it is asked for and keeps it, so one
+    plan passed as ``plan=`` to every call of a command solves them once
+    rather than once per length.  Diagrams are immutable, which is what
+    makes this safe; a plan belongs to the one diagram it was built for.
+    Functions taking ``plan=`` build a fresh plan when given none.
+    """
+
+    def __init__(self, d: SumDiagram):
+        self.diagram = d
+        self._subspaces: dict[int, Subspaces] = {}
+        self._operators: dict[tuple[int, float], tuple] = {}
+        self._sections: dict[int, np.ndarray] = {}
+        self._compressions: dict[tuple[bytes, float], tuple] = {}
+
+    def subspaces(self, m: int) -> Subspaces:
+        if m not in self._subspaces:
+            # The module-level function, so that wrapping it sees each solve.
+            self._subspaces[m] = subspaces(self.diagram, m)
+        return self._subspaces[m]
+
+    def operator(self, m: int, tol: float = 1e-10):
+        """(op, E, Z) of ``_common_operator``, over degree m - 1."""
+        key = (m, tol)
+        if key not in self._operators:
+            self._operators[key] = _common_operator(
+                self.diagram, m, tol, self.subspaces(m - 1))
+        return self._operators[key]
+
+    def section_block(self, m: int) -> np.ndarray:
+        """pinv(K)·K with K the two restrictions stacked: G's first block."""
+        if m not in self._sections:
+            d = self.diagram
+            kmap = np.vstack([d.mat("istar_plus", m), d.mat("istar_minus", m)])
+            self._sections[m] = np.linalg.pinv(kmap) @ kmap
+        return self._sections[m]
+
+    def compression(self, omega_class: np.ndarray, tol: float = 1e-10):
+        """(comp, F, spectrum): the degree-3 neck operator off ``omega_class``.
+
+        ``comp`` spans the coordinates in E orthogonal to the class, F is
+        the operator compressed to them and ``spectrum`` its eigenvalues.
+        """
+        key = (omega_class.tobytes(), tol)
+        if key not in self._compressions:
+            op, basis, _ = self.operator(3, tol)
+            k = basis.shape[1]
+            w_coords = basis.T @ self.diagram.gram(2) @ omega_class if k \
+                else np.zeros(0)
+            wnorm = float(np.linalg.norm(w_coords))
+            if k and wnorm > tol:
+                comp = _nullspace(w_coords.reshape(1, -1) / wnorm)
+            else:
+                comp = np.eye(k)
+            f_mat = comp.T @ op @ comp
+            f_mat = 0.5 * (f_mat + f_mat.T)
+            spec = np.linalg.eigvalsh(f_mat) if f_mat.size else np.zeros(0)
+            self._compressions[key] = (comp, f_mat, spec)
+        return self._compressions[key]
+
+    def shifted(self, lam: float) -> DiagramPlan:
+        """A separate plan for ``shift_C(d, lam)`` sharing these subspaces.
+
+        The shift moves only C, so the subspaces agree; every operator of
+        the shifted diagram is still solved on its own.
+        """
+        plan = DiagramPlan(shift_C(self.diagram, lam))
+        plan._subspaces = self._subspaces
+        return plan
+
+
+def _plan(d: SumDiagram, plan: DiagramPlan | None) -> DiagramPlan:
+    if plan is None:
+        return DiagramPlan(d)
+    if plan.diagram is not d:
+        raise ValueError("plan was built for a different diagram")
+    return plan
+
+
+def singular_levels(d: SumDiagram, m: int, *,
+                    plan: DiagramPlan | None = None) -> np.ndarray:
     """Neck lengths at which the degree-m harmonic gluing map degenerates.
 
     Each eigenvalue lam of the neck operator contributes the level -lam/2;
     the map is an isomorphism at every other length.  Sorted ascending.
+    ``plan`` is a ``DiagramPlan`` of ``d`` to read the operator from.
     """
-    op, _, _ = _common_operator(d, m)
+    op, _, _ = _plan(d, plan).operator(m)
     if op.shape[0] == 0:
         return np.zeros(0)
     return np.sort(-0.5 * np.linalg.eigvalsh(op))
 
 
 def validate_C(d: SumDiagram, *, tol: float = 1e-10,
-               shift_probe: float = 2.0) -> DiagramReport:
+               shift_probe: float = 2.0,
+               plan: DiagramPlan | None = None) -> DiagramReport:
     """Check the neck-correction matrices against their defining properties.
 
     Per degree and side: the correction must vanish under the extension
     map, land inside the image of the boundary map, and induce a
     self-adjoint operator on the complement of the boundary image.  The
     probe shift verifies that moving the neck coordinate acts on the
-    combined operator as an exact multiple of the identity.
+    combined operator as an exact multiple of the identity; the shifted
+    diagram gets a plan of its own, so its operators are solved afresh.
+    ``plan`` is a ``DiagramPlan`` of ``d`` to read and fill.
     """
     rec: list[CheckRecord] = []
-    shifted = shift_C(d, shift_probe)
+    plan = _plan(d, plan)
+    shifted = plan.shifted(shift_probe)
     for m in range(1, N_DEGREES):
         if d.dim("H_X", m - 1) == 0:
             continue
-        sub = subspaces(d, m - 1)
+        sub = plan.subspaces(m - 1)
         for side, tag in ((1, "plus"), (-1, "minus")):
             cmat = d.c_mat(side, m)
             if cmat.size == 0:
@@ -541,10 +632,9 @@ def validate_C(d: SumDiagram, *, tol: float = 1e-10,
                 rec.append(CheckRecord(f"corr-selfadjoint-{tag}", m,
                                        asym <= tol * opscale,
                                        f"asymmetry={asym:.3e}"))
-        # shift_C moves only C, so both diagrams share these subspaces.
-        op0, _, _ = _common_operator(d, m, tol, sub)
+        op0, _, _ = plan.operator(m, tol)
         if op0.shape[0]:
-            op1, _, _ = _common_operator(shifted, m, tol, sub)
+            op1, _, _ = shifted.operator(m, tol)
             drift = float(np.abs(op1 - op0 - shift_probe * np.eye(op0.shape[0])).max())
             rec.append(CheckRecord(
                 "corr-shift-rule", m, drift <= tol * (1.0 + abs(shift_probe)),
@@ -603,7 +693,8 @@ def sample_pair(d: SumDiagram, m: int, rng: np.random.Generator,
 
 
 def yh_exact(d: SumDiagram, m: int, tau: np.ndarray, length: float, *,
-             tol: float = 1e-10) -> np.ndarray:
+             tol: float = 1e-10,
+             plan: DiagramPlan | None = None) -> np.ndarray:
     """Exact-parameter part of the harmonic gluing map, affine in the length.
 
     With E, Z from ``_common_operator`` and c = Eᵀ G τ the coordinates of
@@ -611,7 +702,8 @@ def yh_exact(d: SumDiagram, m: int, tau: np.ndarray, length: float, *,
     to the canonical boundary preimages of the corrections plus twice the
     neck length times ``tau`` itself.  The preimage ambiguity lies in the
     boundary images, which the connecting map kills, so the result does
-    not depend on that choice.
+    not depend on that choice.  ``plan`` is a ``DiagramPlan`` of ``d`` to
+    read E and Z from.
     """
     tau = np.asarray(tau, dtype=float)
     hx = d.dim("H_X", m - 1)
@@ -619,7 +711,7 @@ def yh_exact(d: SumDiagram, m: int, tau: np.ndarray, length: float, *,
         raise ValueError(f"exact parameter must have length {hx}")
     if hx == 0:
         return np.zeros(d.dim("H_M", m))
-    _, basis, z = _common_operator(d, m, tol)
+    _, basis, z = _plan(d, plan).operator(m, tol)
     gram = d.gram(m - 1)
     coords = basis.T @ gram @ tau
     resid = tau - basis @ coords
@@ -661,7 +753,8 @@ def yh_full(d: SumDiagram, m: int, pair: HarmonicPair, length: float, *,
     return y0 + yh_exact(d, m, pair.tau, length, tol=tol)
 
 
-def gluing_matrix(d: SumDiagram, m: int, length: float) -> np.ndarray:
+def gluing_matrix(d: SumDiagram, m: int, length: float, *,
+                  plan: DiagramPlan | None = None) -> np.ndarray:
     """Matrix of the harmonic gluing map over a spanning input set.
 
     G(L) = [section·K | δ(Z + 2L·E)], affine in the length.  The first
@@ -669,12 +762,13 @@ def gluing_matrix(d: SumDiagram, m: int, length: float) -> np.ndarray:
     halves by K, exact part zero); the second holds ``yh_exact`` of each
     column of the common-complement basis E, with E and Z read from
     ``_common_operator``.  Rank equal to the total-space dimension is the
-    brute-force isomorphism test.
+    brute-force isomorphism test.  ``plan`` is a ``DiagramPlan`` of ``d``;
+    with one, a call costs the exact-block product and nothing else.
     """
-    kmap = np.vstack([d.mat("istar_plus", m), d.mat("istar_minus", m)])
-    _, basis, z = _common_operator(d, m)
+    plan = _plan(d, plan)
+    _, basis, z = plan.operator(m)
     exact = d.mat("mv_delta", m) @ (z + 2.0 * length * basis)
-    return np.hstack([np.linalg.pinv(kmap) @ kmap, exact])
+    return np.hstack([plan.section_block(m), exact])
 
 
 # ---------------------------------------------------------------------------
@@ -709,7 +803,8 @@ class DerivativeModel:
 
 
 def derivative_model(d: SumDiagram, omega_class: np.ndarray, length: float, *,
-                     tol: float = 1e-10) -> DerivativeModel:
+                     tol: float = 1e-10,
+                     plan: DiagramPlan | None = None) -> DerivativeModel:
     """Model the derivative of the gluing map in the structure-form degree.
 
     Requires the total space to have no degree-1 cohomology.  The exact
@@ -717,6 +812,8 @@ def derivative_model(d: SumDiagram, omega_class: np.ndarray, length: float, *,
     distinguished class inside the common complement, the extra direction
     scales the connecting image of that class, and bijectivity holds
     precisely when minus twice the length misses the compressed spectrum.
+    ``plan`` is a ``DiagramPlan`` of ``d``; with one, the compression
+    along ``omega_class`` is solved once for all lengths.
     """
     if d.dim("H_M", 1) != 0:
         raise B1NotZero(
@@ -726,18 +823,10 @@ def derivative_model(d: SumDiagram, omega_class: np.ndarray, length: float, *,
     if omega_class.shape != (d.dim("H_X", 2),):
         raise ValueError("distinguished class must live on the degree-2 "
                          "cross-section")
-    op, basis, _ = _common_operator(d, 3)
-    k = basis.shape[1]
+    plan = _plan(d, plan)
+    _, basis, _ = plan.operator(3, tol)
+    comp, f_mat, spec = plan.compression(omega_class, tol)
     delta = d.mat("mv_delta", 3)
-    gram = d.gram(2)
-    w_coords = basis.T @ gram @ omega_class if k else np.zeros(0)
-    wnorm = float(np.linalg.norm(w_coords))
-    if k and wnorm > tol:
-        comp = _nullspace(w_coords.reshape(1, -1) / wnorm)
-    else:
-        comp = np.eye(k)
-    f_mat = comp.T @ op @ comp
-    f_mat = 0.5 * (f_mat + f_mat.T)
     cols = []
     exact_block = np.zeros((d.dim("H_M", 3), 0))
     if comp.shape[1]:
@@ -746,7 +835,6 @@ def derivative_model(d: SumDiagram, omega_class: np.ndarray, length: float, *,
         cols.append(exact_block)
     cols.append((2.0 * (delta @ omega_class)).reshape(-1, 1))
     matrix = np.hstack(cols)
-    spec = np.linalg.eigvalsh(f_mat) if f_mat.size else np.zeros(0)
     bij = bool(np.all(np.abs(2.0 * length + spec) >= 1e-8)) if spec.size else True
     if exact_block.size:
         sigma = float(np.linalg.svd(exact_block, compute_uv=False)[-1])

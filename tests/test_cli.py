@@ -9,11 +9,12 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from g2glue import cli
+from g2glue import cli, cohomology
 from g2glue.cohomology import (
     diagram_from_json,
     diagram_to_json,
     save_diagram,
+    subspaces,
     synth_diagram,
 )
 from g2glue.gluing import (
@@ -625,6 +626,65 @@ def test_config_file_rejects_unknown_key(tmp_path, flat_pair, capsys):
     rc, _, err = run_cli(["glue-sweep", "--config", str(config)], capsys)
     assert rc == 2
     assert "neck" in err
+
+
+@pytest.mark.parametrize("dim_e2d", range(5))
+def test_one_plan_per_command_solves_each_degree_once(tmp_path, capsys,
+                                                      monkeypatch, dim_e2d):
+    path = tmp_path / "diagram.json"
+    save_diagram(synth_diagram(40 + dim_e2d, dim_e2d,
+                               tuple(-1.5 - 2.0 * i for i in range(dim_e2d))),
+                 path)
+    calls = []
+
+    def counting(d, m):
+        calls.append(m)
+        return subspaces(d, m)
+
+    monkeypatch.setattr(cohomology, "subspaces", counting)
+    rc, out, _ = run_cli(["spectrum", "--input", str(path), "--L-start",
+                          "0.25", "--L-stop", "7", "--L-step", "0.25"], capsys)
+    assert rc == 0 and len(json.loads(out)["rows"]) == 28
+    assert len(calls) == len(set(calls)) <= 8, calls
+    calls.clear()
+    rc, out, _ = run_cli(["derivative", "--input", str(path)], capsys)
+    assert rc == 0 and len(json.loads(out)["rows"]) == 9
+    assert calls == [2]
+
+
+def test_parser_is_built_once_and_keeps_no_state(diagram_file, capsys,
+                                                 monkeypatch):
+    assert cli.build_parser() is cli.build_parser()
+    seen = []
+    resolve = cli._resolve_config
+
+    def recording(args):
+        seen.append((vars(args).copy(), resolve(args)))
+        return seen[-1][1]
+
+    monkeypatch.setattr(cli, "_resolve_config", recording)
+    for argv in (["spectrum", "--input", diagram_file, "--exact"],
+                 ["derivative", "--input", diagram_file, "--L-start", "5"],
+                 ["spectrum", "--input", diagram_file]):
+        assert run_cli(argv, capsys)[0] == 0
+    (exact_args, exact_cfg), (deriv_args, deriv_cfg), (args, cfg) = seen
+    assert exact_cfg.exact and not cfg.exact
+    assert deriv_args["exact"] is None and args["exact"] is None
+    assert (deriv_cfg.l_start, deriv_cfg.l_stop) == (5.0, 12.0)
+    assert (cfg.l_start, cfg.l_stop, cfg.l_step) == (1.0, 6.0, 0.5)
+    assert args == {**exact_args, "exact": None}
+    assert cfg == cli.ScenarioConfig(command="spectrum", input=diagram_file,
+                                     l_start=1.0, l_stop=6.0, l_step=0.5)
+
+
+def test_negative_exponent_length_is_a_value(diagram_file, capsys):
+    spaced = run_cli(["spectrum", "--input", diagram_file, "--L-start",
+                      "-2.5e-1", "--L-stop", "1", "--L-step", "0.25"], capsys)
+    joined = run_cli(["spectrum", "--input", diagram_file,
+                      "--L-start=-2.5e-1", "--L-stop", "1", "--L-step",
+                      "0.25"], capsys)
+    assert spaced[0] == 0 and spaced == joined
+    assert json.loads(spaced[1])["rows"][0]["L"] == -0.25
 
 
 def test_missing_input_reported(capsys):

@@ -8,6 +8,7 @@ import pytest
 from g2glue import cohomology
 from g2glue.cohomology import (
     B1NotZero,
+    DiagramPlan,
     HarmonicPair,
     InconsistentTargets,
     SingularBoundary,
@@ -387,6 +388,68 @@ def test_gluing_matrix_is_affine_in_length(e2d_diagram):
         want = np.hstack([np.zeros((hm, hm)), 2.0 * h * delta_e])
         scale = 1.0 + float(np.abs(base).max(initial=0.0))
         assert np.abs(diff - want).max(initial=0.0) <= 1e-12 * scale
+
+
+def test_plan_backed_calls_equal_fresh_calls_bitwise(e2d_diagram):
+    d = e2d_diagram
+    plan = DiagramPlan(d)
+    assert validate_C(d, plan=plan).ok
+    levels = singular_levels(d, 3, plan=plan)
+    assert np.array_equal(levels, singular_levels(d, 3))
+    for m in range(8):
+        assert np.array_equal(singular_levels(d, m, plan=plan),
+                              singular_levels(d, m))
+    omega = subspaces(d, 2).a_common[:, 0]
+    for length in (*levels, 2.2, 6.0):
+        assert np.array_equal(gluing_matrix(d, 3, length, plan=plan),
+                              gluing_matrix(d, 3, length))
+        got = derivative_model(d, omega, length, plan=plan)
+        want = derivative_model(d, omega, length)
+        assert np.array_equal(got.matrix, want.matrix)
+        assert np.array_equal(got.f_spectrum, want.f_spectrum)
+        assert got.sigma_min == want.sigma_min
+        assert got.bijective == want.bijective
+
+
+def test_plan_solves_each_degree_once(e2d_diagram, monkeypatch):
+    calls = []
+
+    def counting(d, m):
+        calls.append(m)
+        return subspaces(d, m)
+
+    monkeypatch.setattr(cohomology, "subspaces", counting)
+    d = e2d_diagram
+    plan = DiagramPlan(d)
+    omega = plan.subspaces(2).a_common[:, 0]
+    for length in (0.75, 2.2, 6.0):
+        gluing_matrix(d, 3, length, plan=plan)
+        derivative_model(d, omega, length, plan=plan)
+    assert calls == [2]
+
+
+def test_plan_rejects_another_diagram(product, rigged):
+    with pytest.raises(ValueError, match="different diagram"):
+        gluing_matrix(product, 3, 2.0, plan=DiagramPlan(rigged))
+
+
+def test_validate_C_solves_the_shifted_operator_afresh(rigged):
+    # A plan whose operators are already solved must not lend them to the
+    # shifted diagram, or the shift rule would compare op with itself.
+    plan = DiagramPlan(rigged)
+    for m in range(8):
+        singular_levels(rigged, m, plan=plan)
+    assert validate_C(rigged, plan=plan).ok
+    blk = rigged.degrees[3]
+    c_plus = blk.c_plus.copy()
+    c_plus[0, 0] += 1e-3
+    moved = dataclasses.replace(
+        rigged, degrees=tuple(dataclasses.replace(b, c_plus=c_plus)
+                              if b.m == 3 else b for b in rigged.degrees))
+    plan = DiagramPlan(moved)
+    singular_levels(moved, 3, plan=plan)
+    names = {f.name for f in validate_C(moved, plan=plan).failures}
+    assert names & {"corr-shift-rule", "corr-selfadjoint-plus"}, names
 
 
 # ---------------------------------------------------------------------------

@@ -203,9 +203,9 @@ def _check_contract(rc, out, err, fmt):
                                          and key in EMPTY_MIN), (key, out)
 
 
-# Overflow warnings from numpy go to the warnings channel, not to the
-# report or the error line this contract is about.
-@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+# The CLI runs its commands under np.errstate(all="ignore"), so no numpy
+# warning may reach the warnings channel either: any RuntimeWarning fails.
+@pytest.mark.filterwarnings("error::RuntimeWarning")
 @CONTRACT
 @given(data=st.data(), broken=faults(), fmt=st.sampled_from(["json", "csv"]))
 def test_glue_sweep_contract(tmp_path, capsys, data, broken, fmt):
@@ -257,7 +257,7 @@ def diagrams(draw):
     return obj
 
 
-@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+@pytest.mark.filterwarnings("error::RuntimeWarning")
 @CONTRACT
 @given(data=st.data(), diagram=diagrams(),
        command=st.sampled_from(["spectrum", "derivative"]),
