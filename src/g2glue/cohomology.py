@@ -22,7 +22,7 @@ once built.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields, replace
 
 import numpy as np
 
@@ -490,13 +490,13 @@ class DiagramPlan:
 
     The harmonic gluing map is affine in the neck length, so apart from a
     final product everything a length scan needs is fixed by the diagram:
-    per degree the boundary-image ``subspaces``, the neck ``operator``
-    (op, E, Z) of ``_common_operator``, the section block pinv(K)·K, and
-    the derivative model's compression along a distinguished class.  A
-    plan computes each the first time it is asked for and keeps it, so one
+    per degree the boundary-image ``subspaces`` and the neck ``operator``
+    (op, E, Z) of ``_common_operator``, the two costly solves.  A plan
+    computes each the first time it is asked for and keeps it, so one
     plan passed as ``plan=`` to every call of a command solves them once
     rather than once per length.  Diagrams are immutable, which is what
     makes this safe; a plan belongs to the one diagram it was built for.
+    The arrays it keeps are read-only, since every call shares them.
     Functions taking ``plan=`` build a fresh plan when given none.
     """
 
@@ -504,53 +504,25 @@ class DiagramPlan:
         self.diagram = d
         self._subspaces: dict[int, Subspaces] = {}
         self._operators: dict[tuple[int, float], tuple] = {}
-        self._sections: dict[int, np.ndarray] = {}
-        self._compressions: dict[tuple[bytes, float], tuple] = {}
 
     def subspaces(self, m: int) -> Subspaces:
         if m not in self._subspaces:
             # The module-level function, so that wrapping it sees each solve.
-            self._subspaces[m] = subspaces(self.diagram, m)
+            sub = subspaces(self.diagram, m)
+            _freeze(*(getattr(sub, f.name) for f in fields(sub)))
+            self._subspaces[m] = sub
         return self._subspaces[m]
 
     def operator(self, m: int, tol: float = 1e-10):
-        """(op, E, Z) of ``_common_operator``, over degree m - 1."""
+        """(op, E, Z) of ``_common_operator``, over degree m - 1.
+
+        ``tol`` is the boundary-map rank tolerance of the preimage solve.
+        """
         key = (m, tol)
         if key not in self._operators:
-            self._operators[key] = _common_operator(
-                self.diagram, m, tol, self.subspaces(m - 1))
+            self._operators[key] = _freeze(*_common_operator(
+                self.diagram, m, tol, self.subspaces(m - 1)))
         return self._operators[key]
-
-    def section_block(self, m: int) -> np.ndarray:
-        """pinv(K)·K with K the two restrictions stacked: G's first block."""
-        if m not in self._sections:
-            d = self.diagram
-            kmap = np.vstack([d.mat("istar_plus", m), d.mat("istar_minus", m)])
-            self._sections[m] = np.linalg.pinv(kmap) @ kmap
-        return self._sections[m]
-
-    def compression(self, omega_class: np.ndarray, tol: float = 1e-10):
-        """(comp, F, spectrum): the degree-3 neck operator off ``omega_class``.
-
-        ``comp`` spans the coordinates in E orthogonal to the class, F is
-        the operator compressed to them and ``spectrum`` its eigenvalues.
-        """
-        key = (omega_class.tobytes(), tol)
-        if key not in self._compressions:
-            op, basis, _ = self.operator(3, tol)
-            k = basis.shape[1]
-            w_coords = basis.T @ self.diagram.gram(2) @ omega_class if k \
-                else np.zeros(0)
-            wnorm = float(np.linalg.norm(w_coords))
-            if k and wnorm > tol:
-                comp = _nullspace(w_coords.reshape(1, -1) / wnorm)
-            else:
-                comp = np.eye(k)
-            f_mat = comp.T @ op @ comp
-            f_mat = 0.5 * (f_mat + f_mat.T)
-            spec = np.linalg.eigvalsh(f_mat) if f_mat.size else np.zeros(0)
-            self._compressions[key] = (comp, f_mat, spec)
-        return self._compressions[key]
 
     def shifted(self, lam: float) -> DiagramPlan:
         """A separate plan for ``shift_C(d, lam)`` sharing these subspaces.
@@ -561,6 +533,13 @@ class DiagramPlan:
         plan = DiagramPlan(shift_C(self.diagram, lam))
         plan._subspaces = self._subspaces
         return plan
+
+
+def _freeze(*arrays: np.ndarray) -> tuple[np.ndarray, ...]:
+    """Make ``arrays`` read-only and return them."""
+    for a in arrays:
+        a.flags.writeable = False
+    return arrays
 
 
 def _plan(d: SumDiagram, plan: DiagramPlan | None) -> DiagramPlan:
@@ -693,8 +672,7 @@ def sample_pair(d: SumDiagram, m: int, rng: np.random.Generator,
 
 
 def yh_exact(d: SumDiagram, m: int, tau: np.ndarray, length: float, *,
-             tol: float = 1e-10,
-             plan: DiagramPlan | None = None) -> np.ndarray:
+             tol: float = 1e-10) -> np.ndarray:
     """Exact-parameter part of the harmonic gluing map, affine in the length.
 
     With E, Z from ``_common_operator`` and c = Eᵀ G τ the coordinates of
@@ -702,8 +680,7 @@ def yh_exact(d: SumDiagram, m: int, tau: np.ndarray, length: float, *,
     to the canonical boundary preimages of the corrections plus twice the
     neck length times ``tau`` itself.  The preimage ambiguity lies in the
     boundary images, which the connecting map kills, so the result does
-    not depend on that choice.  ``plan`` is a ``DiagramPlan`` of ``d`` to
-    read E and Z from.
+    not depend on that choice.
     """
     tau = np.asarray(tau, dtype=float)
     hx = d.dim("H_X", m - 1)
@@ -711,7 +688,7 @@ def yh_exact(d: SumDiagram, m: int, tau: np.ndarray, length: float, *,
         raise ValueError(f"exact parameter must have length {hx}")
     if hx == 0:
         return np.zeros(d.dim("H_M", m))
-    _, basis, z = _plan(d, plan).operator(m, tol)
+    _, basis, z = DiagramPlan(d).operator(m, tol)
     gram = d.gram(m - 1)
     coords = basis.T @ gram @ tau
     resid = tau - basis @ coords
@@ -763,12 +740,12 @@ def gluing_matrix(d: SumDiagram, m: int, length: float, *,
     column of the common-complement basis E, with E and Z read from
     ``_common_operator``.  Rank equal to the total-space dimension is the
     brute-force isomorphism test.  ``plan`` is a ``DiagramPlan`` of ``d``;
-    with one, a call costs the exact-block product and nothing else.
+    with one, a call costs pinv(K)·K and the exact-block product.
     """
-    plan = _plan(d, plan)
-    _, basis, z = plan.operator(m)
+    kmap = np.vstack([d.mat("istar_plus", m), d.mat("istar_minus", m)])
+    _, basis, z = _plan(d, plan).operator(m)
     exact = d.mat("mv_delta", m) @ (z + 2.0 * length * basis)
-    return np.hstack([plan.section_block(m), exact])
+    return np.hstack([np.linalg.pinv(kmap) @ kmap, exact])
 
 
 # ---------------------------------------------------------------------------
@@ -812,8 +789,9 @@ def derivative_model(d: SumDiagram, omega_class: np.ndarray, length: float, *,
     distinguished class inside the common complement, the extra direction
     scales the connecting image of that class, and bijectivity holds
     precisely when minus twice the length misses the compressed spectrum.
-    ``plan`` is a ``DiagramPlan`` of ``d``; with one, the compression
-    along ``omega_class`` is solved once for all lengths.
+    ``plan`` is a ``DiagramPlan`` of ``d`` to read the neck operator from;
+    it is solved at the default tolerance, and ``tol`` is only the norm
+    below which the class counts as orthogonal to the common complement.
     """
     if d.dim("H_M", 1) != 0:
         raise B1NotZero(
@@ -823,10 +801,18 @@ def derivative_model(d: SumDiagram, omega_class: np.ndarray, length: float, *,
     if omega_class.shape != (d.dim("H_X", 2),):
         raise ValueError("distinguished class must live on the degree-2 "
                          "cross-section")
-    plan = _plan(d, plan)
-    _, basis, _ = plan.operator(3, tol)
-    comp, f_mat, spec = plan.compression(omega_class, tol)
+    op, basis, _ = _plan(d, plan).operator(3)
+    k = basis.shape[1]
     delta = d.mat("mv_delta", 3)
+    gram = d.gram(2)
+    w_coords = basis.T @ gram @ omega_class if k else np.zeros(0)
+    wnorm = float(np.linalg.norm(w_coords))
+    if k and wnorm > tol:
+        comp = _nullspace(w_coords.reshape(1, -1) / wnorm)
+    else:
+        comp = np.eye(k)
+    f_mat = comp.T @ op @ comp
+    f_mat = 0.5 * (f_mat + f_mat.T)
     cols = []
     exact_block = np.zeros((d.dim("H_M", 3), 0))
     if comp.shape[1]:
@@ -835,6 +821,7 @@ def derivative_model(d: SumDiagram, omega_class: np.ndarray, length: float, *,
         cols.append(exact_block)
     cols.append((2.0 * (delta @ omega_class)).reshape(-1, 1))
     matrix = np.hstack(cols)
+    spec = np.linalg.eigvalsh(f_mat) if f_mat.size else np.zeros(0)
     bij = bool(np.all(np.abs(2.0 * length + spec) >= 1e-8)) if spec.size else True
     if exact_block.size:
         sigma = float(np.linalg.svd(exact_block, compute_uv=False)[-1])

@@ -11,6 +11,8 @@ import pytest
 
 from g2glue import cli, cohomology
 from g2glue.cohomology import (
+    DiagramPlan,
+    SingularBoundary,
     diagram_from_json,
     diagram_to_json,
     save_diagram,
@@ -519,6 +521,31 @@ def test_derivative_singular_boundary_exits_two(tmp_path, capsys):
     rc, out, err = run_cli(["derivative", "--input", str(path)], capsys)
     assert rc == 2 and out == ""
     assert err.count("\n") == 1 and "degenerates" in err
+
+
+def test_derivative_tol_leaves_the_operator_solve_alone(tmp_path, capsys):
+    # Squash the degree-3 boundary map to 1e-8 along one E+ direction: its
+    # rank probe passes at the default 1e-10 but fails at 1e-6.  --tol only
+    # sets the cut-off for the class's component in E; the neck operator is
+    # still solved at the default tolerance, so both runs print the same.
+    d = synth_diagram(3, 2, (-6.0, -3.0))
+    v = subspaces(d, 2).e_plus[:, 0]
+    squash = np.eye(v.size) - (1.0 - 1e-8) * np.outer(v, v) @ d.gram(2)
+    obj = diagram_to_json(d)
+    maps = obj["degrees"][3]["maps"]
+    maps["del_plus"] = (np.asarray(maps["del_plus"]) @ squash).tolist()
+    near = diagram_from_json(obj)
+    with pytest.raises(SingularBoundary):
+        DiagramPlan(near).operator(3, 1e-6)
+    path = tmp_path / "near.json"
+    path.write_text(json.dumps(obj))
+    runs = [run_cli(["derivative", "--input", str(path), *extra], capsys)
+            for extra in ([], ["--tol", "1e-6"])]
+    (rc, out, _), (rc_tol, out_tol, err_tol) = runs
+    assert rc == rc_tol == 0, err_tol
+    got, want = json.loads(out_tol), json.loads(out)
+    assert got.pop("tol") == 1e-6 and want.pop("tol") == 1e-10
+    assert got == want
 
 
 # -- synth -----------------------------------------------------------------

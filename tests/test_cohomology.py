@@ -428,6 +428,21 @@ def test_plan_solves_each_degree_once(e2d_diagram, monkeypatch):
     assert calls == [2]
 
 
+def test_plan_arrays_are_read_only(rigged):
+    # Every call given the plan shares these arrays; a write in place must
+    # fail rather than change the answer of later calls.
+    plan = DiagramPlan(rigged)
+    sub = plan.subspaces(2)
+    for arr in (*plan.operator(3), sub.e_common, sub.a_common, sub.projector):
+        with pytest.raises(ValueError, match="read-only"):
+            arr *= 2.0
+    model = derivative_model(rigged, sub.a_common[:, 0], 2.0, plan=plan)
+    model.f_spectrum[:] = 0.0
+    again = derivative_model(rigged, sub.a_common[:, 0], 2.0, plan=plan)
+    assert np.array_equal(again.f_spectrum, derivative_model(
+        rigged, sub.a_common[:, 0], 2.0).f_spectrum)
+
+
 def test_plan_rejects_another_diagram(product, rigged):
     with pytest.raises(ValueError, match="different diagram"):
         gluing_matrix(product, 3, 2.0, plan=DiagramPlan(rigged))
