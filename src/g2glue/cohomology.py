@@ -660,10 +660,14 @@ class HarmonicPair:
 
 
 def sample_pair(d: SumDiagram, m: int, rng: np.random.Generator,
-                scale: float = 1.0) -> HarmonicPair:
-    """Random valid input: restrict a random total class, random exact part."""
+                scale: float = 1.0, *,
+                plan: DiagramPlan | None = None) -> HarmonicPair:
+    """Random valid input: restrict a random total class, random exact part.
+
+    ``plan`` is a ``DiagramPlan`` of ``d`` to read the subspaces from.
+    """
     y = rng.standard_normal(d.dim("H_M", m)) * scale
-    sub = subspaces(d, m - 1)
+    sub = _plan(d, plan).subspaces(m - 1)
     k = sub.e_common.shape[1]
     tau = sub.e_common @ (rng.standard_normal(k) * scale) if k else \
         np.zeros(d.dim("H_X", m - 1))
@@ -672,7 +676,8 @@ def sample_pair(d: SumDiagram, m: int, rng: np.random.Generator,
 
 
 def yh_exact(d: SumDiagram, m: int, tau: np.ndarray, length: float, *,
-             tol: float = 1e-10) -> np.ndarray:
+             tol: float = 1e-10,
+             plan: DiagramPlan | None = None) -> np.ndarray:
     """Exact-parameter part of the harmonic gluing map, affine in the length.
 
     With E, Z from ``_common_operator`` and c = Eᵀ G τ the coordinates of
@@ -680,7 +685,8 @@ def yh_exact(d: SumDiagram, m: int, tau: np.ndarray, length: float, *,
     to the canonical boundary preimages of the corrections plus twice the
     neck length times ``tau`` itself.  The preimage ambiguity lies in the
     boundary images, which the connecting map kills, so the result does
-    not depend on that choice.
+    not depend on that choice.  ``plan`` is a ``DiagramPlan`` of ``d`` to
+    read E and Z from.
     """
     tau = np.asarray(tau, dtype=float)
     hx = d.dim("H_X", m - 1)
@@ -688,7 +694,7 @@ def yh_exact(d: SumDiagram, m: int, tau: np.ndarray, length: float, *,
         raise ValueError(f"exact parameter must have length {hx}")
     if hx == 0:
         return np.zeros(d.dim("H_M", m))
-    _, basis, z = DiagramPlan(d).operator(m, tol)
+    _, basis, z = _plan(d, plan).operator(m, tol)
     gram = d.gram(m - 1)
     coords = basis.T @ gram @ tau
     resid = tau - basis @ coords
@@ -700,8 +706,8 @@ def yh_exact(d: SumDiagram, m: int, tau: np.ndarray, length: float, *,
 
 
 def yh_full(d: SumDiagram, m: int, pair: HarmonicPair, length: float, *,
-            section: np.ndarray | None = None,
-            tol: float = 1e-10) -> np.ndarray:
+            section: np.ndarray | None = None, tol: float = 1e-10,
+            plan: DiagramPlan | None = None) -> np.ndarray:
     """Harmonic gluing map: matching pair plus exact parameter to total class.
 
     The matching part is lifted through a stored right-inverse of the
@@ -709,6 +715,7 @@ def yh_full(d: SumDiagram, m: int, pair: HarmonicPair, length: float, *,
     supplied); different sections move the output by elements of the image
     of the connecting map only, which never affects rank diagnostics.  The
     restriction of the output back to the halves reproduces the input pair.
+    ``plan`` is a ``DiagramPlan`` of ``d``, handed on to ``yh_exact``.
     """
     if pair.m != m:
         raise ValueError("pair degree does not match request")
@@ -727,7 +734,7 @@ def yh_full(d: SumDiagram, m: int, pair: HarmonicPair, length: float, *,
     if back.size and float(np.abs(back).max(initial=0.0)) > \
             tol * (1.0 + float(np.abs(target).max(initial=0.0))):
         raise ValueError("pair is not realizable by a total class")
-    return y0 + yh_exact(d, m, pair.tau, length, tol=tol)
+    return y0 + yh_exact(d, m, pair.tau, length, tol=tol, plan=plan)
 
 
 def gluing_matrix(d: SumDiagram, m: int, length: float, *,

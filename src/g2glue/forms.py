@@ -122,7 +122,8 @@ class ConstForm:
     # -- ring structure ----------------------------------------------------
 
     def __add__(self, other: "ConstForm") -> "ConstForm":
-        self._check_compatible(other)
+        if self.axes != other.axes or self.degree != other.degree:
+            raise ValueError("forms live on different spaces or degrees")
         out = dict(self.coeffs)
         for idx, c in other.coeffs.items():
             out[idx] = out.get(idx, 0) + c
@@ -138,10 +139,6 @@ class ConstForm:
 
     def __neg__(self) -> "ConstForm":
         return self.scale(-1)
-
-    def _check_compatible(self, other: "ConstForm") -> None:
-        if self.axes != other.axes or self.degree != other.degree:
-            raise ValueError("forms live on different spaces or degrees")
 
     def __eq__(self, other) -> bool:
         return (isinstance(other, ConstForm) and self.axes == other.axes
@@ -198,15 +195,7 @@ class ConstForm:
 
     def tovector(self, dtype=float) -> np.ndarray:
         idx = basis_indices(self.axes, self.degree)
-        if dtype is object:
-            v = np.empty(len(idx), dtype=object)
-            for p, i in enumerate(idx):
-                v[p] = self.coeffs.get(i, 0)
-            return v
-        v = np.zeros(len(idx), dtype=dtype)
-        for p, i in enumerate(idx):
-            v[p] = self.coeffs.get(i, 0.0)
-        return v
+        return np.array([self.coeffs.get(i, 0) for i in idx], dtype=dtype)
 
     @classmethod
     def fromvector(cls, axes: tuple[int, ...], degree: int, vec) -> "ConstForm":
@@ -500,49 +489,36 @@ def su3_tangent_residual(big: KForm6, small: KForm6, sigma: KForm6, tau: KForm6
     if (big.degree, small.degree, sigma.degree, tau.degree) != (3, 2, 3, 2):
         raise ValueError("expected degrees (3, 2) for the structure and (3, 2) for the tangent")
     phi = assemble_cylindrical(big, small, 1)
-    g7 = metric_from_3form(phi).mat
-    if g7.dtype == object:
-        g7 = ratmat.tofloat(g7)
-    g6 = np.asarray(g7, dtype=float)[1:, 1:]
-
-    star_big = hodge_star(g6, _asfloat6(big))
-    vol_scale = math.sqrt(float(np.linalg.det(g6)))
-    top = AXES6
-
-    six_form = _asfloat6(sigma).wedge(star_big) - _asfloat6(tau).wedge(_asfloat6(small)).wedge(_asfloat6(small))
-    r1 = abs(six_form.coeffs.get(top, 0.0)) / vol_scale
-
-    five_form = _asfloat6(sigma).wedge(_asfloat6(small)) + _asfloat6(big).wedge(_asfloat6(tau))
-    r2 = _metric_norm(g6, five_form)
+    g6 = ratmat.tofloat(metric_from_3form(phi).mat)[1:, 1:]
+    big, small, sigma, tau = (ConstForm(f.axes, f.degree, {i: float(c) for i, c in f.coeffs.items()})
+                              for f in (big, small, sigma, tau))
+    six_form = sigma.wedge(hodge_star(g6, big)) - tau.wedge(small).wedge(small)
+    r1 = abs(six_form.coeffs.get(AXES6, 0.0)) / math.sqrt(float(np.linalg.det(g6)))
+    # r2 = sqrt(c . Lambda^5(g^-1) . c) for the 5-form's coefficients c
+    c = (sigma.wedge(small) + big.wedge(tau)).tovector()
+    r2 = math.sqrt(max(float(c @ _compound(np.linalg.inv(g6), 5) @ c), 0.0))
     return r1, r2
-
-
-def _asfloat6(f: ConstForm) -> ConstForm:
-    return ConstForm(f.axes, f.degree, {i: float(c) for i, c in f.coeffs.items()})
-
-
-def _metric_norm(g: np.ndarray, f: ConstForm) -> float:
-    """Norm sqrt(<f, f>_g) = sqrt(c . Lambda^k(g^-1) . c)."""
-    c = f.tovector()
-    return math.sqrt(max(float(c @ _compound(np.linalg.inv(g), f.degree) @ c), 0.0))
 
 
 # -- vectorized pointwise kernels ------------------------------------------
 #
-# The same maps as gram_from_3form / metric_from_3form / hodge_star, but
-# acting on arrays of coefficient rows at once.  These back the sampled
-# torsion pipeline, where the metric varies from grid point to grid point.
-# Both kernels are chains of batched matmuls against constant structure
-# matrices:
+# gram_from_3form / metric_from_3form / hodge_star on arrays of coefficient
+# rows, for the sampled torsion pipeline.  No stable row reaches
+# numpy.linalg:
 #
-#   B = U Q U^T, where U (7 x 21) holds the contractions e_i . c in the
-#     2-form basis and Q (21 x 21) the coefficients of vol in
-#     dx^u ^ dx^v ^ c; both are linear in c,
-#   (*c)_J = sqrt(det g) * sign(Jc, J) * (g^-1 g^-1 g^-1 . c)^{Jc}, the
-#     antisymmetric tensor of c with all three indices raised by g^-1,
-#     read at the triple Jc complementary to J.  This is the 3-form row of
-#     _star_matrix without forming Lambda^3(g^-1) per sample; the
-#     complements and signs come from the same _hodge_table.
+#   B = U Q U^T: U (7 x 21) holds the contractions e_p . c in the 2-form
+#     basis, U[p, ab] = phi_abp, and Q (21 x 21) the coefficients of vol in
+#     dx^u ^ dx^v ^ c; both are linear in c.
+#   metric_batch factors B once by _eliminate.  det B is the product of
+#     the pivots, and g = s B is positive definite exactly when every pivot
+#     has the sign of det B (Sylvester's criterion, as Cholesky tests it).
+#   star3_batch reads psi off Bryant's identity (math/0305124, section 2),
+#     true for the metric g that phi induces and psi oriented by phi:
+#         phi_abp phi_cdq g^pq = g_ac g_bd - g_ad g_bc + psi_abcd.
+#     One elimination solves phi_ab. g^-1 for five pairs (a, b), one of
+#     which lies in every quadruple.  The star for dx^1..7 is eps psi with
+#     eps = sign(det B), the orientation of phi, read off the sign of
+#     phi ^ psi = 7 eps sqrt(det g) vol.
 
 @lru_cache(maxsize=1)
 def _gram_matrices() -> tuple[np.ndarray, np.ndarray]:
@@ -589,63 +565,85 @@ def gram_batch(coeffs: np.ndarray) -> np.ndarray:
     return u @ q @ np.swapaxes(u, -1, -2)
 
 
+def _eliminate(aug: np.ndarray) -> np.ndarray:
+    """Gaussian elimination without pivoting on aug = [a | y], in place.
+
+    ``aug`` is (m, m + r, n), batch axis last.  Returns the pivots (m, n)
+    of each a and leaves a^-1 y in aug[:, m:]; a zero pivot leaves inf or nan.
+    """
+    m = len(aug)
+    for k in range(m):
+        aug[k, k + 1:] /= aug[k, k]
+        aug[k + 1:, k + 1:] -= aug[k + 1:, k, None] * aug[k, None, k + 1:]
+    for k in range(m - 1, 0, -1):
+        aug[:k, m:] -= aug[:k, k, None] * aug[k, None, m:]
+    return aug[range(m), range(m)]
+
+
 def metric_batch(coeffs: np.ndarray) -> np.ndarray:
     """Induced metrics, shape (..., 7, 7), for a batch of stable 3-forms.
 
-    Raises NotStable if any row is degenerate or lies outside the
-    positive-definite orbit.
+    Raises NotStable if any row is degenerate or, failing that, lies
+    outside the positive-definite orbit.
     """
     b = gram_batch(coeffs)
-    det = np.linalg.det(b)
-    if not np.all(np.isfinite(det)) or np.any(np.abs(det) < 1e-250):
-        raise NotStable("degenerate 3-form in batch")
+    rows = b.reshape(-1, 7, 7)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        piv = _eliminate(np.moveaxis(rows, 0, -1).copy())
+        det = piv.prod(axis=0)
+        stable = (((piv > 0).all(axis=0) | (piv < 0).all(axis=0))
+                  & np.isfinite(det) & (np.abs(det) >= 1e-250))
+    if not stable.all():
+        det = np.linalg.det(rows[~stable])   # tells the two failures apart
+        if not np.all(np.isfinite(det)) or np.any(np.abs(det) < 1e-250):
+            raise NotStable("degenerate 3-form in batch")
+        raise NotStable("batch contains a 3-form with indefinite induced form")
     s = np.copysign(KAPPA * np.abs(det) ** (-1.0 / 9.0), det)
-    g = s[..., None, None] * b
-    try:
-        np.linalg.cholesky(g)
-    except np.linalg.LinAlgError:
-        raise NotStable("batch contains a 3-form with indefinite induced form") from None
-    return g
+    return s.reshape(b.shape[:-2] + (1, 1)) * b
+
+
+# Any four axes hold two of one part {1, 2, 3}, {4, 5} or {6, 7}, so one
+# of these pairs (0-based) lies in every quadruple.
+_RAISED_PAIRS = ((0, 1), (0, 2), (1, 2), (3, 4), (5, 6))
 
 
 @lru_cache(maxsize=1)
-def _star3_index() -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """(expand, rows, signs) arrays for the batched star on 3-forms.
-
-    expand   : (35, 343) matrix taking a coefficient row to the flattened
-               antisymmetric 7 x 7 x 7 tensor of the 3-form,
-    rows[j]  : 0-based axis triple complementary to the j-th 4-form index,
-    signs[j] : sign of the permutation (complement, j-th 4-index).
-    """
-    basis3 = basis_indices(AXES7, 3)
-    comp, signs = _hodge_table(7, 3)
-    rows = np.array(basis_indices(tuple(range(7)), 3), dtype=np.intp)[comp]
-    expand = np.zeros((35, 7, 7, 7))
-    for i, idx in enumerate(basis3):
-        for perm in itertools.permutations(idx):
-            expand[(i,) + tuple(ax - 1 for ax in perm)] = _merge_sign(perm, ())[0]
-    return expand.reshape(35, 343), rows, signs
+def _star3_tables() -> tuple[np.ndarray, ...]:
+    """Row tables for star3_batch, the J-th quadruple taken as
+    sign[J] * (a, b, c, d) with (a, b) the r-th raised pair:
+    raise_rows[p, r] and u[J, i] are the rows of phi_abp and phi_cdp in U,
+    y[J, i] the row of (phi_ab. g^-1)_p, p the i-th axis off c and d, and
+    g[:, J] those of g_ac, g_bd, g_ad and g_bc in g."""
+    pos2 = basis_position(tuple(range(7)), 2)
+    raise_rows = [[21 * p + pos2[ab] for ab in _RAISED_PAIRS] for p in range(7)]
+    sign, y, u, g = [], [], [], []
+    for quad in basis_indices(tuple(range(7)), 4):
+        r, (a, b) = next((r, ab) for r, ab in enumerate(_RAISED_PAIRS)
+                         if set(ab) <= set(quad))
+        c, d = (x for x in quad if x not in (a, b))
+        sign.append(_merge_sign((a, b), (c, d))[0])
+        ps = [p for p in range(7) if p not in (c, d)]    # phi_cdp = 0 for the rest
+        y.append([5 * p + r for p in ps])
+        u.append([21 * p + pos2[c, d] for p in ps])
+        g.append([7 * a + c, 7 * b + d, 7 * a + d, 7 * b + c])
+    return tuple(map(np.array, (raise_rows, sign, y, u, np.transpose(g))))
 
 
 def star3_batch(metrics: np.ndarray, coeffs: np.ndarray) -> np.ndarray:
-    """Hodge star of a batch of 3-forms, one metric per row.
+    """Hodge star of a batch of 3-forms, each for the metric it induces.
 
-    ``metrics`` is (..., 7, 7) positive definite, ``coeffs`` (..., 35);
-    returns 4-form coefficient rows (..., 35) matching hodge_star, from
-
-        (*c)_J = sqrt(det g) * sign(Jc, J) * (g^-1 g^-1 g^-1 . c)^{Jc}.
+    ``metrics`` (..., 7, 7) must be metric_batch(coeffs), ``coeffs``
+    (..., 35); returns hodge_star's 4-form rows (..., 35) as eps psi.
     """
-    g = np.asarray(metrics, dtype=float)
-    c = np.asarray(coeffs)
-    lead = c.shape[:-1]
-    g = g.reshape(-1, 7, 7)
-    c = c.reshape(-1, 35)
-    n = c.shape[0]
-    expand, rows, signs = _star3_index()
-    ginv = np.linalg.inv(g)
-    scale = np.sqrt(np.linalg.det(g))
-    t = (c @ expand).reshape(n, 7, 49)
-    t = (ginv @ t).reshape(n, 49, 7) @ ginv      # raise the first and last index
-    t = ginv[:, None] @ t.reshape(n, 7, 7, 7)     # raise the middle index
-    out = scale[:, None] * signs * t[:, rows[:, 0], rows[:, 1], rows[:, 2]]
-    return out.reshape(lead + (35,))
+    ct = np.asarray(coeffs, dtype=float).reshape(-1, 35).T
+    n = ct.shape[1]
+    gt = np.asarray(metrics, dtype=float).reshape(n, 49).T
+    raise_rows, sign, y, u, g = _star3_tables()
+    ut = _gram_matrices()[0] @ ct
+    aug = np.concatenate([gt.reshape(7, 7, n), ut[raise_rows]], axis=1)
+    _eliminate(aug)
+    psi = sign[:, None] * (np.einsum("jpn,jpn->jn", aug[:, 7:].reshape(35, n)[y], ut[u])
+                           - gt[g[0]] * gt[g[1]] + gt[g[2]] * gt[g[3]])
+    comp, signs = _hodge_table(7, 3)
+    eps = np.sign(signs @ (ct[comp] * psi))
+    return (eps * psi).T.reshape(np.shape(coeffs))

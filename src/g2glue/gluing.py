@@ -92,7 +92,7 @@ class ReductionStopped(Exception):
 
 
 class Diverged(ReductionStopped, RuntimeError):
-    """Torsion increased for three consecutive reduction steps."""
+    """Torsion stopped decreasing for three consecutive reduction steps."""
 
 
 class AboveSmallness(ReductionStopped, ValueError):
@@ -617,6 +617,10 @@ class GluingReport:
                          str(self.iterations), str(self.converged).lower()])
 
 
+# Relative drop in the worst torsion that counts as progress of a step.
+_PROGRESS = 1e-6
+
+
 def torsion_reduce(glued: GluedField, tol: float = 1e-10, max_iter: int = 25,
                    smallness: float = 0.1) -> tuple[GluedField, GluingReport]:
     """Iteratively remove torsion by adding exact forms.
@@ -633,7 +637,9 @@ def torsion_reduce(glued: GluedField, tol: float = 1e-10, max_iter: int = 25,
     torsion_residual measured at the end of the previous step, so each
     step stars the field once.  Stops at torsion <= tol (sup norms) or
     max_iter; raises Diverged after three consecutive steps that do not
-    improve on the best torsion so far, AboveSmallness (a ValueError) if
+    lower the best torsion so far by more than a relative _PROGRESS (at
+    the closedness floor the steps differ only in roundoff, which must not
+    decide the step count), AboveSmallness (a ValueError) if
     the initial torsion exceeds the smallness threshold relative to the
     field.  Both carry the steps taken and the last measured torsion.
     The report carries the torsion of the returned field.
@@ -662,7 +668,7 @@ def torsion_reduce(glued: GluedField, tol: float = 1e-10, max_iter: int = 25,
         field = _restore_harmonic_block(field + update, pin)
         meas = torsion_residual(field)
         iterations += 1
-        if meas.worst >= best:
+        if meas.worst >= best * (1.0 - _PROGRESS):
             worse += 1
             if worse >= 3:
                 raise Diverged(f"torsion stopped decreasing after {iterations} steps",

@@ -4,12 +4,13 @@ numpy object arrays carry ``fractions.Fraction`` scalars through ``+``, ``*``
 and ``@`` without losing exactness, but ``numpy.linalg`` refuses them.  The
 handful of dense routines needed for exact-arithmetic paths (determinants,
 inverses, ranks, solves on matrices of size at most a few dozen) live here.
-Everything is plain fraction-free-ish Gaussian elimination with partial
-"pivot on first nonzero"; speed is irrelevant at these sizes.
+All of them eliminate with "pivot on first nonzero"; ``det``, which exact
+minors call many times, runs fraction-free on integers.
 """
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
 
 import numpy as np
@@ -31,26 +32,37 @@ def tofloat(a: np.ndarray) -> np.ndarray:
 
 
 def det(a: np.ndarray) -> Fraction:
-    """Exact determinant by elimination with row pivoting."""
-    m = asfrac(a)
+    """Exact determinant by fraction-free (Bareiss) elimination.
+
+    Each row is scaled to integers by the lcm of its denominators, so the
+    elimination runs on Python ints: every Bareiss quotient is exact, and
+    a zero pivot swaps in the first row below with a nonzero entry.
+    """
+    m = np.asarray(a)
     n = m.shape[0]
     if m.shape != (n, n):
         raise ValueError("det needs a square matrix")
-    sign = 1
-    out = Fraction(1)
-    for c in range(n):
-        p = next((r for r in range(c, n) if m[r, c] != 0), None)
+    rows, scale = [], 1
+    for row in m.tolist():
+        row = [v if isinstance(v, Fraction) else Fraction(v) for v in row]
+        lcm = math.lcm(*(v.denominator for v in row))
+        rows.append([v.numerator * (lcm // v.denominator) for v in row])
+        scale *= lcm
+    sign, prev = 1, 1
+    for c in range(n - 1):
+        p = next((r for r in range(c, n) if rows[r][c] != 0), None)
         if p is None:
             return Fraction(0)
         if p != c:
-            m[[c, p]] = m[[p, c]]
+            rows[c], rows[p] = rows[p], rows[c]
             sign = -sign
-        out *= m[c, c]
-        piv = m[c, c]
-        for r in range(c + 1, n):
-            if m[r, c] != 0:
-                m[r, c:] = m[r, c:] - (m[r, c] / piv) * m[c, c:]
-    return sign * out
+        piv = rows[c]
+        for row in rows[c + 1:]:
+            lead = row[c]
+            for j in range(c + 1, n):
+                row[j] = (row[j] * piv[c] - lead * piv[j]) // prev
+        prev = piv[c]
+    return Fraction(sign * rows[-1][-1] if n else 1, scale)
 
 
 def rref(a: np.ndarray) -> tuple[np.ndarray, list[int]]:

@@ -15,10 +15,10 @@ import pytest
 
 from g2glue import cli
 from g2glue.cohomology import (
+    DiagramPlan,
     sample_pair,
     shift_C,
     singular_levels,
-    subspaces,
     synth_diagram,
     validate_C,
     validate_diagram,
@@ -51,9 +51,9 @@ def report(line):
     print(line)
 
 
-def brute_rank_deficient(diagram, length):
+def brute_rank_deficient(diagram, length, plan):
     from g2glue.cohomology import gluing_matrix
-    matrix = gluing_matrix(diagram, 3, length)
+    matrix = gluing_matrix(diagram, 3, length, plan=plan)
     svals = np.linalg.svd(matrix, compute_uv=False)
     rank = int(np.sum(svals > RANK_TOL * max(1.0, svals[0])))
     return rank < diagram.dim("H_M", 3)
@@ -179,14 +179,15 @@ def test_criterion_06_rank_deficiency_matches_spectrum():
     for seed in range(100):
         dim = seed % 5
         diagram = synth_diagram(seed, dim, random_spectrum(rng, dim))
-        levels = singular_levels(diagram, 3)
+        plan = DiagramPlan(diagram)
+        levels = singular_levels(diagram, 3, plan=plan)
         spectrum = -2.0 * levels
         samples = list(levels) + list(rng.uniform(0.5, 7.0,
                                                   size=50 - levels.size))
         for length in samples:
             predicted = (bool(np.min(np.abs(2.0 * length + spectrum)) < 1e-8)
                          if spectrum.size else False)
-            if brute_rank_deficient(diagram, float(length)) != predicted:
+            if brute_rank_deficient(diagram, float(length), plan) != predicted:
                 disagreements += 1
             checked += 1
     assert disagreements == 0
@@ -200,16 +201,19 @@ def test_criterion_07_length_shift_law():
     for seed in (0, 3, 11, 21):
         diagram = synth_diagram(seed, 1 + seed % 3,
                                 random_spectrum(rng, 1 + seed % 3))
+        plan = DiagramPlan(diagram)
         kmap = np.vstack([diagram.mat("istar_plus", 3),
                           diagram.mat("istar_minus", 3)])
         section = np.linalg.pinv(kmap)
         delta = diagram.mat("mv_delta", 3)
         for _ in range(250):
-            pair = sample_pair(diagram, 3, rng)
+            pair = sample_pair(diagram, 3, rng, plan=plan)
             length = rng.uniform(3.0, 10.0)
             h = rng.uniform(-2.0, 2.0)
-            lhs = (yh_full(diagram, 3, pair, length + h, section=section)
-                   - yh_full(diagram, 3, pair, length, section=section)
+            lhs = (yh_full(diagram, 3, pair, length + h, section=section,
+                           plan=plan)
+                   - yh_full(diagram, 3, pair, length, section=section,
+                             plan=plan)
                    - 2.0 * h * (delta @ pair.tau))
             worst = max(worst, float(np.abs(lhs).max(initial=0.0)))
     assert worst <= 1e-12
@@ -272,17 +276,19 @@ def test_criterion_10_derivative_model_rigged():
     cases = [(11, (-4.0,)), (21, (-6.0, -3.0)), (31, (-10.0, -7.0, -2.0))]
     for seed, spectrum in cases:
         diagram = synth_diagram(seed, len(spectrum), spectrum)
-        omega = subspaces(diagram, 2).a_common[:, 0]
+        plan = DiagramPlan(diagram)
+        omega = plan.subspaces(2).a_common[:, 0]
         predicted = sorted(-0.5 * lam for lam in spectrum)
         probes = sorted(set(predicted)
                         | {p + 0.5 for p in predicted}
                         | {p - 0.5 for p in predicted if p > 0.5}
                         | set(map(float, range(4, 13))))
         for length in probes:
-            model = derivative_model(diagram, omega, length)
+            model = derivative_model(diagram, omega, length, plan=plan)
             expect = all(abs(length - p) > 1e-9 for p in predicted)
             assert model.bijective == expect, (seed, length)
-        sigmas = [(length, derivative_model(diagram, omega, length).sigma_min)
+        sigmas = [(length,
+                   derivative_model(diagram, omega, length, plan=plan).sigma_min)
                   for length in map(float, range(5, 13))]
         slope = np.polyfit([s[0] for s in sigmas],
                            [s[1] for s in sigmas], 1)[0]

@@ -428,6 +428,39 @@ def test_plan_solves_each_degree_once(e2d_diagram, monkeypatch):
     assert calls == [2]
 
 
+def test_plan_backed_samples_equal_fresh_samples_bitwise(e2d_diagram,
+                                                         monkeypatch):
+    calls = []
+
+    def counting(d, m):
+        calls.append(m)
+        return subspaces(d, m)
+
+    d = e2d_diagram
+    section = np.linalg.pinv(np.vstack([d.mat("istar_plus", 3),
+                                        d.mat("istar_minus", 3)]))
+    fresh = np.random.default_rng(5)
+    want = []
+    for length in (0.75, 2.2, 6.0):
+        pair = sample_pair(d, 3, fresh)
+        want.append((pair, yh_exact(d, 3, pair.tau, length),
+                     yh_full(d, 3, pair, length, section=section)))
+    monkeypatch.setattr(cohomology, "subspaces", counting)
+    plan = DiagramPlan(d)
+    planned = np.random.default_rng(5)
+    for length, (pair, exact, full) in zip((0.75, 2.2, 6.0), want):
+        got = sample_pair(d, 3, planned, plan=plan)
+        assert np.array_equal(got.tau, pair.tau)
+        assert np.array_equal(got.a_plus, pair.a_plus)
+        assert np.array_equal(yh_exact(d, 3, got.tau, length, plan=plan),
+                              exact)
+        assert np.array_equal(yh_full(d, 3, got, length, section=section,
+                                      plan=plan), full)
+    assert calls == [2]
+    with pytest.raises(ValueError, match="different diagram"):
+        sample_pair(synth_diagram(4, 1, (-3.0,)), 3, planned, plan=plan)
+
+
 def test_plan_arrays_are_read_only(rigged):
     # Every call given the plan shares these arrays; a write in place must
     # fail rather than change the answer of later calls.

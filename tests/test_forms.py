@@ -431,3 +431,124 @@ def test_batched_metric_rejects_a_degenerate_row():
         forms.metric_batch(coeffs)
     with pytest.raises(NotStable):
         forms.metric_batch(coeffs[3:4])
+
+
+def reversed_rows(rng, count):
+    """Rows near Omega0 - dx^1 ^ omega0, whose orientation is opposite to
+    dx^1..7: det B < 0 on every one."""
+    base = assemble_cylindrical(Omega0(), omega0(), -1).tovector()
+    return base + 1e-3 * rng.standard_normal((count, 35))
+
+
+def test_batched_star_on_orientation_reversed_rows():
+    coeffs = reversed_rows(np.random.default_rng(53), 40)
+    assert np.all(np.linalg.det(forms.gram_batch(coeffs)) < 0)
+    g = forms.metric_batch(coeffs)
+    s = forms.star3_batch(g, coeffs)
+    for k, c in enumerate(coeffs):
+        phi = ConstForm.fromvector(AXES7, 3, c)
+        metric = metric_from_3form(phi).mat
+        assert rel_err(g[k], metric) <= 1e-12
+        assert rel_err(s[k], hodge_star(metric, phi).tovector()) <= 1e-12
+
+
+def test_batched_star_wedges_to_seven_volumes():
+    # psi = eps * (*phi), eps = sign(det B) the orientation of phi, has
+    # phi ^ psi = 7 eps sqrt(det g) dx^1..7 on either orientation.
+    rng = np.random.default_rng(59)
+    coeffs = np.vstack([stable_rows(rng, 10), reversed_rows(rng, 20)])
+    eps = np.sign(np.linalg.det(forms.gram_batch(coeffs)))
+    assert set(eps) == {-1.0, 1.0}
+    g = forms.metric_batch(coeffs)
+    s = forms.star3_batch(g, coeffs)
+    for c, e, gk, sk in zip(coeffs, eps, g, s):
+        phi = ConstForm.fromvector(AXES7, 3, c)
+        psi = ConstForm.fromvector(AXES7, 4, e * sk)
+        want = 7.0 * e * math.sqrt(np.linalg.det(gk))
+        assert abs(phi.wedge(psi).coeffs[AXES7] - want) <= 1e-12 * abs(want)
+
+
+def test_batched_kernels_leave_their_inputs_alone():
+    coeffs = np.vstack([stable_rows(np.random.default_rng(61), 3),
+                        reversed_rows(np.random.default_rng(67), 2)])
+    for batch in (coeffs, coeffs[:1], coeffs[6:7], coeffs.reshape(2, 4, 35)):
+        kept = batch.copy()
+        g = forms.metric_batch(batch)
+        kept_g = g.copy()
+        s = forms.star3_batch(g, batch)
+        assert np.array_equal(batch, kept) and np.array_equal(g, kept_g)
+        assert not np.shares_memory(g, batch) and not np.shares_memory(s, batch)
+        assert not np.shares_memory(s, g)
+
+
+def split_form():
+    """The split G2 form: det B = -6^7 and B = diag(6, 6, -6, 6, -6, -6, 6)."""
+    return phi0().tovector() * np.where(
+        np.arange(35) == basis_indices(AXES7, 3).index((3, 5, 6)), -1.0, 1.0)
+
+
+DEGENERATE = "degenerate 3-form in batch"
+INDEFINITE = "batch contains a 3-form with indefinite induced form"
+
+
+def unstable_rows():
+    """(row, message) pairs: the NotStable message metric_batch raises on
+    that row, alone or among stable rows."""
+    shear = np.eye(7)
+    shear[2, 0] = 1.0                       # e1 -> e1 + e3, a null vector
+    null_lead = ConstForm.fromvector(AXES7, 3, split_form()).pullback(shear)
+    nan_row = phi0().tovector()
+    nan_row[4] = np.nan
+    inf_row = phi0().tovector()
+    inf_row[9] = -np.inf
+    return [(KForm7(3, {(1, 2, 3): 1.0}).tovector(), DEGENERATE),
+            (split_form(), INDEFINITE),
+            (null_lead.tovector(), INDEFINITE),
+            (nan_row, DEGENERATE),
+            (inf_row, DEGENERATE)]
+
+
+def test_unstable_rows_premises():
+    (degenerate, _), (split, _), (null_lead, _), *_ = unstable_rows()
+    assert np.linalg.det(forms.gram_batch(degenerate)) == 0.0
+    b = forms.gram_batch(split)
+    assert np.array_equal(b, np.diag([6.0, 6, -6, 6, -6, -6, 6]))
+    b = forms.gram_batch(null_lead)
+    assert b[0, 0] == 0.0 and abs(np.linalg.det(b)) > 1e5
+
+
+@pytest.mark.parametrize("index", range(5), ids=[
+    "degenerate", "split", "null-leading-pivot", "nan", "inf"])
+def test_batched_metric_messages(index):
+    row, message = unstable_rows()[index]
+    batch = stable_rows(np.random.default_rng(71), 3)
+    batch[2] = row
+    for rows in (batch, row[None], row):
+        with pytest.raises(NotStable) as info:
+            forms.metric_batch(rows)
+        assert type(info.value) is NotStable and str(info.value) == message
+
+
+def test_batched_metric_reports_degenerate_before_indefinite():
+    (degenerate, _), (split, _), *_ = unstable_rows()
+    batch = stable_rows(np.random.default_rng(73), 3)
+    batch[0] = split
+    batch[5] = degenerate
+    with pytest.raises(NotStable, match=DEGENERATE):
+        forms.metric_batch(batch)
+
+
+def test_batched_kernels_skip_lapack_on_stable_rows(monkeypatch):
+    coeffs = np.vstack([stable_rows(np.random.default_rng(79), 20),
+                        reversed_rows(np.random.default_rng(83), 20)])
+    want_g = forms.metric_batch(coeffs)
+    want_s = forms.star3_batch(want_g, coeffs)
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("numpy.linalg called on a stable batch")
+
+    for name in ("det", "inv", "cholesky"):
+        monkeypatch.setattr(np.linalg, name, refuse)
+    g = forms.metric_batch(coeffs)
+    assert np.array_equal(g, want_g)
+    assert np.array_equal(forms.star3_batch(g, coeffs), want_s)

@@ -1,5 +1,6 @@
 """Neck assembly tests: cutoffs, tail integrals, surgery, torsion, reduction."""
 
+import dataclasses
 import gc
 import math
 import tracemalloc
@@ -399,6 +400,28 @@ def test_stopped_reductions_carry_steps_and_last_torsion(flat_glued):
         torsion_reduce(glued, tol=1e-10)
     assert info.value.iterations == 5
     assert info.value.measure.worst > 1e-10
+
+
+def test_floor_steps_ignore_roundoff_drift(monkeypatch):
+    # At the closedness floor (L = 5 above) the worst torsion moves by about
+    # 1e-10 relative per step.  A drift of 1e-9 per step on top of it must
+    # not count as progress: the reducer still stops after the third
+    # stalled step instead of running on to max_iter.
+    real = gluing.torsion_residual
+    calls = []
+
+    def drifting(field):
+        meas = real(field)
+        calls.append(1)
+        drift = 1.0 - 1e-9 * max(0, len(calls) - 3)
+        return dataclasses.replace(meas, d_sup=meas.d_sup * drift)
+
+    monkeypatch.setattr(gluing, "torsion_residual", drifting)
+    plus = modulated_shear_structure(1, amplitude=0.05)
+    glued = glue_fields(plus, flat_structure(-1), 5.0)
+    with pytest.raises(Diverged) as info:
+        torsion_reduce(glued, tol=1e-10)
+    assert info.value.iterations == 5
 
 
 # -- the per-mode solve ----------------------------------------------------
