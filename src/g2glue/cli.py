@@ -34,7 +34,6 @@ import numpy as np
 
 from .cohomology import (
     B1NotZero,
-    DiagramPlan,
     InconsistentTargets,
     SingularBoundary,
     SumDiagram,
@@ -500,17 +499,16 @@ def cmd_glue_sweep(cfg: ScenarioConfig) -> int:
 
 # -- spectrum --------------------------------------------------------------
 
-def _diagram_failures(plan: DiagramPlan, tol: float, exact: bool):
-    diagram = plan.diagram
+def _diagram_failures(diagram: SumDiagram, tol: float, exact: bool):
     records = list(validate_diagram(diagram, tol=tol, exact=exact).checks)
-    records += list(validate_C(diagram, tol=tol, plan=plan).checks)
+    records += list(validate_C(diagram, tol=tol).checks)
     failures = [f"{r.name}[{r.degree}]: {r.detail}" for r in records
                 if not r.passed]
     return len(records), failures
 
 
-def _rank_row(plan: DiagramPlan, length: float, levels: np.ndarray) -> dict:
-    matrix = gluing_matrix(plan.diagram, 3, length, plan=plan)
+def _rank_row(diagram: SumDiagram, length: float, levels: np.ndarray) -> dict:
+    matrix = gluing_matrix(diagram, 3, length)
     full = min(matrix.shape)
     if matrix.size:
         svals = np.linalg.svd(matrix, compute_uv=False)
@@ -525,9 +523,8 @@ def _rank_row(plan: DiagramPlan, length: float, levels: np.ndarray) -> dict:
 
 def cmd_spectrum(cfg: ScenarioConfig) -> int:
     diagram = _load_diagram(cfg.need("input"))
-    plan = DiagramPlan(diagram)
     try:
-        total, failures = _diagram_failures(plan, cfg.tol, cfg.exact)
+        total, failures = _diagram_failures(diagram, cfg.tol, cfg.exact)
     except SingularBoundary as exc:
         total, failures = 0, [f"singular-boundary: {exc}"]
     payload = {"schema": SCHEMA, "command": "spectrum", "seed": cfg.seed,
@@ -538,9 +535,9 @@ def cmd_spectrum(cfg: ScenarioConfig) -> int:
         csv_lines.extend(failures)
         _emit(cfg, payload, csv_lines)
         return 1
-    levels = {m: singular_levels(diagram, m, plan=plan) for m in range(8)}
+    levels = {m: singular_levels(diagram, m) for m in range(8)}
     levels = {m: lv for m, lv in levels.items() if lv.size}
-    rows = [_rank_row(plan, length, levels.get(3, np.zeros(0)))
+    rows = [_rank_row(diagram, length, levels.get(3, np.zeros(0)))
             for length in cfg.lengths()]
     payload["levels"] = {str(m): lv for m, lv in levels.items()}
     payload["rows"] = rows
@@ -559,8 +556,8 @@ def cmd_spectrum(cfg: ScenarioConfig) -> int:
 
 # -- derivative ------------------------------------------------------------
 
-def _distinguished_class(plan: DiagramPlan, path: str | None) -> np.ndarray:
-    want = plan.diagram.dim("H_X", 2)
+def _distinguished_class(diagram: SumDiagram, path: str | None) -> np.ndarray:
+    want = diagram.dim("H_X", 2)
     if path is not None:
         obj = _load_json(path)
         if not isinstance(obj, dict) or "omega" not in obj:
@@ -570,7 +567,7 @@ def _distinguished_class(plan: DiagramPlan, path: str | None) -> np.ndarray:
             raise InputError(
                 f"{path}: 'omega' must have {want} entries for this diagram")
         return omega
-    sub = plan.subspaces(2)
+    sub = diagram.subspaces(2)
     pool = sub.a_common if sub.a_common.shape[1] else sub.e_common
     if pool.shape[1] == 0:
         raise InputError(
@@ -581,13 +578,12 @@ def _distinguished_class(plan: DiagramPlan, path: str | None) -> np.ndarray:
 
 def cmd_derivative(cfg: ScenarioConfig) -> int:
     diagram = _load_diagram(cfg.need("input"))
-    plan = DiagramPlan(diagram)
-    omega = _distinguished_class(plan, cfg.input2)
+    omega = _distinguished_class(diagram, cfg.input2)
     models = []
     for length in cfg.lengths():
         try:
             models.append(derivative_model(diagram, omega, length,
-                                           tol=cfg.tol, plan=plan))
+                                           tol=cfg.tol))
         except (B1NotZero, SingularBoundary) as exc:
             raise InputError(str(exc)) from exc
         except ValueError as exc:

@@ -14,15 +14,18 @@ from the common orthogonal complement of the two boundary images,
 determines a class on the sum.  Its dependence on the neck length is
 affine, it degenerates precisely at a finite set of singular lengths
 computed from a self-adjoint operator, and its degree-3 restriction
-models the derivative of the nonlinear gluing construction.  Everything
-here is pure and allocation-cheap; diagrams are treated as immutable
-once built.
+models the derivative of the nonlinear gluing construction.  A diagram
+is immutable once built (its arrays are read-only), so it keeps each
+degree's length-independent solves itself and every function here reads
+them from it: a scan over many lengths solves each degree once.
 """
 
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, fields, replace
+from collections.abc import Mapping
+from dataclasses import dataclass, field, fields, replace
+from types import MappingProxyType
 
 import numpy as np
 
@@ -34,7 +37,6 @@ __all__ = [
     "CheckRecord",
     "DegreeBlock",
     "DerivativeModel",
-    "DiagramPlan",
     "DiagramReport",
     "HarmonicPair",
     "InconsistentTargets",
@@ -113,6 +115,13 @@ def _as2d(a, rows: int, cols: int) -> np.ndarray:
     return out
 
 
+def _freeze(*arrays: np.ndarray) -> tuple[np.ndarray, ...]:
+    """Make ``arrays`` read-only and return them."""
+    for a in arrays:
+        a.flags.writeable = False
+    return arrays
+
+
 def _as_gram(a, dim: int, m: int) -> np.ndarray:
     """``_as2d`` for the cross-section pairing: symmetric positive definite."""
     ip = _as2d(a, dim, dim)
@@ -137,22 +146,39 @@ class DegreeBlock:
     cross-section dimension of the previous block.  ``ip_x`` is the positive
     definite pairing used for every orthogonality statement on the
     cross-section, and the two ``c_*`` matrices encode the neck correction
-    consumed by the harmonic gluing formula.
+    consumed by the harmonic gluing formula.  ``dims`` and ``maps`` are
+    kept as read-only views of copies, so no entry can be swapped later.
     """
 
     m: int
-    dims: dict[str, int]
-    maps: dict[str, np.ndarray]
+    dims: Mapping[str, int]
+    maps: Mapping[str, np.ndarray]
     ip_x: np.ndarray
     c_plus: np.ndarray
     c_minus: np.ndarray
 
+    def __post_init__(self):
+        object.__setattr__(self, "dims", MappingProxyType(dict(self.dims)))
+        object.__setattr__(self, "maps", MappingProxyType(dict(self.maps)))
+
 
 @dataclass(frozen=True)
 class SumDiagram:
-    """Eight degree blocks plus cross-degree shape consistency."""
+    """Eight degree blocks plus cross-degree shape consistency.
+
+    Construction marks every map, pairing and correction array read-only.
+    The harmonic gluing map is affine in the neck length, so apart from a
+    final product everything a length scan needs is fixed by the diagram:
+    per degree the boundary-image ``subspaces`` and the neck ``operator``.
+    The diagram solves each the first time it is asked for and keeps it,
+    read-only, for every later call.
+    """
 
     degrees: tuple[DegreeBlock, ...]
+    _subspaces: dict[int, Subspaces] = field(
+        default_factory=dict, init=False, repr=False, compare=False)
+    _operators: dict[tuple[int, float], tuple] = field(
+        default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if len(self.degrees) != N_DEGREES:
@@ -177,6 +203,7 @@ class SumDiagram:
                 raise ValueError(f"C_plus at degree {m} has wrong shape")
             if blk.c_minus.shape != (blk.dims["Hcpt_Mminus"], prev_hx):
                 raise ValueError(f"C_minus at degree {m} has wrong shape")
+            _freeze(*blk.maps.values(), blk.ip_x, blk.c_plus, blk.c_minus)
 
     def _expected_shape(self, key: str, m: int) -> tuple[int, int]:
         row_node, col_node = _MAP_NODES[key]
@@ -212,6 +239,26 @@ class SumDiagram:
             blk = self.degrees[m]
             return blk.c_plus if side > 0 else blk.c_minus
         return np.zeros((0, 0))
+
+    def subspaces(self, m: int) -> Subspaces:
+        """``subspaces(self, m)``, solved on first use and kept."""
+        if m not in self._subspaces:
+            # The module-level function, so that wrapping it sees each solve.
+            sub = subspaces(self, m)
+            _freeze(*(getattr(sub, f.name) for f in fields(sub)))
+            self._subspaces[m] = sub
+        return self._subspaces[m]
+
+    def operator(self, m: int, tol: float = 1e-10):
+        """(op, E, Z) of ``_common_operator`` over degree m - 1, kept.
+
+        ``tol`` is the boundary-map rank tolerance of the preimage solve.
+        """
+        key = (m, tol)
+        if key not in self._operators:
+            self._operators[key] = _freeze(*_common_operator(
+                self, m, tol, self.subspaces(m - 1)))
+        return self._operators[key]
 
 
 # ---------------------------------------------------------------------------
@@ -474,7 +521,7 @@ def _common_operator(d: SumDiagram, m: int, tol: float, sub: Subspaces):
 
     Z sums the two canonical boundary preimages of C(E), column by column;
     this is the one place they are solved.  ``sub`` is
-    ``subspaces(d, m - 1)``; ``DiagramPlan.operator`` is the caller.
+    ``subspaces(d, m - 1)``; ``SumDiagram.operator`` is the caller.
     """
     basis = sub.e_common
     if basis.shape[1] == 0:
@@ -485,88 +532,20 @@ def _common_operator(d: SumDiagram, m: int, tol: float, sub: Subspaces):
     return 0.5 * (op + op.T), basis, z
 
 
-class DiagramPlan:
-    """One diagram's length-independent gluing data, each piece solved once.
-
-    The harmonic gluing map is affine in the neck length, so apart from a
-    final product everything a length scan needs is fixed by the diagram:
-    per degree the boundary-image ``subspaces`` and the neck ``operator``
-    (op, E, Z) of ``_common_operator``, the two costly solves.  A plan
-    computes each the first time it is asked for and keeps it, so one
-    plan passed as ``plan=`` to every call of a command solves them once
-    rather than once per length.  Diagrams are immutable, which is what
-    makes this safe; a plan belongs to the one diagram it was built for.
-    The arrays it keeps are read-only, since every call shares them.
-    Functions taking ``plan=`` build a fresh plan when given none.
-    """
-
-    def __init__(self, d: SumDiagram):
-        self.diagram = d
-        self._subspaces: dict[int, Subspaces] = {}
-        self._operators: dict[tuple[int, float], tuple] = {}
-
-    def subspaces(self, m: int) -> Subspaces:
-        if m not in self._subspaces:
-            # The module-level function, so that wrapping it sees each solve.
-            sub = subspaces(self.diagram, m)
-            _freeze(*(getattr(sub, f.name) for f in fields(sub)))
-            self._subspaces[m] = sub
-        return self._subspaces[m]
-
-    def operator(self, m: int, tol: float = 1e-10):
-        """(op, E, Z) of ``_common_operator``, over degree m - 1.
-
-        ``tol`` is the boundary-map rank tolerance of the preimage solve.
-        """
-        key = (m, tol)
-        if key not in self._operators:
-            self._operators[key] = _freeze(*_common_operator(
-                self.diagram, m, tol, self.subspaces(m - 1)))
-        return self._operators[key]
-
-    def shifted(self, lam: float) -> DiagramPlan:
-        """A separate plan for ``shift_C(d, lam)`` sharing these subspaces.
-
-        The shift moves only C, so the subspaces agree; every operator of
-        the shifted diagram is still solved on its own.
-        """
-        plan = DiagramPlan(shift_C(self.diagram, lam))
-        plan._subspaces = self._subspaces
-        return plan
-
-
-def _freeze(*arrays: np.ndarray) -> tuple[np.ndarray, ...]:
-    """Make ``arrays`` read-only and return them."""
-    for a in arrays:
-        a.flags.writeable = False
-    return arrays
-
-
-def _plan(d: SumDiagram, plan: DiagramPlan | None) -> DiagramPlan:
-    if plan is None:
-        return DiagramPlan(d)
-    if plan.diagram is not d:
-        raise ValueError("plan was built for a different diagram")
-    return plan
-
-
-def singular_levels(d: SumDiagram, m: int, *,
-                    plan: DiagramPlan | None = None) -> np.ndarray:
+def singular_levels(d: SumDiagram, m: int) -> np.ndarray:
     """Neck lengths at which the degree-m harmonic gluing map degenerates.
 
     Each eigenvalue lam of the neck operator contributes the level -lam/2;
     the map is an isomorphism at every other length.  Sorted ascending.
-    ``plan`` is a ``DiagramPlan`` of ``d`` to read the operator from.
     """
-    op, _, _ = _plan(d, plan).operator(m)
+    op, _, _ = d.operator(m)
     if op.shape[0] == 0:
         return np.zeros(0)
     return np.sort(-0.5 * np.linalg.eigvalsh(op))
 
 
 def validate_C(d: SumDiagram, *, tol: float = 1e-10,
-               shift_probe: float = 2.0,
-               plan: DiagramPlan | None = None) -> DiagramReport:
+               shift_probe: float = 2.0) -> DiagramReport:
     """Check the neck-correction matrices against their defining properties.
 
     Per degree and side: the correction must vanish under the extension
@@ -574,16 +553,14 @@ def validate_C(d: SumDiagram, *, tol: float = 1e-10,
     self-adjoint operator on the complement of the boundary image.  The
     probe shift verifies that moving the neck coordinate acts on the
     combined operator as an exact multiple of the identity; the shifted
-    diagram gets a plan of its own, so its operators are solved afresh.
-    ``plan`` is a ``DiagramPlan`` of ``d`` to read and fill.
+    diagram solves its operators afresh.
     """
     rec: list[CheckRecord] = []
-    plan = _plan(d, plan)
-    shifted = plan.shifted(shift_probe)
+    shifted = shift_C(d, shift_probe)
     for m in range(1, N_DEGREES):
         if d.dim("H_X", m - 1) == 0:
             continue
-        sub = plan.subspaces(m - 1)
+        sub = d.subspaces(m - 1)
         for side, tag in ((1, "plus"), (-1, "minus")):
             cmat = d.c_mat(side, m)
             if cmat.size == 0:
@@ -611,7 +588,7 @@ def validate_C(d: SumDiagram, *, tol: float = 1e-10,
                 rec.append(CheckRecord(f"corr-selfadjoint-{tag}", m,
                                        asym <= tol * opscale,
                                        f"asymmetry={asym:.3e}"))
-        op0, _, _ = plan.operator(m, tol)
+        op0, _, _ = d.operator(m, tol)
         if op0.shape[0]:
             op1, _, _ = shifted.operator(m, tol)
             drift = float(np.abs(op1 - op0 - shift_probe * np.eye(op0.shape[0])).max())
@@ -627,7 +604,8 @@ def shift_C(d: SumDiagram, lam: float) -> SumDiagram:
     The shift adds half of ``lam`` times the boundary map to each side's
     correction, so the combined operator on the common complement gains
     exactly ``lam`` times the identity and every singular level drops by
-    ``lam / 2``.
+    ``lam / 2``.  The boundary images do not move, so the result shares
+    the subspaces ``d`` has solved; its operators are its own.
     """
     blocks = []
     for m, blk in enumerate(d.degrees):
@@ -636,7 +614,9 @@ def shift_C(d: SumDiagram, lam: float) -> SumDiagram:
             c_plus=blk.c_plus + 0.5 * lam * d.mat("del_plus", m),
             c_minus=blk.c_minus + 0.5 * lam * d.mat("del_minus", m),
         ))
-    return SumDiagram(tuple(blocks))
+    shifted = SumDiagram(tuple(blocks))
+    object.__setattr__(shifted, "_subspaces", d._subspaces)
+    return shifted
 
 
 # ---------------------------------------------------------------------------
@@ -660,14 +640,10 @@ class HarmonicPair:
 
 
 def sample_pair(d: SumDiagram, m: int, rng: np.random.Generator,
-                scale: float = 1.0, *,
-                plan: DiagramPlan | None = None) -> HarmonicPair:
-    """Random valid input: restrict a random total class, random exact part.
-
-    ``plan`` is a ``DiagramPlan`` of ``d`` to read the subspaces from.
-    """
+                scale: float = 1.0) -> HarmonicPair:
+    """Random valid input: restrict a random total class, random exact part."""
     y = rng.standard_normal(d.dim("H_M", m)) * scale
-    sub = _plan(d, plan).subspaces(m - 1)
+    sub = d.subspaces(m - 1)
     k = sub.e_common.shape[1]
     tau = sub.e_common @ (rng.standard_normal(k) * scale) if k else \
         np.zeros(d.dim("H_X", m - 1))
@@ -676,8 +652,7 @@ def sample_pair(d: SumDiagram, m: int, rng: np.random.Generator,
 
 
 def yh_exact(d: SumDiagram, m: int, tau: np.ndarray, length: float, *,
-             tol: float = 1e-10,
-             plan: DiagramPlan | None = None) -> np.ndarray:
+             tol: float = 1e-10) -> np.ndarray:
     """Exact-parameter part of the harmonic gluing map, affine in the length.
 
     With E, Z from ``_common_operator`` and c = Eᵀ G τ the coordinates of
@@ -685,8 +660,7 @@ def yh_exact(d: SumDiagram, m: int, tau: np.ndarray, length: float, *,
     to the canonical boundary preimages of the corrections plus twice the
     neck length times ``tau`` itself.  The preimage ambiguity lies in the
     boundary images, which the connecting map kills, so the result does
-    not depend on that choice.  ``plan`` is a ``DiagramPlan`` of ``d`` to
-    read E and Z from.
+    not depend on that choice.
     """
     tau = np.asarray(tau, dtype=float)
     hx = d.dim("H_X", m - 1)
@@ -694,7 +668,7 @@ def yh_exact(d: SumDiagram, m: int, tau: np.ndarray, length: float, *,
         raise ValueError(f"exact parameter must have length {hx}")
     if hx == 0:
         return np.zeros(d.dim("H_M", m))
-    _, basis, z = _plan(d, plan).operator(m, tol)
+    _, basis, z = d.operator(m, tol)
     gram = d.gram(m - 1)
     coords = basis.T @ gram @ tau
     resid = tau - basis @ coords
@@ -706,8 +680,8 @@ def yh_exact(d: SumDiagram, m: int, tau: np.ndarray, length: float, *,
 
 
 def yh_full(d: SumDiagram, m: int, pair: HarmonicPair, length: float, *,
-            section: np.ndarray | None = None, tol: float = 1e-10,
-            plan: DiagramPlan | None = None) -> np.ndarray:
+            section: np.ndarray | None = None,
+            tol: float = 1e-10) -> np.ndarray:
     """Harmonic gluing map: matching pair plus exact parameter to total class.
 
     The matching part is lifted through a stored right-inverse of the
@@ -715,7 +689,6 @@ def yh_full(d: SumDiagram, m: int, pair: HarmonicPair, length: float, *,
     supplied); different sections move the output by elements of the image
     of the connecting map only, which never affects rank diagnostics.  The
     restriction of the output back to the halves reproduces the input pair.
-    ``plan`` is a ``DiagramPlan`` of ``d``, handed on to ``yh_exact``.
     """
     if pair.m != m:
         raise ValueError("pair degree does not match request")
@@ -734,11 +707,10 @@ def yh_full(d: SumDiagram, m: int, pair: HarmonicPair, length: float, *,
     if back.size and float(np.abs(back).max(initial=0.0)) > \
             tol * (1.0 + float(np.abs(target).max(initial=0.0))):
         raise ValueError("pair is not realizable by a total class")
-    return y0 + yh_exact(d, m, pair.tau, length, tol=tol, plan=plan)
+    return y0 + yh_exact(d, m, pair.tau, length, tol=tol)
 
 
-def gluing_matrix(d: SumDiagram, m: int, length: float, *,
-                  plan: DiagramPlan | None = None) -> np.ndarray:
+def gluing_matrix(d: SumDiagram, m: int, length: float) -> np.ndarray:
     """Matrix of the harmonic gluing map over a spanning input set.
 
     G(L) = [section·K | δ(Z + 2L·E)], affine in the length.  The first
@@ -746,11 +718,11 @@ def gluing_matrix(d: SumDiagram, m: int, length: float, *,
     halves by K, exact part zero); the second holds ``yh_exact`` of each
     column of the common-complement basis E, with E and Z read from
     ``_common_operator``.  Rank equal to the total-space dimension is the
-    brute-force isomorphism test.  ``plan`` is a ``DiagramPlan`` of ``d``;
-    with one, a call costs pinv(K)·K and the exact-block product.
+    brute-force isomorphism test.  Once ``d`` has solved the degree, a
+    call costs pinv(K)·K and the exact-block product.
     """
     kmap = np.vstack([d.mat("istar_plus", m), d.mat("istar_minus", m)])
-    _, basis, z = _plan(d, plan).operator(m)
+    _, basis, z = d.operator(m)
     exact = d.mat("mv_delta", m) @ (z + 2.0 * length * basis)
     return np.hstack([np.linalg.pinv(kmap) @ kmap, exact])
 
@@ -787,8 +759,7 @@ class DerivativeModel:
 
 
 def derivative_model(d: SumDiagram, omega_class: np.ndarray, length: float, *,
-                     tol: float = 1e-10,
-                     plan: DiagramPlan | None = None) -> DerivativeModel:
+                     tol: float = 1e-10) -> DerivativeModel:
     """Model the derivative of the gluing map in the structure-form degree.
 
     Requires the total space to have no degree-1 cohomology.  The exact
@@ -796,9 +767,9 @@ def derivative_model(d: SumDiagram, omega_class: np.ndarray, length: float, *,
     distinguished class inside the common complement, the extra direction
     scales the connecting image of that class, and bijectivity holds
     precisely when minus twice the length misses the compressed spectrum.
-    ``plan`` is a ``DiagramPlan`` of ``d`` to read the neck operator from;
-    it is solved at the default tolerance, and ``tol`` is only the norm
-    below which the class counts as orthogonal to the common complement.
+    The neck operator is solved at the default tolerance; ``tol`` is only
+    the norm below which the class counts as orthogonal to the common
+    complement.
     """
     if d.dim("H_M", 1) != 0:
         raise B1NotZero(
@@ -808,7 +779,7 @@ def derivative_model(d: SumDiagram, omega_class: np.ndarray, length: float, *,
     if omega_class.shape != (d.dim("H_X", 2),):
         raise ValueError("distinguished class must live on the degree-2 "
                          "cross-section")
-    op, basis, _ = _plan(d, plan).operator(3)
+    op, basis, _ = d.operator(3)
     k = basis.shape[1]
     delta = d.mat("mv_delta", 3)
     gram = d.gram(2)
@@ -1045,7 +1016,7 @@ def _conjugate(d: SumDiagram, rng: np.random.Generator) -> SumDiagram:
             else blk.c_plus
         cm = t[("Hcpt_Mminus", m)] @ blk.c_minus @ cprev if blk.c_minus.size \
             else blk.c_minus
-        blocks.append(DegreeBlock(m, dict(blk.dims), maps, ip, cp, cm))
+        blocks.append(DegreeBlock(m, blk.dims, maps, ip, cp, cm))
     return SumDiagram(tuple(blocks))
 
 

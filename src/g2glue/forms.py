@@ -586,18 +586,19 @@ def metric_batch(coeffs: np.ndarray) -> np.ndarray:
     Raises NotStable if any row is degenerate or, failing that, lies
     outside the positive-definite orbit.
     """
-    b = gram_batch(coeffs)
-    rows = b.reshape(-1, 7, 7)
-    with np.errstate(divide="ignore", invalid="ignore"):
+    # A non-finite or huge row must end in NotStable, not in a numpy warning.
+    with np.errstate(all="ignore"):
+        b = gram_batch(coeffs)
+        rows = b.reshape(-1, 7, 7)
         piv = _eliminate(np.moveaxis(rows, 0, -1).copy())
         det = piv.prod(axis=0)
         stable = (((piv > 0).all(axis=0) | (piv < 0).all(axis=0))
                   & np.isfinite(det) & (np.abs(det) >= 1e-250))
-    if not stable.all():
-        det = np.linalg.det(rows[~stable])   # tells the two failures apart
-        if not np.all(np.isfinite(det)) or np.any(np.abs(det) < 1e-250):
-            raise NotStable("degenerate 3-form in batch")
-        raise NotStable("batch contains a 3-form with indefinite induced form")
+        if not stable.all():
+            det = np.linalg.det(rows[~stable])   # tells the two failures apart
+            if not np.all(np.isfinite(det)) or np.any(np.abs(det) < 1e-250):
+                raise NotStable("degenerate 3-form in batch")
+            raise NotStable("batch contains a 3-form with indefinite induced form")
     s = np.copysign(KAPPA * np.abs(det) ** (-1.0 / 9.0), det)
     return s.reshape(b.shape[:-2] + (1, 1)) * b
 

@@ -687,8 +687,7 @@ def sweep_reports(plus, minus, lengths, cutoff: CutoffSpec = CutoffSpec(),
     """Glue (and optionally reduce) at each L; fit the torsion decay slope.
 
     Without a reduce tolerance the reports carry the raw glued torsion.
-    The slope is the least-squares gradient of log(dstar sup norm)
-    against L, attached to every report; None when degenerate.
+    The slope is fit_torsion_slope's, attached to every report.
     """
     reports = []
     for length in lengths:
@@ -704,12 +703,18 @@ def sweep_reports(plus, minus, lengths, cutoff: CutoffSpec = CutoffSpec(),
 
 
 def fit_torsion_slope(reports) -> float | None:
-    ls = np.array([r.length for r in reports], dtype=float)
-    ys = np.array([r.torsion_ds_sup for r in reports], dtype=float)
-    keep = ys > 0.0
-    if keep.sum() < 2:
+    """Gradient of log(dstar sup norm) against L over the unconverged rows.
+
+    Converged rows are left out: their torsion sits at the roundoff floor,
+    where a roundoff-level change can flip the sign of a fitted slope.
+    None with fewer than two rows left.
+    """
+    rows = [r for r in reports if not r.converged and r.torsion_ds_sup > 0.0]
+    if len(rows) < 2:
         return None
-    return float(np.polyfit(ls[keep], np.log(ys[keep]), 1)[0])
+    ls = np.array([r.length for r in rows], dtype=float)
+    ys = np.array([r.torsion_ds_sup for r in rows], dtype=float)
+    return float(np.polyfit(ls, np.log(ys), 1)[0])
 
 
 def estimate_L0(plus, minus, lengths, tol: float = 1e-10, max_iter: int = 25,

@@ -11,7 +11,6 @@ import pytest
 
 from g2glue import cli, cohomology
 from g2glue.cohomology import (
-    DiagramPlan,
     SingularBoundary,
     diagram_from_json,
     diagram_to_json,
@@ -301,6 +300,19 @@ def test_glue_sweep_rows_equal_sweep_reports(tmp_path, flat_pair, capsys):
     assert payload["slope"] == serial[0].slope
 
 
+def test_converged_sweep_fits_no_slope(tmp_path, flat_pair, capsys):
+    # Converged rows sit at the roundoff floor: a slope there fits roundoff.
+    closed = write_structure(tmp_path / "closed.json", 1,
+                             kind="closed-perturbation", amplitude=1e-3)
+    argv = ["glue-sweep", "--input", closed, "--input2", flat_pair[1],
+            "--L-start", "4", "--L-stop", "8", "--L-step", "0.5"]
+    rc, out, _ = run_cli(argv, capsys)
+    payload = json.loads(out)
+    assert rc == 0 and payload["slope"] is None and len(payload["rows"]) == 9
+    assert all(r["converged"] and "slope" not in r for r in payload["rows"])
+    assert "# slope=" not in run_cli(argv + ["--format", "csv"], capsys)[1]
+
+
 _FAULTS_PER_STEP = """
 import resource, sys
 import numpy as np
@@ -536,7 +548,7 @@ def test_derivative_tol_leaves_the_operator_solve_alone(tmp_path, capsys):
     maps["del_plus"] = (np.asarray(maps["del_plus"]) @ squash).tolist()
     near = diagram_from_json(obj)
     with pytest.raises(SingularBoundary):
-        DiagramPlan(near).operator(3, 1e-6)
+        near.operator(3, 1e-6)
     path = tmp_path / "near.json"
     path.write_text(json.dumps(obj))
     runs = [run_cli(["derivative", "--input", str(path), *extra], capsys)

@@ -8,7 +8,6 @@ import pytest
 from g2glue import cohomology
 from g2glue.cohomology import (
     B1NotZero,
-    DiagramPlan,
     HarmonicPair,
     InconsistentTargets,
     SingularBoundary,
@@ -350,7 +349,7 @@ def e2d_diagram(request):
     return synth_diagram(29 + k, k, tuple(-1.5 - 2.0 * i for i in range(k)))
 
 
-def test_gluing_matrix_takes_subspaces_once(e2d_diagram, monkeypatch):
+def counted_subspaces(monkeypatch):
     calls = []
 
     def counting(d, m):
@@ -358,10 +357,19 @@ def test_gluing_matrix_takes_subspaces_once(e2d_diagram, monkeypatch):
         return subspaces(d, m)
 
     monkeypatch.setattr(cohomology, "subspaces", counting)
+    return calls
+
+
+def test_gluing_matrix_takes_subspaces_once(e2d_diagram, monkeypatch):
+    # A warm diagram solves nothing more; a rebuilt copy starts empty and
+    # solves degree 2 once, whatever the number of lengths.
+    gluing_matrix(e2d_diagram, 3, 0.0)
+    calls = counted_subspaces(monkeypatch)
+    fresh = dataclasses.replace(e2d_diagram)
     for length in (0.75, 4.0):
-        calls.clear()
         gluing_matrix(e2d_diagram, 3, length)
-        assert calls == [2]
+        gluing_matrix(fresh, 3, length)
+    assert calls == [2]
 
 
 def test_gluing_matrix_exact_block_is_yh_exact(e2d_diagram):
@@ -391,20 +399,19 @@ def test_gluing_matrix_is_affine_in_length(e2d_diagram):
 
 
 def test_plan_backed_calls_equal_fresh_calls_bitwise(e2d_diagram):
+    # The warm diagram answers from its kept solves; a rebuilt copy solves
+    # them again.
     d = e2d_diagram
-    plan = DiagramPlan(d)
-    assert validate_C(d, plan=plan).ok
-    levels = singular_levels(d, 3, plan=plan)
-    assert np.array_equal(levels, singular_levels(d, 3))
+    assert validate_C(d).ok
+    cold = dataclasses.replace(d)
     for m in range(8):
-        assert np.array_equal(singular_levels(d, m, plan=plan),
-                              singular_levels(d, m))
+        assert np.array_equal(singular_levels(d, m), singular_levels(cold, m))
     omega = subspaces(d, 2).a_common[:, 0]
-    for length in (*levels, 2.2, 6.0):
-        assert np.array_equal(gluing_matrix(d, 3, length, plan=plan),
-                              gluing_matrix(d, 3, length))
-        got = derivative_model(d, omega, length, plan=plan)
-        want = derivative_model(d, omega, length)
+    for length in (*singular_levels(d, 3), 2.2, 6.0):
+        assert np.array_equal(gluing_matrix(d, 3, length),
+                              gluing_matrix(cold, 3, length))
+        got = derivative_model(d, omega, length)
+        want = derivative_model(cold, omega, length)
         assert np.array_equal(got.matrix, want.matrix)
         assert np.array_equal(got.f_spectrum, want.f_spectrum)
         assert got.sigma_min == want.sigma_min
@@ -412,91 +419,79 @@ def test_plan_backed_calls_equal_fresh_calls_bitwise(e2d_diagram):
 
 
 def test_plan_solves_each_degree_once(e2d_diagram, monkeypatch):
-    calls = []
-
-    def counting(d, m):
-        calls.append(m)
-        return subspaces(d, m)
-
-    monkeypatch.setattr(cohomology, "subspaces", counting)
-    d = e2d_diagram
-    plan = DiagramPlan(d)
-    omega = plan.subspaces(2).a_common[:, 0]
+    calls = counted_subspaces(monkeypatch)
+    d = dataclasses.replace(e2d_diagram)
+    omega = d.subspaces(2).a_common[:, 0]
     for length in (0.75, 2.2, 6.0):
-        gluing_matrix(d, 3, length, plan=plan)
-        derivative_model(d, omega, length, plan=plan)
+        gluing_matrix(d, 3, length)
+        derivative_model(d, omega, length)
     assert calls == [2]
+
+
+def test_shifts_reuse_the_diagram_subspaces(e2d_diagram, monkeypatch):
+    # Criterion 8's pattern: the shift moves only C, so across the diagram
+    # and its shifts each degree's subspaces are solved once.
+    calls = counted_subspaces(monkeypatch)
+    d = dataclasses.replace(e2d_diagram)
+    assert validate_C(d).ok
+    for m in range(8):
+        singular_levels(d, m)
+    for lam in (1.7, -2.3, 0.5):
+        singular_levels(shift_C(d, lam), 3)
+    assert len(calls) == len(set(calls)) and 2 in calls, calls
 
 
 def test_plan_backed_samples_equal_fresh_samples_bitwise(e2d_diagram,
                                                          monkeypatch):
-    calls = []
-
-    def counting(d, m):
-        calls.append(m)
-        return subspaces(d, m)
-
-    d = e2d_diagram
-    section = np.linalg.pinv(np.vstack([d.mat("istar_plus", 3),
-                                        d.mat("istar_minus", 3)]))
-    fresh = np.random.default_rng(5)
-    want = []
+    warm = e2d_diagram
+    warm.operator(3)
+    section = np.linalg.pinv(kmat(warm, 3))
+    calls = counted_subspaces(monkeypatch)
+    cold = dataclasses.replace(warm)
+    rng_w, rng_c = np.random.default_rng(5), np.random.default_rng(5)
     for length in (0.75, 2.2, 6.0):
-        pair = sample_pair(d, 3, fresh)
-        want.append((pair, yh_exact(d, 3, pair.tau, length),
-                     yh_full(d, 3, pair, length, section=section)))
-    monkeypatch.setattr(cohomology, "subspaces", counting)
-    plan = DiagramPlan(d)
-    planned = np.random.default_rng(5)
-    for length, (pair, exact, full) in zip((0.75, 2.2, 6.0), want):
-        got = sample_pair(d, 3, planned, plan=plan)
-        assert np.array_equal(got.tau, pair.tau)
-        assert np.array_equal(got.a_plus, pair.a_plus)
-        assert np.array_equal(yh_exact(d, 3, got.tau, length, plan=plan),
-                              exact)
-        assert np.array_equal(yh_full(d, 3, got, length, section=section,
-                                      plan=plan), full)
+        want, got = sample_pair(warm, 3, rng_w), sample_pair(cold, 3, rng_c)
+        assert np.array_equal(got.tau, want.tau)
+        assert np.array_equal(got.a_plus, want.a_plus)
+        assert np.array_equal(yh_exact(cold, 3, got.tau, length),
+                              yh_exact(warm, 3, want.tau, length))
+        assert np.array_equal(yh_full(cold, 3, got, length, section=section),
+                              yh_full(warm, 3, want, length, section=section))
     assert calls == [2]
-    with pytest.raises(ValueError, match="different diagram"):
-        sample_pair(synth_diagram(4, 1, (-3.0,)), 3, planned, plan=plan)
 
 
 def test_plan_arrays_are_read_only(rigged):
-    # Every call given the plan shares these arrays; a write in place must
-    # fail rather than change the answer of later calls.
-    plan = DiagramPlan(rigged)
-    sub = plan.subspaces(2)
-    for arr in (*plan.operator(3), sub.e_common, sub.a_common, sub.projector):
+    # Every call shares the diagram's arrays and its kept solves; a write
+    # in place must fail rather than change the answer of later calls.
+    sub = rigged.subspaces(2)
+    for arr in (rigged.mat("mv_delta", 3), rigged.gram(2), rigged.c_mat(1, 3),
+                *rigged.operator(3), sub.e_common, sub.a_common,
+                sub.projector):
         with pytest.raises(ValueError, match="read-only"):
             arr *= 2.0
-    model = derivative_model(rigged, sub.a_common[:, 0], 2.0, plan=plan)
+    with pytest.raises(TypeError):
+        rigged.degrees[3].maps["del_plus"] = 2.0 * rigged.mat("del_plus", 3)
+    model = derivative_model(rigged, sub.a_common[:, 0], 2.0)
     model.f_spectrum[:] = 0.0
-    again = derivative_model(rigged, sub.a_common[:, 0], 2.0, plan=plan)
+    again = derivative_model(rigged, sub.a_common[:, 0], 2.0)
     assert np.array_equal(again.f_spectrum, derivative_model(
-        rigged, sub.a_common[:, 0], 2.0).f_spectrum)
-
-
-def test_plan_rejects_another_diagram(product, rigged):
-    with pytest.raises(ValueError, match="different diagram"):
-        gluing_matrix(product, 3, 2.0, plan=DiagramPlan(rigged))
+        dataclasses.replace(rigged), sub.a_common[:, 0], 2.0).f_spectrum)
 
 
 def test_validate_C_solves_the_shifted_operator_afresh(rigged):
-    # A plan whose operators are already solved must not lend them to the
-    # shifted diagram, or the shift rule would compare op with itself.
-    plan = DiagramPlan(rigged)
+    # A diagram whose operators are already solved must not lend them to
+    # its shift, or the shift rule would compare op with itself.
     for m in range(8):
-        singular_levels(rigged, m, plan=plan)
-    assert validate_C(rigged, plan=plan).ok
+        singular_levels(rigged, m)
+    assert validate_C(rigged).ok
     blk = rigged.degrees[3]
     c_plus = blk.c_plus.copy()
     c_plus[0, 0] += 1e-3
     moved = dataclasses.replace(
         rigged, degrees=tuple(dataclasses.replace(b, c_plus=c_plus)
                               if b.m == 3 else b for b in rigged.degrees))
-    plan = DiagramPlan(moved)
-    singular_levels(moved, 3, plan=plan)
-    names = {f.name for f in validate_C(moved, plan=plan).failures}
+    singular_levels(moved, 3)
+    names = {f.name for f in validate_C(moved).failures}
     assert names & {"corr-shift-rule", "corr-selfadjoint-plus"}, names
 
 

@@ -17,7 +17,6 @@ lengths or a grid of 1e12 samples is not covered here.
 import json
 import math
 
-import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
@@ -204,8 +203,8 @@ def _check_contract(rc, out, err, fmt):
 
 
 # The CLI runs its commands under np.errstate(all="ignore"), so no numpy
-# warning may reach the warnings channel either: any RuntimeWarning fails.
-@pytest.mark.filterwarnings("error::RuntimeWarning")
+# warning may reach the warnings channel either: pyproject.toml makes any
+# RuntimeWarning fail the test.
 @CONTRACT
 @given(data=st.data(), broken=faults(), fmt=st.sampled_from(["json", "csv"]))
 def test_glue_sweep_contract(tmp_path, capsys, data, broken, fmt):
@@ -257,7 +256,6 @@ def diagrams(draw):
     return obj
 
 
-@pytest.mark.filterwarnings("error::RuntimeWarning")
 @CONTRACT
 @given(data=st.data(), diagram=diagrams(),
        command=st.sampled_from(["spectrum", "derivative"]),
