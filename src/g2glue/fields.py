@@ -14,9 +14,12 @@ constraint c_{-xi} = conj(c_xi), validated at construction.
 
 The t-axis is either an interval [a, b] with n inclusive samples (fourth
 order finite differences) or a circle of circumference b - a with n
-samples and spectral derivatives.  The L^2 pairing uses the probability
-measure on the torus, so Parseval holds without 2*pi factors, and the
-trapezoid rule (interval) or uniform rule (circle) in t.
+samples and spectral derivatives.  The exterior derivative differentiates
+in t only the dt-free columns, the only ones dt ^ (.) keeps, and takes the
+xi = 0 coefficient, real by the reality constraint, through the real
+half-spectrum on a circle.  The L^2 pairing uses the probability measure
+on the torus, so Parseval holds without 2*pi factors, and the trapezoid
+rule (interval) or uniform rule (circle) in t.
 """
 
 from __future__ import annotations
@@ -25,7 +28,7 @@ import itertools
 import math
 import numbers
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property, lru_cache
 
 import numpy as np
 
@@ -124,15 +127,31 @@ class TGrid:
             w[-1] *= 0.5
         return w
 
+    @cached_property
+    def _ddt_multiplier(self) -> np.ndarray:
+        """Spectral d/dt on a circle, 2 pi i k / length over the fft
+        frequencies k, with the Nyquist entry zeroed for even n.  Its first
+        n // 2 + 1 entries are the multiplier of the real half-spectrum."""
+        k = np.fft.fftfreq(self.n, d=1.0 / self.n)
+        if self.n % 2 == 0:
+            k[self.n // 2] = 0.0
+        return 2j * np.pi * k / self.length
+
     def ddt(self, y: np.ndarray) -> np.ndarray:
-        """d/dt along axis 0 of a sample array."""
+        """d/dt along axis 0 of a sample array.
+
+        On a circle a complex array takes the full fft round trip and a
+        real one (such as the xi = 0 coefficient, real by the reality
+        constraint) the real half-spectrum, rfft then irfft, returning a
+        real array.  On an interval it is the fourth-order stencil.
+        """
         if self.periodic:
-            k = np.fft.fftfreq(self.n, d=1.0 / self.n)
-            if self.n % 2 == 0:
-                k[self.n // 2] = 0.0
-            mult = 2j * np.pi * k / self.length
-            shape = (self.n,) + (1,) * (y.ndim - 1)
-            return np.fft.ifft(mult.reshape(shape) * np.fft.fft(y, axis=0), axis=0)
+            shape = (-1,) + (1,) * (y.ndim - 1)
+            mult = self._ddt_multiplier
+            if np.iscomplexobj(y):
+                return np.fft.ifft(mult.reshape(shape) * np.fft.fft(y, axis=0), axis=0)
+            half = mult[: self.n // 2 + 1].reshape(shape)
+            return np.fft.irfft(half * np.fft.rfft(y, axis=0), self.n, axis=0)
         h12 = 12.0 * self.h
         d = np.empty_like(y, dtype=complex if np.iscomplexobj(y) else float)
         d[2:-2] = (y[:-4] - 8 * y[1:-3] + 8 * y[3:-1] - y[4:]) / h12
@@ -366,14 +385,26 @@ def dt_wedge(f: SpectralForm) -> SpectralForm:
 # -- exterior calculus -----------------------------------------------------
 
 def exterior_d(f: SpectralForm) -> SpectralForm:
-    """Exterior derivative: i*xi on torus modes, grid derivative in t."""
+    """Exterior derivative: i*xi on torus modes, grid derivative in t.
+
+    The t-part is dt ^ d/dt, which kills the dt block and carries the
+    dt-free block (the trailing C(6, k) columns) in order and with sign +1
+    onto the leading dt slots of degree k + 1.  So only the dt-free columns
+    are differentiated, and the result is the one of differentiating every
+    column and dropping the zero products.  The xi = 0 coefficient is real
+    by the reality constraint; its real part is differentiated, on a
+    circle through the real half-spectrum, so that mode of the result is
+    exactly real.
+    """
     if f.degree >= 7:
         raise ValueError("cannot differentiate a top-degree form")
-    wt = _axis_wedge_matrix(1, f.degree)
     wx = [_axis_wedge_matrix(d, f.degree) for d in range(2, 8)]
+    free = f.free_slice
     out = {}
     for xi, m in f.modes.items():
-        acc = f.grid.ddt(m) @ wt.T
+        col = m[:, free].real if xi == ZERO_XI else m[:, free]
+        acc = np.zeros((f.grid.n, _ncomp(f.degree + 1)), dtype=complex)
+        acc[:, : free.stop - free.start] = f.grid.ddt(col)
         for d in range(6):
             if xi[d]:
                 acc = acc + (1j * xi[d]) * (m @ wx[d].T)

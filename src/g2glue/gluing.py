@@ -60,6 +60,7 @@ from .fields import (
 )
 from .forms import (
     AXES7,
+    NotStable,
     _star_matrix,
     basis_position,
     hodge_star,
@@ -503,10 +504,12 @@ def _mode_solver(omega: float, n_t: int):
     Returns solve(xi, rhat) -> -A(n)^+ rhat row by row, for rhat the
     t-Fourier coefficients (n_t, 21) of a residual mode.  At xi = 0,
     A(n) = -(w n)^2 T_tt, so the solve is T_tt^+ rhat / (w n)^2 (0 at
-    n = 0) from one cached 21 x 21 matrix.  Any other mode takes a batched
-    pseudoinverse of its quadratic pencil, built on first use and held
-    only by the returned function, so nothing sized by the neck outlives
-    the reduction that made it.
+    n = 0) from one cached 21 x 21 matrix.  The xi = 0 coefficient is real
+    by the reality constraint, so rhat may also be its real half-spectrum,
+    the first n_t // 2 + 1 rows, on which the row-by-row solve is the same.
+    Any other mode takes a batched pseudoinverse of its quadratic pencil,
+    built on first use and held only by the returned function, so nothing
+    sized by the neck outlives the reduction that made it.
     """
     n = np.fft.fftfreq(n_t, d=1.0 / n_t)
     wn2 = (omega * n) ** 2
@@ -516,7 +519,7 @@ def _mode_solver(omega: float, n_t: int):
         if xi == ZERO_XI:
             shat = rhat @ _tt_pinv().T
             shat[0] = 0.0
-            shat[1:] /= wn2[1:, None]
+            shat[1:] /= wn2[1:len(shat), None]
             return shat
         pinv = stacks.get(xi)
         if pinv is None:
@@ -629,11 +632,13 @@ def torsion_reduce(glued: GluedField, tol: float = 1e-10, max_iter: int = 25,
     pseudoinverse) for a 2-form sigma against d(induced 4-form), then
     updates phi += d sigma with the xi = 0 t-mean pinned, so the harmonic
     block is preserved (its free part bitwise, its dt part to one
-    rounding quantum of the mean).  The xi = 0 mode is solved in closed
-    form from one cached 21 x 21 pseudoinverse scaled by 1 / (w n)^2;
-    every other mode uses a batched pseudoinverse over the t-frequencies,
-    built once per reduction and dropped when it returns (see
-    _mode_solver).  The residual solved against is the one
+    rounding quantum of the mean).  The xi = 0 mode, real by the reality
+    constraint, is solved on its real half-spectrum (rfft, then irfft) in
+    closed form from one cached 21 x 21 pseudoinverse scaled by
+    1 / (w n)^2, so every xi = 0 array of the reduction stays exactly
+    real; every other mode uses a batched pseudoinverse over the
+    t-frequencies, built once per reduction and dropped when it returns
+    (see _mode_solver).  The residual solved against is the one
     torsion_residual measured at the end of the previous step, so each
     step stars the field once.  Stops at torsion <= tol (sup norms) or
     max_iter; raises Diverged after three consecutive steps that do not
@@ -661,8 +666,12 @@ def torsion_reduce(glued: GluedField, tol: float = 1e-10, max_iter: int = 25,
     while meas.worst > tol and iterations < max_iter:
         sig_modes = {}
         for xi, arr in meas.dstar.modes.items():
-            shat = solve(xi, np.fft.fft(arr, axis=0))
-            sig_modes[xi] = np.fft.ifft(shat, axis=0)
+            if xi == ZERO_XI:
+                shat = solve(xi, np.fft.rfft(arr.real, axis=0))
+                sig_modes[xi] = np.fft.irfft(shat, field.grid.n, axis=0)
+            else:
+                shat = solve(xi, np.fft.fft(arr, axis=0))
+                sig_modes[xi] = np.fft.ifft(shat, axis=0)
         sigma = SpectralForm(2, field.band, field.grid, sig_modes, check=False)
         update = _zero_mean_update(exterior_d(sigma))
         field = _restore_harmonic_block(field + update, pin)
@@ -719,12 +728,19 @@ def fit_torsion_slope(reports) -> float | None:
 
 def estimate_L0(plus, minus, lengths, tol: float = 1e-10, max_iter: int = 25,
                 cutoff: CutoffSpec = CutoffSpec()) -> float:
-    """Smallest sampled L at which the reduction converges; inf if none."""
+    """Smallest sampled L at which the reduction converges; inf if none.
+
+    A length whose neck is too short, whose reduction stops (Diverged,
+    AboveSmallness) or whose field leaves the stable orbit (NotStable)
+    does not converge.  Any other ValueError from glue_fields names
+    unusable input, such as two halves of one sign or a length off the
+    grid, and is raised.
+    """
     for length in sorted(lengths):
         try:
             glued = glue_fields(plus, minus, length, cutoff)
             _, rep = torsion_reduce(glued, tol=tol, max_iter=max_iter)
-        except (NeckTooShort, Diverged, ValueError):
+        except (NeckTooShort, ReductionStopped, NotStable):
             continue
         if rep.converged:
             return float(length)

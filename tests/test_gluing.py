@@ -469,6 +469,28 @@ def test_nonzero_xi_solve_matches_explicit_pinv():
     assert np.array_equal(solve(xi, rhat), got)
 
 
+@pytest.mark.parametrize("n_t", [640, 641])
+def test_xi0_solve_on_the_real_half_spectrum(n_t):
+    omega = np.pi / 5.0
+    r = np.random.default_rng(9).standard_normal((n_t, 21))
+    solve = gluing._mode_solver(omega, n_t)
+    half = solve(ZERO_XI, np.fft.rfft(r, axis=0))
+    full = solve(ZERO_XI, np.fft.fft(r, axis=0))[: n_t // 2 + 1]
+    assert half.shape == full.shape
+    assert np.abs(half - full).max() <= 1e-14 * np.abs(full).max()
+
+
+@pytest.mark.parametrize("length", [5.0, 6.5])
+def test_reduction_keeps_the_xi0_mode_exactly_real(length):
+    plus = closed_perturbation_structure(1, amplitude=2e-3)
+    glued = glue_fields(plus, flat_structure(-1), length)
+    assert not glued.field.modes[ZERO_XI].imag.any()
+    out, report = torsion_reduce(glued, tol=1e-10)
+    assert report.iterations == 2 and report.converged
+    assert not out.field.modes[ZERO_XI].imag.any()
+    assert not torsion_residual(out).dstar.modes[ZERO_XI].imag.any()
+
+
 def test_reductions_retain_nothing_per_length(flat_pair):
     retained = []
     tracemalloc.start()
@@ -531,6 +553,18 @@ def test_estimate_L0_monotone_in_amplitude_and_tol():
 def test_estimate_L0_sentinel_when_nothing_converges():
     plus = modulated_shear_structure(1, amplitude=0.05)
     assert estimate_L0(plus, flat_structure(-1), [5.0], tol=1e-9) == math.inf
+
+
+def test_estimate_L0_raises_on_two_plus_halves(flat_pair):
+    plus = modulated_shear_structure(1, amplitude=0.05)
+    with pytest.raises(ValueError, match="signs"):
+        estimate_L0(plus, flat_pair[0], [5.0])
+
+
+def test_estimate_L0_raises_on_a_length_off_the_grid():
+    plus = modulated_shear_structure(1, amplitude=0.05)
+    with pytest.raises(ValueError, match="whole number"):
+        estimate_L0(plus, flat_structure(-1), [5.003])
 
 
 # -- synthetic structure validation ---------------------------------------
