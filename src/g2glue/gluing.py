@@ -24,12 +24,11 @@ Torsion is measured as the pair (d phi, d of the induced 4-form), the
 pointwise kernels.  The reduction iterates phi += d sigma with sigma
 solved mode by mode from the linearization of the induced-4-form map at
 the flat model; updates are exact forms, so the harmonic class of the
-field is structurally preserved.  On the torus-constant mode xi = 0 the
-linearization at t-frequency n is -(w n)^2 times one fixed 21 x 21
-matrix, so its solve is a single cached pseudoinverse scaled per n and
-builds nothing per neck length; modes with xi != 0 get a batched
-pseudoinverse over the t-frequencies that lives only as long as one
-reduction.
+field is structurally preserved.  At every frequency k = (w n, xi) the
+linearization A(k) has rank 8 with all nonzero singular values equal to
+|k|^2 (the star derivative at the flat model commutes with G2, which is
+transitive on S^6), so each mode is solved in closed form by
+A^+ = A^T / |k|^4 and the solver builds nothing per neck length.
 """
 
 from __future__ import annotations
@@ -79,7 +78,7 @@ class MismatchedLimits(ValueError):
 
 
 class NeckTooShort(ValueError):
-    """L is too small for the cutoff, or the half grids do not reach L."""
+    """L is below the 4 the cutoff needs, so no neck of that length glues."""
 
 
 class ReductionStopped(Exception):
@@ -338,7 +337,9 @@ def glue_fields(plus, minus, length: float,
     2 * length; the minus half is transplanted through t -> 2L - t, which
     negates dt-components.  Every ValueError raised here (NeckTooShort and
     MismatchedLimits included) names a violated precondition on the
-    inputs: signs, length, grids, limits, support or finiteness.
+    inputs: signs, length, grids, limits, support or finiteness.  Only
+    L < 4 is a NeckTooShort; half grids that do not reach L + 1 are a
+    plain ValueError, since longer halves, not a longer neck, would fix it.
     """
     if plus.sign != 1 or minus.sign != -1:
         raise ValueError("expected signs +1 and -1 for the two halves")
@@ -360,7 +361,7 @@ def glue_fields(plus, minus, length: float,
     if abs(q - length * density) > 1e-9:
         raise ValueError("L must be a whole number of grid steps")
     if gp.b < length + 1.0 or gm.b < length + 1.0:
-        raise NeckTooShort("half-cylinder grids must extend past L + 1")
+        raise ValueError("half-cylinder grids must extend past L + 1")
     for st in (plus, minus):
         head = [a[st.perturbation.grid.points < 0.75]
                 for a in st.perturbation.modes.values()]
@@ -488,46 +489,26 @@ def _t_blocks(xi: tuple) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     return wt5 @ m @ wt3, wt5 @ m @ x3 + x5 @ m @ wt3, x5 @ m @ x3
 
 
-@lru_cache(maxsize=1)
-def _tt_pinv() -> np.ndarray:
-    """Pseudoinverse of T_tt, the whole operator at xi = 0 up to -(w n)^2.
-
-    T_tt has eight singular values equal to 1 and thirteen at roundoff,
-    so the rcond=1e-9 cut is the same for every nonzero scale of it.
-    """
-    return np.linalg.pinv(_t_blocks(ZERO_XI)[0], rcond=1e-9)
-
-
 def _mode_solver(omega: float, n_t: int):
     """Per-mode solver of the linearized torsion operator for one neck.
 
     Returns solve(xi, rhat) -> -A(n)^+ rhat row by row, for rhat the
-    t-Fourier coefficients (n_t, 21) of a residual mode.  At xi = 0,
-    A(n) = -(w n)^2 T_tt, so the solve is T_tt^+ rhat / (w n)^2 (0 at
-    n = 0) from one cached 21 x 21 matrix.  The xi = 0 coefficient is real
-    by the reality constraint, so rhat may also be its real half-spectrum,
-    the first n_t // 2 + 1 rows, on which the row-by-row solve is the same.
-    Any other mode takes a batched pseudoinverse of its quadratic pencil,
-    built on first use and held only by the returned function, so nothing
-    sized by the neck outlives the reduction that made it.
+    t-Fourier coefficients (n_t, 21) of a residual mode, or the first
+    n_t // 2 + 1 of them (the real half-spectrum of the xi = 0 mode).
+    A(n) is a scaled partial isometry: its eight nonzero singular values
+    all equal |k|^2 = (w n)^2 + |xi|^2, because the star derivative at the
+    flat model commutes with G2 and G2 is transitive on S^6.  So
+    A^+ = A^T / |k|^4 and the solve is the three blocks of _t_blocks
+    applied to the rows, with 0 at k = 0.
     """
-    n = np.fft.fftfreq(n_t, d=1.0 / n_t)
-    wn2 = (omega * n) ** 2
-    stacks = {}
+    wn = omega * np.fft.fftfreq(n_t, d=1.0 / n_t)
 
     def solve(xi: tuple, rhat: np.ndarray) -> np.ndarray:
-        if xi == ZERO_XI:
-            shat = rhat @ _tt_pinv().T
-            shat[0] = 0.0
-            shat[1:] /= wn2[1:len(shat), None]
-            return shat
-        pinv = stacks.get(xi)
-        if pinv is None:
-            t_tt, t_mix, t_xx = _t_blocks(xi)
-            a = -(wn2[:, None, None] * t_tt + omega * n[:, None, None] * t_mix
-                  + t_xx)
-            pinv = stacks[xi] = np.linalg.pinv(a, rcond=1e-9)
-        return -np.einsum("nij,nj->ni", pinv, rhat)
+        t_tt, t_mix, t_xx = _t_blocks(xi)
+        w = wn[:len(rhat), None]
+        k2 = w ** 2 + sum(v * v for v in xi)
+        k4 = np.where(k2 > 0.0, k2 ** 2, np.inf)
+        return (w ** 2 * (rhat @ t_tt) + w * (rhat @ t_mix) + rhat @ t_xx) / k4
 
     return solve
 
@@ -557,7 +538,10 @@ def _restore_harmonic_block(field: SpectralForm, pin: np.ndarray) -> SpectralFor
     block drifts by summation roundoff when updates are added; this
     subtracts the measured drift as a t-constant (constants lie in the
     kernel of the spectral derivative, so the correction is invisible to
-    d), leaving the residual below one rounding quantum of the mean.
+    d).  The re-measured drift is added up to eight times, stopping at
+    zero or at a drift already seen, and the field with the smallest
+    drift is kept.  That is not always below one rounding quantum of the
+    mean: a few ulps of the dt block can remain.
     """
     m0 = field.modes.get(ZERO_XI)
     if m0 is None:
@@ -628,25 +612,23 @@ def torsion_reduce(glued: GluedField, tol: float = 1e-10, max_iter: int = 25,
                    smallness: float = 0.1) -> tuple[GluedField, GluingReport]:
     """Iteratively remove torsion by adding exact forms.
 
-    Each step solves the flat-model linearization mode by mode (spectral
-    pseudoinverse) for a 2-form sigma against d(induced 4-form), then
-    updates phi += d sigma with the xi = 0 t-mean pinned, so the harmonic
-    block is preserved (its free part bitwise, its dt part to one
-    rounding quantum of the mean).  The xi = 0 mode, real by the reality
-    constraint, is solved on its real half-spectrum (rfft, then irfft) in
-    closed form from one cached 21 x 21 pseudoinverse scaled by
-    1 / (w n)^2, so every xi = 0 array of the reduction stays exactly
-    real; every other mode uses a batched pseudoinverse over the
-    t-frequencies, built once per reduction and dropped when it returns
-    (see _mode_solver).  The residual solved against is the one
-    torsion_residual measured at the end of the previous step, so each
-    step stars the field once.  Stops at torsion <= tol (sup norms) or
-    max_iter; raises Diverged after three consecutive steps that do not
-    lower the best torsion so far by more than a relative _PROGRESS (at
-    the closedness floor the steps differ only in roundoff, which must not
-    decide the step count), AboveSmallness (a ValueError) if
-    the initial torsion exceeds the smallness threshold relative to the
-    field.  Both carry the steps taken and the last measured torsion.
+    Each step solves the flat-model linearization mode by mode for a
+    2-form sigma against d(induced 4-form), in closed form as
+    sigma^ = -A(k)^T r^ / |k|^4 (see _mode_solver), then updates
+    phi += d sigma with the xi = 0 t-mean pinned, so the harmonic block is
+    preserved (its free part bitwise, its dt part to the few ulps left by
+    _restore_harmonic_block).  The xi = 0 mode, real by the reality
+    constraint, is solved on its real half-spectrum (rfft, then irfft),
+    so every xi = 0 array of the reduction stays exactly real; every
+    other mode uses the full complex transform.  The residual solved
+    against is the one torsion_residual measured at the end of the
+    previous step, so each step stars the field once.  Stops at
+    torsion <= tol (sup norms) or max_iter; raises Diverged after three
+    consecutive steps that do not lower the best torsion so far by more
+    than a relative _PROGRESS (at the closedness floor the steps differ
+    only in roundoff, which must not decide the step count),
+    AboveSmallness (a ValueError) if the initial torsion exceeds the
+    smallness threshold relative to the field.  Both carry the steps taken and the last measured torsion.
     The report carries the torsion of the returned field.
     """
     field = glued.field
@@ -730,11 +712,12 @@ def estimate_L0(plus, minus, lengths, tol: float = 1e-10, max_iter: int = 25,
                 cutoff: CutoffSpec = CutoffSpec()) -> float:
     """Smallest sampled L at which the reduction converges; inf if none.
 
-    A length whose neck is too short, whose reduction stops (Diverged,
-    AboveSmallness) or whose field leaves the stable orbit (NotStable)
-    does not converge.  Any other ValueError from glue_fields names
-    unusable input, such as two halves of one sign or a length off the
-    grid, and is raised.
+    A length below the cutoff's L >= 4 (NeckTooShort), whose reduction
+    stops (Diverged, AboveSmallness) or whose field leaves the stable
+    orbit (NotStable) does not converge.  Any other ValueError from
+    glue_fields names unusable input, such as two halves of one sign, a
+    length off the grid or half grids that do not reach L + 1, and is
+    raised.
     """
     for length in sorted(lengths):
         try:

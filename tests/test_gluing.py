@@ -198,8 +198,9 @@ def test_glue_rejects_fractional_step_length(flat_pair):
 def test_glue_needs_room_past_the_seam():
     plus = flat_structure(1, extent=6.0)
     minus = flat_structure(-1, extent=6.0)
-    with pytest.raises(NeckTooShort, match="extend"):
+    with pytest.raises(ValueError, match="extend") as info:
         glue_fields(plus, minus, 5.5)
+    assert not isinstance(info.value, NeckTooShort)
     glue_fields(plus, minus, 5.0)
 
 
@@ -456,10 +457,11 @@ def test_closed_form_xi0_solve_matches_explicit_pinv(length):
         assert np.abs(got[n] - want[n]).max() <= 1e-12 * np.abs(want[n]).max()
 
 
-def test_nonzero_xi_solve_matches_explicit_pinv():
-    length, n_t = 5.0, 640
-    omega = np.pi / length
-    xi = (1, 0, -2, 0, 0, 0)
+@pytest.mark.parametrize("n_t", [640, 641])
+@pytest.mark.parametrize("xi", [(1, 0, -2, 0, 0, 0), (0, 0, 0, 0, 0, -1),
+                                (2, -2, 0, 2, -1, 2)])
+def test_nonzero_xi_solve_matches_explicit_pinv(xi, n_t):
+    omega = np.pi / 5.0
     rng = np.random.default_rng(8)
     rhat = rng.standard_normal((n_t, 21)) + 1j * rng.standard_normal((n_t, 21))
     solve = gluing._mode_solver(omega, n_t)
@@ -467,6 +469,24 @@ def test_nonzero_xi_solve_matches_explicit_pinv():
     want = -np.einsum("nij,nj->ni", explicit_pinv(xi, omega, n_t), rhat)
     assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
     assert np.array_equal(solve(xi, rhat), got)
+
+
+def test_flat_pencil_is_a_scaled_partial_isometry():
+    # A(k) has rank 8 with every nonzero singular value |k|^2, which is
+    # what lets _mode_solver use A^T / |k|^4 as the pseudoinverse.
+    omega, n_t = np.pi / 5.0, 640
+    rng = np.random.default_rng(11)
+    for _ in range(20):
+        xi = tuple(int(v) for v in rng.integers(-2, 3, size=6))
+        t_tt, t_mix, t_xx = gluing._t_blocks(xi)
+        for n in (1, 7, -3, -n_t // 2):
+            wn = omega * n
+            s = np.linalg.svd(-(wn ** 2 * t_tt + wn * t_mix + t_xx),
+                              compute_uv=False)
+            k2 = wn ** 2 + sum(v * v for v in xi)
+            top = s[s > 1e-9 * s[0]]
+            assert top.size == 8, (xi, n)
+            assert np.abs(top - k2).max() <= 1e-12 * k2, (xi, n)
 
 
 @pytest.mark.parametrize("n_t", [640, 641])
@@ -536,6 +556,9 @@ def test_sweep_flat_pair_reduced(flat_pair):
 
 def test_estimate_L0_flat_pair_takes_smallest_length(flat_pair):
     assert estimate_L0(*flat_pair, [4.0, 5.0, 6.0]) == 4.0
+    # L < 4 cannot carry the cutoff: it is skipped, not raised.
+    assert estimate_L0(*flat_pair, [3.0]) == math.inf
+    assert estimate_L0(*flat_pair, [3.0, 6.0]) == 6.0
 
 
 def test_estimate_L0_monotone_in_amplitude_and_tol():
@@ -565,6 +588,12 @@ def test_estimate_L0_raises_on_a_length_off_the_grid():
     plus = modulated_shear_structure(1, amplitude=0.05)
     with pytest.raises(ValueError, match="whole number"):
         estimate_L0(plus, flat_structure(-1), [5.003])
+
+
+def test_estimate_L0_raises_when_the_halves_do_not_reach_past_L(flat_pair):
+    with pytest.raises(ValueError, match="extend") as info:
+        estimate_L0(*flat_pair, [10.5])
+    assert not isinstance(info.value, NeckTooShort)
 
 
 # -- synthetic structure validation ---------------------------------------
