@@ -384,31 +384,40 @@ def dt_wedge(f: SpectralForm) -> SpectralForm:
 
 # -- exterior calculus -----------------------------------------------------
 
+def _d_mode(xi: tuple, coeffs: np.ndarray, dfree: np.ndarray,
+            degree: int) -> np.ndarray:
+    """d of one torus mode, from its coefficients and the t-derivative of
+    their dt-free columns.
+
+    dt ^ d/dt carries the dt-free block (the trailing C(6, k) columns), in
+    order and with sign +1, onto the leading dt slots of degree k + 1, and
+    each torus frequency adds i xi_d dx^d ^ (.).  Both steps act row by
+    row, so ``coeffs`` and ``dfree`` may be t-samples or t-spectra alike.
+    """
+    acc = np.zeros((len(coeffs), _ncomp(degree + 1)), dtype=complex)
+    acc[:, : dfree.shape[1]] = dfree
+    for d in range(6):
+        if xi[d]:
+            acc = acc + (1j * xi[d]) * (coeffs @ _axis_wedge_matrix(d + 2, degree).T)
+    return acc
+
+
 def exterior_d(f: SpectralForm) -> SpectralForm:
     """Exterior derivative: i*xi on torus modes, grid derivative in t.
 
-    The t-part is dt ^ d/dt, which kills the dt block and carries the
-    dt-free block (the trailing C(6, k) columns) in order and with sign +1
-    onto the leading dt slots of degree k + 1.  So only the dt-free columns
-    are differentiated, and the result is the one of differentiating every
-    column and dropping the zero products.  The xi = 0 coefficient is real
-    by the reality constraint; its real part is differentiated, on a
+    The t-part is dt ^ d/dt, which kills the dt block, so only the dt-free
+    columns are differentiated (see _d_mode).  The xi = 0 coefficient is
+    real by the reality constraint; its real part is differentiated, on a
     circle through the real half-spectrum, so that mode of the result is
     exactly real.
     """
     if f.degree >= 7:
         raise ValueError("cannot differentiate a top-degree form")
-    wx = [_axis_wedge_matrix(d, f.degree) for d in range(2, 8)]
     free = f.free_slice
     out = {}
     for xi, m in f.modes.items():
         col = m[:, free].real if xi == ZERO_XI else m[:, free]
-        acc = np.zeros((f.grid.n, _ncomp(f.degree + 1)), dtype=complex)
-        acc[:, : free.stop - free.start] = f.grid.ddt(col)
-        for d in range(6):
-            if xi[d]:
-                acc = acc + (1j * xi[d]) * (m @ wx[d].T)
-        out[xi] = acc
+        out[xi] = _d_mode(xi, m, f.grid.ddt(col), f.degree)
     return SpectralForm(f.degree + 1, f.band, f.grid, out, check=False)
 
 
@@ -547,6 +556,12 @@ def harmonic_project(f: SpectralForm) -> SpectralForm:
     On the flat torus these are the constant-coefficient forms, so the
     projection keeps the t-average of the xi = 0 mode (both the dt-free
     and dt blocks).  Input must be periodic in t or t-independent.
+
+    The average is summed pairwise, along the contiguous rows of the
+    transposed samples.  A mean down the sample axis adds one row at a
+    time, and over a neck's 1000 or so O(1) rows that rounding reaches
+    about 1e-14, which would read as a class change that is not there;
+    pairwise summation keeps it near one ulp.
     """
     if not f.grid.periodic:
         scale = f.amplitude()
@@ -556,7 +571,7 @@ def harmonic_project(f: SpectralForm) -> SpectralForm:
     m0 = f.modes.get(ZERO_XI)
     if m0 is None:
         return SpectralForm.zero(f.degree, f.band, f.grid)
-    mean = np.mean(np.real(m0), axis=0)
+    mean = np.real(m0).T.copy().mean(axis=1)
     vec = np.tile(mean.astype(complex), (f.grid.n, 1))
     return SpectralForm(f.degree, f.band, f.grid, {ZERO_XI: vec}, check=False)
 
@@ -675,6 +690,19 @@ class CylStructure:
             raise ValueError("perturbation has non-finite samples")
         if not is_g2_form(assemble_cylindrical(self.big, self.small, self.sign)):
             raise ValueError("asymptotic pair does not assemble to a stable form")
+
+    @cached_property
+    def _tail_parts(self):
+        """(limit, beta, gamma, tails): decompose_cyl of the perturbation
+        and integral_to_infinity of its dt part gamma.  Neither depends on
+        a neck length, so a sweep computes them once per half; the tail
+        arrays are made read-only, as every length shares them."""
+        from .gluing import integral_to_infinity
+        limit, beta, gamma = decompose_cyl(self.perturbation)
+        tails = integral_to_infinity(gamma)
+        for a in tails.values():
+            a.flags.writeable = False
+        return limit, beta, gamma, tails
 
     def model(self) -> KForm7:
         from .forms import assemble_cylindrical

@@ -23,12 +23,15 @@ Torsion is measured as the pair (d phi, d of the induced 4-form), the
 4-form star computed sample by sample with the frozen-coefficient
 pointwise kernels.  The reduction iterates phi += d sigma with sigma
 solved mode by mode from the linearization of the induced-4-form map at
-the flat model; updates are exact forms, so the harmonic class of the
-field is structurally preserved.  At every frequency k = (w n, xi) the
-linearization A(k) has rank 8 with all nonzero singular values equal to
-|k|^2 (the star derivative at the flat model commutes with G2, which is
-transitive on S^6), so each mode is solved in closed form by
-A^+ = A^T / |k|^4 and the solver builds nothing per neck length.
+the flat model.  At every frequency k = (w n, xi) the linearization A(k)
+has rank 8 with all nonzero singular values equal to |k|^2 (the star
+derivative at the flat model commutes with G2, which is transitive on
+S^6), so each mode is solved in closed form by A^+ = A^T / |k|^4 and the
+solver builds nothing per neck length.  The update d sigma is formed on
+the t-spectrum, i k ^ sigma^ per frequency, and enters phi through one
+inverse transform; sigma itself is never sampled.  Its (xi, n) = (0, 0)
+coefficient is an exact 0, so the update is exact and the harmonic class
+is held by construction, with no step that restores it.
 """
 
 from __future__ import annotations
@@ -48,6 +51,7 @@ from .fields import (
     ZERO_XI,
     NoLimit,
     _axis_wedge_matrix,
+    _d_mode,
     _dt_count,
     _ncomp,
     decompose_cyl,
@@ -298,15 +302,13 @@ def _corrected_half_samples(structure, length: float, cutoff: CutoffSpec,
                             nkeep: int) -> dict:
     """Per-mode corrected samples of one half on its first nkeep points."""
     pert = structure.perturbation
-    grid = pert.grid
-    t = grid.points
+    t = pert.grid.points
     rho = cutoff.rho(t, length)
     drho = cutoff.drho(t, length)
-    limit, beta, gamma = decompose_cyl(pert)
+    limit, beta, gamma, tails = structure._tail_parts
     if limit.amplitude() > 1e-9 * (1.0 + pert.amplitude()):
         raise MismatchedLimits("perturbation does not decay to zero, so the "
                                "declared cross-section pair is not the limit")
-    tails = integral_to_infinity(gamma)
     model = structure.model().tovector().astype(complex)
     dtslots = pert.dt_slice
     freeslots = pert.free_slice
@@ -513,55 +515,28 @@ def _mode_solver(omega: float, n_t: int):
     return solve
 
 
-def _zero_mean_update(update: SpectralForm) -> SpectralForm:
-    """Remove the harmonic block of an update, to bitwise zero."""
-    m0 = update.modes.get(ZERO_XI)
-    if m0 is None:
-        return update
-    a = np.array(m0)
-    for _ in range(4):
-        mean = a.mean(axis=0)
-        if not mean.any():
-            break
-        a = a - mean
-    modes = dict(update.modes)
-    modes[ZERO_XI] = a
-    return SpectralForm(update.degree, update.band, update.grid, modes, check=False)
+def _update_spectra(dstar: SpectralForm, solve) -> dict:
+    """The t-spectra of the update d sigma, one per residual mode.
 
-
-def _restore_harmonic_block(field: SpectralForm, pin: np.ndarray) -> SpectralForm:
-    """Cancel accumulated roundoff drift of the xi = 0 t-mean against ``pin``.
-
-    Exact updates only move the dt block of the xi = 0 mode (d of any
-    2-form wedges every xi = 0 t-derivative with dt), so the free block
-    of the harmonic projection is already preserved bitwise.  The dt
-    block drifts by summation roundoff when updates are added; this
-    subtracts the measured drift as a t-constant (constants lie in the
-    kernel of the spectral derivative, so the correction is invisible to
-    d).  The re-measured drift is added up to eight times, stopping at
-    zero or at a drift already seen, and the field with the smallest
-    drift is kept.  That is not always below one rounding quantum of the
-    mean: a few ulps of the dt block can remain.
+    sigma^ = solve(xi, r^) per mode, then d sigma^ = D(n) sigma^ formed on
+    the spectrum itself: the grid's d/dt multiplier on the dt-free columns
+    (its real half, Nyquist zeroed, for the real xi = 0 mode) and i xi ^
+    for xi != 0, by the assembly exterior_d uses on samples.  sigma is
+    never sampled.  The (xi, n) = (0, 0) row is an exact 0 (the solve
+    returns 0 at k = 0) and so is the dt-free block of the xi = 0 mode,
+    so the class is held by construction.  The xi = 0 entry is a real
+    half-spectrum, for irfft; the others are full spectra, for ifft.
     """
-    m0 = field.modes.get(ZERO_XI)
-    if m0 is None:
-        return field
-    a = np.array(m0)
-    best = a
-    best_err = np.inf
-    seen = set()
-    for _ in range(8):
-        diff = pin - np.mean(np.real(a), axis=0)
-        err = np.abs(diff).max()
-        if err < best_err:
-            best, best_err = a.copy(), err
-        if err == 0.0 or diff.tobytes() in seen:
-            break
-        seen.add(diff.tobytes())
-        a = a + diff
-    modes = dict(field.modes)
-    modes[ZERO_XI] = best
-    return SpectralForm(field.degree, field.band, field.grid, modes, check=False)
+    mult = dstar.grid._ddt_multiplier[:, None]
+    free = slice(_dt_count(2), _ncomp(2))
+    out = {}
+    for xi, arr in dstar.modes.items():
+        if xi == ZERO_XI:
+            shat = solve(xi, np.fft.rfft(arr.real, axis=0))
+        else:
+            shat = solve(xi, np.fft.fft(arr, axis=0))
+        out[xi] = _d_mode(xi, shat, mult[:len(shat)] * shat[:, free], 2)
+    return out
 
 
 @dataclass(frozen=True)
@@ -614,15 +589,19 @@ def torsion_reduce(glued: GluedField, tol: float = 1e-10, max_iter: int = 25,
 
     Each step solves the flat-model linearization mode by mode for a
     2-form sigma against d(induced 4-form), in closed form as
-    sigma^ = -A(k)^T r^ / |k|^4 (see _mode_solver), then updates
-    phi += d sigma with the xi = 0 t-mean pinned, so the harmonic block is
-    preserved (its free part bitwise, its dt part to the few ulps left by
-    _restore_harmonic_block).  The xi = 0 mode, real by the reality
-    constraint, is solved on its real half-spectrum (rfft, then irfft),
-    so every xi = 0 array of the reduction stays exactly real; every
-    other mode uses the full complex transform.  The residual solved
-    against is the one torsion_residual measured at the end of the
-    previous step, so each step stars the field once.  Stops at
+    sigma^ = -A(k)^T r^ / |k|^4 (see _mode_solver), forms d sigma on the
+    t-spectrum and adds one inverse transform of it to phi
+    (_update_spectra); sigma is never sampled.  The update's
+    (xi, n) = (0, 0) coefficient is an exact 0 and its xi = 0 dt-free
+    block is exactly 0, so the harmonic class is held by construction:
+    its free block bitwise, its dt block up to the rounding of adding a
+    zero-mean update to the samples, and no step restores it.  The
+    xi = 0 mode, real by the reality constraint, goes through its real
+    half-spectrum (rfft, then irfft), so every xi = 0 array of the
+    reduction stays exactly real; every other mode uses the full complex
+    transform.  The residual solved against is the one torsion_residual
+    measured at the end of the previous step, so each step stars the
+    field once and differentiates only inside torsion_residual.  Stops at
     torsion <= tol (sup norms) or max_iter; raises Diverged after three
     consecutive steps that do not lower the best torsion so far by more
     than a relative _PROGRESS (at the closedness floor the steps differ
@@ -636,27 +615,18 @@ def torsion_reduce(glued: GluedField, tol: float = 1e-10, max_iter: int = 25,
     if meas.worst > smallness * max(norm_sup(field), 1e-30):
         raise AboveSmallness("initial torsion is above the smallness threshold",
                              0, meas)
-    m0 = field.modes.get(ZERO_XI)
-    pin = (np.mean(np.real(m0), axis=0) if m0 is not None
-           else np.zeros(field.ncomp))
     length = glued.length
-    omega = 2.0 * np.pi / (2.0 * length)
-    solve = _mode_solver(omega, field.grid.n)
+    n_t = field.grid.n
+    solve = _mode_solver(2.0 * np.pi / (2.0 * length), n_t)
     iterations = 0
     worse = 0
     best = meas.worst
     while meas.worst > tol and iterations < max_iter:
-        sig_modes = {}
-        for xi, arr in meas.dstar.modes.items():
-            if xi == ZERO_XI:
-                shat = solve(xi, np.fft.rfft(arr.real, axis=0))
-                sig_modes[xi] = np.fft.irfft(shat, field.grid.n, axis=0)
-            else:
-                shat = solve(xi, np.fft.fft(arr, axis=0))
-                sig_modes[xi] = np.fft.ifft(shat, axis=0)
-        sigma = SpectralForm(2, field.band, field.grid, sig_modes, check=False)
-        update = _zero_mean_update(exterior_d(sigma))
-        field = _restore_harmonic_block(field + update, pin)
+        update = {xi: np.fft.irfft(dhat, n_t, axis=0) if xi == ZERO_XI
+                  else np.fft.ifft(dhat, axis=0)
+                  for xi, dhat in _update_spectra(meas.dstar, solve).items()}
+        field = field + SpectralForm(3, field.band, field.grid, update,
+                                     check=False)
         meas = torsion_residual(field)
         iterations += 1
         if meas.worst >= best * (1.0 - _PROGRESS):

@@ -155,9 +155,11 @@ def test_criterion_04_torsion_decay_rate():
 
 
 def test_criterion_05_torsion_reduction_preserves_class():
-    plus = closed_perturbation_structure(1, amplitude=1e-3)
     minus = flat_structure(-1)
-    for length in (5.0, 7.0):
+    # 5e-3 is the largest amplitude neck-closed draws, and L = 4.25 the
+    # length where its dt block once drifted most (2.9e-15)
+    for amplitude, length in ((1e-3, 5.0), (1e-3, 7.0), (5e-3, 4.25)):
+        plus = closed_perturbation_structure(1, amplitude=amplitude)
         glued = glue_fields(plus, minus, length)
         pin = harmonic_project(glued.field).modes[ZERO_XI][0]
         out, rep = torsion_reduce(glued, tol=1e-10, max_iter=25)

@@ -1,5 +1,7 @@
 """Spectral cylinder field tests: calculus, norms, asymptotics, serialization."""
 
+import math
+
 import numpy as np
 import pytest
 
@@ -291,6 +293,20 @@ def test_harmonic_project_rejects_t_varying_interval():
     f = rand_field(3, 2, INTERVAL, rng)
     with pytest.raises(ValueError, match="periodic or t-independent"):
         harmonic_project(f)
+
+
+def test_harmonic_project_mean_is_summed_pairwise():
+    # A neck's worth of O(1) rows: a row-by-row mean is several ulps off
+    # the exactly rounded one, the pairwise mean within one.
+    grid = TGrid(0.0, 20.0, 1280, periodic=True)
+    k = np.arange(1, 36)
+    arr = 1.0 + 1e-3 * np.sin(2 * np.pi * np.outer(grid.points, k) / grid.length
+                              + 0.3 * k)
+    f = SpectralForm(3, 0, grid, {ZERO_XI: arr}, check=False)
+    got = harmonic_project(f).modes[ZERO_XI][0]
+    want = np.array([math.fsum(arr[:, c]) / grid.n for c in range(35)])
+    assert not got.imag.any()
+    assert (np.abs(got.real - want) <= np.spacing(want)).all()
 
 
 # -- asymptotics -----------------------------------------------------------

@@ -8,7 +8,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from g2glue import gluing
+from g2glue import fields, gluing
 from g2glue.fields import (
     CylStructure,
     _axis_wedge_matrix,
@@ -231,6 +231,42 @@ def test_glue_rejects_support_at_inner_end():
     st = CylStructure(Omega0(), omega0(), 1, pert, 1.0)
     with pytest.raises(ValueError, match="inner end"):
         glue_fields(st, flat_structure(-1), 5.0)
+
+
+def test_glue_rejects_a_perturbation_with_a_limit_at_every_length():
+    grid = TGrid.interval(0.0, 11.0, 64)
+    slot3, _ = zeta_slot()
+    arr = np.zeros((grid.n, 35), dtype=complex)
+    arr[:, slot3] = 1e-3 * gluing._support_envelope(grid.points)
+    pert = SpectralForm(3, 2, grid, {ZERO_XI: arr})
+    st = CylStructure(Omega0(), omega0(), 1, pert, 1.0)
+    for length in (5.0, 6.0):
+        with pytest.raises(MismatchedLimits, match="does not decay"):
+            glue_fields(st, flat_structure(-1), length)
+
+
+def test_a_sweep_decomposes_each_half_once(monkeypatch):
+    calls = []
+    real = fields.decompose_cyl
+
+    def counting(f):
+        calls.append(1)
+        return real(f)
+
+    for module in (fields, gluing):
+        monkeypatch.setattr(module, "decompose_cyl", counting)
+    plus, minus = closed_perturbation_structure(1, amplitude=2e-3), flat_structure(-1)
+    first = glue_fields(plus, minus, 5.0).field
+    for length in (6.0, 7.5, 5.0):
+        again = glue_fields(plus, minus, length).field
+    assert len(calls) == 2
+    fresh = glue_fields(closed_perturbation_structure(1, amplitude=2e-3),
+                        flat_structure(-1), 5.0).field
+    assert len(calls) == 4
+    for other in (again, fresh):
+        assert set(other.modes) == set(first.modes)
+        for xi, a in first.modes.items():
+            assert np.array_equal(other.modes[xi], a)
 
 
 def test_flat_glue_is_the_constant_model(flat_glued):
@@ -509,6 +545,95 @@ def test_reduction_keeps_the_xi0_mode_exactly_real(length):
     assert report.iterations == 2 and report.converged
     assert not out.field.modes[ZERO_XI].imag.any()
     assert not torsion_residual(out).dstar.modes[ZERO_XI].imag.any()
+
+
+# -- the spectral update ---------------------------------------------------
+
+def neck_at_5(kind):
+    plus = (closed_perturbation_structure(1, amplitude=2e-3) if kind == "closed"
+            else modulated_shear_structure(1))
+    return glue_fields(plus, flat_structure(-1), 5.0)
+
+
+def sample_space_update(dstar, solve):
+    """d sigma with sigma sampled first, then differentiated by exterior_d."""
+    grid = dstar.grid
+    modes = {}
+    for xi, arr in dstar.modes.items():
+        if xi == ZERO_XI:
+            shat = solve(xi, np.fft.rfft(arr.real, axis=0))
+            modes[xi] = np.fft.irfft(shat, grid.n, axis=0)
+        else:
+            modes[xi] = np.fft.ifft(solve(xi, np.fft.fft(arr, axis=0)), axis=0)
+    return exterior_d(SpectralForm(2, dstar.band, grid, modes, check=False))
+
+
+@pytest.mark.parametrize("kind", ["closed", "modulated"])
+def test_spectral_update_matches_the_sample_space_step(kind):
+    glued = neck_at_5(kind)
+    dstar = torsion_residual(glued).dstar
+    n_t = dstar.grid.n
+    solve = gluing._mode_solver(np.pi / 5.0, n_t)
+    want = sample_space_update(dstar, solve)
+    spectra = gluing._update_spectra(dstar, solve)
+    assert set(spectra) == set(want.modes)
+    scale = want.amplitude()
+    assert scale > 0.0
+    for xi, a in want.modes.items():
+        got = (np.fft.irfft(spectra[xi], n_t, axis=0) if xi == ZERO_XI
+               else np.fft.ifft(spectra[xi], axis=0))
+        assert np.abs(got - a).max() <= 1e-13 * scale, xi
+    out, report = torsion_reduce(glued, max_iter=1)
+    assert report.iterations == 1
+    stepped = glued.field + want
+    assert set(out.field.modes) == set(stepped.modes)
+    for xi, a in stepped.modes.items():
+        assert np.abs(out.field.modes[xi] - a).max() <= 1e-13 * stepped.amplitude()
+
+
+@pytest.mark.parametrize("kind", ["closed", "modulated"])
+def test_xi0_update_leaves_the_class_coefficients_exactly_alone(kind):
+    dstar = torsion_residual(neck_at_5(kind)).dstar
+    solve = gluing._mode_solver(np.pi / 5.0, dstar.grid.n)
+    dhat = gluing._update_spectra(dstar, solve)[ZERO_XI]
+    assert dhat.shape == (dstar.grid.n // 2 + 1, 35)
+    assert np.abs(dhat[1:, :15]).max() > 0.0
+    assert not dhat[0].any()
+    assert not dhat[:, 15:].any()
+
+
+def test_reduce_differentiates_only_inside_torsion_residual(monkeypatch):
+    calls = []
+    real = gluing.exterior_d
+
+    def counting(f):
+        calls.append(1)
+        return real(f)
+
+    monkeypatch.setattr(gluing, "exterior_d", counting)
+    _, report = torsion_reduce(neck_at_5("closed"), tol=1e-10)
+    assert report.iterations == 2 and report.converged
+    assert len(calls) == 2 * (report.iterations + 1)
+
+
+def test_reduction_keeps_the_exactly_rounded_class():
+    # The exactly rounded t-mean of the xi = 0 mode, glued vs reduced.  The
+    # updates have a zero (xi, n) = (0, 0) coefficient, so only the rounding
+    # of adding them to the samples moves the exact sum: up to about 1e-17
+    # of the mean on the model columns, whose rounded means stay 1.0.
+    minus = flat_structure(-1)
+    for amplitude in (5e-4, 1e-3, 2e-3, 5e-3):
+        plus = closed_perturbation_structure(1, amplitude=amplitude)
+        for length in (4.0, 4.25, 5.0, 7.0):
+            glued = glue_fields(plus, minus, length)
+            out, report = torsion_reduce(glued, tol=1e-10)
+            assert report.converged and report.iterations >= 1
+            before = glued.field.modes[ZERO_XI].real
+            after = out.field.modes[ZERO_XI].real
+            n_t = len(before)
+            for c in range(35):
+                moved = math.fsum(after[:, c]) / n_t - math.fsum(before[:, c]) / n_t
+                assert abs(moved) < 1e-18, (amplitude, length, c, moved)
 
 
 def test_reductions_retain_nothing_per_length(flat_pair):
