@@ -370,9 +370,9 @@ def _check_involution(rng, tol: float, trials: int = 100) -> dict:
                              {i: rng.standard_normal() for i in idx})
             again = hodge_star(metric, hodge_star(metric, form))
             scale = max(abs(c) for c in form.coeffs.values())
-            dev = max(abs(again.coeffs.get(i, 0.0) - form.coeffs.get(i, 0.0))
-                      for i in idx)
-            worst = max(worst, dev / max(1.0, scale))
+            dev = np.max([abs(again.coeffs.get(i, 0.0) - form.coeffs.get(i, 0.0))
+                          for i in idx])
+            worst = float(np.maximum(worst, dev / max(1.0, scale)))
     return {"name": "star-involution", "passed": worst <= tol,
             "trials": trials, "worst": worst}
 
@@ -390,7 +390,7 @@ def _check_equivariance(rng, trials: int = 10) -> dict:
             continue
         got = gram_from_3form(phi.pullback(a))
         want = np.linalg.det(a) * a.T @ base @ a
-        worst = max(worst, float(np.abs(got - want).max()
+        worst = float(np.maximum(worst, np.abs(got - want).max()
                                  / np.abs(want).max()))
         used += 1
     return {"name": "pullback-equivariance", "passed": worst <= 1e-8,

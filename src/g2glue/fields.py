@@ -10,16 +10,18 @@ Each c_xi(t) is a full 7-dimensional k-form coefficient vector in the
 basis order of forms.basis_indices(AXES7, k), so the dt-components occupy
 the leading C(6, k-1) slots (multi-indices containing 1) and the dt-free
 components the trailing C(6, k) slots.  Reality of the field is the mode
-constraint c_{-xi} = conj(c_xi), validated at construction.
+constraint c_{-xi} = conj(c_xi), validated at construction.  It makes the
+xi = 0 coefficient real, so that mode is stored as a float64 array and
+every other mode as complex128.
 
 The t-axis is either an interval [a, b] with n inclusive samples (fourth
 order finite differences) or a circle of circumference b - a with n
 samples and spectral derivatives.  The exterior derivative differentiates
 in t only the dt-free columns, the only ones dt ^ (.) keeps, and takes the
-xi = 0 coefficient, real by the reality constraint, through the real
-half-spectrum on a circle.  The L^2 pairing uses the probability measure
-on the torus, so Parseval holds without 2*pi factors, and the trapezoid
-rule (interval) or uniform rule (circle) in t.
+real xi = 0 coefficient through the real half-spectrum on a circle.  The
+L^2 pairing uses the probability measure on the torus, so Parseval holds
+without 2*pi factors, and the trapezoid rule (interval) or uniform rule
+(circle) in t.
 """
 
 from __future__ import annotations
@@ -175,11 +177,15 @@ def _dt_count(degree: int) -> int:
 class SpectralForm:
     """Degree-k form on the cylinder, sparse in torus modes, sampled in t.
 
-    ``modes`` maps 6-tuples xi to complex arrays of shape (grid.n, C(7, k)).
-    Construction copies the arrays, freezes them, sorts the keys, checks
-    the band bound |xi|_inf <= band, and enforces reality: a missing -xi
-    partner is filled in by conjugation, an inconsistent one raises
-    RealityError.
+    ``modes`` maps 6-tuples xi to arrays of shape (grid.n, C(7, k)): the
+    xi = 0 mode, real by the reality constraint, as float64, every other
+    mode as complex128.  Construction copies the arrays, freezes them,
+    sorts the keys, checks the band bound |xi|_inf <= band, and enforces
+    reality: a missing -xi partner is filled in by conjugation, an
+    inconsistent one raises RealityError, and the xi = 0 mode keeps its
+    real part.  With ``check`` that mode's imaginary part must be roundoff
+    (its self-conjugacy test), or RealityError is raised; without it the
+    imaginary part is dropped.
     """
 
     __slots__ = ("degree", "band", "grid", "modes")
@@ -197,20 +203,27 @@ class SpectralForm:
                 raise ValueError("mode keys are 6-tuples of integers")
             if max(map(abs, xi), default=0) > band:
                 raise ValueError(f"mode {xi} outside the band |xi| <= {band}")
-            a = np.array(arr, dtype=complex, order="C")
+            a = np.asarray(arr) if xi == ZERO_XI else np.array(arr, dtype=complex, order="C")
             if a.shape != (grid.n, nc):
                 raise ValueError(f"mode {xi}: expected shape {(grid.n, nc)}, got {a.shape}")
             stored[xi] = a
+        zero = stored.get(ZERO_XI)
         if check:
             scale = max((np.abs(a).max() for a in stored.values()), default=0.0)
             tol = 1e-9 * (1.0 + scale)
+            if np.iscomplexobj(zero) and 2.0 * np.abs(zero.imag).max() > tol:
+                raise RealityError(f"mode {ZERO_XI} is not real")
             for xi in list(stored):
                 neg = tuple(-v for v in xi)
+                if neg == xi:
+                    continue
                 if neg in stored:
                     if np.abs(stored[neg] - np.conj(stored[xi])).max() > tol:
                         raise RealityError(f"modes {xi} and {neg} are not conjugate")
                 else:
                     stored[neg] = np.conj(stored[xi])
+        if zero is not None:
+            stored[ZERO_XI] = np.array(zero.real, dtype=float, order="C")
         for a in stored.values():
             a.flags.writeable = False
         object.__setattr__(self, "degree", degree)
@@ -232,7 +245,7 @@ class SpectralForm:
         """Embed a constant 7D form as the xi = 0 mode."""
         if form.axes != AXES7:
             raise ValueError("expected a form on all seven axes")
-        vec = np.tile(form.tovector(), (grid.n, 1)).astype(complex)
+        vec = np.tile(form.tovector(), (grid.n, 1))
         return cls(form.degree, band, grid, {ZERO_XI: vec}, check=False)
 
     # ---- bookkeeping ----
@@ -265,12 +278,8 @@ class SpectralForm:
             return NotImplemented
         if self.degree != other.degree or self.grid != other.grid:
             raise ValueError("mismatched degree or grid")
-        out = {}
-        for xi in set(self.modes) | set(other.modes):
-            z = np.zeros((self.grid.n, self.ncomp), dtype=complex)
-            a = self.modes.get(xi, z)
-            b = other.modes.get(xi, z)
-            out[xi] = op(a, b)
+        out = {xi: op(self.modes.get(xi, 0.0), other.modes.get(xi, 0.0))
+               for xi in set(self.modes) | set(other.modes)}
         return SpectralForm(self.degree, max(self.band, other.band), self.grid, out, check=False)
 
     def __add__(self, other):
@@ -309,7 +318,7 @@ class SpectralForm:
         lo = ncm - _dt_count(self.degree)  # free block offset of degree k-1
         out = {}
         for xi, a in self.modes.items():
-            b = np.zeros((self.grid.n, ncm), dtype=complex)
+            b = np.zeros((self.grid.n, ncm), dtype=a.dtype)
             b[:, lo:] = a[:, self.dt_slice]
             out[xi] = b
         return self._like(out, degree=self.degree - 1)
@@ -392,9 +401,11 @@ def _d_mode(xi: tuple, coeffs: np.ndarray, dfree: np.ndarray,
     dt ^ d/dt carries the dt-free block (the trailing C(6, k) columns), in
     order and with sign +1, onto the leading dt slots of degree k + 1, and
     each torus frequency adds i xi_d dx^d ^ (.).  Both steps act row by
-    row, so ``coeffs`` and ``dfree`` may be t-samples or t-spectra alike.
+    row, so ``coeffs`` and ``dfree`` may be t-samples or t-spectra alike;
+    at xi = 0 the result takes the dtype of ``dfree``.
     """
-    acc = np.zeros((len(coeffs), _ncomp(degree + 1)), dtype=complex)
+    acc = np.zeros((len(coeffs), _ncomp(degree + 1)),
+                   dtype=complex if any(xi) else dfree.dtype)
     acc[:, : dfree.shape[1]] = dfree
     for d in range(6):
         if xi[d]:
@@ -406,18 +417,15 @@ def exterior_d(f: SpectralForm) -> SpectralForm:
     """Exterior derivative: i*xi on torus modes, grid derivative in t.
 
     The t-part is dt ^ d/dt, which kills the dt block, so only the dt-free
-    columns are differentiated (see _d_mode).  The xi = 0 coefficient is
-    real by the reality constraint; its real part is differentiated, on a
-    circle through the real half-spectrum, so that mode of the result is
-    exactly real.
+    columns are differentiated (see _d_mode).  The real xi = 0 mode goes,
+    on a circle, through the real half-spectrum and stays real.
     """
     if f.degree >= 7:
         raise ValueError("cannot differentiate a top-degree form")
     free = f.free_slice
     out = {}
     for xi, m in f.modes.items():
-        col = m[:, free].real if xi == ZERO_XI else m[:, free]
-        out[xi] = _d_mode(xi, m, f.grid.ddt(col), f.degree)
+        out[xi] = _d_mode(xi, m, f.grid.ddt(m[:, free]), f.degree)
     return SpectralForm(f.degree + 1, f.band, f.grid, out, check=False)
 
 
@@ -471,7 +479,7 @@ def inner_l2(f: SpectralForm, h: SpectralForm, metric=None) -> float:
         b = h.modes.get(xi)
         if b is None:
             continue
-        dens = np.einsum("ti,ti->t", np.conj(a), b if pmat is None else b @ pmat.T)
+        dens = np.einsum("ti,ti->t", a.conj(), b if pmat is None else b @ pmat.T)
         acc += float(np.real(w @ dens))
     return acc
 
@@ -493,20 +501,25 @@ def sample_physical(f: SpectralForm, oversample: int = 2) -> tuple[np.ndarray, t
     M_d = 2 * oversample * max|xi_d| otherwise, together with the M tuple.
     The grid in each active direction is uniform on [0, 2*pi).  Only the
     active directions are transformed: an FFT over a length-1 axis is the
-    identity, so skipping it leaves the samples bitwise unchanged.
+    identity, so skipping it leaves the samples bitwise unchanged.  With
+    no active direction the samples are a read-only view of the real
+    xi = 0 mode.
     """
     maxfreq = [0] * 6
     for xi in f.modes:
         for d in range(6):
             maxfreq[d] = max(maxfreq[d], abs(xi[d]))
     dims = tuple(1 if m == 0 else 2 * oversample * m for m in maxfreq)
-    spec = np.zeros((f.grid.n,) + dims + (f.ncomp,), dtype=complex)
+    shape = (f.grid.n,) + dims + (f.ncomp,)
+    axes = _active_axes(dims)
+    if not axes:
+        zero = f.modes.get(ZERO_XI)
+        return (np.zeros(shape) if zero is None else zero.reshape(shape)), dims
+    spec = np.zeros(shape, dtype=complex)
     for xi, a in f.modes.items():
         pos = tuple(xi[d] % dims[d] for d in range(6))
         spec[(slice(None),) + pos + (slice(None),)] += a
-    axes = _active_axes(dims)
-    if axes:
-        spec = np.fft.ifftn(spec, axes=axes) * np.prod(dims)
+    spec = np.fft.ifftn(spec, axes=axes) * np.prod(dims)
     return np.real(spec), dims
 
 
@@ -516,22 +529,26 @@ def spectral_from_samples(samples: np.ndarray, degree: int, band: int, grid: TGr
 
     ``samples`` has shape (grid.n, M_1, .., M_6, ncomp); frequencies with
     |xi|_inf <= band representable on the sample grid are kept, everything
-    else is discarded (an orthogonal projection, not an error).
+    else is discarded (an orthogonal projection, not an error).  Samples
+    must be finite: a NaN or inf raises ValueError before any transform,
+    since it would otherwise fail the prune test and vanish.
     """
     arr = np.asarray(samples)
     dims = arr.shape[1:-1]
     if len(dims) != 6:
         raise ValueError("expected six torus axes between t and components")
-    spec = arr.astype(complex)
+    scale = np.abs(arr).max() if arr.size else 0.0
+    if not np.isfinite(scale):
+        bad = np.argwhere(~np.isfinite(arr))
+        raise ValueError(f"{len(bad)} non-finite samples, the first at index "
+                         f"{tuple(int(i) for i in bad[0])}")
     axes = _active_axes(dims)
-    if axes:
-        spec = np.fft.fftn(spec, axes=axes) / np.prod(dims)
+    spec = np.fft.fftn(arr, axes=axes) / np.prod(dims) if axes else arr
     ranges = []
     for m in dims:
         lim = min(band, (m - 1) // 2)
         ranges.append(range(-lim, lim + 1) if m > 1 else range(0, 1))
     modes = {}
-    scale = np.abs(arr).max() if arr.size else 0.0
     for xi in itertools.product(*ranges):
         pos = tuple(xi[d] % dims[d] for d in range(6))
         a = spec[(slice(None),) + pos + (slice(None),)]
@@ -571,8 +588,7 @@ def harmonic_project(f: SpectralForm) -> SpectralForm:
     m0 = f.modes.get(ZERO_XI)
     if m0 is None:
         return SpectralForm.zero(f.degree, f.band, f.grid)
-    mean = np.real(m0).T.copy().mean(axis=1)
-    vec = np.tile(mean.astype(complex), (f.grid.n, 1))
+    vec = np.tile(m0.T.copy().mean(axis=1), (f.grid.n, 1))
     return SpectralForm(f.degree, f.band, f.grid, {ZERO_XI: vec}, check=False)
 
 
@@ -640,13 +656,15 @@ def decompose_cyl(f: SpectralForm) -> tuple[SpectralForm, SpectralForm, Spectral
     limit_modes = {}
     rest_modes = {}
     for xi, a in f.modes.items():
-        lim = np.empty(f.ncomp, dtype=complex)
+        lim = np.empty(f.ncomp, dtype=a.dtype)
         for c in range(f.ncomp):
-            re, ok_r = _fit_tail(t, np.real(a[-w:, c]), vartol)
-            im, ok_i = _fit_tail(t, np.imag(a[-w:, c]), vartol)
-            if not (ok_r and ok_i):
+            val, ok = _fit_tail(t, a[-w:, c].real, vartol)
+            if np.iscomplexobj(a):
+                im, ok_i = _fit_tail(t, a[-w:, c].imag, vartol)
+                val, ok = val + 1j * im, ok and ok_i
+            if not ok:
                 raise NoLimit(f"mode {xi} component {c} has no translation-invariant limit")
-            lim[c] = re + 1j * im
+            lim[c] = val
         limit_modes[xi] = np.tile(lim, (f.grid.n, 1))
         rest_modes[xi] = a - limit_modes[xi]
     limit = SpectralForm(f.degree, f.band, f.grid, limit_modes, check=False)
@@ -725,7 +743,8 @@ class CylStructure:
 def to_payload(f: SpectralForm) -> dict:
     """JSON-ready description: {degree, K, grid, modes:[{xi, samples}]}.
 
-    Samples are [re, im] pairs, row-major over (t, component).
+    Samples are [re, im] pairs, row-major over (t, component); the real
+    xi = 0 mode writes im = 0.0.
     """
     modes = []
     for xi, a in f.modes.items():

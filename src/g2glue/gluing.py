@@ -309,7 +309,7 @@ def _corrected_half_samples(structure, length: float, cutoff: CutoffSpec,
     if limit.amplitude() > 1e-9 * (1.0 + pert.amplitude()):
         raise MismatchedLimits("perturbation does not decay to zero, so the "
                                "declared cross-section pair is not the limit")
-    model = structure.model().tovector().astype(complex)
+    model = structure.model().tovector()
     dtslots = pert.dt_slice
     freeslots = pert.free_slice
     glo = _ncomp(2) - _dt_count(3)  # free-block offset inside the 2-form gamma
@@ -318,7 +318,7 @@ def _corrected_half_samples(structure, length: float, cutoff: CutoffSpec,
         b = beta.modes[xi]
         g = gamma.modes[xi][:, glo:]
         acc = tails[xi][:, glo:]
-        samples = np.zeros((nkeep, 35), dtype=complex)
+        samples = np.zeros((nkeep, 35), dtype=b.dtype)
         if xi == ZERO_XI:
             samples += model[None, :]
         samples[:, freeslots] += ((1.0 - rho)[:, None] * b[:, freeslots])[:nkeep]
@@ -379,7 +379,7 @@ def glue_fields(plus, minus, length: float,
     dtslots = slice(0, 15)
     modes = {}
     for xi in set(half_p) | set(half_m):
-        arr = np.zeros((2 * q, ncomp), dtype=complex)
+        arr = np.zeros((2 * q, ncomp), dtype=complex if any(xi) else float)
         if xi in half_p:
             arr[: q + 1] = half_p[xi]           # t in [0, L]
         if xi in half_m:
@@ -413,7 +413,8 @@ class TorsionMeasure:
 
     @property
     def worst(self) -> float:
-        return max(self.d_sup, self.dstar_sup)
+        """The larger sup norm; NaN if either is NaN."""
+        return float(np.maximum(self.d_sup, self.dstar_sup))
 
 
 def induced_4form(field: SpectralForm, oversample: int = 2) -> SpectralForm:
@@ -532,7 +533,7 @@ def _update_spectra(dstar: SpectralForm, solve) -> dict:
     out = {}
     for xi, arr in dstar.modes.items():
         if xi == ZERO_XI:
-            shat = solve(xi, np.fft.rfft(arr.real, axis=0))
+            shat = solve(xi, np.fft.rfft(arr, axis=0))
         else:
             shat = solve(xi, np.fft.fft(arr, axis=0))
         out[xi] = _d_mode(xi, shat, mult[:len(shat)] * shat[:, free], 2)
@@ -596,19 +597,20 @@ def torsion_reduce(glued: GluedField, tol: float = 1e-10, max_iter: int = 25,
     block is exactly 0, so the harmonic class is held by construction:
     its free block bitwise, its dt block up to the rounding of adding a
     zero-mean update to the samples, and no step restores it.  The
-    xi = 0 mode, real by the reality constraint, goes through its real
-    half-spectrum (rfft, then irfft), so every xi = 0 array of the
-    reduction stays exactly real; every other mode uses the full complex
-    transform.  The residual solved against is the one torsion_residual
-    measured at the end of the previous step, so each step stars the
-    field once and differentiates only inside torsion_residual.  Stops at
-    torsion <= tol (sup norms) or max_iter; raises Diverged after three
-    consecutive steps that do not lower the best torsion so far by more
-    than a relative _PROGRESS (at the closedness floor the steps differ
-    only in roundoff, which must not decide the step count),
-    AboveSmallness (a ValueError) if the initial torsion exceeds the
-    smallness threshold relative to the field.  Both carry the steps taken and the last measured torsion.
-    The report carries the torsion of the returned field.
+    xi = 0 mode is stored real (see fields.SpectralForm) and goes through
+    its real half-spectrum (rfft, then irfft); every other mode uses the
+    full complex transform.  The residual solved against is the one
+    torsion_residual measured at the end of the previous step, so each
+    step stars the field once and differentiates only inside
+    torsion_residual.  Stops at torsion <= tol (sup norms) or max_iter;
+    raises Diverged after three consecutive steps that do not lower the
+    best torsion so far by more than a relative _PROGRESS (at the
+    closedness floor the steps differ only in roundoff, which must not
+    decide the step count), AboveSmallness (a ValueError) if the initial
+    torsion exceeds the smallness threshold relative to the field.  Both
+    carry the steps taken and the last measured torsion.  The report
+    carries the torsion of the returned field, and a NaN torsion never
+    counts as converged.
     """
     field = glued.field
     meas = torsion_residual(field)
@@ -749,7 +751,7 @@ def sheared_structure(sign: int, rate: float = 1.0, amplitude: float = 0.25,
     if np.abs(dw).max() >= 0.9:
         raise ValueError("drift too large: t -> t + w(t) must stay monotone")
     contracted = Omega0().contract(direction)
-    arr = np.zeros((grid.n, 35), dtype=complex)
+    arr = np.zeros((grid.n, 35))
     pos3 = basis_position(AXES7, 3)
     for idx, c in contracted.coeffs.items():
         arr[:, pos3[(1,) + idx]] += du * c
@@ -837,7 +839,7 @@ def closed_perturbation_structure(sign: int, rate: float = 1.0,
     denv = _support_envelope_deriv(t)
     decay = np.exp(-rate * t)
     dg = amplitude * (denv - rate * env) * decay
-    arr = np.zeros((grid.n, 35), dtype=complex)
+    arr = np.zeros((grid.n, 35))
     arr[:, basis_position(AXES7, 3)[(1,) + axes]] = dg
     pert = SpectralForm(3, band, grid, {ZERO_XI: arr}, check=False)
     return CylStructure(Omega0(), omega0(), sign, pert, rate)

@@ -1,6 +1,7 @@
 """End-to-end tests for the command-line runners."""
 
 import json
+import math
 import os
 import subprocess
 import sys
@@ -82,6 +83,34 @@ def test_pointwise_check_exact_flag_adds_check(capsys):
     assert rc == 0
     names = [c["name"] for c in json.loads(out)["checks"]]
     assert "calibration-identity-exact" in names
+
+
+def test_pointwise_worst_of_checks_propagate_nan(monkeypatch):
+    # Python's max keeps its first argument when the second is NaN, so a
+    # NaN deviation after a finite one must not read as a pass.
+    real_star, real_gram = cli.hodge_star, cli.gram_from_3form
+    stars, grams = [], []
+
+    def nan_star(metric, form):
+        out = real_star(metric, form)
+        stars.append(1)
+        if len(stars) == 6:     # the last coefficient of one round trip
+            coeffs = dict(out.coeffs)
+            coeffs[max(coeffs)] = math.nan
+            return out.__class__(out.axes, out.degree, coeffs)
+        return out
+
+    def nan_gram(phi):
+        grams.append(1)
+        out = real_gram(phi)
+        return np.full_like(out, np.nan) if len(grams) == 3 else out
+
+    monkeypatch.setattr(cli, "hodge_star", nan_star)
+    monkeypatch.setattr(cli, "gram_from_3form", nan_gram)
+    inv = cli._check_involution(np.random.default_rng(1), 1e-10, trials=1)
+    eqv = cli._check_equivariance(np.random.default_rng(1), trials=3)
+    assert math.isnan(inv["worst"]) and not inv["passed"]
+    assert math.isnan(eqv["worst"]) and not eqv["passed"]
 
 
 def test_pointwise_check_bytes_reproducible(capsys):

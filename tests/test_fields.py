@@ -89,6 +89,128 @@ def test_shape_mismatch_rejected():
         SpectralForm(1, 2, CIRCLE, {ZERO_XI: np.ones((CIRCLE.n, 6))})
 
 
+# -- the real xi = 0 mode --------------------------------------------------
+
+def assert_real_xi0(f):
+    """The xi = 0 mode is a C-contiguous float64 array, the rest complex128."""
+    assert ZERO_XI in f.modes
+    for xi, a in f.modes.items():
+        assert a.dtype == (np.float64 if xi == ZERO_XI else np.complex128)
+        assert a.flags.c_contiguous and not a.flags.writeable
+
+
+@pytest.mark.parametrize("check", [True, False])
+@pytest.mark.parametrize("dtype", [float, complex])
+def test_constructor_stores_xi0_real(check, dtype):
+    rng = np.random.default_rng(21)
+    a0 = rng.standard_normal((CIRCLE.n, 7))
+    a1 = rng.standard_normal((CIRCLE.n, 7)) + 1j * rng.standard_normal((CIRCLE.n, 7))
+    xi = (1, 0, 0, 0, 0, 0)
+    modes = {ZERO_XI: a0.astype(dtype), xi: a1, (-1, 0, 0, 0, 0, 0): np.conj(a1)}
+    f = SpectralForm(1, 2, CIRCLE, modes, check=check)
+    assert_real_xi0(f)
+    assert np.array_equal(f.modes[ZERO_XI], a0)
+    assert np.array_equal(f.modes[xi], a1)
+
+
+def test_imaginary_xi0_mode_raises_under_check():
+    a = np.ones((CIRCLE.n, 7)) + 1e-3j
+    with pytest.raises(RealityError, match="not real"):
+        SpectralForm(1, 0, CIRCLE, {ZERO_XI: a})
+    # within the self-conjugacy tolerance the real part is kept
+    f = SpectralForm(1, 0, CIRCLE, {ZERO_XI: np.ones((CIRCLE.n, 7)) + 1e-10j})
+    assert_real_xi0(f)
+    assert np.array_equal(f.modes[ZERO_XI], np.ones((CIRCLE.n, 7)))
+
+
+def _xi0_paths():
+    rng = np.random.default_rng(22)
+    xi = (0, 1, 0, 0, 0, 0)
+    a = rng.standard_normal((CIRCLE.n, 7)) + 1j * rng.standard_normal((CIRCLE.n, 7))
+    pair = SpectralForm(1, 1, CIRCLE, {xi: a})
+    other = SpectralForm(1, 1, CIRCLE, {xi: np.roll(a, 3, axis=0)})
+    const = SpectralForm.from_constant(phi0(), CIRCLE, band=1)
+    mixed = rand_field(3, 2, CIRCLE, rng, active=(2,), nmodes=3) + const
+    t = INTERVAL.points
+    decaying = SpectralForm(3, 0, INTERVAL, {
+        ZERO_XI: np.outer(2.0 + np.exp(-t), rng.standard_normal(35))})
+    phys, _ = sample_physical(mixed)
+    return {
+        "from_constant": lambda: const,
+        "samples-no-axis": lambda: spectral_from_samples(
+            sample_physical(const)[0], 3, 1, CIRCLE),
+        "samples-active-axis": lambda: spectral_from_samples(phys, 3, 2, CIRCLE),
+        "exterior_d": lambda: exterior_d(mixed),
+        "wedge-of-pair": lambda: pair.wedge(other),
+        "add": lambda: const + mixed,
+        "sub": lambda: mixed - const,
+        "sub-from-zero": lambda: SpectralForm.zero(3, 1, CIRCLE) - const,
+        "add-disjoint": lambda: pair + SpectralForm.from_constant(
+            ConstForm.fromvector(AXES7, 1, np.arange(1.0, 8.0)), CIRCLE),
+        "decompose-limit": lambda: decompose_cyl(decaying)[0],
+        "decompose-free": lambda: decompose_cyl(decaying)[1],
+        "decompose-dt": lambda: decompose_cyl(decaying)[2],
+        "harmonic_project": lambda: harmonic_project(mixed),
+        "payload": lambda: from_payload(to_payload(mixed)),
+    }
+
+
+@pytest.mark.parametrize("path", list(_xi0_paths()))
+def test_every_path_stores_xi0_real(path):
+    f = _xi0_paths()[path]()
+    assert_real_xi0(f)
+
+
+def test_wedge_of_a_conjugate_pair_is_real_at_xi0():
+    rng = np.random.default_rng(23)
+    xi = (0, 0, 2, 0, 0, 0)
+    a = rng.standard_normal((CIRCLE.n, 7)) + 1j * rng.standard_normal((CIRCLE.n, 7))
+    b = rng.standard_normal((CIRCLE.n, 21)) + 1j * rng.standard_normal((CIRCLE.n, 21))
+    f = SpectralForm(1, 2, CIRCLE, {xi: a})
+    g = SpectralForm(2, 2, CIRCLE, {xi: b})
+    got = f.wedge(g).modes[ZERO_XI]
+    aa, bb, ind = F._wedge_arrays(1, 2)
+    want = ((a[:, aa] * np.conj(b)[:, bb]) @ ind
+            + (np.conj(a)[:, aa] * b[:, bb]) @ ind)
+    assert got.dtype == np.float64
+    assert np.abs(got - want).max() <= 1e-14 * np.abs(want).max()
+
+
+def test_sampling_a_xi0_field_builds_no_complex_array():
+    f = SpectralForm.from_constant(phi0(), CIRCLE)
+    phys, dims = sample_physical(f)
+    assert dims == (1,) * 6 and phys.dtype == np.float64
+    assert np.shares_memory(phys, f.modes[ZERO_XI])
+    assert np.array_equal(phys.reshape(CIRCLE.n, 35), f.modes[ZERO_XI])
+    empty, _ = sample_physical(SpectralForm.zero(3, 0, CIRCLE))
+    assert empty.shape == (CIRCLE.n,) + (1,) * 6 + (35,) and not empty.any()
+
+
+# -- non-finite samples ----------------------------------------------------
+
+def test_spectral_from_samples_rejects_a_nan_sample():
+    rng = np.random.default_rng(24)
+    arr = rng.standard_normal((CIRCLE.n,) + (1,) * 6 + (35,))
+    good = spectral_from_samples(arr, 3, 0, CIRCLE)
+    assert np.array_equal(good.modes[ZERO_XI], arr.reshape(CIRCLE.n, 35))
+    bad = arr.copy()
+    bad[5, 0, 0, 0, 0, 0, 0, 7] = np.nan
+    with pytest.raises(ValueError, match=r"1 non-finite samples.*\(5, 0, 0, 0, 0, 0, 0, 7\)"):
+        spectral_from_samples(bad, 3, 0, CIRCLE)
+
+
+def test_spectral_from_samples_rejects_inf_on_an_active_axis():
+    rng = np.random.default_rng(25)
+    f = rand_field(3, 2, CIRCLE, rng, active=(2,), nmodes=3)
+    phys, _ = sample_physical(f)
+    back = spectral_from_samples(phys, 3, 2, CIRCLE)
+    assert (back - f).amplitude() < 1e-12 * max(1.0, f.amplitude())
+    bad = phys.copy()
+    bad[3, 0, 0, 1] = np.inf
+    with pytest.raises(ValueError, match="non-finite"):
+        spectral_from_samples(bad, 3, 2, CIRCLE)
+
+
 # -- exterior derivative ---------------------------------------------------
 
 def test_d_constant_zero_form():
@@ -154,8 +276,7 @@ def test_d_matches_full_column_reference(grid):
         assert got.keys() == want.keys()
         for xi, w in want.items():
             assert np.abs(got[xi] - w).max() <= 1e-13 * np.abs(w).max()
-        if grid.periodic:
-            assert not got[ZERO_XI].imag.any()
+        assert_real_xi0(exterior_d(f))
 
 
 def test_d_matches_sampled_t_derivative():
@@ -305,8 +426,8 @@ def test_harmonic_project_mean_is_summed_pairwise():
     f = SpectralForm(3, 0, grid, {ZERO_XI: arr}, check=False)
     got = harmonic_project(f).modes[ZERO_XI][0]
     want = np.array([math.fsum(arr[:, c]) / grid.n for c in range(35)])
-    assert not got.imag.any()
-    assert (np.abs(got.real - want) <= np.spacing(want)).all()
+    assert got.dtype == np.float64
+    assert (np.abs(got - want) <= np.spacing(want)).all()
 
 
 # -- asymptotics -----------------------------------------------------------
