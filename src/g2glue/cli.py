@@ -57,10 +57,8 @@ from .forms import (
     phi0,
 )
 from .gluing import (
-    CutoffSpec,
     GluingReport,
     MismatchedLimits,
-    ReductionStopped,
     closed_perturbation_structure,
     fit_torsion_slope,
     flat_structure,
@@ -429,7 +427,7 @@ def cmd_pointwise_check(cfg: ScenarioConfig, corrupt: bool = False) -> int:
 
 def _sweep_row(plus, minus, length: float, tol: float) -> GluingReport:
     try:
-        glued = glue_fields(plus, minus, length, CutoffSpec())
+        glued = glue_fields(plus, minus, length)
     except MismatchedLimits as exc:
         raise InputError(
             f"the two structures do not form a matching pair: {exc}"
@@ -437,13 +435,9 @@ def _sweep_row(plus, minus, length: float, tol: float) -> GluingReport:
     except ValueError as exc:
         raise InputError(f"cannot glue at L = {length!r}: {exc}") from exc
     try:
-        _, rep = torsion_reduce(glued, tol=tol, max_iter=25)
-    except ReductionStopped as exc:
-        rep = GluingReport.from_measure(length, exc.measure, exc.iterations,
-                                        False)
+        return torsion_reduce(glued, tol=tol)[1]
     except ValueError as exc:
         raise InputError(f"cannot reduce at L = {length!r}: {exc}") from exc
-    return rep
 
 
 # glibc mallopt parameters and the values glue-sweep sets.

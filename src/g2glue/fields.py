@@ -493,12 +493,15 @@ def _active_axes(dims) -> tuple[int, ...]:
     return tuple(d + 1 for d, m in enumerate(dims) if m > 1)
 
 
-def sample_physical(f: SpectralForm, oversample: int = 2) -> tuple[np.ndarray, tuple[int, ...]]:
+_OVERSAMPLE = 2
+
+
+def sample_physical(f: SpectralForm) -> tuple[np.ndarray, tuple[int, ...]]:
     """Evaluate on a physical grid: (samples, torus shape).
 
     Returns an array of shape (grid.n, M_1, .., M_6, ncomp) with M_d = 1
     for torus directions carrying no nonzero frequency and
-    M_d = 2 * oversample * max|xi_d| otherwise, together with the M tuple.
+    M_d = 2 * _OVERSAMPLE * max|xi_d| otherwise, together with the M tuple.
     The grid in each active direction is uniform on [0, 2*pi).  Only the
     active directions are transformed: an FFT over a length-1 axis is the
     identity, so skipping it leaves the samples bitwise unchanged.  With
@@ -509,7 +512,7 @@ def sample_physical(f: SpectralForm, oversample: int = 2) -> tuple[np.ndarray, t
     for xi in f.modes:
         for d in range(6):
             maxfreq[d] = max(maxfreq[d], abs(xi[d]))
-    dims = tuple(1 if m == 0 else 2 * oversample * m for m in maxfreq)
+    dims = tuple(1 if m == 0 else 2 * _OVERSAMPLE * m for m in maxfreq)
     shape = (f.grid.n,) + dims + (f.ncomp,)
     axes = _active_axes(dims)
     if not axes:
@@ -523,15 +526,16 @@ def sample_physical(f: SpectralForm, oversample: int = 2) -> tuple[np.ndarray, t
     return np.real(spec), dims
 
 
-def spectral_from_samples(samples: np.ndarray, degree: int, band: int, grid: TGrid,
-                          prune_tol: float = 0.0) -> SpectralForm:
+def spectral_from_samples(samples: np.ndarray, degree: int, band: int,
+                          grid: TGrid) -> SpectralForm:
     """Inverse of sample_physical with band projection.
 
     ``samples`` has shape (grid.n, M_1, .., M_6, ncomp); frequencies with
     |xi|_inf <= band representable on the sample grid are kept, everything
-    else is discarded (an orthogonal projection, not an error).  Samples
-    must be finite: a NaN or inf raises ValueError before any transform,
-    since it would otherwise fail the prune test and vanish.
+    else is discarded (an orthogonal projection, not an error), and so is
+    every mode that is exactly 0.  Samples must be finite: a NaN or inf
+    raises ValueError before any transform, since it would otherwise fail
+    that nonzero test and vanish.
     """
     arr = np.asarray(samples)
     dims = arr.shape[1:-1]
@@ -552,7 +556,7 @@ def spectral_from_samples(samples: np.ndarray, degree: int, band: int, grid: TGr
     for xi in itertools.product(*ranges):
         pos = tuple(xi[d] % dims[d] for d in range(6))
         a = spec[(slice(None),) + pos + (slice(None),)]
-        if np.abs(a).max() > prune_tol * scale:
+        if np.abs(a).max() > 0.0:
             modes[xi] = a
     return SpectralForm(degree, band, grid, modes)
 

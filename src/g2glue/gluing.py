@@ -85,24 +85,6 @@ class NeckTooShort(ValueError):
     """L is below the 4 the cutoff needs, so no neck of that length glues."""
 
 
-class ReductionStopped(Exception):
-    """torsion_reduce gave up; ``iterations`` and ``measure`` record the
-    steps it took and the TorsionMeasure of the field it stopped at."""
-
-    def __init__(self, message: str, iterations: int, measure):
-        super().__init__(message)
-        self.iterations = iterations
-        self.measure = measure
-
-
-class Diverged(ReductionStopped, RuntimeError):
-    """Torsion stopped decreasing for three consecutive reduction steps."""
-
-
-class AboveSmallness(ReductionStopped, ValueError):
-    """The initial torsion exceeds the smallness threshold of the reducer."""
-
-
 # -- cutoff profiles -------------------------------------------------------
 
 _SHAPES = ("quintic", "septic", "nonic", "exp")
@@ -262,8 +244,11 @@ def integral_to_infinity(f: SpectralForm) -> dict:
 
 # -- the eta correction ----------------------------------------------------
 
-def eta_correction(alpha: SpectralForm, cutoff: CutoffSpec, length: float,
-                   closed_tol: float = 1e-6) -> SpectralForm:
+_CLOSED_TOL = 1e-6  # relative closedness tolerance of the input check
+
+
+def eta_correction(alpha: SpectralForm, cutoff: CutoffSpec,
+                   length: float) -> SpectralForm:
     """Cutoff 2-form eta with alpha + d(eta) translation-invariant past L-1.
 
     eta = rho(t) * I(t) with I the tail integral of the decaying
@@ -273,7 +258,7 @@ def eta_correction(alpha: SpectralForm, cutoff: CutoffSpec, length: float,
     if alpha.degree != 3:
         raise ValueError("expected a degree-3 half-cylinder field")
     scale = 1.0 + alpha.amplitude()
-    if norm_sup(exterior_d(alpha)) > closed_tol * scale:
+    if norm_sup(exterior_d(alpha)) > _CLOSED_TOL * scale:
         raise NotClosed("input field is not closed at the grid tolerance")
     _, _, gamma = decompose_cyl(alpha)
     tails = integral_to_infinity(gamma)
@@ -417,10 +402,10 @@ class TorsionMeasure:
         return float(np.maximum(self.d_sup, self.dstar_sup))
 
 
-def induced_4form(field: SpectralForm, oversample: int = 2) -> SpectralForm:
+def induced_4form(field: SpectralForm) -> SpectralForm:
     """The pointwise star of a degree-3 field with respect to its own
     induced metric, projected back to the field's mode band."""
-    phys, _ = sample_physical(field, oversample=oversample)
+    phys, _ = sample_physical(field)
     shape = phys.shape
     flat = phys.reshape(-1, 35)
     g = metric_batch(flat)
@@ -542,7 +527,12 @@ def _update_spectra(dstar: SpectralForm, solve) -> dict:
 
 @dataclass(frozen=True)
 class GluingReport:
-    """Outcome record for one neck: torsion norms, iterations, verdict."""
+    """Outcome record for one neck: torsion norms, iterations and why it
+    stopped, one of STOP_REASONS (torsion_reduce's, or unreduced for a
+    raw sweep_reports row); any other stop_reason raises ValueError."""
+
+    STOP_REASONS = ("converged", "max_iter", "diverged", "above-smallness",
+                    "unreduced")
 
     length: float
     torsion_d_l2: float
@@ -550,14 +540,22 @@ class GluingReport:
     torsion_ds_l2: float
     torsion_ds_sup: float
     iterations: int
-    converged: bool
+    stop_reason: str
     slope: float | None = None
 
+    def __post_init__(self):
+        if self.stop_reason not in self.STOP_REASONS:
+            raise ValueError(f"unknown stop reason {self.stop_reason!r}")
+
+    @property
+    def converged(self) -> bool:
+        return self.stop_reason == "converged"
+
     @classmethod
-    def from_measure(cls, length, meas: TorsionMeasure, iterations, converged,
-                     slope=None):
+    def from_measure(cls, length, meas: TorsionMeasure, iterations,
+                     stop_reason, slope=None):
         return cls(length, meas.d_l2, meas.d_sup, meas.dstar_l2, meas.dstar_sup,
-                   iterations, converged, slope)
+                   iterations, stop_reason, slope)
 
     def to_json_obj(self) -> dict:
         obj = {"L": self.length,
@@ -580,12 +578,14 @@ class GluingReport:
                          str(self.iterations), str(self.converged).lower()])
 
 
-# Relative drop in the worst torsion that counts as progress of a step.
+# Relative drop in the worst torsion that counts as progress of a step,
+# and the largest initial torsion, relative to the field, worth reducing.
 _PROGRESS = 1e-6
+_SMALLNESS = 0.1
 
 
-def torsion_reduce(glued: GluedField, tol: float = 1e-10, max_iter: int = 25,
-                   smallness: float = 0.1) -> tuple[GluedField, GluingReport]:
+def torsion_reduce(glued: GluedField, tol: float = 1e-10,
+                   max_iter: int = 25) -> tuple[GluedField, GluingReport]:
     """Iteratively remove torsion by adding exact forms.
 
     Each step solves the flat-model linearization mode by mode for a
@@ -602,28 +602,26 @@ def torsion_reduce(glued: GluedField, tol: float = 1e-10, max_iter: int = 25,
     full complex transform.  The residual solved against is the one
     torsion_residual measured at the end of the previous step, so each
     step stars the field once and differentiates only inside
-    torsion_residual.  Stops at torsion <= tol (sup norms) or max_iter;
-    raises Diverged after three consecutive steps that do not lower the
-    best torsion so far by more than a relative _PROGRESS (at the
-    closedness floor the steps differ only in roundoff, which must not
-    decide the step count), AboveSmallness (a ValueError) if the initial
-    torsion exceeds the smallness threshold relative to the field.  Both
-    carry the steps taken and the last measured torsion.  The report
-    carries the torsion of the returned field, and a NaN torsion never
-    counts as converged.
+    torsion_residual.  A stop is a report, not an error: the field it
+    stopped at comes back with its torsion and a stop_reason.  converged:
+    torsion <= tol (sup norms).  max_iter: max_iter steps ran.  diverged:
+    three consecutive steps did not lower the best torsion so far by more
+    than a relative _PROGRESS (at the closedness floor the steps differ
+    only in roundoff, which must not decide the step count), or the
+    torsion is NaN.  above-smallness: the initial torsion exceeds
+    _SMALLNESS relative to the field, and ``glued`` itself comes back.
     """
     field = glued.field
     meas = torsion_residual(field)
-    if meas.worst > smallness * max(norm_sup(field), 1e-30):
-        raise AboveSmallness("initial torsion is above the smallness threshold",
-                             0, meas)
     length = glued.length
+    if meas.worst > _SMALLNESS * max(norm_sup(field), 1e-30):
+        return glued, GluingReport.from_measure(length, meas, 0, "above-smallness")
     n_t = field.grid.n
     solve = _mode_solver(2.0 * np.pi / (2.0 * length), n_t)
     iterations = 0
     worse = 0
     best = meas.worst
-    while meas.worst > tol and iterations < max_iter:
+    while meas.worst > tol and iterations < max_iter and worse < 3:
         update = {xi: np.fft.irfft(dhat, n_t, axis=0) if xi == ZERO_XI
                   else np.fft.ifft(dhat, axis=0)
                   for xi, dhat in _update_spectra(meas.dstar, solve).items()}
@@ -633,14 +631,14 @@ def torsion_reduce(glued: GluedField, tol: float = 1e-10, max_iter: int = 25,
         iterations += 1
         if meas.worst >= best * (1.0 - _PROGRESS):
             worse += 1
-            if worse >= 3:
-                raise Diverged(f"torsion stopped decreasing after {iterations} steps",
-                               iterations, meas)
         else:
             worse = 0
             best = meas.worst
-    report = GluingReport.from_measure(length, meas, iterations, meas.worst <= tol)
-    return glued.with_field(field), report
+    reason = ("converged" if meas.worst <= tol else
+              "max_iter" if worse < 3 and not math.isnan(meas.worst) else
+              "diverged")
+    return glued.with_field(field), GluingReport.from_measure(
+        length, meas, iterations, reason)
 
 
 # -- sweeps and the empirical threshold ------------------------------------
@@ -649,15 +647,16 @@ def sweep_reports(plus, minus, lengths, cutoff: CutoffSpec = CutoffSpec(),
                   reduce_tol: float | None = None, max_iter: int = 25) -> list:
     """Glue (and optionally reduce) at each L; fit the torsion decay slope.
 
-    Without a reduce tolerance the reports carry the raw glued torsion.
-    The slope is fit_torsion_slope's, attached to every report.
+    Without a reduce tolerance the reports carry the raw glued torsion
+    (stop reason unreduced); with one, torsion_reduce's report, however
+    it stopped.  The slope is fit_torsion_slope's, attached to every report.
     """
     reports = []
     for length in lengths:
         glued = glue_fields(plus, minus, length, cutoff)
         if reduce_tol is None:
             meas = torsion_residual(glued)
-            reports.append(GluingReport.from_measure(length, meas, 0, False))
+            reports.append(GluingReport.from_measure(length, meas, 0, "unreduced"))
         else:
             _, rep = torsion_reduce(glued, tol=reduce_tol, max_iter=max_iter)
             reports.append(rep)
@@ -685,8 +684,8 @@ def estimate_L0(plus, minus, lengths, tol: float = 1e-10, max_iter: int = 25,
     """Smallest sampled L at which the reduction converges; inf if none.
 
     A length below the cutoff's L >= 4 (NeckTooShort), whose reduction
-    stops (Diverged, AboveSmallness) or whose field leaves the stable
-    orbit (NotStable) does not converge.  Any other ValueError from
+    stops for any reason other than converged, or whose field leaves the
+    stable orbit (NotStable) does not converge.  Any other ValueError from
     glue_fields names unusable input, such as two halves of one sign, a
     length off the grid or half grids that do not reach L + 1, and is
     raised.
@@ -695,7 +694,7 @@ def estimate_L0(plus, minus, lengths, tol: float = 1e-10, max_iter: int = 25,
         try:
             glued = glue_fields(plus, minus, length, cutoff)
             _, rep = torsion_reduce(glued, tol=tol, max_iter=max_iter)
-        except (NeckTooShort, ReductionStopped, NotStable):
+        except (NeckTooShort, NotStable):
             continue
         if rep.converged:
             return float(length)

@@ -20,9 +20,7 @@ from g2glue.cohomology import (
     synth_diagram,
 )
 from g2glue.gluing import (
-    Diverged,
     GluingReport,
-    closed_perturbation_structure,
     flat_structure,
     glue_fields,
     modulated_shear_structure,
@@ -254,13 +252,12 @@ def test_glue_sweep_diverged_row_reports_its_steps(tmp_path, flat_pair,
     [row] = json.loads(out)["rows"]
     glued = glue_fields(modulated_shear_structure(1, amplitude=0.05),
                         flat_structure(-1), 5.0)
-    with pytest.raises(Diverged) as info:
-        torsion_reduce(glued, tol=1e-10, max_iter=25)
-    meas = info.value.measure
-    assert row["iters"] == info.value.iterations > 0
+    _, rep = torsion_reduce(glued, tol=1e-10)
+    assert rep.stop_reason == "diverged"
+    assert row["iters"] == rep.iterations > 0
     assert row["converged"] is False
-    assert (row["torsion_d_sup"], row["torsion_ds_sup"]) == (meas.d_sup,
-                                                             meas.dstar_sup)
+    assert (row["torsion_d_sup"], row["torsion_ds_sup"]) == (rep.torsion_d_sup,
+                                                             rep.torsion_ds_sup)
 
 
 @pytest.mark.filterwarnings("ignore:overflow encountered")
@@ -313,18 +310,27 @@ def test_oversized_input_exits_two_without_allocating(tmp_path, flat_pair,
     assert peak < 4 << 20
 
 
-def test_glue_sweep_rows_equal_sweep_reports(tmp_path, flat_pair, capsys):
+@pytest.mark.parametrize("kind, amplitude, lengths, reasons", [
+    ("closed-perturbation", 2e-3, [5.0, 5.5, 6.0], ["converged"] * 3),
+    # The stalling pair: the library sweep returns its rows, like the CLI.
+    ("modulated-shear", 0.05, [5.0], ["diverged"]),
+], ids=["closed", "modulated"])
+def test_glue_sweep_rows_equal_sweep_reports(tmp_path, flat_pair, capsys,
+                                             kind, amplitude, lengths,
+                                             reasons):
     _, minus = flat_pair
-    closed = write_structure(tmp_path / "closed.json", 1,
-                             kind="closed-perturbation", amplitude=2e-3)
-    rc, out, _ = run_cli(["glue-sweep", "--input", closed, "--input2", minus,
-                          "--L-start", "5", "--L-stop", "6",
+    plus = write_structure(tmp_path / "half.json", 1, kind=kind,
+                           amplitude=amplitude)
+    rc, out, _ = run_cli(["glue-sweep", "--input", plus, "--input2", minus,
+                          "--L-start", repr(lengths[0]),
+                          "--L-stop", repr(lengths[-1]),
                           "--L-step", "0.5"], capsys)
-    assert rc == 0
+    factory = cli._STRUCTURE_KINDS[kind][0]
+    serial = sweep_reports(factory(1, amplitude=amplitude), flat_structure(-1),
+                           lengths, reduce_tol=1e-10)
+    assert [r.stop_reason for r in serial] == reasons
+    assert rc == (0 if all(r.converged for r in serial) else 1)
     payload = json.loads(out)
-    serial = sweep_reports(closed_perturbation_structure(1, amplitude=2e-3),
-                           flat_structure(-1), [5.0, 5.5, 6.0],
-                           reduce_tol=1e-10)
     assert payload["rows"] == [cli._jsonable(r.to_json_obj()) for r in serial]
     assert payload["slope"] == serial[0].slope
 

@@ -12,14 +12,18 @@ Sizes stay small: neck lengths come as a start plus at most two steps,
 and extent, density and band come from short lists, so that every case
 runs in well under a second.  How the program treats a range of 1e300
 lengths or a grid of 1e12 samples is not covered here.
+
+The library's side of the contract, its public names, is pinned last.
 """
 
 import json
 import math
+import types
 
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+import g2glue
 from g2glue import cli
 from g2glue.cohomology import diagram_to_json, synth_diagram
 
@@ -273,3 +277,37 @@ def test_diagram_contract(tmp_path, capsys, data, diagram, command, broken,
         argv.append("--exact")
     rc, out, err = _run(argv, capsys)
     _check_contract(rc, out, err, fmt)
+
+
+# The public surface of the package: adding or removing a name is a stated
+# change, so it shows up here as a reviewed diff.
+PUBLIC_NAMES = [
+    "B1NotZero", "BoundaryMembership", "CutoffSpec", "CylStructure",
+    "DegreeBlock", "DerivativeModel", "DiagramReport", "GluedField",
+    "GluingReport", "HarmonicPair", "InconsistentTargets", "KForm6", "KForm7",
+    "Metric7", "MismatchedLimits", "NeckTooShort", "NoDecay", "NoLimit",
+    "NotClosed", "NotStable", "Omega0", "SingularBoundary", "SpectralForm",
+    "Subspaces", "SumDiagram", "TGrid", "TorsionMeasure",
+    "assemble_cylindrical", "boundary_class_check",
+    "closed_perturbation_structure", "codifferential", "decompose_cyl",
+    "derivative_model", "diagram_from_json", "diagram_to_json", "estimate_L0",
+    "estimate_decay_rate", "eta_correction", "exterior_d",
+    "fit_torsion_slope", "flat_structure", "glue_fields", "gluing_matrix",
+    "gram_from_3form", "harmonic_project", "hodge_star", "induced_4form",
+    "inner_l2", "integral_to_infinity", "is_g2_form", "load_diagram",
+    "metric_from_3form", "modulated_shear_structure", "norm_l2", "norm_sup",
+    "omega0", "phi0", "product_diagram", "sample_pair", "save_diagram",
+    "sheared_structure", "shift_C", "singular_levels", "split_cylindrical",
+    "su3_tangent_residual", "subspaces", "sweep_reports", "synth_diagram",
+    "torsion_reduce", "torsion_residual", "validate_C", "validate_diagram",
+    "yh_exact", "yh_full",
+]
+
+
+def test_public_names():
+    # Submodules become package attributes once imported, so they are
+    # left out: which ones are loaded depends on what ran before.
+    names = sorted(name for name, value in vars(g2glue).items()
+                   if not name.startswith("_")
+                   and not isinstance(value, types.ModuleType))
+    assert names == PUBLIC_NAMES

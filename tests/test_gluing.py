@@ -23,9 +23,7 @@ from g2glue.fields import (
 )
 from g2glue.forms import AXES7, Omega0, basis_position, omega0, phi0
 from g2glue.gluing import (
-    AboveSmallness,
     CutoffSpec,
-    Diverged,
     GluingReport,
     MismatchedLimits,
     NeckTooShort,
@@ -347,6 +345,8 @@ def test_torsion_decay_rate_matches_perturbation_rate():
         plus = modulated_shear_structure(1, rate=rate)
         measured = estimate_decay_rate(plus.perturbation, (3.0, 10.0))
         reports = sweep_reports(plus, minus, [4.0, 5.0, 6.0, 7.0])
+        assert {(r.stop_reason, r.iterations) for r in reports} == {
+            ("unreduced", 0)}
         slope = reports[0].slope
         assert abs(slope + measured) < 0.1 * measured
         assert abs(measured - rate) < 0.05
@@ -413,30 +413,40 @@ def test_reduce_stars_the_field_once_per_step(monkeypatch):
 
 def test_reduce_rejects_large_torsion(flat_glued):
     start = exact_perturbed(flat_glued, seed=5, eps=0.5)
-    with pytest.raises(ValueError, match="smallness"):
-        torsion_reduce(start)
+    out, report = torsion_reduce(start)
+    assert out is start
+    assert (report.stop_reason, report.iterations) == ("above-smallness", 0)
+    assert not report.converged
 
 
-def test_reduce_raises_diverged_at_the_closedness_floor():
+def test_reduce_reports_diverged_at_the_closedness_floor():
     plus = modulated_shear_structure(1, amplitude=0.05)
     glued = glue_fields(plus, flat_structure(-1), 5.0)
-    with pytest.raises(Diverged):
-        torsion_reduce(glued, tol=1e-7)
+    out, report = torsion_reduce(glued, tol=1e-7)
+    assert report.stop_reason == "diverged" and not report.converged
+    # The field it stopped at, not the input: the steps before the stall
+    # lowered the torsion.
+    assert torsion_residual(out).worst < torsion_residual(glued).worst
 
 
 def test_stopped_reductions_carry_steps_and_last_torsion(flat_glued):
     start = exact_perturbed(flat_glued, seed=5, eps=0.5)
-    with pytest.raises(AboveSmallness) as info:
-        torsion_reduce(start)
-    meas = torsion_residual(start)
-    assert info.value.iterations == 0
-    assert info.value.measure == meas
+    _, report = torsion_reduce(start)
+    assert report == GluingReport.from_measure(
+        start.length, torsion_residual(start), 0, "above-smallness")
     plus = modulated_shear_structure(1, amplitude=0.05)
     glued = glue_fields(plus, flat_structure(-1), 5.0)
-    with pytest.raises(Diverged) as info:
-        torsion_reduce(glued, tol=1e-10)
-    assert info.value.iterations == 5
-    assert info.value.measure.worst > 1e-10
+    out, report = torsion_reduce(glued, tol=1e-10)
+    assert (report.stop_reason, report.iterations) == ("diverged", 5)
+    assert max(report.torsion_d_sup, report.torsion_ds_sup) > 1e-10
+    assert report == GluingReport.from_measure(
+        5.0, torsion_residual(out), 5, "diverged")
+
+
+@pytest.mark.parametrize("reason", [True, "done"])
+def test_report_rejects_an_unknown_stop_reason(reason):
+    with pytest.raises(ValueError, match="stop reason"):
+        GluingReport(5.0, 0.0, 0.0, 0.0, 0.0, 2, reason)
 
 
 def test_worst_torsion_propagates_nan():
@@ -457,7 +467,7 @@ def test_reduce_never_converges_on_a_nan_torsion(monkeypatch):
     glued = glue_fields(plus, flat_structure(-1), 5.0)
     _, report = torsion_reduce(glued, tol=1e-10)
     assert report.torsion_d_sup <= 1e-10
-    assert not report.converged
+    assert report.stop_reason == "diverged" and not report.converged
 
 
 def test_floor_steps_ignore_roundoff_drift(monkeypatch):
@@ -477,9 +487,8 @@ def test_floor_steps_ignore_roundoff_drift(monkeypatch):
     monkeypatch.setattr(gluing, "torsion_residual", drifting)
     plus = modulated_shear_structure(1, amplitude=0.05)
     glued = glue_fields(plus, flat_structure(-1), 5.0)
-    with pytest.raises(Diverged) as info:
-        torsion_reduce(glued, tol=1e-10)
-    assert info.value.iterations == 5
+    _, report = torsion_reduce(glued, tol=1e-10)
+    assert (report.stop_reason, report.iterations) == ("diverged", 5)
 
 
 # -- the per-mode solve ----------------------------------------------------
@@ -563,7 +572,7 @@ def test_reduction_keeps_the_xi0_mode_exactly_real(length):
     glued = glue_fields(plus, flat_structure(-1), length)
     assert glued.field.modes[ZERO_XI].dtype == np.float64
     out, report = torsion_reduce(glued, tol=1e-10)
-    assert report.iterations == 2 and report.converged
+    assert (report.stop_reason, report.iterations) == ("converged", 2)
     assert out.field.modes[ZERO_XI].dtype == np.float64
     assert torsion_residual(out).dstar.modes[ZERO_XI].dtype == np.float64
 
@@ -605,7 +614,7 @@ def test_spectral_update_matches_the_sample_space_step(kind):
                else np.fft.ifft(spectra[xi], axis=0))
         assert np.abs(got - a).max() <= 1e-13 * scale, xi
     out, report = torsion_reduce(glued, max_iter=1)
-    assert report.iterations == 1
+    assert (report.stop_reason, report.iterations) == ("max_iter", 1)
     stepped = glued.field + want
     assert set(out.field.modes) == set(stepped.modes)
     for xi, a in stepped.modes.items():
@@ -676,7 +685,7 @@ def test_reductions_retain_nothing_per_length(flat_pair):
 # -- reports and sweeps ----------------------------------------------------
 
 def test_report_serialization_roundtrip():
-    rep = GluingReport(5.0, 1e-3, 2e-3, 3e-4, 4e-4, 2, True, slope=-1.0)
+    rep = GluingReport(5.0, 1e-3, 2e-3, 3e-4, 4e-4, 2, "converged", slope=-1.0)
     obj = rep.to_json_obj()
     assert obj["L"] == 5.0 and obj["iters"] == 2 and obj["slope"] == -1.0
     assert set(obj) == {"L", "torsion_d_L2", "torsion_d_sup", "torsion_ds_L2",
@@ -687,7 +696,7 @@ def test_report_serialization_roundtrip():
 
 
 def test_slope_fit_needs_two_positive_points():
-    rep = GluingReport(5.0, 0.0, 0.0, 0.0, 0.0, 0, True)
+    rep = GluingReport(5.0, 0.0, 0.0, 0.0, 0.0, 0, "converged")
     assert fit_torsion_slope([rep, rep]) is None
 
 
