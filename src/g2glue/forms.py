@@ -508,17 +508,19 @@ def su3_tangent_residual(big: KForm6, small: KForm6, sigma: KForm6, tau: KForm6
 #
 #   B = U Q U^T: U (7 x 21) holds the contractions e_p . c in the 2-form
 #     basis, U[p, ab] = phi_abp, and Q (21 x 21) the coefficients of vol in
-#     dx^u ^ dx^v ^ c; both are linear in c.
-#   metric_batch factors B once by _eliminate.  det B is the product of
-#     the pivots, and g = s B is positive definite exactly when every pivot
-#     has the sign of det B (Sylvester's criterion, as Cholesky tests it).
+#     dx^u ^ dx^v ^ c; both are linear in c.  gram_batch forms them a
+#     block of rows at a time, so their scratch does not grow with n.
+#   _eliminate factors each B once.  det B is the product of the pivots,
+#     and g = s B is positive definite exactly when every pivot has the
+#     sign of det B (Sylvester's criterion, as Cholesky tests it); _scale
+#     reads s off the pivots for metric_batch and star3_batch alike.
 #   star3_batch reads psi off Bryant's identity (math/0305124, section 2),
 #     true for the metric g that phi induces and psi oriented by phi:
 #         phi_abp phi_cdq g^pq = g_ac g_bd - g_ad g_bc + psi_abcd.
-#     One elimination solves phi_ab. g^-1 for five pairs (a, b), one of
-#     which lies in every quadruple.  The star for dx^1..7 is eps psi with
-#     eps = sign(det B), the orientation of phi, read off the sign of
-#     phi ^ psi = 7 eps sqrt(det g) vol.
+#     Its one elimination, of [B | phi_ab.], factors B and solves
+#     B^-1 phi_ab. for five pairs (a, b), one of which lies in every
+#     quadruple; g = s B and g^-1 = B^-1 / s.  The star for dx^1..7 is
+#     eps psi with eps = sign(det B), the orientation of phi.
 
 @lru_cache(maxsize=1)
 def _gram_matrices() -> tuple[np.ndarray, np.ndarray]:
@@ -549,20 +551,30 @@ def _gram_matrices() -> tuple[np.ndarray, np.ndarray]:
     return ct.reshape(7 * 21, 35), qt.reshape(21 * 21, 35)
 
 
+# Rows per block of gram_batch.  U, Q and U Q take 735 doubles a row, so
+# a block bounds them at about 3 MB whatever the batch size.
+_GRAM_BLOCK = 512
+
+
 def gram_batch(coeffs: np.ndarray) -> np.ndarray:
     """Bilinear forms B = U Q U^T for a batch of 3-forms.
 
     ``coeffs`` has shape (..., 35), rows ordered like
     basis_indices(AXES7, 3); the result has shape (..., 7, 7) and agrees
     with gram_from_3form row by row.  U and Q are the linear images of
-    each row under the structure matrices of _gram_matrices.
+    each row under the structure matrices of _gram_matrices, formed a
+    block of _GRAM_BLOCK rows at a time; no row's B depends on the blocks.
     """
     c = np.asarray(coeffs, dtype=float)
     u_mat, q_mat = _gram_matrices()
-    lead = c.shape[:-1]
-    u = (c @ u_mat.T).reshape(lead + (7, 21))
-    q = (c @ q_mat.T).reshape(lead + (21, 21))
-    return u @ q @ np.swapaxes(u, -1, -2)
+    rows = c.reshape(-1, 35)
+    b = np.empty((len(rows), 7, 7))
+    for i in range(0, len(rows), _GRAM_BLOCK):
+        block = rows[i:i + _GRAM_BLOCK]
+        u = (block @ u_mat.T).reshape(-1, 7, 21)
+        uq = u @ (block @ q_mat.T).reshape(-1, 21, 21)
+        b[i:i + _GRAM_BLOCK] = uq @ np.swapaxes(u, -1, -2)
+    return b.reshape(c.shape[:-1] + (7, 7))
 
 
 def _eliminate(aug: np.ndarray) -> np.ndarray:
@@ -580,26 +592,36 @@ def _eliminate(aug: np.ndarray) -> np.ndarray:
     return aug[range(m), range(m)]
 
 
+def _scale(piv: np.ndarray, rows: np.ndarray) -> np.ndarray:
+    """Metric scales s (n,), g = s B, from the pivots (7, n) of the rows
+    (n, 7, 7) of B: s = KAPPA |det B|^(-1/9) with the sign of det B.
+
+    Raises NotStable if any row is degenerate or, failing that, lies
+    outside the positive-definite orbit.  Call under np.errstate(all=
+    "ignore"): a non-finite or huge row must end in NotStable, not in a
+    numpy warning.
+    """
+    det = piv.prod(axis=0)
+    stable = (((piv > 0).all(axis=0) | (piv < 0).all(axis=0))
+              & np.isfinite(det) & (np.abs(det) >= 1e-250))
+    if not stable.all():
+        det = np.linalg.det(rows[~stable])   # tells the two failures apart
+        if not np.all(np.isfinite(det)) or np.any(np.abs(det) < 1e-250):
+            raise NotStable("degenerate 3-form in batch")
+        raise NotStable("batch contains a 3-form with indefinite induced form")
+    return np.copysign(KAPPA * np.abs(det) ** (-1.0 / 9.0), det)
+
+
 def metric_batch(coeffs: np.ndarray) -> np.ndarray:
     """Induced metrics, shape (..., 7, 7), for a batch of stable 3-forms.
 
     Raises NotStable if any row is degenerate or, failing that, lies
     outside the positive-definite orbit.
     """
-    # A non-finite or huge row must end in NotStable, not in a numpy warning.
     with np.errstate(all="ignore"):
         b = gram_batch(coeffs)
         rows = b.reshape(-1, 7, 7)
-        piv = _eliminate(np.moveaxis(rows, 0, -1).copy())
-        det = piv.prod(axis=0)
-        stable = (((piv > 0).all(axis=0) | (piv < 0).all(axis=0))
-                  & np.isfinite(det) & (np.abs(det) >= 1e-250))
-        if not stable.all():
-            det = np.linalg.det(rows[~stable])   # tells the two failures apart
-            if not np.all(np.isfinite(det)) or np.any(np.abs(det) < 1e-250):
-                raise NotStable("degenerate 3-form in batch")
-            raise NotStable("batch contains a 3-form with indefinite induced form")
-    s = np.copysign(KAPPA * np.abs(det) ** (-1.0 / 9.0), det)
+        s = _scale(_eliminate(np.moveaxis(rows, 0, -1).copy()), rows)
     return s.reshape(b.shape[:-2] + (1, 1)) * b
 
 
@@ -610,41 +632,50 @@ _RAISED_PAIRS = ((0, 1), (0, 2), (1, 2), (3, 4), (5, 6))
 
 @lru_cache(maxsize=1)
 def _star3_tables() -> tuple[np.ndarray, ...]:
-    """Row tables for star3_batch, the J-th quadruple taken as
-    sign[J] * (a, b, c, d) with (a, b) the r-th raised pair:
-    raise_rows[p, r] and u[J, i] are the rows of phi_abp and phi_cdp in U,
-    y[J, i] the row of (phi_ab. g^-1)_p, p the i-th axis off c and d, and
-    g[:, J] those of g_ac, g_bd, g_ad and g_bc in g."""
+    """Tables for star3_batch, the J-th quadruple taken as
+    sign[J] * (a, b, c, d) with (a, b) the r-th raised pair and p the
+    i-th axis off c and d: rows 5 p + r of raise_mat @ c and 5 J + i of
+    low_mat @ c are phi_abp and phi_cdp, entry (yp, yr)[J, i] of the
+    eliminated [B | phi_ab.] is (phi_ab. B^-1)_p, and g[:, J] holds the
+    entries B_ac, B_bd, B_ad and B_bc of the flattened B."""
+    u_mat = _gram_matrices()[0]
     pos2 = basis_position(tuple(range(7)), 2)
-    raise_rows = [[21 * p + pos2[ab] for ab in _RAISED_PAIRS] for p in range(7)]
-    sign, y, u, g = [], [], [], []
+    raise_rows = [21 * p + pos2[ab] for p in range(7) for ab in _RAISED_PAIRS]
+    sign, yp, yr, low_rows, g = [], [], [], [], []
     for quad in basis_indices(tuple(range(7)), 4):
         r, (a, b) = next((r, ab) for r, ab in enumerate(_RAISED_PAIRS)
                          if set(ab) <= set(quad))
         c, d = (x for x in quad if x not in (a, b))
         sign.append(_merge_sign((a, b), (c, d))[0])
         ps = [p for p in range(7) if p not in (c, d)]    # phi_cdp = 0 for the rest
-        y.append([5 * p + r for p in ps])
-        u.append([21 * p + pos2[c, d] for p in ps])
+        yp.append(ps)
+        yr.append([7 + r] * len(ps))
+        low_rows += [21 * p + pos2[c, d] for p in ps]
         g.append([7 * a + c, 7 * b + d, 7 * a + d, 7 * b + c])
-    return tuple(map(np.array, (raise_rows, sign, y, u, np.transpose(g))))
+    return (u_mat[raise_rows], u_mat[low_rows],
+            *map(np.array, (sign, yp, yr, np.transpose(g))))
 
 
-def star3_batch(metrics: np.ndarray, coeffs: np.ndarray) -> np.ndarray:
+def star3_batch(coeffs: np.ndarray) -> np.ndarray:
     """Hodge star of a batch of 3-forms, each for the metric it induces.
 
-    ``metrics`` (..., 7, 7) must be metric_batch(coeffs), ``coeffs``
-    (..., 35); returns hodge_star's 4-form rows (..., 35) as eps psi.
+    ``coeffs`` (..., 35); returns hodge_star's 4-form rows (..., 35) as
+    eps psi.  One elimination of [B | phi_ab.] gives det B, the stability
+    test and the scale s of metric_batch, and B^-1 phi_ab.; the identity
+    is then read with g = s B and g^-1 = B^-1 / s.  Raises NotStable as
+    metric_batch does, with the same messages.
     """
-    ct = np.asarray(coeffs, dtype=float).reshape(-1, 35).T
-    n = ct.shape[1]
-    gt = np.asarray(metrics, dtype=float).reshape(n, 49).T
-    raise_rows, sign, y, u, g = _star3_tables()
-    ut = _gram_matrices()[0] @ ct
-    aug = np.concatenate([gt.reshape(7, 7, n), ut[raise_rows]], axis=1)
-    _eliminate(aug)
-    psi = sign[:, None] * (np.einsum("jpn,jpn->jn", aug[:, 7:].reshape(35, n)[y], ut[u])
+    c = np.asarray(coeffs, dtype=float)
+    raise_mat, low_mat, sign, yp, yr, g = _star3_tables()
+    rows = c.reshape(-1, 35)
+    ct, n = rows.T, len(rows)
+    with np.errstate(all="ignore"):
+        b = gram_batch(rows)
+        aug = np.concatenate([b.transpose(1, 2, 0),
+                              (raise_mat @ ct).reshape(7, 5, n)], axis=1)
+        s = _scale(_eliminate(aug), b)
+    gt = s * b.reshape(n, 49).T
+    low = (low_mat @ ct).reshape(35, 5, n)
+    psi = sign[:, None] * (np.einsum("jpn,jpn->jn", aug[yp, yr], low) / s
                            - gt[g[0]] * gt[g[1]] + gt[g[2]] * gt[g[3]])
-    comp, signs = _hodge_table(7, 3)
-    eps = np.sign(signs @ (ct[comp] * psi))
-    return (eps * psi).T.reshape(np.shape(coeffs))
+    return (np.sign(s) * psi).T.reshape(c.shape)

@@ -39,12 +39,10 @@ from __future__ import annotations
 import math
 import operator
 from dataclasses import dataclass, field as dataclass_field, replace
-from fractions import Fraction
 from functools import lru_cache
 
 import numpy as np
 
-from . import ratmat
 from .fields import (
     SpectralForm,
     TGrid,
@@ -67,7 +65,6 @@ from .forms import (
     _star_matrix,
     basis_position,
     hodge_star,
-    metric_batch,
     phi0,
     star3_batch,
 )
@@ -159,22 +156,20 @@ class CutoffSpec:
 
 # -- tail integration ------------------------------------------------------
 
-@lru_cache(maxsize=1)
-def _panel_weights() -> np.ndarray:
-    """Exact weights integrating the degree-7 interpolant on 8 uniform
-    nodes over each of the 7 unit panels; row p covers [p, p+1]."""
-    v = np.empty((8, 8), dtype=object)
-    for k in range(8):
-        for j in range(8):
-            v[k, j] = Fraction(j ** k)
-    out = np.empty((7, 8))
-    for p in range(7):
-        rhs = np.empty((8, 1), dtype=object)
-        for k in range(8):
-            rhs[k, 0] = (Fraction((p + 1) ** (k + 1)) - Fraction(p ** (k + 1))) / (k + 1)
-        w = ratmat.solve(v, rhs)
-        out[p] = [float(x) for x in w[:, 0]]
-    return out
+# Weights integrating the degree-7 interpolant on 8 uniform nodes over
+# each of the 7 unit panels; row p covers [p, p+1].  They are exact:
+# integers over 120960, the solutions of the 8 x 8 Vandermonde moment
+# systems, each row summing to 120960.
+_PANEL_WEIGHTS = np.array([
+    [36799, 139849, -121797, 123133, -88547, 41499, -11351, 1375],
+    [-1375, 47799, 101349, -44797, 26883, -11547, 2999, -351],
+    [351, -4183, 57627, 81693, -20227, 7227, -1719, 191],
+    [-191, 1879, -9531, 68323, 68323, -9531, 1879, -191],
+    [191, -1719, 7227, -20227, 81693, 57627, -4183, 351],
+    [-351, 2999, -11547, 26883, -44797, 101349, 47799, -1375],
+    [1375, -11351, 41499, -88547, 123133, -121797, 139849, 36799],
+]) / 120960
+_PANEL_WEIGHTS.flags.writeable = False
 
 
 def _cumulative_from_right(y: np.ndarray, h: float) -> np.ndarray:
@@ -185,11 +180,10 @@ def _cumulative_from_right(y: np.ndarray, h: float) -> np.ndarray:
     n = y.shape[0]
     if n < 8:
         raise ValueError("need at least 8 samples to integrate")
-    w = _panel_weights()
     starts = np.clip(np.arange(n - 1) - 3, 0, n - 8)
     pos = np.arange(n - 1) - starts
     stencil = starts[:, None] + np.arange(8)[None, :]
-    incr = h * np.einsum("ij,ij...->i...", w[pos], y[stencil])
+    incr = h * np.einsum("ij,ij...->i...", _PANEL_WEIGHTS[pos], y[stencil])
     out = np.zeros_like(y)
     out[:-1] = np.cumsum(incr[::-1], axis=0)[::-1]
     return out
@@ -386,7 +380,9 @@ class TorsionMeasure:
     """L2 and sup norms of d(phi) and of d(induced 4-form).
 
     ``dstar`` carries the measured d(induced 4-form) itself, so the
-    reducer can solve against it without starring the field again.
+    reducer can solve against it without starring the field again, and
+    ``dphi`` the measured d(phi), so a xi = 0 reduction differentiates phi
+    once.
     """
 
     d_l2: float
@@ -395,6 +391,8 @@ class TorsionMeasure:
     dstar_sup: float
     dstar: SpectralForm | None = dataclass_field(default=None, repr=False,
                                                  compare=False)
+    dphi: SpectralForm | None = dataclass_field(default=None, repr=False,
+                                                compare=False)
 
     @property
     def worst(self) -> float:
@@ -404,29 +402,37 @@ class TorsionMeasure:
 
 def induced_4form(field: SpectralForm) -> SpectralForm:
     """The pointwise star of a degree-3 field with respect to its own
-    induced metric, projected back to the field's mode band."""
+    induced metric, projected back to the field's mode band.  Each
+    physical sample is factored once, by star3_batch."""
     phys, _ = sample_physical(field)
-    shape = phys.shape
-    flat = phys.reshape(-1, 35)
-    g = metric_batch(flat)
-    starred = star3_batch(g, flat).reshape(shape)
+    starred = star3_batch(phys.reshape(-1, 35)).reshape(phys.shape)
     return spectral_from_samples(starred, 4, field.band, field.grid)
 
 
-def torsion_residual(phi) -> TorsionMeasure:
+def torsion_residual(phi, *, dphi: SpectralForm | None = None) -> TorsionMeasure:
     """Norms of the two torsion components of a neck field.
 
     Accepts a GluedField or a bare degree-3 SpectralForm; raises
     NotStable (from the pointwise kernels) if any sample leaves the
-    stable orbit.
+    stable orbit.  ``dphi``, when given, is taken as d(phi) instead of
+    differentiating phi: torsion_reduce passes the previous step's on a
+    xi = 0 field, whose d(phi) a step leaves bitwise alone.  It must be
+    a 4-form on phi's grid, band and modes (ValueError otherwise); its
+    values are the caller's to vouch for.
     """
     field = phi.field if isinstance(phi, GluedField) else phi
     if field.degree != 3:
         raise ValueError("torsion is defined for degree-3 fields")
-    d3 = exterior_d(field)
+    if dphi is None:
+        d3 = exterior_d(field)
+    elif (dphi.degree != 4 or dphi.grid != field.grid
+          or dphi.band != field.band or dphi.modes.keys() != field.modes.keys()):
+        raise ValueError("dphi must be a 4-form on phi's grid, band and modes")
+    else:
+        d3 = dphi
     d4 = exterior_d(induced_4form(field))
     return TorsionMeasure(norm_l2(d3), norm_sup(d3), norm_l2(d4), norm_sup(d4),
-                          dstar=d4)
+                          dstar=d4, dphi=d3)
 
 
 # -- linearization at the flat model ---------------------------------------
@@ -525,6 +531,19 @@ def _update_spectra(dstar: SpectralForm, solve) -> dict:
     return out
 
 
+def _step(field: SpectralForm, dstar: SpectralForm, solve) -> SpectralForm:
+    """field + d sigma, one inverse transform of _update_spectra per mode.
+
+    The spectra and samples of the update die on return, before the
+    caller measures the new field.
+    """
+    n_t = field.grid.n
+    update = {xi: np.fft.irfft(dhat, n_t, axis=0) if xi == ZERO_XI
+              else np.fft.ifft(dhat, axis=0)
+              for xi, dhat in _update_spectra(dstar, solve).items()}
+    return field + SpectralForm(3, field.band, field.grid, update, check=False)
+
+
 @dataclass(frozen=True)
 class GluingReport:
     """Outcome record for one neck: torsion norms, iterations and why it
@@ -602,7 +621,11 @@ def torsion_reduce(glued: GluedField, tol: float = 1e-10,
     full complex transform.  The residual solved against is the one
     torsion_residual measured at the end of the previous step, so each
     step stars the field once and differentiates only inside
-    torsion_residual.  A stop is a report, not an error: the field it
+    torsion_residual.  On a field holding only the xi = 0 mode a step
+    leaves d(phi) bitwise alone (the update's dt-free block is an exact
+    0), so the measured d(phi) is handed on and phi is differentiated
+    once per reduction; a field with any xi != 0 mode is differentiated
+    at every step.  A stop is a report, not an error: the field it
     stopped at comes back with its torsion and a stop_reason.  converged:
     torsion <= tol (sup norms).  max_iter: max_iter steps ran.  diverged:
     three consecutive steps did not lower the best torsion so far by more
@@ -616,18 +639,14 @@ def torsion_reduce(glued: GluedField, tol: float = 1e-10,
     length = glued.length
     if meas.worst > _SMALLNESS * max(norm_sup(field), 1e-30):
         return glued, GluingReport.from_measure(length, meas, 0, "above-smallness")
-    n_t = field.grid.n
-    solve = _mode_solver(2.0 * np.pi / (2.0 * length), n_t)
+    solve = _mode_solver(2.0 * np.pi / (2.0 * length), field.grid.n)
     iterations = 0
     worse = 0
     best = meas.worst
     while meas.worst > tol and iterations < max_iter and worse < 3:
-        update = {xi: np.fft.irfft(dhat, n_t, axis=0) if xi == ZERO_XI
-                  else np.fft.ifft(dhat, axis=0)
-                  for xi, dhat in _update_spectra(meas.dstar, solve).items()}
-        field = field + SpectralForm(3, field.band, field.grid, update,
-                                     check=False)
-        meas = torsion_residual(field)
+        field = _step(field, meas.dstar, solve)
+        zero_only = field.modes.keys() == {ZERO_XI}
+        meas = torsion_residual(field, dphi=meas.dphi if zero_only else None)
         iterations += 1
         if meas.worst >= best * (1.0 - _PROGRESS):
             worse += 1

@@ -13,9 +13,12 @@ and extent, density and band come from short lists, so that every case
 runs in well under a second.  How the program treats a range of 1e300
 lengths or a grid of 1e12 samples is not covered here.
 
-The library's side of the contract, its public names, is pinned last.
+The library's side of the contract, its public names and the
+signatures of the batched kernels and the torsion pipeline, is pinned
+last.
 """
 
+import inspect
 import json
 import math
 import types
@@ -24,7 +27,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 import g2glue
-from g2glue import cli
+from g2glue import cli, forms, gluing
 from g2glue.cohomology import diagram_to_json, synth_diagram
 
 CONTRACT = settings(derandomize=True, database=None, deadline=None,
@@ -311,3 +314,23 @@ def test_public_names():
                    if not name.startswith("_")
                    and not isinstance(value, types.ModuleType))
     assert names == PUBLIC_NAMES
+
+
+# Signatures of the pointwise kernels and the torsion pipeline: changing
+# one is a stated change, so it shows up here as a diff to this table.
+KERNEL_SIGNATURES = {
+    forms.gram_batch: "(coeffs: 'np.ndarray') -> 'np.ndarray'",
+    forms.metric_batch: "(coeffs: 'np.ndarray') -> 'np.ndarray'",
+    forms.star3_batch: "(coeffs: 'np.ndarray') -> 'np.ndarray'",
+    gluing.induced_4form: "(field: 'SpectralForm') -> 'SpectralForm'",
+    gluing.torsion_residual:
+        "(phi, *, dphi: 'SpectralForm | None' = None) -> 'TorsionMeasure'",
+    gluing.torsion_reduce:
+        "(glued: 'GluedField', tol: 'float' = 1e-10, max_iter: 'int' = 25)"
+        " -> 'tuple[GluedField, GluingReport]'",
+}
+
+
+def test_kernel_signatures():
+    got = {fn.__name__: str(inspect.signature(fn)) for fn in KERNEL_SIGNATURES}
+    assert got == {fn.__name__: sig for fn, sig in KERNEL_SIGNATURES.items()}

@@ -385,7 +385,7 @@ def test_batched_kernels_match_dict_reference():
     coeffs = stable_rows(np.random.default_rng(41), 120)
     b = forms.gram_batch(coeffs)
     g = forms.metric_batch(coeffs)
-    s = forms.star3_batch(g, coeffs)
+    s = forms.star3_batch(coeffs)
     for k, c in enumerate(coeffs):
         phi = ConstForm.fromvector(AXES7, 3, c)
         metric = metric_from_3form(phi).mat
@@ -407,21 +407,30 @@ def test_batched_kernels_keep_leading_shape():
     coeffs = stable_rows(np.random.default_rng(43), 12)
     b = forms.gram_batch(coeffs)
     g = forms.metric_batch(coeffs)
-    s = forms.star3_batch(g, coeffs)
+    s = forms.star3_batch(coeffs)
     shaped = coeffs.reshape(4, 6, 35)
     b46 = forms.gram_batch(shaped)
     g46 = forms.metric_batch(shaped)
     assert b46.shape == (4, 6, 7, 7)
     assert rel_err(b46.reshape(-1, 7, 7), b) <= 1e-14
     assert rel_err(g46.reshape(-1, 7, 7), g) <= 1e-14
-    s46 = forms.star3_batch(g46, shaped)
+    s46 = forms.star3_batch(shaped)
     assert s46.shape == (4, 6, 35)
     assert rel_err(s46.reshape(-1, 35), s) <= 1e-14
     one = coeffs[:1]
     assert forms.gram_batch(one).shape == (1, 7, 7)
     g1 = forms.metric_batch(one)
     assert rel_err(g1[0], g[0]) <= 1e-14
-    assert rel_err(forms.star3_batch(g1, one)[0], s[0]) <= 1e-14
+    assert rel_err(forms.star3_batch(one)[0], s[0]) <= 1e-14
+
+
+def test_gram_rows_do_not_depend_on_the_blocks():
+    coeffs = stable_rows(np.random.default_rng(97), 600)
+    assert len(coeffs) > 2 * forms._GRAM_BLOCK
+    whole = forms.gram_batch(coeffs)
+    assert np.array_equal(whole, [forms.gram_batch(c) for c in coeffs])
+    assert np.array_equal(forms.gram_batch(coeffs.reshape(40, 30, 35)),
+                          whole.reshape(40, 30, 7, 7))
 
 
 def test_batched_metric_rejects_a_degenerate_row():
@@ -444,7 +453,7 @@ def test_batched_star_on_orientation_reversed_rows():
     coeffs = reversed_rows(np.random.default_rng(53), 40)
     assert np.all(np.linalg.det(forms.gram_batch(coeffs)) < 0)
     g = forms.metric_batch(coeffs)
-    s = forms.star3_batch(g, coeffs)
+    s = forms.star3_batch(coeffs)
     for k, c in enumerate(coeffs):
         phi = ConstForm.fromvector(AXES7, 3, c)
         metric = metric_from_3form(phi).mat
@@ -460,7 +469,7 @@ def test_batched_star_wedges_to_seven_volumes():
     eps = np.sign(np.linalg.det(forms.gram_batch(coeffs)))
     assert set(eps) == {-1.0, 1.0}
     g = forms.metric_batch(coeffs)
-    s = forms.star3_batch(g, coeffs)
+    s = forms.star3_batch(coeffs)
     for c, e, gk, sk in zip(coeffs, eps, g, s):
         phi = ConstForm.fromvector(AXES7, 3, c)
         psi = ConstForm.fromvector(AXES7, 4, e * sk)
@@ -474,11 +483,9 @@ def test_batched_kernels_leave_their_inputs_alone():
     for batch in (coeffs, coeffs[:1], coeffs[6:7], coeffs.reshape(2, 4, 35)):
         kept = batch.copy()
         g = forms.metric_batch(batch)
-        kept_g = g.copy()
-        s = forms.star3_batch(g, batch)
-        assert np.array_equal(batch, kept) and np.array_equal(g, kept_g)
+        s = forms.star3_batch(batch)
+        assert np.array_equal(batch, kept)
         assert not np.shares_memory(g, batch) and not np.shares_memory(s, batch)
-        assert not np.shares_memory(s, g)
 
 
 def split_form():
@@ -517,16 +524,27 @@ def test_unstable_rows_premises():
     assert b[0, 0] == 0.0 and abs(np.linalg.det(b)) > 1e5
 
 
-@pytest.mark.parametrize("index", range(5), ids=[
-    "degenerate", "split", "null-leading-pivot", "nan", "inf"])
-def test_batched_metric_messages(index):
+UNSTABLE_IDS = ["degenerate", "split", "null-leading-pivot", "nan", "inf"]
+
+
+def check_messages(kernel, index):
     row, message = unstable_rows()[index]
     batch = stable_rows(np.random.default_rng(71), 3)
     batch[2] = row
     for rows in (batch, row[None], row):
         with pytest.raises(NotStable) as info:
-            forms.metric_batch(rows)
+            kernel(rows)
         assert type(info.value) is NotStable and str(info.value) == message
+
+
+@pytest.mark.parametrize("index", range(5), ids=UNSTABLE_IDS)
+def test_batched_metric_messages(index):
+    check_messages(forms.metric_batch, index)
+
+
+@pytest.mark.parametrize("index", range(5), ids=UNSTABLE_IDS)
+def test_batched_star_messages(index):
+    check_messages(forms.star3_batch, index)
 
 
 def test_batched_metric_reports_degenerate_before_indefinite():
@@ -534,21 +552,54 @@ def test_batched_metric_reports_degenerate_before_indefinite():
     batch = stable_rows(np.random.default_rng(73), 3)
     batch[0] = split
     batch[5] = degenerate
-    with pytest.raises(NotStable, match=DEGENERATE):
-        forms.metric_batch(batch)
+    for kernel in (forms.metric_batch, forms.star3_batch):
+        with pytest.raises(NotStable, match=DEGENERATE):
+            kernel(batch)
 
 
 def test_batched_kernels_skip_lapack_on_stable_rows(monkeypatch):
     coeffs = np.vstack([stable_rows(np.random.default_rng(79), 20),
                         reversed_rows(np.random.default_rng(83), 20)])
     want_g = forms.metric_batch(coeffs)
-    want_s = forms.star3_batch(want_g, coeffs)
+    want_s = forms.star3_batch(coeffs)
 
     def refuse(*args, **kwargs):
         raise AssertionError("numpy.linalg called on a stable batch")
 
     for name in ("det", "inv", "cholesky"):
         monkeypatch.setattr(np.linalg, name, refuse)
+    assert np.array_equal(forms.metric_batch(coeffs), want_g)
+    assert np.array_equal(forms.star3_batch(coeffs), want_s)
+
+
+def two_kernel_star(coeffs):
+    """The star as two factorizations: metric_batch eliminates B for
+    g = s B, then [g | phi_ab.] is eliminated again for g^-1 phi_ab., the
+    identity is read with g, and eps off the sign of phi ^ psi."""
     g = forms.metric_batch(coeffs)
-    assert np.array_equal(g, want_g)
-    assert np.array_equal(forms.star3_batch(g, coeffs), want_s)
+    ct = np.asarray(coeffs, dtype=float).reshape(-1, 35).T
+    n = ct.shape[1]
+    gt = g.reshape(n, 49).T
+    raise_mat, low_mat, sign, yp, yr, gi = forms._star3_tables()
+    aug = np.concatenate([gt.reshape(7, 7, n), (raise_mat @ ct).reshape(7, 5, n)],
+                         axis=1)
+    forms._eliminate(aug)
+    low = (low_mat @ ct).reshape(35, 5, n)
+    psi = sign[:, None] * (np.einsum("jpn,jpn->jn", aug[yp, yr], low)
+                           - gt[gi[0]] * gt[gi[1]] + gt[gi[2]] * gt[gi[3]])
+    comp, signs = forms._hodge_table(7, 3)
+    eps = np.sign(signs @ (ct[comp] * psi))
+    return (eps * psi).T.reshape(np.shape(coeffs))
+
+
+def test_one_pass_star_matches_the_two_kernel_formula():
+    rng = np.random.default_rng(89)
+    coeffs = np.vstack([stable_rows(rng, 30), reversed_rows(rng, 60)])
+    assert set(np.sign(np.linalg.det(forms.gram_batch(coeffs)))) == {-1.0, 1.0}
+    for batch in (coeffs, coeffs.reshape(10, 12, 35), coeffs[0], coeffs[-1]):
+        got = forms.star3_batch(batch)
+        assert got.shape == batch.shape
+        assert rel_err(got, two_kernel_star(batch)) <= 1e-14
+    empty = np.zeros((0, 35))
+    assert forms.star3_batch(empty).shape == (0, 35)
+    assert two_kernel_star(empty).shape == (0, 35)

@@ -4,11 +4,12 @@ import dataclasses
 import gc
 import math
 import tracemalloc
+from fractions import Fraction
 
 import numpy as np
 import pytest
 
-from g2glue import fields, gluing
+from g2glue import fields, gluing, ratmat
 from g2glue.fields import (
     CylStructure,
     _axis_wedge_matrix,
@@ -41,7 +42,7 @@ from g2glue.gluing import (
     torsion_reduce,
     torsion_residual,
 )
-from g2glue.gluing import _cumulative_from_right, _panel_weights
+from g2glue.gluing import _PANEL_WEIGHTS, _cumulative_from_right
 
 MODEL = phi0().tovector()
 POS3 = basis_position(AXES7, 3)
@@ -79,8 +80,32 @@ def test_cutoff_endpoints_and_derivative(shape):
 
 # -- tail integration ------------------------------------------------------
 
+def exact_panel_weights():
+    """Row p integrates the degree-7 interpolant on nodes 0..7 over
+    [p, p+1]: the Fraction solve of its 8 x 8 Vandermonde moment system."""
+    v = np.empty((8, 8), dtype=object)
+    for k in range(8):
+        for j in range(8):
+            v[k, j] = Fraction(j ** k)
+    rows = []
+    for p in range(7):
+        rhs = np.empty((8, 1), dtype=object)
+        for k in range(8):
+            rhs[k, 0] = Fraction((p + 1) ** (k + 1) - p ** (k + 1), k + 1)
+        rows.append(list(ratmat.solve(v, rhs)[:, 0]))
+    return rows
+
+
+def test_panel_weights_are_the_exact_solves():
+    exact = exact_panel_weights()
+    assert all((x * 120960).denominator == 1 for row in exact for x in row)
+    assert all(sum(row) == 1 for row in exact)
+    assert np.array_equal(_PANEL_WEIGHTS, [[float(x) for x in row] for row in exact])
+    assert not _PANEL_WEIGHTS.flags.writeable
+
+
 def test_panel_weights_exact_on_degree_seven():
-    w = _panel_weights()
+    w = _PANEL_WEIGHTS
     nodes = np.arange(8.0)
     for k in range(8):
         exact = (np.arange(1.0, 8.0) ** (k + 1) - np.arange(7.0) ** (k + 1)) / (k + 1)
@@ -458,8 +483,8 @@ def test_worst_torsion_propagates_nan():
 def test_reduce_never_converges_on_a_nan_torsion(monkeypatch):
     real = gluing.torsion_residual
 
-    def nan_dstar(field):
-        return dataclasses.replace(real(field), dstar_l2=math.nan,
+    def nan_dstar(field, dphi=None):
+        return dataclasses.replace(real(field, dphi=dphi), dstar_l2=math.nan,
                                    dstar_sup=math.nan)
 
     monkeypatch.setattr(gluing, "torsion_residual", nan_dstar)
@@ -478,8 +503,8 @@ def test_floor_steps_ignore_roundoff_drift(monkeypatch):
     real = gluing.torsion_residual
     calls = []
 
-    def drifting(field):
-        meas = real(field)
+    def drifting(field, dphi=None):
+        meas = real(field, dphi=dphi)
         calls.append(1)
         drift = 1.0 - 1e-9 * max(0, len(calls) - 3)
         return dataclasses.replace(meas, d_sup=meas.d_sup * drift)
@@ -633,6 +658,9 @@ def test_xi0_update_leaves_the_class_coefficients_exactly_alone(kind):
 
 
 def test_reduce_differentiates_only_inside_torsion_residual(monkeypatch):
+    # d(induced 4-form) once per measure; d(phi) once per reduction on the
+    # xi = 0 neck, whose steps leave it bitwise alone, and once per
+    # measure on the modulated one.
     calls = []
     real = gluing.exterior_d
 
@@ -643,7 +671,49 @@ def test_reduce_differentiates_only_inside_torsion_residual(monkeypatch):
     monkeypatch.setattr(gluing, "exterior_d", counting)
     _, report = torsion_reduce(neck_at_5("closed"), tol=1e-10)
     assert report.iterations == 2 and report.converged
+    assert len(calls) == report.iterations + 2
+    calls.clear()
+    _, report = torsion_reduce(neck_at_5("modulated"), tol=1e-10)
+    assert report.iterations >= 2
     assert len(calls) == 2 * (report.iterations + 1)
+
+
+def test_reused_dphi_is_the_steps_dphi_bitwise(monkeypatch):
+    handed = []
+    real = gluing.torsion_residual
+
+    def checking(field, dphi=None):
+        meas = real(field, dphi=dphi)
+        if dphi is not None:
+            want = exterior_d(field)
+            assert meas.dphi is dphi
+            assert set(dphi.modes) == set(want.modes) == {ZERO_XI}
+            assert np.array_equal(dphi.modes[ZERO_XI], want.modes[ZERO_XI])
+            handed.append(dphi)
+        return meas
+
+    monkeypatch.setattr(gluing, "torsion_residual", checking)
+    _, report = torsion_reduce(neck_at_5("closed"), tol=1e-10)
+    assert report.converged and len(handed) == report.iterations == 2
+
+
+def test_torsion_residual_takes_a_given_dphi(flat_glued):
+    field = exact_perturbed(flat_glued, seed=3).field
+    meas = torsion_residual(field)
+    assert np.array_equal(meas.dphi.modes[ZERO_XI],
+                          exterior_d(field).modes[ZERO_XI])
+    doubled = torsion_residual(field, dphi=2.0 * meas.dphi)
+    assert (doubled.d_l2, doubled.d_sup) == (2.0 * meas.d_l2, 2.0 * meas.d_sup)
+    assert (doubled.dstar_l2, doubled.dstar_sup) == (meas.dstar_l2, meas.dstar_sup)
+
+
+def test_torsion_residual_rejects_a_dphi_of_another_shape(flat_glued):
+    field = exact_perturbed(flat_glued, seed=3).field
+    dphi = torsion_residual(field).dphi
+    for wrong in (torsion_residual(field).dstar, dphi._like({}),
+                  dphi._like(dphi.modes, band=field.band + 1)):
+        with pytest.raises(ValueError, match="dphi must be"):
+            torsion_residual(field, dphi=wrong)
 
 
 def test_reduction_keeps_the_exactly_rounded_class():
