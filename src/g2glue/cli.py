@@ -37,6 +37,7 @@ from .cohomology import (
     InconsistentTargets,
     SingularBoundary,
     SumDiagram,
+    _rank,
     derivative_model,
     diagram_from_json,
     diagram_to_json,
@@ -72,7 +73,6 @@ from .gluing import (
 SCHEMA = "g2glue-report/1"
 STRUCTURE_SCHEMA = "g2glue-structure/1"
 
-_RANK_TOL = 1e-8
 _MAX_LENGTHS = 10_000
 
 
@@ -504,11 +504,7 @@ def _diagram_failures(diagram: SumDiagram, tol: float, exact: bool):
 def _rank_row(diagram: SumDiagram, length: float, levels: np.ndarray) -> dict:
     matrix = gluing_matrix(diagram, 3, length)
     full = min(matrix.shape)
-    if matrix.size:
-        svals = np.linalg.svd(matrix, compute_uv=False)
-        rank = int(np.sum(svals > _RANK_TOL * max(1.0, svals[0])))
-    else:
-        rank = 0
+    rank = _rank(matrix)
     gap = (2.0 * float(np.min(np.abs(length - levels)))
            if levels.size else math.inf)
     return {"L": length, "rank": rank, "full": full,
@@ -649,7 +645,10 @@ def _add_common(sub, lengths=False, modes=False):
     sub.add_argument("--seed", type=int, default=None,
                      help="random seed recorded in the output (default 0)")
     sub.add_argument("--tol", type=float, default=None,
-                     help="numerical tolerance (default 1e-10)")
+                     help="tolerance of residual checks, of diagram "
+                          "validation ranks and of the torsion target "
+                          "(default 1e-10); other diagram ranks keep "
+                          "their fixed rule")
     sub.add_argument("--format", choices=("json", "csv"), default=None,
                      help="output format (default json)")
     sub.add_argument("--out", default=None,

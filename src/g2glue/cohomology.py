@@ -75,21 +75,38 @@ MAP_KEYS = (
     "mv_delta",
 )
 
-# (row node, column node) for each stored map, where a node is one of the
-# dimension keys and "prev:" marks a domain one degree below.
+# (row node, column node, column degree offset) for each stored map, where
+# a node is one of the dimension keys.  The boundary maps and the connecting
+# map have their domain one degree below; each correction C± has the shape
+# of its side's boundary map.
 _MAP_NODES = {
-    "jstar_plus": ("H_X", "H_Mplus"),
-    "jstar_minus": ("H_X", "H_Mminus"),
-    "e_plus": ("H_Mplus", "Hcpt_Mplus"),
-    "e_minus": ("H_Mminus", "Hcpt_Mminus"),
-    "del_plus": ("Hcpt_Mplus", "prev:H_X"),
-    "del_minus": ("Hcpt_Mminus", "prev:H_X"),
-    "istar_plus": ("H_Mplus", "H_M"),
-    "istar_minus": ("H_Mminus", "H_M"),
-    "ipush_plus": ("H_M", "Hcpt_Mplus"),
-    "ipush_minus": ("H_M", "Hcpt_Mminus"),
-    "mv_delta": ("H_M", "prev:H_X"),
+    "jstar_plus": ("H_X", "H_Mplus", 0),
+    "jstar_minus": ("H_X", "H_Mminus", 0),
+    "e_plus": ("H_Mplus", "Hcpt_Mplus", 0),
+    "e_minus": ("H_Mminus", "Hcpt_Mminus", 0),
+    "del_plus": ("Hcpt_Mplus", "H_X", -1),
+    "del_minus": ("Hcpt_Mminus", "H_X", -1),
+    "istar_plus": ("H_Mplus", "H_M", 0),
+    "istar_minus": ("H_Mminus", "H_M", 0),
+    "ipush_plus": ("H_M", "Hcpt_Mplus", 0),
+    "ipush_minus": ("H_M", "Hcpt_Mminus", 0),
+    "mv_delta": ("H_M", "H_X", -1),
 }
+
+# Relative cut of the one rank rule, see ``_kept``.
+_RANK_RTOL = 1e-10
+
+
+def _map_nodes(key: str, m: int) -> tuple[tuple[str, int], tuple[str, int]]:
+    """(node, degree) of the rows and of the columns of map ``key`` at ``m``."""
+    row, col, offset = _MAP_NODES[key]
+    return (row, m), (col, m + offset)
+
+
+def _map_shape(key: str, m: int, sizes: Mapping) -> tuple[int, int]:
+    """Shape of map ``key`` at ``m``; ``sizes`` holds (node, degree) sizes."""
+    rows, cols = _map_nodes(key, m)
+    return sizes.get(rows, 0), sizes.get(cols, 0)
 
 
 class SingularBoundary(RuntimeError):
@@ -177,12 +194,16 @@ class SumDiagram:
     degrees: tuple[DegreeBlock, ...]
     _subspaces: dict[int, Subspaces] = field(
         default_factory=dict, init=False, repr=False, compare=False)
-    _operators: dict[tuple[int, float], tuple] = field(
+    _operators: dict[int, tuple] = field(
+        default_factory=dict, init=False, repr=False, compare=False)
+    _sizes: dict[tuple[str, int], int] = field(
         default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if len(self.degrees) != N_DEGREES:
             raise ValueError(f"expected {N_DEGREES} degree blocks")
+        self._sizes.update(((key, m), n) for m, blk in enumerate(self.degrees)
+                           for key, n in blk.dims.items())
         for m, blk in enumerate(self.degrees):
             if blk.m != m:
                 raise ValueError("degree blocks out of order")
@@ -190,29 +211,19 @@ class SumDiagram:
             if missing:
                 raise ValueError(f"degree {m} missing dims {sorted(missing)}")
             for key in MAP_KEYS:
-                rows, cols = self._expected_shape(key, m)
+                want = _map_shape(key, m, self._sizes)
                 got = blk.maps[key].shape
-                if got != (rows, cols):
+                if got != want:
                     raise ValueError(
-                        f"{key} at degree {m}: shape {got}, expected {(rows, cols)}")
+                        f"{key} at degree {m}: shape {got}, expected {want}")
             hx = blk.dims["H_X"]
             if blk.ip_x.shape != (hx, hx):
                 raise ValueError(f"ip_X at degree {m} has wrong shape")
-            prev_hx = self.degrees[m - 1].dims["H_X"] if m > 0 else 0
-            if blk.c_plus.shape != (blk.dims["Hcpt_Mplus"], prev_hx):
+            if blk.c_plus.shape != _map_shape("del_plus", m, self._sizes):
                 raise ValueError(f"C_plus at degree {m} has wrong shape")
-            if blk.c_minus.shape != (blk.dims["Hcpt_Mminus"], prev_hx):
+            if blk.c_minus.shape != _map_shape("del_minus", m, self._sizes):
                 raise ValueError(f"C_minus at degree {m} has wrong shape")
             _freeze(*blk.maps.values(), blk.ip_x, blk.c_plus, blk.c_minus)
-
-    def _expected_shape(self, key: str, m: int) -> tuple[int, int]:
-        row_node, col_node = _MAP_NODES[key]
-        rows = self.degrees[m].dims[row_node]
-        if col_node.startswith("prev:"):
-            cols = self.degrees[m - 1].dims[col_node[5:]] if m > 0 else 0
-        else:
-            cols = self.degrees[m].dims[col_node]
-        return rows, cols
 
     def dim(self, key: str, m: int) -> int:
         if not 0 <= m < N_DEGREES:
@@ -223,11 +234,7 @@ class SumDiagram:
         """Structure map at degree ``m``, a zero-width matrix out of range."""
         if 0 <= m < N_DEGREES:
             return self.degrees[m].maps[key]
-        row_node, col_node = _MAP_NODES[key]
-        rows = self.dim(row_node, m)
-        cols = self.dim(col_node[5:], m - 1) if col_node.startswith("prev:") else \
-            self.dim(col_node, m)
-        return np.zeros((rows, cols))
+        return np.zeros(_map_shape(key, m, self._sizes))
 
     def gram(self, m: int) -> np.ndarray:
         if 0 <= m < N_DEGREES:
@@ -249,34 +256,42 @@ class SumDiagram:
             self._subspaces[m] = sub
         return self._subspaces[m]
 
-    def operator(self, m: int, tol: float = 1e-10):
+    def operator(self, m: int):
         """(op, E, Z) of ``_common_operator`` over degree m - 1, kept.
 
-        ``tol`` is the boundary-map rank tolerance of the preimage solve.
+        Its boundary-map rank decisions follow the one rule of ``_kept``;
+        no caller's tolerance enters the solve.
         """
-        key = (m, tol)
-        if key not in self._operators:
-            self._operators[key] = _freeze(*_common_operator(
-                self, m, tol, self.subspaces(m - 1)))
-        return self._operators[key]
+        if m not in self._operators:
+            self._operators[m] = _freeze(*_common_operator(
+                self, m, self.subspaces(m - 1)))
+        return self._operators[m]
 
 
 # ---------------------------------------------------------------------------
 # basic subspace machinery
 
 
-def _rank(a: np.ndarray, tol: float, exact: bool) -> int:
+def _kept(s: np.ndarray, shape: tuple[int, ...],
+          tol: float = _RANK_RTOL) -> int:
+    """The one rank rule: the count of descending singular values ``s`` of
+    a ``shape`` matrix above tol·max(shape)·s₀.  The ``pinv`` and ``lstsq``
+    calls of the diagram layer drop the rest with rcond = tol·max(shape).
+    """
+    if s.size == 0:
+        return 0
+    return int(np.count_nonzero(s > tol * max(shape) * s[0]))
+
+
+def _rank(a: np.ndarray, tol: float = _RANK_RTOL, exact: bool = False) -> int:
     if a.size == 0:
         return 0
     if exact:
         return ratmat.rank(ratmat.asfrac(a))
-    s = np.linalg.svd(a, compute_uv=False)
-    if s.size == 0 or s[0] == 0.0:
-        return 0
-    return int(np.count_nonzero(s > tol * max(a.shape) * s[0]))
+    return _kept(np.linalg.svd(a, compute_uv=False), a.shape, tol)
 
 
-def _gram_orth(cols: np.ndarray, gram: np.ndarray, tol: float = 1e-10) -> np.ndarray:
+def _gram_orth(cols: np.ndarray, gram: np.ndarray) -> np.ndarray:
     """Orthonormal basis, in the given pairing, of the column span."""
     n = gram.shape[0]
     if cols.size == 0:
@@ -284,7 +299,7 @@ def _gram_orth(cols: np.ndarray, gram: np.ndarray, tol: float = 1e-10) -> np.nda
     w = np.linalg.cholesky(gram)
     y = w.T @ cols
     u, s, _ = np.linalg.svd(y, full_matrices=False)
-    r = int(np.count_nonzero(s > tol * max(1.0, s[0] if s.size else 0.0)))
+    r = _kept(s, y.shape)
     if r == 0:
         return np.zeros((n, 0))
     return np.linalg.solve(w.T, u[:, :r])
@@ -292,38 +307,31 @@ def _gram_orth(cols: np.ndarray, gram: np.ndarray, tol: float = 1e-10) -> np.nda
 
 def _gram_complement(basis: np.ndarray, gram: np.ndarray) -> np.ndarray:
     """Orthogonal complement of an already-orthonormal basis."""
-    n = gram.shape[0]
-    if n == 0:
-        return np.zeros((0, 0))
-    if basis.shape[1] == 0:
-        return _gram_orth(np.eye(n), gram)
     # Vectors annihilated by basis^T G form the complement; orthonormalize.
-    null = _nullspace(basis.T @ gram)
-    return _gram_orth(null, gram)
+    return _gram_orth(_nullspace(basis.T @ gram), gram)
 
 
-def _nullspace(a: np.ndarray, tol: float = 1e-10) -> np.ndarray:
+def _nullspace(a: np.ndarray) -> np.ndarray:
     if a.shape[1] == 0:
         return np.zeros((a.shape[1], 0))
     if a.shape[0] == 0:
         return np.eye(a.shape[1])
-    u, s, vt = np.linalg.svd(a, full_matrices=True)
-    cut = tol * max(a.shape) * (s[0] if s.size else 1.0)
-    r = int(np.count_nonzero(s > cut))
-    return vt[r:].T
+    _, s, vt = np.linalg.svd(a, full_matrices=True)
+    return vt[_kept(s, a.shape):].T
 
 
-def _intersect(u: np.ndarray, v: np.ndarray, gram: np.ndarray,
-               tol: float = 1e-8) -> np.ndarray:
-    """Intersection of two subspaces given by orthonormal bases."""
-    if u.shape[1] == 0 or v.shape[1] == 0:
+def _intersect(u: np.ndarray, v: np.ndarray, gram: np.ndarray) -> np.ndarray:
+    """Intersection of two subspaces given by orthonormal bases.
+
+    Its dimension k is the nullity of [u | -v]; its basis is spanned by the
+    k leading principal directions of u against v.
+    """
+    both = np.hstack([u, -v])
+    k = both.shape[1] - _rank(both) if u.shape[1] and v.shape[1] else 0
+    if k == 0:
         return np.zeros((gram.shape[0], 0))
-    m = u.T @ gram @ v
-    uu, s, _ = np.linalg.svd(m)
-    idx = np.nonzero(s > 1.0 - tol)[0]
-    if idx.size == 0:
-        return np.zeros((gram.shape[0], 0))
-    return _gram_orth(u @ uu[:, idx], gram)
+    uu, _, _ = np.linalg.svd(u.T @ gram @ v)
+    return _gram_orth(u @ uu[:, :k], gram)
 
 
 @dataclass(frozen=True)
@@ -488,7 +496,7 @@ def validate_diagram(d: SumDiagram, *, tol: float = 1e-10,
 
 
 def _side_preimages(d: SumDiagram, m: int, side: int, taus: np.ndarray,
-                    sub: Subspaces, tol: float = 1e-10) -> np.ndarray:
+                    sub: Subspaces) -> np.ndarray:
     """Boundary-map preimages of C(taus), reduced to the complement block.
 
     The boundary map kills exactly the boundary image one degree below, so
@@ -502,7 +510,7 @@ def _side_preimages(d: SumDiagram, m: int, side: int, taus: np.ndarray,
     e_basis = sub.e_plus if side > 0 else sub.e_minus
     if e_basis.shape[1]:
         probe = dmat @ e_basis
-        if _rank(probe, tol, False) < e_basis.shape[1]:
+        if _rank(probe) < e_basis.shape[1]:
             tag = "+" if side > 0 else "-"
             raise SingularBoundary(
                 f"boundary map on side {tag} degenerates on the "
@@ -510,13 +518,13 @@ def _side_preimages(d: SumDiagram, m: int, side: int, taus: np.ndarray,
     if taus.size == 0 or cmat.size == 0:
         return np.zeros((d.dim("H_X", m - 1), taus.shape[1]))
     rhs = cmat @ taus
-    sol, *_ = np.linalg.lstsq(dmat, rhs, rcond=None)
+    sol, *_ = np.linalg.lstsq(dmat, rhs, rcond=_RANK_RTOL * max(dmat.shape))
     gram = d.gram(m - 1)
     proj = e_basis @ e_basis.T @ gram
     return proj @ sol
 
 
-def _common_operator(d: SumDiagram, m: int, tol: float, sub: Subspaces):
+def _common_operator(d: SumDiagram, m: int, sub: Subspaces):
     """(op, E, Z): neck operator, common-complement basis, preimages of C(E).
 
     Z sums the two canonical boundary preimages of C(E), column by column;
@@ -526,8 +534,8 @@ def _common_operator(d: SumDiagram, m: int, tol: float, sub: Subspaces):
     basis = sub.e_common
     if basis.shape[1] == 0:
         return np.zeros((0, 0)), basis, basis
-    z = (_side_preimages(d, m, +1, basis, sub, tol)
-         + _side_preimages(d, m, -1, basis, sub, tol))
+    z = (_side_preimages(d, m, +1, basis, sub)
+         + _side_preimages(d, m, -1, basis, sub))
     op = basis.T @ d.gram(m - 1) @ z
     return 0.5 * (op + op.T), basis, z
 
@@ -553,7 +561,8 @@ def validate_C(d: SumDiagram, *, tol: float = 1e-10,
     self-adjoint operator on the complement of the boundary image.  The
     probe shift verifies that moving the neck coordinate acts on the
     combined operator as an exact multiple of the identity; the shifted
-    diagram solves its operators afresh.
+    diagram solves its operators afresh.  ``tol`` bounds each residual;
+    the boundary-map rank probe follows the one rule of ``_kept``.
     """
     rec: list[CheckRecord] = []
     shifted = shift_C(d, shift_probe)
@@ -573,24 +582,23 @@ def validate_C(d: SumDiagram, *, tol: float = 1e-10,
                                    kill <= tol * scale,
                                    f"|ext∘corr|={kill:.3e}"))
             dmat = d.mat(f"del_{tag}", m)
-            img = _gram_orth(dmat, np.eye(dmat.shape[0])) if dmat.size else \
-                np.zeros((cmat.shape[0], 0))
+            img = _gram_orth(dmat, np.eye(dmat.shape[0]))
             resid = cmat - img @ (img.T @ cmat) if img.size else cmat
             rnorm = float(np.abs(resid).max()) if resid.size else 0.0
             rec.append(CheckRecord(f"corr-in-bdry-image-{tag}", m,
                                    rnorm <= tol * scale,
                                    f"image residual={rnorm:.3e}"))
             if e_basis.shape[1]:
-                z = _side_preimages(d, m, side, e_basis, sub, tol)
+                z = _side_preimages(d, m, side, e_basis, sub)
                 op = e_basis.T @ d.gram(m - 1) @ z
                 asym = float(np.abs(op - op.T).max())
                 opscale = 1.0 + float(np.abs(op).max())
                 rec.append(CheckRecord(f"corr-selfadjoint-{tag}", m,
                                        asym <= tol * opscale,
                                        f"asymmetry={asym:.3e}"))
-        op0, _, _ = d.operator(m, tol)
+        op0, _, _ = d.operator(m)
         if op0.shape[0]:
-            op1, _, _ = shifted.operator(m, tol)
+            op1, _, _ = shifted.operator(m)
             drift = float(np.abs(op1 - op0 - shift_probe * np.eye(op0.shape[0])).max())
             rec.append(CheckRecord(
                 "corr-shift-rule", m, drift <= tol * (1.0 + abs(shift_probe)),
@@ -668,7 +676,7 @@ def yh_exact(d: SumDiagram, m: int, tau: np.ndarray, length: float, *,
         raise ValueError(f"exact parameter must have length {hx}")
     if hx == 0:
         return np.zeros(d.dim("H_M", m))
-    _, basis, z = d.operator(m, tol)
+    _, basis, z = d.operator(m)
     gram = d.gram(m - 1)
     coords = basis.T @ gram @ tau
     resid = tau - basis @ coords
@@ -701,7 +709,7 @@ def yh_full(d: SumDiagram, m: int, pair: HarmonicPair, length: float, *,
     kmap = np.vstack([d.mat("istar_plus", m), d.mat("istar_minus", m)])
     target = np.concatenate([pair.a_plus, pair.a_minus])
     if section is None:
-        section = np.linalg.pinv(kmap)
+        section = np.linalg.pinv(kmap, rcond=_RANK_RTOL * max(kmap.shape))
     y0 = section @ target
     back = kmap @ y0 - target
     if back.size and float(np.abs(back).max(initial=0.0)) > \
@@ -724,7 +732,8 @@ def gluing_matrix(d: SumDiagram, m: int, length: float) -> np.ndarray:
     kmap = np.vstack([d.mat("istar_plus", m), d.mat("istar_minus", m)])
     _, basis, z = d.operator(m)
     exact = d.mat("mv_delta", m) @ (z + 2.0 * length * basis)
-    return np.hstack([np.linalg.pinv(kmap) @ kmap, exact])
+    section = np.linalg.pinv(kmap, rcond=_RANK_RTOL * max(kmap.shape))
+    return np.hstack([section @ kmap, exact])
 
 
 # ---------------------------------------------------------------------------
@@ -767,9 +776,8 @@ def derivative_model(d: SumDiagram, omega_class: np.ndarray, length: float, *,
     distinguished class inside the common complement, the extra direction
     scales the connecting image of that class, and bijectivity holds
     precisely when minus twice the length misses the compressed spectrum.
-    The neck operator is solved at the default tolerance; ``tol`` is only
-    the norm below which the class counts as orthogonal to the common
-    complement.
+    ``tol`` is only the norm below which the class counts as orthogonal
+    to the common complement.
     """
     if d.dim("H_M", 1) != 0:
         raise B1NotZero(
@@ -832,7 +840,7 @@ def _in_image(mat: np.ndarray, vec: np.ndarray, tol: float) -> bool:
         return True
     if mat.size == 0:
         return False
-    sol, *_ = np.linalg.lstsq(mat, vec, rcond=None)
+    sol, *_ = np.linalg.lstsq(mat, vec, rcond=_RANK_RTOL * max(mat.shape))
     return float(np.abs(mat @ sol - vec).max(initial=0.0)) <= tol * (1.0 + norm)
 
 
@@ -880,20 +888,14 @@ class _Builder:
         self.c_entries.append((side, m, row, col, val))
 
     def build(self) -> SumDiagram:
+        def zeros(key, m):
+            return np.zeros(_map_shape(key, m, self.counts))
         blocks = []
         for m in range(N_DEGREES):
             dims = {node: self.counts[(node, m)] for node in DIM_KEYS}
-            prev_hx = self.counts[("H_X", m - 1)] if m > 0 else 0
-            maps = {}
-            for key in MAP_KEYS:
-                row_node, col_node = _MAP_NODES[key]
-                rows = dims[row_node]
-                cols = prev_hx if col_node.startswith("prev:") else dims[col_node]
-                maps[key] = np.zeros((rows, cols))
             blocks.append(DegreeBlock(
-                m, dims, maps, np.eye(dims["H_X"]),
-                np.zeros((dims["Hcpt_Mplus"], prev_hx)),
-                np.zeros((dims["Hcpt_Mminus"], prev_hx))))
+                m, dims, {key: zeros(key, m) for key in MAP_KEYS},
+                np.eye(dims["H_X"]), zeros("del_plus", m), zeros("del_minus", m)))
         for key, m, row, col, val in self.entries:
             blocks[m].maps[key][row, col] = val
         for side, m, row, col, val in self.c_entries:
@@ -999,24 +1001,17 @@ def _conjugate(d: SumDiagram, rng: np.random.Generator) -> SumDiagram:
             t[(node, m)], tinv[(node, m)] = _unimodular(rng, d.dim(node, m))
     blocks = []
     for m, blk in enumerate(d.degrees):
-        maps = {}
-        for key in MAP_KEYS:
-            row_node, col_node = _MAP_NODES[key]
-            if col_node.startswith("prev:"):
-                col_t = tinv[(col_node[5:], m - 1)] if m > 0 else \
-                    np.zeros((0, 0))
-            else:
-                col_t = tinv[(col_node, m)]
-            mat = blk.maps[key]
-            maps[key] = t[(row_node, m)] @ mat @ col_t if mat.size else mat
+        def move(key, mat):
+            if not mat.size:
+                return mat
+            rows, cols = _map_nodes(key, m)
+            return t[rows] @ mat @ tinv[cols]
+        maps = {key: move(key, blk.maps[key]) for key in MAP_KEYS}
         tx = tinv[("H_X", m)]
         ip = tx.T @ blk.ip_x @ tx
-        cprev = tinv[("H_X", m - 1)] if m > 0 else np.zeros((0, 0))
-        cp = t[("Hcpt_Mplus", m)] @ blk.c_plus @ cprev if blk.c_plus.size \
-            else blk.c_plus
-        cm = t[("Hcpt_Mminus", m)] @ blk.c_minus @ cprev if blk.c_minus.size \
-            else blk.c_minus
-        blocks.append(DegreeBlock(m, blk.dims, maps, ip, cp, cm))
+        blocks.append(DegreeBlock(m, blk.dims, maps, ip,
+                                  move("del_plus", blk.c_plus),
+                                  move("del_minus", blk.c_minus)))
     return SumDiagram(tuple(blocks))
 
 
@@ -1125,22 +1120,18 @@ def diagram_from_json(obj: dict) -> SumDiagram:
     symmetric positive definite.
     """
     blocks = []
-    degs = sorted(obj["degrees"], key=lambda blk: blk["m"])
-    prev_hx = 0
-    for blk in degs:
+    sizes: dict[tuple[str, int], int] = {}
+    for pos, blk in enumerate(sorted(obj["degrees"], key=lambda b: b["m"])):
         dims = {key: int(blk["dims"][key]) for key in DIM_KEYS}
-        maps = {}
-        for key in MAP_KEYS:
-            row_node, col_node = _MAP_NODES[key]
-            rows = dims[row_node]
-            cols = prev_hx if col_node.startswith("prev:") else dims[col_node]
-            maps[key] = _as2d(blk["maps"][key], rows, cols)
+        sizes.update(((key, pos), n) for key, n in dims.items())
+
+        def read(key, entry):
+            return _as2d(entry, *_map_shape(key, pos, sizes))
         blocks.append(DegreeBlock(
-            int(blk["m"]), dims, maps,
+            int(blk["m"]), dims,
+            {key: read(key, blk["maps"][key]) for key in MAP_KEYS},
             _as_gram(blk["ip_X"], dims["H_X"], int(blk["m"])),
-            _as2d(blk["C_plus"], dims["Hcpt_Mplus"], prev_hx),
-            _as2d(blk["C_minus"], dims["Hcpt_Mminus"], prev_hx)))
-        prev_hx = dims["H_X"]
+            read("del_plus", blk["C_plus"]), read("del_minus", blk["C_minus"])))
     return SumDiagram(tuple(blocks))
 
 

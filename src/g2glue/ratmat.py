@@ -109,17 +109,3 @@ def solve(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Exact solve of a square system."""
     return inv(a) @ asfrac(b)
 
-
-def nullspace(a: np.ndarray) -> np.ndarray:
-    """Columns span the exact kernel of ``a``."""
-    m = asfrac(a)
-    rows, cols = m.shape
-    red, piv = rref(m)
-    free = [c for c in range(cols) if c not in piv]
-    basis = np.zeros((cols, len(free)), dtype=object)
-    basis[...] = Fraction(0)
-    for j, fc in enumerate(free):
-        basis[fc, j] = Fraction(1)
-        for i, pc in enumerate(piv):
-            basis[pc, j] = -red[i, fc]
-    return basis

@@ -6,6 +6,7 @@ import os
 import subprocess
 import sys
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -450,7 +451,7 @@ def test_spectrum_exact_mode_agrees(diagram_file, capsys):
 
 
 def test_spectrum_corrupted_diagram_fails(tmp_path, diagram_file, capsys):
-    obj = json.loads(open(diagram_file).read())
+    obj = json.loads(Path(diagram_file).read_text())
     block = next(b for b in obj["degrees"]
                  if np.asarray(b["maps"]["mv_delta"]).size)
     block["maps"]["mv_delta"][0][0] += 1e-3
@@ -472,7 +473,7 @@ def test_spectrum_unparseable_input(tmp_path, capsys):
 
 
 def _broken_diagram(tmp_path, diagram_file, probe):
-    obj = json.loads(open(diagram_file).read())
+    obj = json.loads(Path(diagram_file).read_text())
     if probe == "nan-mv-delta":
         block = next(b for b in obj["degrees"]
                      if np.asarray(b["maps"]["mv_delta"]).size)
@@ -498,7 +499,7 @@ def test_unusable_diagram_exits_two(tmp_path, diagram_file, capsys,
 
 
 def test_spectrum_malformed_diagram(tmp_path, diagram_file, capsys):
-    obj = json.loads(open(diagram_file).read())
+    obj = json.loads(Path(diagram_file).read_text())
     del obj["degrees"][3]["maps"]["istar_plus"]
     bad = tmp_path / "broken.json"
     bad.write_text(json.dumps(obj))
@@ -533,7 +534,7 @@ def test_derivative_hits_singular_length(tmp_path, capsys):
 
 
 def test_derivative_omega_from_file(tmp_path, diagram_file, capsys):
-    d = diagram_from_json(json.loads(open(diagram_file).read()))
+    d = diagram_from_json(json.loads(Path(diagram_file).read_text()))
     omega = tmp_path / "omega.json"
     omega.write_text(json.dumps({"omega": [1.0] + [0.0] * (d.dim("H_X", 2) - 1)}))
     rc, out, _ = run_cli(["derivative", "--input", diagram_file,
@@ -543,7 +544,7 @@ def test_derivative_omega_from_file(tmp_path, diagram_file, capsys):
 
 
 def test_derivative_rejects_wrong_length_omega(tmp_path, diagram_file, capsys):
-    d = diagram_from_json(json.loads(open(diagram_file).read()))
+    d = diagram_from_json(json.loads(Path(diagram_file).read_text()))
     omega = tmp_path / "omega.json"
     omega.write_text(json.dumps({"omega": [1.0] * (d.dim("H_X", 2) + 1)}))
     rc, _, err = run_cli(["derivative", "--input", diagram_file,
@@ -571,19 +572,25 @@ def test_derivative_singular_boundary_exits_two(tmp_path, capsys):
 
 
 def test_derivative_tol_leaves_the_operator_solve_alone(tmp_path, capsys):
-    # Squash the degree-3 boundary map to 1e-8 along one E+ direction: its
-    # rank probe passes at the default 1e-10 but fails at 1e-6.  --tol only
-    # sets the cut-off for the class's component in E; the neck operator is
-    # still solved at the default tolerance, so both runs print the same.
+    # Squash the degree-3 boundary map along one E+ direction.  To 1e-8 it
+    # still has full rank on E+ under the one rank rule, to 1e-14 it does
+    # not.  --tol only sets the cut-off for the class's component in E; the
+    # neck operator is solved under the rule alone, so both runs print the
+    # same even though 1e-6 lies above the 1e-8 squash.
     d = synth_diagram(3, 2, (-6.0, -3.0))
     v = subspaces(d, 2).e_plus[:, 0]
-    squash = np.eye(v.size) - (1.0 - 1e-8) * np.outer(v, v) @ d.gram(2)
-    obj = diagram_to_json(d)
-    maps = obj["degrees"][3]["maps"]
-    maps["del_plus"] = (np.asarray(maps["del_plus"]) @ squash).tolist()
-    near = diagram_from_json(obj)
+
+    def squashed(factor):
+        squash = np.eye(v.size) - (1.0 - factor) * np.outer(v, v) @ d.gram(2)
+        obj = diagram_to_json(d)
+        maps = obj["degrees"][3]["maps"]
+        maps["del_plus"] = (np.asarray(maps["del_plus"]) @ squash).tolist()
+        return obj
+
     with pytest.raises(SingularBoundary):
-        near.operator(3, 1e-6)
+        diagram_from_json(squashed(1e-14)).operator(3)
+    obj = squashed(1e-8)
+    diagram_from_json(obj).operator(3)
     path = tmp_path / "near.json"
     path.write_text(json.dumps(obj))
     runs = [run_cli(["derivative", "--input", str(path), *extra], capsys)

@@ -174,6 +174,39 @@ def test_boundary_images_orthogonal_to_complements(rigged):
             assert np.abs(sub.a_plus.T @ gram @ sub.e_plus).max() < 1e-10
 
 
+def test_rank_nullspace_and_span_share_one_cut():
+    # s₀ = 1 and a last singular value of 3e-10: above 1e-10·s₀, below the
+    # rule's 1e-10·max(shape)·s₀ = 5e-10, so every decision drops it.
+    rng = np.random.default_rng(0)
+    q1, _ = np.linalg.qr(rng.standard_normal((5, 5)))
+    q2, _ = np.linalg.qr(rng.standard_normal((5, 5)))
+    a = q1 @ np.diag([1.0, 0.7, 0.4, 0.1, 3e-10]) @ q2.T
+    assert cohomology._rank(a) == 4
+    assert cohomology._nullspace(a).shape[1] == 1
+    assert cohomology._gram_orth(a, np.eye(5)).shape[1] == 4
+
+
+def two_planes(angle):
+    """Degree-2 boundary images: two planes in R⁴ at principal angles
+    ``angle``, ``angle``."""
+    obj = diagram_to_json(product_diagram((1, 0, 4, 0, 0, 0, 0)))
+    c, s = np.cos(angle), np.sin(angle)
+    plus, minus = np.zeros((4, 4)), np.zeros((4, 4))
+    plus[0, 0] = plus[1, 1] = 1.0
+    minus[[0, 2], 0] = minus[[1, 3], 1] = c, s
+    maps = obj["degrees"][2]["maps"]
+    maps["jstar_plus"], maps["jstar_minus"] = plus.tolist(), minus.tolist()
+    return diagram_from_json(obj)
+
+
+@pytest.mark.parametrize("angle,common", [
+    (0.0, 2), (1e-12, 2), (1e-6, 0), (0.1, 0)])
+def test_planes_meet_only_below_the_rank_cut(angle, common):
+    sub = subspaces(two_planes(angle), 2)
+    assert sub.a_plus.shape[1] == sub.a_minus.shape[1] == 2
+    assert sub.a_common.shape[1] == sub.e_common.shape[1] == common
+
+
 # ---------------------------------------------------------------------------
 # neck correction
 
