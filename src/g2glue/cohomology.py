@@ -122,11 +122,11 @@ class B1NotZero(ValueError):
 
 
 def _as2d(a, rows: int, cols: int) -> np.ndarray:
+    """``a`` as a finite float matrix, an empty one as (rows, cols) zeros.
+    SumDiagram checks every shape, once."""
     out = np.asarray(a, dtype=float)
     if out.size == 0 and rows * cols == 0:
         out = np.zeros((rows, cols))
-    if out.shape != (rows, cols):
-        raise ValueError(f"matrix shape {out.shape} does not match ({rows}, {cols})")
     if not np.isfinite(out).all():
         raise ValueError("matrix has a non-finite entry")
     return out
@@ -139,18 +139,17 @@ def _freeze(*arrays: np.ndarray) -> tuple[np.ndarray, ...]:
     return arrays
 
 
-def _as_gram(a, dim: int, m: int) -> np.ndarray:
-    """``_as2d`` for the cross-section pairing: symmetric positive definite."""
-    ip = _as2d(a, dim, dim)
+def _check_gram(ip: np.ndarray, m: int) -> None:
+    """The cross-section pairing, of a checked shape, must be symmetric
+    positive definite."""
     if not ip.size:
-        return ip
+        return
     if np.abs(ip - ip.T).max() > 1e-12 * np.abs(ip).max():
         raise ValueError(f"ip_X at degree {m} is not symmetric")
     low = np.linalg.eigvalsh(ip)[0]
     if not low > 0.0:
         raise ValueError(f"ip_X at degree {m} is not positive definite: "
                          f"smallest eigenvalue {low:.3e}")
-    return ip
 
 
 @dataclass(frozen=True)
@@ -1130,9 +1129,12 @@ def diagram_from_json(obj: dict) -> SumDiagram:
         blocks.append(DegreeBlock(
             int(blk["m"]), dims,
             {key: read(key, blk["maps"][key]) for key in MAP_KEYS},
-            _as_gram(blk["ip_X"], dims["H_X"], int(blk["m"])),
+            _as2d(blk["ip_X"], dims["H_X"], dims["H_X"]),
             read("del_plus", blk["C_plus"]), read("del_minus", blk["C_minus"])))
-    return SumDiagram(tuple(blocks))
+    diagram = SumDiagram(tuple(blocks))
+    for blk in diagram.degrees:
+        _check_gram(blk.ip_x, blk.m)
+    return diagram
 
 
 def save_diagram(d: SumDiagram, path) -> None:

@@ -39,11 +39,12 @@ from .forms import (
     ConstForm,
     KForm7,
     Metric7,
-    basis_indices,
-    basis_position,
     _compound,
-    _merge_sign,
+    _contract_table,
     _star_matrix,
+    _wedge_table,
+    assemble_cylindrical,
+    is_g2_form,
 )
 
 ZERO_XI = (0, 0, 0, 0, 0, 0)
@@ -334,7 +335,7 @@ class SpectralForm:
         band = self.band + other.band
         if band > BAND_MAX:
             raise ValueError("wedge would exceed the supported mode band")
-        aa, bb, ind = _wedge_arrays(self.degree, other.degree)
+        aa, bb, ind = _wedge_table(7, self.degree, other.degree)
         acc: dict[tuple[int, ...], np.ndarray] = {}
         for x1, m1 in self.modes.items():
             for x2, m2 in other.modes.items():
@@ -348,36 +349,10 @@ class SpectralForm:
 
 
 @lru_cache(maxsize=None)
-def _wedge_arrays(k1: int, k2: int):
-    """(a, b, ind) with out = (m1[:, a] * m2[:, b]) @ ind for the wedge."""
-    b1 = basis_indices(AXES7, k1)
-    b2 = basis_indices(AXES7, k2)
-    poso = basis_position(AXES7, k1 + k2)
-    rows = []
-    for i1, idx1 in enumerate(b1):
-        for i2, idx2 in enumerate(b2):
-            s, merged = _merge_sign(idx1, idx2)
-            if s:
-                rows.append((i1, i2, poso[merged], s))
-    aa = np.array([r[0] for r in rows], dtype=np.intp)
-    bb = np.array([r[1] for r in rows], dtype=np.intp)
-    ind = np.zeros((len(rows), _ncomp(k1 + k2)))
-    for r, (_, _, c, s) in enumerate(rows):
-        ind[r, c] = s
-    return aa, bb, ind
-
-
-@lru_cache(maxsize=None)
 def _axis_wedge_matrix(axis: int, degree: int) -> np.ndarray:
-    """Matrix of dx^axis ^ (.) from degree to degree + 1."""
-    src = basis_indices(AXES7, degree)
-    poso = basis_position(AXES7, degree + 1)
-    mat = np.zeros((_ncomp(degree + 1), _ncomp(degree)))
-    for c, idx in enumerate(src):
-        s, merged = _merge_sign((axis,), idx)
-        if s:
-            mat[poso[merged], c] = s
-    return mat
+    """Matrix of dx^axis ^ (.) from degree to degree + 1: the adjoint of
+    e_axis . from degree + 1, so the transpose of its contraction table."""
+    return np.ascontiguousarray(_contract_table(7, degree + 1)[axis - 1].T, dtype=float)
 
 
 def map_components(f: SpectralForm, mat: np.ndarray, degree: int) -> SpectralForm:
@@ -696,7 +671,6 @@ class CylStructure:
     decay_rate: float
 
     def __post_init__(self):
-        from .forms import assemble_cylindrical, is_g2_form
         if self.sign not in (1, -1):
             raise ValueError("sign must be +1 or -1")
         if not self.decay_rate > 0.0:
@@ -727,7 +701,6 @@ class CylStructure:
         return limit, beta, gamma, tails
 
     def model(self) -> KForm7:
-        from .forms import assemble_cylindrical
         return assemble_cylindrical(self.big, self.small, self.sign)
 
     def total(self) -> SpectralForm:
@@ -740,36 +713,3 @@ class CylStructure:
             g = self.perturbation.grid
             window = (g.a + 0.5 * g.length, g.b)
         return estimate_decay_rate(self.perturbation, window)
-
-
-# -- serialization ---------------------------------------------------------
-
-def to_payload(f: SpectralForm) -> dict:
-    """JSON-ready description: {degree, K, grid, modes:[{xi, samples}]}.
-
-    Samples are [re, im] pairs, row-major over (t, component); the real
-    xi = 0 mode writes im = 0.0.
-    """
-    modes = []
-    for xi, a in f.modes.items():
-        flat = a.reshape(-1)
-        modes.append({"xi": list(xi),
-                      "samples": [[float(z.real), float(z.imag)] for z in flat]})
-    return {"degree": f.degree, "K": f.band,
-            "grid": {"a": f.grid.a, "b": f.grid.b, "n": f.grid.n,
-                     "periodic": f.grid.periodic},
-            "modes": modes}
-
-
-def from_payload(obj: dict) -> SpectralForm:
-    g = obj["grid"]
-    grid = TGrid(float(g["a"]), float(g["b"]), int(g["n"]), bool(g.get("periodic", False)))
-    degree = int(obj["degree"])
-    band = int(obj["K"])
-    nc = _ncomp(degree)
-    modes = {}
-    for entry in obj["modes"]:
-        xi = tuple(int(v) for v in entry["xi"])
-        flat = np.array([complex(re, im) for re, im in entry["samples"]])
-        modes[xi] = flat.reshape(grid.n, nc)
-    return SpectralForm(degree, band, grid, modes)

@@ -76,6 +76,42 @@ def _merge_sign(a: tuple[int, ...], b: tuple[int, ...]) -> tuple[int, tuple[int,
     return (-1) ** inversions, tuple(sorted(merged))
 
 
+@lru_cache(maxsize=None)
+def _wedge_table(n: int, k1: int, k2: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The wedge of a k1- and a k2-form on R^n as read-only (a, b, ind).
+
+    For coefficient rows x and y, x ^ y = (x[..., a] * y[..., b]) @ ind:
+    row r is the r-th disjoint pair (I, J) = (a[r], b[r]) in lexicographic
+    order, and the integer matrix ind holds its sign in the column of I + J.
+    """
+    axes = tuple(range(n))
+    pos = basis_position(axes, k1 + k2)
+    rows = []
+    for i, ii in enumerate(basis_indices(axes, k1)):
+        for j, jj in enumerate(basis_indices(axes, k2)):
+            s, merged = _merge_sign(ii, jj)
+            if s:
+                rows.append((i, j, pos[merged], s))
+    a, b, col, sign = np.array(rows, dtype=np.intp).reshape(-1, 4).T
+    ind = np.zeros((len(rows), math.comb(n, k1 + k2)), dtype=np.int64)
+    ind[np.arange(len(rows)), col] = sign
+    for arr in (a, b, ind):
+        arr.flags.writeable = False
+    return a, b, ind
+
+
+@lru_cache(maxsize=None)
+def _contract_table(n: int, k: int) -> np.ndarray:
+    """Interior products on R^n from degree k, read-only: slice p of this
+    integer (n, C(n, k-1), C(n, k)) array is e_p . (p 0-based), the
+    adjoint of dx^p ^ (.) in _wedge_table(n, 1, k - 1)."""
+    a, b, ind = _wedge_table(n, 1, k - 1)
+    table = np.zeros((n, math.comb(n, k - 1), math.comb(n, k)), dtype=np.int64)
+    table[a, b] = ind
+    table.flags.writeable = False
+    return table
+
+
 def _compound(a: np.ndarray, k: int) -> np.ndarray:
     """The k-th compound matrix: entry (I, J) is det(a[I, J]).
 
@@ -89,11 +125,8 @@ def _compound(a: np.ndarray, k: int) -> np.ndarray:
     sub = np.array(basis_indices(tuple(range(n)), k), dtype=np.intp)
     if a.dtype != object:
         return np.linalg.det(a[sub[:, None, :, None], sub[None, :, None, :]])
-    out = np.empty((len(sub), len(sub)), dtype=object)
-    for i, rows in enumerate(sub):
-        for j, cols in enumerate(sub):
-            out[i, j] = ratmat.det(a[np.ix_(rows, cols)])
-    return out
+    return np.array([[ratmat.det(a[np.ix_(rows, cols)]) for cols in sub]
+                     for rows in sub], dtype=object)
 
 
 class ConstForm:
@@ -151,27 +184,31 @@ class ConstForm:
         return f"ConstForm({terms})"
 
     # -- exterior operations ----------------------------------------------
+    # Both run the integer tables on object coefficient vectors, so each
+    # product and sum is the coefficients' own arithmetic: exact on Fractions.
 
     def wedge(self, other: "ConstForm") -> "ConstForm":
+        """Wedge product; only pairs of stored coefficients enter, summed
+        in basis order."""
         if self.axes != other.axes:
             raise ValueError("forms live on different spaces")
-        out: dict = {}
-        for ia, ca in self.coeffs.items():
-            for ib, cb in other.coeffs.items():
-                sign, idx = _merge_sign(ia, ib)
-                if sign:
-                    out[idx] = out.get(idx, 0) + sign * ca * cb
-        return ConstForm(self.axes, self.degree + other.degree, out)
+        a, b, ind = _wedge_table(len(self.axes), self.degree, other.degree)
+        rows, cols = ind.nonzero()
+        x, y = self.tovector(object)[a], other.tovector(object)[b]
+        held = (x != 0) & (y != 0)
+        out = np.zeros(ind.shape[1], dtype=object)
+        np.add.at(out, cols[held], ind[rows, cols][held] * x[held] * y[held])
+        return ConstForm.fromvector(self.axes, self.degree + other.degree, out)
 
     def contract(self, axis: int) -> "ConstForm":
         """Interior product with the coordinate vector e_axis."""
-        out: dict = {}
-        for idx, c in self.coeffs.items():
-            if axis in idx:
-                p = idx.index(axis)
-                rest = idx[:p] + idx[p + 1:]
-                out[rest] = out.get(rest, 0) + ((-1) ** p) * c
-        return ConstForm(self.axes, self.degree - 1, out)
+        if self.degree == 0 or axis not in self.axes:
+            return ConstForm(self.axes, self.degree - 1)
+        table = _contract_table(len(self.axes), self.degree)[self.axes.index(axis)]
+        rows, cols = table.nonzero()
+        out = np.zeros(len(table), dtype=object)
+        out[rows] = table[rows, cols] * self.tovector(object)[cols]
+        return ConstForm.fromvector(self.axes, self.degree - 1, out)
 
     def pullback(self, a: np.ndarray) -> "ConstForm":
         """Pullback under the linear map with matrix ``a`` in these axes.
@@ -276,26 +313,23 @@ def Omega0(exact: bool = False) -> KForm6:
 def gram_from_3form(phi: ConstForm) -> np.ndarray:
     """Matrix B with (e_i . phi) ^ (e_j . phi) ^ phi = B_ij * vol.
 
-    Exact (object dtype, Fraction entries) when the input has rational
-    coefficients; float otherwise, through gram_batch on R^7.
+    Float input goes through gram_batch.  Rational input is scaled to
+    Python ints by the lcm D of its denominators, taken through the same
+    U Q U^T products over ints and divided by D^3, so B is exact (object
+    dtype, Fraction entries).  phi must live on seven axes.
     """
     if phi.degree != 3:
         raise ValueError("the bilinear form is defined for 3-forms")
-    axes = phi.axes
-    exact = phi.is_exact_rational()
-    if not exact and axes == AXES7:
+    if len(phi.axes) != 7:
+        raise ValueError(f"the bilinear form wants 7 axes, not {len(phi.axes)}")
+    if not phi.is_exact_rational():
         return gram_batch(phi.tovector())
-    n = len(axes)
-    top = tuple(axes)
-    b = np.empty((n, n), dtype=object) if exact else np.zeros((n, n))
-    contr = [phi.contract(ax) for ax in axes]
-    for i in range(n):
-        for j in range(i, n):
-            w = contr[i].wedge(contr[j]).wedge(phi)
-            c = w.coeffs.get(top, Fraction(0) if exact else 0.0)
-            b[i, j] = c
-            b[j, i] = c
-    return b
+    vec = phi.tovector(object)
+    d = math.lcm(*(c.denominator for c in vec))
+    ints = np.array([int(c.numerator) * (d // int(c.denominator)) for c in vec], dtype=object)
+    u_mat, q_mat = _gram_matrices(object)
+    u = (u_mat @ ints).reshape(7, 21)
+    return u @ (q_mat @ ints).reshape(21, 21) @ u.T * Fraction(1, d ** 3)
 
 
 def _iroot(n: int, k: int) -> int:
@@ -310,17 +344,15 @@ def _iroot(n: int, k: int) -> int:
         x = y
 
 
-def _exact_ninth_root(q: Fraction) -> Fraction | None:
-    """Rational r with r^9 == q, if one exists."""
-    if q == 0:
-        return Fraction(0)
-    sign = 1 if q > 0 else -1
-    q = abs(q)
-    rn = _iroot(q.numerator, 9)
-    rd = _iroot(q.denominator, 9)
-    if rn ** 9 != q.numerator or rd ** 9 != q.denominator:
+def _exact_root(q: Fraction, k: int) -> Fraction | None:
+    """Rational r with r^k == q, if one exists; for odd k, r has q's sign."""
+    if q < 0 and k % 2 == 0:
         return None
-    return sign * Fraction(rn, rd)
+    num, den = abs(int(q.numerator)), int(q.denominator)
+    rn, rd = _iroot(num, k), _iroot(den, k)
+    if rn ** k != num or rd ** k != den:
+        return None
+    return Fraction(rn if q >= 0 else -rn, rd)
 
 
 def metric_from_3form(phi: ConstForm) -> Metric7:
@@ -341,24 +373,21 @@ def metric_from_3form(phi: ConstForm) -> Metric7:
         detb = ratmat.det(b)
         if detb == 0:
             raise NotStable("degenerate 3-form: det B = 0")
-        root = _exact_ninth_root(36 * detb)
+        root = _exact_root(36 * detb, 9)
         if root is not None:
             g = (1 / root) * b
-            gf = ratmat.tofloat(g)
         else:
             # From logs: det B of a large or small rational form overflows a float.
             log_det = math.log(abs(detb.numerator)) - math.log(detb.denominator)
             s = math.copysign(KAPPA * math.exp(-log_det / 9.0), -1 if detb < 0 else 1)
             g = s * ratmat.tofloat(b)
-            gf = g
     else:
         detb = float(np.linalg.det(b))
         if detb == 0 or not math.isfinite(detb):
             raise NotStable("degenerate 3-form: det B = 0")
         s = math.copysign(KAPPA * abs(detb) ** (-1.0 / 9.0), detb)
         g = s * b
-        gf = g
-    if np.linalg.eigvalsh(gf).min() <= 0:
+    if np.linalg.eigvalsh(np.asarray(g, dtype=float)).min() <= 0:
         raise NotStable("3-form is outside the open orbit: metric not definite")
     return Metric7(g)
 
@@ -378,29 +407,12 @@ def is_g2_form(phi: ConstForm) -> bool:
 
 @lru_cache(maxsize=None)
 def _hodge_table(n: int, k: int) -> tuple[np.ndarray, np.ndarray]:
-    """(comp, signs) for the star from k-forms to (n-k)-forms on R^n.
-
-    For the j-th (n-k)-index J of basis_indices, comp[j] is the position
-    of its complement Jc among the k-indices and signs[j] the sign of the
-    permutation (Jc, J).
-    """
-    axes = tuple(range(n))
-    pos = basis_position(axes, k)
-    comp, signs = [], []
-    for jdx in basis_indices(axes, n - k):
-        jc = tuple(ax for ax in axes if ax not in jdx)
-        comp.append(pos[jc])
-        signs.append(_merge_sign(jc, jdx)[0])
-    return np.array(comp, dtype=np.intp), np.array(signs, dtype=np.intp)
-
-
-def _sqrt_exact(q):
-    if isinstance(q, Fraction):
-        rn = math.isqrt(q.numerator)
-        rd = math.isqrt(q.denominator)
-        if rn * rn == q.numerator and rd * rd == q.denominator:
-            return Fraction(rn, rd)
-    return math.sqrt(float(q))
+    """(comp, signs) for the star from k- to (n-k)-forms on R^n: for the
+    j-th (n-k)-index J, the position of its complement Jc among the
+    k-indices and the sign of dx^Jc ^ dx^J."""
+    a, b, ind = _wedge_table(n, k, n - k)
+    order = np.argsort(b)
+    return a[order], ind[order, 0]
 
 
 def _star_matrix(g: np.ndarray, k: int) -> np.ndarray:
@@ -413,8 +425,8 @@ def _star_matrix(g: np.ndarray, k: int) -> np.ndarray:
     """
     comp, signs = _hodge_table(len(g), k)
     if g.dtype == object:
-        scale = _sqrt_exact(ratmat.det(g))
-        if isinstance(scale, Fraction):
+        scale = _exact_root(ratmat.det(g), 2)
+        if scale is not None:
             return scale * signs[:, None] * _compound(ratmat.inv(g), k)[comp]
         g = ratmat.tofloat(g)
     g = np.asarray(g, dtype=float)
@@ -425,14 +437,9 @@ def _star_matrix(g: np.ndarray, k: int) -> np.ndarray:
 def hodge_star(metric, alpha: ConstForm) -> ConstForm:
     """Hodge star of alpha, defined by a ^ (*b) = <a, b>_g vol_g.
 
-    ``metric`` is a Metric7 or a raw symmetric matrix over alpha's axes.
-    The result is the star matrix of _star_matrix, built from the compound
-    matrix Lambda^k(g^-1), applied to alpha's coefficient vector:
-
-        (*b)_J = sqrt(det g) * sign(Jc, J) * sum_I det(g^{-1}[Jc, I]) b_I.
-
-    Exact on Fraction input when det g is a perfect rational square (in
-    particular for the identity metric).
+    ``metric`` is a Metric7 or a raw symmetric matrix over alpha's axes;
+    _star_matrix is applied to alpha's coefficient vector.  Exact on
+    Fraction input when det g is a rational square, as for the identity.
     """
     g = metric.mat if isinstance(metric, Metric7) else np.asarray(metric)
     axes = alpha.axes
@@ -454,9 +461,8 @@ def split_cylindrical(phi: ConstForm, sign: int) -> tuple[KForm6, KForm6]:
         raise ValueError("expected a form on R^7")
     if sign not in (1, -1):
         raise ValueError("sign must be +1 or -1")
-    omega_part = phi.contract(1)
     big = {i: c for i, c in phi.coeffs.items() if 1 not in i}
-    om = {i: sign * c for i, c in omega_part.coeffs.items()}
+    om = {i: sign * c for i, c in phi.contract(1).coeffs.items()}
     return KForm6(phi.degree, big), KForm6(phi.degree - 1, om)
 
 
@@ -468,9 +474,8 @@ def assemble_cylindrical(big: ConstForm, small: ConstForm, sign: int) -> KForm7:
         raise ValueError("degree mismatch between the two pieces")
     if sign not in (1, -1):
         raise ValueError("sign must be +1 or -1")
-    out = {i: c for i, c in big.coeffs.items()}
-    for i, c in small.coeffs.items():
-        out[(1,) + i] = sign * c
+    out = dict(big.coeffs)
+    out.update({(1,) + i: sign * c for i, c in small.coeffs.items()})
     return KForm7(big.degree, out)
 
 
@@ -506,10 +511,14 @@ def su3_tangent_residual(big: KForm6, small: KForm6, sigma: KForm6, tau: KForm6
 # rows, for the sampled torsion pipeline.  No stable row reaches
 # numpy.linalg:
 #
+#   Every sign comes from two integer tables, _wedge_table (dx^I ^ dx^J)
+#     and _contract_table (e_p . ); ConstForm.wedge and contract, the
+#     star's signs, dx^a ^ (.) in fields and U and Q are read off them.
 #   B = U Q U^T: U (7 x 21) holds the contractions e_p . c in the 2-form
 #     basis, U[p, ab] = phi_abp, and Q (21 x 21) the coefficients of vol in
 #     dx^u ^ dx^v ^ c; both are linear in c.  gram_batch forms them a
-#     block of rows at a time, so their scratch does not grow with n.
+#     block of rows at a time, so their scratch does not grow with n;
+#     gram_from_3form forms them once over Python ints for exact input.
 #   _eliminate factors each B once.  det B is the product of the pivots,
 #     and g = s B is positive definite exactly when every pivot has the
 #     sign of det B (Sylvester's criterion, as Cholesky tests it); _scale
@@ -522,33 +531,23 @@ def su3_tangent_residual(big: KForm6, small: KForm6, sigma: KForm6, tau: KForm6
 #     quadruple; g = s B and g^-1 = B^-1 / s.  The star for dx^1..7 is
 #     eps psi with eps = sign(det B), the orientation of phi.
 
-@lru_cache(maxsize=1)
-def _gram_matrices() -> tuple[np.ndarray, np.ndarray]:
-    """Flat structure matrices (u, q) for the batched bilinear form.
+@lru_cache(maxsize=None)
+def _gram_matrices(dtype=float) -> tuple[np.ndarray, np.ndarray]:
+    """Flat structure matrices (u, q) of the bilinear form, in ``dtype``.
 
     For a coefficient row c, (c @ u.T).reshape(7, 21) is U, whose row i
     is the 2-form e_{i+1} . c, and (c @ q.T).reshape(21, 21) is Q, whose
-    entry (u, v) is the coefficient of vol in dx^U ^ dx^V ^ c.
+    entry (u, v) is the coefficient of vol in dx^U ^ dx^V ^ c: the sign
+    of dx^U ^ dx^V times that of the 4-form's wedge with its complement.
     """
-    basis3 = basis_indices(AXES7, 3)
-    basis2 = basis_indices(AXES7, 2)
-    pos2 = basis_position(AXES7, 2)
-    pos3 = basis_position(AXES7, 3)
-    ct = np.zeros((7, 21, 35))
-    for a, ia in enumerate(basis3):
-        for p, ax in enumerate(ia):
-            rest = ia[:p] + ia[p + 1:]
-            ct[ax - 1, pos2[rest], a] = (-1.0) ** p
-    qt = np.zeros((21, 21, 35))
-    for u, iu in enumerate(basis2):
-        for v, iv in enumerate(basis2):
-            s1, merged = _merge_sign(iu, iv)
-            if s1 == 0:
-                continue
-            rest = tuple(ax for ax in AXES7 if ax not in merged)
-            s2, _ = _merge_sign(merged, rest)
-            qt[u, v, pos3[rest]] = s1 * s2
-    return ct.reshape(7 * 21, 35), qt.reshape(21 * 21, 35)
+    a, b, ind = _wedge_table(7, 2, 2)
+    a4, b4, top = _wedge_table(7, 4, 3)
+    vol = np.zeros((35, 35), dtype=np.int64)
+    vol[a4, b4] = top[:, 0]
+    q = np.zeros((21, 21, 35), dtype=np.int64)
+    q[a, b] = ind @ vol
+    u = _contract_table(7, 3).reshape(7 * 21, 35)
+    return u.astype(dtype), q.reshape(21 * 21, 35).astype(dtype)
 
 
 # Rows per block of gram_batch.  U, Q and U Q take 735 doubles a row, so

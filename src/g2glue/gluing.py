@@ -44,6 +44,7 @@ from functools import lru_cache
 import numpy as np
 
 from .fields import (
+    CylStructure,
     SpectralForm,
     TGrid,
     ZERO_XI,
@@ -61,10 +62,14 @@ from .fields import (
 )
 from .forms import (
     AXES7,
+    KForm7,
     NotStable,
+    Omega0,
+    _contract_table,
     _star_matrix,
     basis_position,
     hodge_star,
+    omega0,
     phi0,
     star3_batch,
 )
@@ -443,11 +448,8 @@ def flat_projectors() -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     27-dimensional pieces at the flat model."""
     p = phi0().tovector()
     p1 = np.outer(p, p) / 7.0
-    star_p = hodge_star(np.eye(7), phi0())
-    cols = []
-    for i in range(1, 8):
-        cols.append(star_p.contract(i).tovector())
-    b = np.array(cols).T
+    star_p = hodge_star(np.eye(7), phi0()).tovector()
+    b = (_contract_table(7, 4) @ star_p).T         # column i: e_i+1 . *phi0
     p7 = b @ np.linalg.inv(b.T @ b) @ b.T
     p27 = np.eye(35) - p1 - p7
     return p1, p7, p27
@@ -722,6 +724,11 @@ def estimate_L0(plus, minus, lengths, tol: float = 1e-10, max_iter: int = 25,
 
 # -- synthetic half-cylinder structures ------------------------------------
 
+def _model_vectors() -> tuple[np.ndarray, np.ndarray]:
+    """Omega0 and omega0 as coefficient vectors on R^7."""
+    return KForm7(3, Omega0().coeffs).tovector(), KForm7(2, omega0().coeffs).tovector()
+
+
 def _support_envelope(t: np.ndarray, lo: float = 0.75, hi: float = 1.75) -> np.ndarray:
     """C-infinity ramp from 0 to 1 on [lo, hi] (keeps fields off t = 0)."""
     u = np.clip((t - lo) / (hi - lo), 0.0, 1.0)
@@ -736,8 +743,6 @@ def _support_envelope_deriv(t: np.ndarray, lo: float = 0.75, hi: float = 1.75) -
 def flat_structure(sign: int, extent: float = 11.0, density: int = 64,
                    band: int = 2):
     """Exactly cylindrical half: the model pair with zero perturbation."""
-    from .fields import CylStructure
-    from .forms import Omega0, omega0
     grid = TGrid.interval(0.0, extent, density)
     pert = SpectralForm.zero(3, band, grid)
     return CylStructure(Omega0(), omega0(), sign, pert, 1.0)
@@ -755,8 +760,6 @@ def sheared_structure(sign: int, rate: float = 1.0, amplitude: float = 0.25,
     t = 0.  The samples below use the analytic derivatives, so the field
     is a genuine G2 structure to machine precision at every sample.
     """
-    from .fields import CylStructure
-    from .forms import Omega0, omega0
     if not 2 <= direction <= 7:
         raise ValueError("direction indexes a torus axis, 2..7")
     grid = TGrid.interval(0.0, extent, density)
@@ -768,13 +771,12 @@ def sheared_structure(sign: int, rate: float = 1.0, amplitude: float = 0.25,
     dw = drift * (denv - rate * env) * decay
     if np.abs(dw).max() >= 0.9:
         raise ValueError("drift too large: t -> t + w(t) must stay monotone")
-    contracted = Omega0().contract(direction)
+    big, small = _model_vectors()
+    dt = _axis_wedge_matrix(1, 2)
+    # Each term adds onto +0.0, so no -0.0 product reaches the samples.
     arr = np.zeros((grid.n, 35))
-    pos3 = basis_position(AXES7, 3)
-    for idx, c in contracted.coeffs.items():
-        arr[:, pos3[(1,) + idx]] += du * c
-    for idx, c in omega0().coeffs.items():
-        arr[:, pos3[(1,) + idx]] += sign * dw * c
+    arr += np.outer(du, dt @ (_contract_table(7, 3)[direction - 1] @ big))
+    arr += np.outer(sign * dw, dt @ small)
     pert = SpectralForm(3, band, grid, {ZERO_XI: arr}, check=False)
     return CylStructure(Omega0(), omega0(), sign, pert, rate)
 
@@ -797,8 +799,6 @@ def modulated_shear_structure(sign: int, rate: float = 1.0,
     the family: the glued field carries a first-order remainder supported
     in the cutoff band, so its torsion scales like e^{-rate L}.
     """
-    from .fields import CylStructure
-    from .forms import KForm6, Omega0, omega0
     if not 2 <= direction <= 7 or not 2 <= modulation <= 7:
         raise ValueError("direction and modulation index torus axes, 2..7")
     if direction == modulation:
@@ -811,18 +811,14 @@ def modulated_shear_structure(sign: int, rate: float = 1.0,
     decay = np.exp(-rate * t)
     a = amplitude * env * decay
     da = amplitude * (denv - rate * env) * decay
-    t1 = Omega0().contract(direction)
-    dxm = KForm6(1, {(modulation,): 1})
-    t2 = dxm.wedge(t1)
-    t3 = dxm.wedge(omega0().contract(direction))
+    big, small = _model_vectors()
+    dt = _axis_wedge_matrix(1, 2)
+    t1 = _contract_table(7, 3)[direction - 1] @ big
+    t3 = _axis_wedge_matrix(modulation, 1) @ (_contract_table(7, 2)[direction - 1] @ small)
     arr = np.zeros((grid.n, 35), dtype=complex)
-    pos3 = basis_position(AXES7, 3)
-    for idx, c in t1.coeffs.items():
-        arr[:, pos3[(1,) + idx]] += 0.5 * da * c
-    for idx, c in t2.coeffs.items():
-        arr[:, pos3[idx]] += 0.5j * a * c
-    for idx, c in t3.coeffs.items():
-        arr[:, pos3[(1,) + idx]] += 0.5j * sign * a * c
+    arr += np.outer(0.5 * da, dt @ t1)
+    arr += np.outer(0.5j * a, _axis_wedge_matrix(modulation, 2) @ t1)
+    arr += np.outer(0.5j * sign * a, dt @ t3)
     xi = [0] * 6
     xi[modulation - 2] = 1
     xi = tuple(xi)
@@ -842,8 +838,6 @@ def closed_perturbation_structure(sign: int, rate: float = 1.0,
     cross-section 2-form zeta, with g = amplitude * E(t) e^{-rate t}; it
     is closed by construction and stays in the model cohomology class.
     """
-    from .fields import CylStructure
-    from .forms import Omega0, omega0
     try:
         axes = tuple(operator.index(c) for c in component)
     except TypeError:

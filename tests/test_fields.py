@@ -1,11 +1,11 @@
-"""Spectral cylinder field tests: calculus, norms, asymptotics, serialization."""
+"""Spectral cylinder field tests: calculus, norms, asymptotics."""
 
 import math
 
 import numpy as np
 import pytest
 
-from g2glue import fields as F
+from g2glue import fields as F, forms
 from g2glue.forms import AXES7, ConstForm, basis_indices, phi0
 from g2glue.fields import (
     CylStructure,
@@ -22,14 +22,12 @@ from g2glue.fields import (
     dt_wedge,
     estimate_decay_rate,
     exterior_d,
-    from_payload,
     harmonic_project,
     inner_l2,
     norm_l2,
     norm_sup,
     sample_physical,
     spectral_from_samples,
-    to_payload,
 )
 
 CIRCLE = TGrid.circle(6.0, density=16)
@@ -151,7 +149,6 @@ def _xi0_paths():
         "decompose-free": lambda: decompose_cyl(decaying)[1],
         "decompose-dt": lambda: decompose_cyl(decaying)[2],
         "harmonic_project": lambda: harmonic_project(mixed),
-        "payload": lambda: from_payload(to_payload(mixed)),
     }
 
 
@@ -169,7 +166,7 @@ def test_wedge_of_a_conjugate_pair_is_real_at_xi0():
     f = SpectralForm(1, 2, CIRCLE, {xi: a})
     g = SpectralForm(2, 2, CIRCLE, {xi: b})
     got = f.wedge(g).modes[ZERO_XI]
-    aa, bb, ind = F._wedge_arrays(1, 2)
+    aa, bb, ind = forms._wedge_table(7, 1, 2)
     want = ((a[:, aa] * np.conj(b)[:, bb]) @ ind
             + (np.conj(a)[:, aa] * b[:, bb]) @ ind)
     assert got.dtype == np.float64
@@ -512,27 +509,6 @@ def test_cyl_structure_validation():
     bad = SpectralForm(3, 2, INTERVAL, {ZERO_XI: arr}, check=False)
     with pytest.raises(ValueError, match="finite"):
         CylStructure(Omega0(), omega0(), 1, bad, 1.0)
-
-
-def test_payload_roundtrip():
-    import json
-    rng = np.random.default_rng(12)
-    f = rand_field(2, 2, CIRCLE, rng, nmodes=3)
-    blob = json.dumps(to_payload(f))
-    back = from_payload(json.loads(blob))
-    assert (back - f).amplitude() == 0.0
-    assert back.degree == f.degree and back.band == f.band and back.grid == f.grid
-
-
-def test_payload_validates_reality():
-    f = SpectralForm.from_constant(phi0(), CIRCLE, band=1)
-    obj = to_payload(f)
-    obj["modes"].append({"xi": [1, 0, 0, 0, 0, 0],
-                         "samples": [[1.0, 0.0]] * (CIRCLE.n * 35)})
-    obj["modes"].append({"xi": [-1, 0, 0, 0, 0, 0],
-                         "samples": [[0.0, 5.0]] * (CIRCLE.n * 35)})
-    with pytest.raises(RealityError):
-        from_payload(obj)
 
 
 # -- wedge -----------------------------------------------------------------

@@ -96,6 +96,175 @@ def test_pullback_respects_wedge():
     assert (lhs - rhs).norm() < 1e-10 * max(1.0, lhs.norm())
 
 
+# -- the sign tables against a dict reference ------------------------------
+#
+# The scalar loops below are the reference for the integer tables of
+# forms: every coefficient of a table-based result must equal theirs.
+
+def merge_sign(a, b):
+    """Sign and sorted index of dx^a ^ dx^b, (0, ()) if they collide."""
+    if set(a) & set(b):
+        return 0, ()
+    merged = a + b
+    inversions = sum(x > y for i, x in enumerate(merged) for y in merged[i + 1:])
+    return (-1) ** inversions, tuple(sorted(merged))
+
+
+def dict_wedge(f, g):
+    out = {}
+    for ia, ca in f.coeffs.items():
+        for ib, cb in g.coeffs.items():
+            sign, idx = merge_sign(ia, ib)
+            if sign:
+                out[idx] = out.get(idx, 0) + sign * ca * cb
+    return ConstForm(f.axes, f.degree + g.degree, out)
+
+
+def dict_contract(f, axis):
+    out = {}
+    for idx, c in f.coeffs.items():
+        if axis in idx:
+            p = idx.index(axis)
+            rest = idx[:p] + idx[p + 1:]
+            out[rest] = out.get(rest, 0) + ((-1) ** p) * c
+    return ConstForm(f.axes, f.degree - 1, out)
+
+
+def dict_gram(phi):
+    """B as nested lists, each entry (e_i . phi) ^ (e_j . phi) ^ phi."""
+    contr = [dict_contract(phi, ax) for ax in phi.axes]
+    b = [[0] * 7 for _ in range(7)]
+    for i in range(7):
+        for j in range(i, 7):
+            w = dict_wedge(dict_wedge(contr[i], contr[j]), phi)
+            b[i][j] = b[j][i] = w.coeffs.get(phi.axes, 0)
+    return b
+
+
+def sparse_form(axes, degree, rng, kind):
+    """A random form in basis order with about a third of its slots empty:
+    Fraction coefficients with denominators up to 12, or floats."""
+    vals = []
+    for _ in basis_indices(axes, degree):
+        if rng.random() < 0.35:
+            vals.append(0)
+        elif kind == "fraction":
+            vals.append(Fraction(int(rng.integers(-9, 10)), int(rng.integers(1, 13))))
+        else:
+            vals.append(float(rng.standard_normal()))
+    return ConstForm.fromvector(axes, degree, vals)
+
+
+def same_coeffs(got, want):
+    """Equal coefficients of the same types (floats bit for bit)."""
+    return (got.degree == want.degree and got.coeffs == want.coeffs
+            and all(type(got.coeffs[i]) is type(c) for i, c in want.coeffs.items()))
+
+
+@pytest.mark.parametrize("kind", ["fraction", "float"])
+@pytest.mark.parametrize("axes", [AXES6, AXES7], ids=["AXES6", "AXES7"])
+def test_table_wedge_and_contract_match_the_dict_reference(axes, kind):
+    rng = np.random.default_rng(1800 + len(axes))
+    n = len(axes)
+    for k1 in range(n + 1):
+        a = sparse_form(axes, k1, rng, kind)
+        for k2 in range(n + 1 - k1):
+            b = sparse_form(axes, k2, rng, kind)
+            assert same_coeffs(a.wedge(b), dict_wedge(a, b)), (k1, k2)
+        if k1:
+            for ax in axes + (0,):
+                assert same_coeffs(a.contract(ax), dict_contract(a, ax)), (k1, ax)
+    with pytest.raises(ValueError, match="out of range"):
+        ConstForm(axes, 4, {}).wedge(ConstForm(axes, n - 3, {}))
+    with pytest.raises(ValueError, match="out of range"):
+        ConstForm(axes, 0, {(): 1}).contract(axes[0])
+
+
+def test_table_wedge_keeps_an_inf_off_empty_slots():
+    a = KForm7(2, {(1, 2): math.inf, (3, 4): 1.0})
+    b = KForm7(1, {(5,): 2.0})
+    assert same_coeffs(a.wedge(b), dict_wedge(a, b))
+    assert a.wedge(b).coeffs == {(1, 2, 5): math.inf, (3, 4, 5): 2.0}
+
+
+def test_exact_gram_matches_the_dict_reference():
+    rng = np.random.default_rng(1801)
+    cases = [phi0(exact=True)]
+    while len(cases) < 25:
+        vec = [Fraction(int(rng.integers(-20, 21)), int(rng.integers(1, 31)))
+               if rng.random() < 0.8 else 0 for _ in range(35)]
+        if any(isinstance(c, Fraction) and c.denominator > 1 for c in vec):
+            cases.append(ConstForm.fromvector(AXES7, 3, vec))
+    for phi in cases:
+        got = gram_from_3form(phi)
+        assert got.dtype == object and got.shape == (7, 7)
+        assert all(isinstance(c, Fraction) for c in got.ravel())
+        assert got.tolist() == dict_gram(phi)
+    # Fractions of numpy int64 parts, whose products would wrap, are
+    # taken to Python ints first.
+    big = {i: Fraction(int(rng.integers(-10**6, 10**6)), int(rng.integers(1, 10**6)))
+           for i in basis_indices(AXES7, 3)}
+    wide = KForm7(3, {i: Fraction(np.int64(c.numerator), np.int64(c.denominator))
+                      for i, c in big.items()})
+    assert gram_from_3form(wide).tolist() == gram_from_3form(KForm7(3, big)).tolist()
+
+
+@pytest.mark.parametrize("axes", [AXES6, tuple(range(1, 9))], ids=["6", "8"])
+@pytest.mark.parametrize("one", [1, 1.0], ids=["exact", "float"])
+def test_gram_wants_seven_axes(axes, one):
+    phi = ConstForm(axes, 3, {axes[:3]: one, axes[3:6]: one})
+    with pytest.raises(ValueError, match="7 axes"):
+        gram_from_3form(phi)
+
+
+def old_axis_wedge_matrix(axis, degree):
+    """fields._axis_wedge_matrix as it was written before the tables."""
+    poso = forms.basis_position(AXES7, degree + 1)
+    mat = np.zeros((math.comb(7, degree + 1), math.comb(7, degree)))
+    for c, idx in enumerate(basis_indices(AXES7, degree)):
+        s, merged = merge_sign((axis,), idx)
+        if s:
+            mat[poso[merged], c] = s
+    return mat
+
+
+def old_gram_matrices():
+    """forms._gram_matrices as it was written before the tables."""
+    pos2 = forms.basis_position(AXES7, 2)
+    pos3 = forms.basis_position(AXES7, 3)
+    ct = np.zeros((7, 21, 35))
+    for a, ia in enumerate(basis_indices(AXES7, 3)):
+        for p, ax in enumerate(ia):
+            ct[ax - 1, pos2[ia[:p] + ia[p + 1:]], a] = (-1.0) ** p
+    qt = np.zeros((21, 21, 35))
+    for u, iu in enumerate(basis_indices(AXES7, 2)):
+        for v, iv in enumerate(basis_indices(AXES7, 2)):
+            s1, merged = merge_sign(iu, iv)
+            if s1:
+                rest = tuple(ax for ax in AXES7 if ax not in merged)
+                qt[u, v, pos3[rest]] = s1 * merge_sign(merged, rest)[0]
+    return ct.reshape(7 * 21, 35), qt.reshape(21 * 21, 35)
+
+
+def same_array(got, want):
+    return (got.dtype == want.dtype and got.shape == want.shape
+            and got.flags.c_contiguous == want.flags.c_contiguous
+            and got.tobytes() == want.tobytes())
+
+
+def test_tables_rebuild_the_float_kernel_matrices_bitwise():
+    from g2glue.fields import _axis_wedge_matrix
+    for axis in AXES7:
+        for degree in range(8):
+            assert same_array(_axis_wedge_matrix(axis, degree),
+                              old_axis_wedge_matrix(axis, degree)), (axis, degree)
+    for got, want in zip(forms._gram_matrices(), old_gram_matrices()):
+        assert same_array(got, want)
+    for got, want in zip(forms._gram_matrices(object), old_gram_matrices()):
+        assert got.dtype == object and np.array_equal(got.astype(float), want)
+        assert all(type(c) is int for c in got.ravel())
+
+
 # -- model form and calibration -------------------------------------------
 
 def test_gram_phi0_exact():
@@ -391,9 +560,10 @@ def test_batched_kernels_match_dict_reference():
         metric = metric_from_3form(phi).mat
         assert rel_err(g[k], metric) <= 1e-12
         assert rel_err(s[k], hodge_star(metric, phi).tovector()) <= 1e-12
-    # Float gram_from_3form on R^7 is gram_batch itself; the dict code
-    # runs on the exact path (about 40 ms a form), so a spread of rows
-    # is checked against it, rounded to the 1/512 grid.
+    # Float gram_from_3form on R^7 is gram_batch itself, and the exact
+    # path runs the same structure matrices over ints; a spread of rows,
+    # rounded to the 1/512 grid, is checked against it.  The independent
+    # reference is dict_gram, in test_exact_gram_matches_the_dict_reference.
     for k in range(0, len(coeffs), 15):
         num = np.rint(coeffs[k] * 512)
         exact = ConstForm.fromvector(AXES7, 3, [int(x) for x in num])
