@@ -1,5 +1,6 @@
 """End-to-end tests for the command-line runners."""
 
+import hashlib
 import json
 import math
 import os
@@ -647,6 +648,52 @@ def test_synth_rejects_unknown_key(tmp_path, capsys):
     rc, _, err = run_cli(["synth", "--input", str(req)], capsys)
     assert rc == 2
     assert "modes" in err
+
+
+def _golden_outputs(tmp_path, capsys, dim_e2d):
+    """synth JSON, then spectrum and derivative JSON and CSV on its output."""
+    request = tmp_path / f"request{dim_e2d}.json"
+    request.write_text(json.dumps(
+        {"dim_e2d": dim_e2d,
+         "spectrum": [-3.0 - 2.0 * i for i in range(dim_e2d)]}))
+    made = tmp_path / f"made{dim_e2d}.json"
+    outputs = []
+    for argv in (["synth", "--input", str(request), "--seed",
+                  str(60 + dim_e2d), "--out", str(made)],
+                 *(["spectrum", "--input", str(made), "--L-start", "0.25",
+                    "--L-stop", "7", "--L-step", "0.25", "--format", fmt]
+                   for fmt in ("json", "csv")),
+                 *(["derivative", "--input", str(made), "--format", fmt]
+                   for fmt in ("json", "csv"))):
+        rc, out, err = run_cli(argv, capsys)
+        assert rc == 0 and err == "", (argv, err)
+        outputs.append(out or made.read_text())
+    return outputs
+
+
+# First 16 hex digits of the sha256 of each output of ``_golden_outputs``,
+# recorded before the diagram commands kept their length-independent
+# solves: a change to any byte of synth, spectrum or derivative output
+# shows up here.
+GOLDEN_SHA256 = {
+    0: ['486d30592d1061a9', 'e3b418709c780e30', '39a35ecb67a179ca',
+        '14ae0b4f6498026b', 'd1b7315b895663b6'],
+    1: ['63df3df7eb181809', '1e654a36aaea2191', '1707e93f2fe4d346',
+        'f2924c8ea26b4a1e', 'a3b9ddfd57d97af4'],
+    2: ['f533b96c160c246d', '6a34b28515ce8b58', '4e3be951e9b848f4',
+        'feec0b932ea38760', 'e0502c0292e8d8f6'],
+    3: ['42103a2219e5e774', 'c7316c330689cd6a', '126004b2d272fc08',
+        '0f6da526bc32ddf5', 'bc3003bec9f37b06'],
+    4: ['869193147d2820b0', 'eaa98bce74cb15ef', 'bf816bf644430dbb',
+        'd1dc06633354d1ac', '80d80b086bcc3424'],
+}
+
+
+@pytest.mark.parametrize("dim_e2d", range(5))
+def test_diagram_commands_match_golden_bytes(tmp_path, capsys, dim_e2d):
+    got = [hashlib.sha256(text.encode()).hexdigest()[:16]
+           for text in _golden_outputs(tmp_path, capsys, dim_e2d)]
+    assert got == GOLDEN_SHA256[dim_e2d]
 
 
 def test_synth_has_no_csv_form(capsys):
