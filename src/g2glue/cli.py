@@ -37,7 +37,7 @@ from .cohomology import (
     InconsistentTargets,
     SingularBoundary,
     SumDiagram,
-    _rank,
+    _ranks,
     derivative_model,
     diagram_from_json,
     diagram_to_json,
@@ -276,24 +276,42 @@ def _load_structure(path: str, sign: int, modes: int | None):
 
 # -- output emission -------------------------------------------------------
 
-def _jsonable(value):
-    if isinstance(value, dict):
-        return {k: _jsonable(v) for k, v in value.items()}
-    if isinstance(value, (list, tuple)):
-        return [_jsonable(v) for v in value]
+def _json_text(value, indent: str = "") -> str:
+    """``value`` as ``json.dumps(..., sort_keys=True, indent=2)`` writes it,
+    in one pass: numpy arrays and scalars as lists and Python numbers,
+    -0.0 as 0.0, and a non-finite float as the string of its repr."""
     if isinstance(value, np.ndarray):
-        return [_jsonable(v) for v in value.tolist()]
-    if isinstance(value, (np.bool_,)):
-        return bool(value)
-    if isinstance(value, (np.integer,)):
-        return int(value)
-    if isinstance(value, (np.floating,)):
+        value = value.tolist()
+    if isinstance(value, (dict, list, tuple)):
+        if not value:
+            return "{}" if isinstance(value, dict) else "[]"
+        inner = indent + "  "
+        if isinstance(value, dict):
+            items = [f"{_JSON_STR(k)}: {_json_text(value[k], inner)}"
+                     for k in sorted(value)]
+            opener, closer = "{", "}"
+        else:
+            # Finite floats, the bulk of a diagram, inline.
+            items = [repr(v + 0.0) if type(v) is float and math.isfinite(v)
+                     else _json_text(v, inner) for v in value]
+            opener, closer = "[", "]"
+        return (f"{opener}\n{inner}" + f",\n{inner}".join(items)
+                + f"\n{indent}{closer}")
+    if isinstance(value, (bool, np.bool_)):
+        return "true" if value else "false"
+    if isinstance(value, (int, np.integer)):
+        return str(int(value))
+    if isinstance(value, (float, np.floating)):
         value = float(value)
-    if isinstance(value, float):
         if not math.isfinite(value):
-            return repr(value)
-        return value + 0.0
-    return value
+            return f'"{value!r}"'
+        return repr(value + 0.0)
+    if value is None:
+        return "null"
+    return _JSON_STR(value)
+
+
+_JSON_STR = json.encoder.encode_basestring_ascii
 
 
 def _emit(cfg: ScenarioConfig, payload: dict,
@@ -304,7 +322,7 @@ def _emit(cfg: ScenarioConfig, payload: dict,
                 f"command {payload['command']!r} has no CSV form; use json")
         text = "\n".join(csv_lines) + "\n"
     else:
-        text = json.dumps(_jsonable(payload), sort_keys=True, indent=2) + "\n"
+        text = _json_text(payload) + "\n"
     if cfg.out and cfg.out != "-":
         try:
             Path(cfg.out).write_text(text)
@@ -501,14 +519,19 @@ def _diagram_failures(diagram: SumDiagram, tol: float, exact: bool):
     return len(records), failures
 
 
-def _rank_row(diagram: SumDiagram, length: float, levels: np.ndarray) -> dict:
-    matrix = gluing_matrix(diagram, 3, length)
-    full = min(matrix.shape)
-    rank = _rank(matrix)
-    gap = (2.0 * float(np.min(np.abs(length - levels)))
-           if levels.size else math.inf)
-    return {"L": length, "rank": rank, "full": full,
-            "deficient": rank < full, "gap": gap}
+def _rank_rows(diagram: SumDiagram, lengths: list[float],
+               levels: np.ndarray) -> list[dict]:
+    """One row per length; the gluing matrices, all of one shape, share one
+    stacked SVD."""
+    matrices = [gluing_matrix(diagram, 3, length) for length in lengths]
+    rows = []
+    for length, matrix, rank in zip(lengths, matrices, _ranks(matrices)):
+        full = min(matrix.shape)
+        gap = (2.0 * float(np.min(np.abs(length - levels)))
+               if levels.size else math.inf)
+        rows.append({"L": length, "rank": rank, "full": full,
+                     "deficient": rank < full, "gap": gap})
+    return rows
 
 
 def cmd_spectrum(cfg: ScenarioConfig) -> int:
@@ -527,8 +550,7 @@ def cmd_spectrum(cfg: ScenarioConfig) -> int:
         return 1
     levels = {m: singular_levels(diagram, m) for m in range(8)}
     levels = {m: lv for m, lv in levels.items() if lv.size}
-    rows = [_rank_row(diagram, length, levels.get(3, np.zeros(0)))
-            for length in cfg.lengths()]
+    rows = _rank_rows(diagram, cfg.lengths(), levels.get(3, np.zeros(0)))
     payload["levels"] = {str(m): lv for m, lv in levels.items()}
     payload["rows"] = rows
     csv_lines = [_csv_head(payload), "# valid=true"]

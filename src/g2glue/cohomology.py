@@ -96,17 +96,15 @@ _MAP_NODES = {
 # Relative cut of the one rank rule, see ``_kept``.
 _RANK_RTOL = 1e-10
 
-
-def _map_nodes(key: str, m: int) -> tuple[tuple[str, int], tuple[str, int]]:
-    """(node, degree) of the rows and of the columns of map ``key`` at ``m``."""
-    row, col, offset = _MAP_NODES[key]
-    return (row, m), (col, m + offset)
+# Neck-coordinate shift by which ``validate_C`` probes the shift rule.
+_SHIFT_PROBE = 2.0
 
 
-def _map_shape(key: str, m: int, sizes: Mapping) -> tuple[int, int]:
-    """Shape of map ``key`` at ``m``; ``sizes`` holds (node, degree) sizes."""
-    rows, cols = _map_nodes(key, m)
-    return sizes.get(rows, 0), sizes.get(cols, 0)
+def _map_shapes(m: int, sizes: Mapping) -> dict[str, tuple[int, int]]:
+    """Shape of every map at degree ``m``; ``sizes`` holds (node, degree)
+    sizes."""
+    return {key: (sizes.get((row, m), 0), sizes.get((col, m + offset), 0))
+            for key, (row, col, offset) in _MAP_NODES.items()}
 
 
 class SingularBoundary(RuntimeError):
@@ -121,14 +119,12 @@ class B1NotZero(ValueError):
     """The diagram has first cohomology on the total space where none is allowed."""
 
 
-def _as2d(a, rows: int, cols: int) -> np.ndarray:
-    """``a`` as a finite float matrix, an empty one as (rows, cols) zeros.
+def _as2d(a, shape: tuple[int, int]) -> np.ndarray:
+    """``a`` as a float matrix, an empty one as zeros of ``shape``.
     SumDiagram checks every shape, once."""
     out = np.asarray(a, dtype=float)
-    if out.size == 0 and rows * cols == 0:
-        out = np.zeros((rows, cols))
-    if not np.isfinite(out).all():
-        raise ValueError("matrix has a non-finite entry")
+    if out.size == 0 and 0 in shape:
+        out = np.zeros(shape)
     return out
 
 
@@ -178,25 +174,35 @@ class DegreeBlock:
         object.__setattr__(self, "maps", MappingProxyType(dict(self.maps)))
 
 
+def _kept_solves():
+    """A diagram's store of solves: not an init argument, not compared."""
+    return field(default_factory=dict, init=False, repr=False, compare=False)
+
+
 @dataclass(frozen=True)
 class SumDiagram:
     """Eight degree blocks plus cross-degree shape consistency.
 
     Construction marks every map, pairing and correction array read-only.
     The harmonic gluing map is affine in the neck length, so apart from a
-    final product everything a length scan needs is fixed by the diagram:
-    per degree the boundary-image ``subspaces`` and the neck ``operator``.
-    The diagram solves each the first time it is asked for and keeps it,
-    read-only, for every later call.
+    final product everything a length scan needs is fixed by the diagram.
+    Per degree it keeps the boundary-image ``subspaces``, the neck
+    ``operator`` and the ``section`` block of the gluing matrix; per degree
+    and side the ``side_projector``, kept once the boundary map is checked
+    injective on its exact parameters; and per distinguished class the
+    compressed operator of ``derivative_model``.  The diagram solves each
+    the first time it is asked for and keeps it, read-only, for every later
+    call.  The corrections C± enter only the operators and the compressed
+    operators, so a ``shift_C`` of the diagram shares the rest.
     """
 
     degrees: tuple[DegreeBlock, ...]
-    _subspaces: dict[int, Subspaces] = field(
-        default_factory=dict, init=False, repr=False, compare=False)
-    _operators: dict[int, tuple] = field(
-        default_factory=dict, init=False, repr=False, compare=False)
-    _sizes: dict[tuple[str, int], int] = field(
-        default_factory=dict, init=False, repr=False, compare=False)
+    _subspaces: dict[int, Subspaces] = _kept_solves()
+    _sections: dict[int, np.ndarray] = _kept_solves()
+    _sides: dict[tuple[int, int], np.ndarray] = _kept_solves()
+    _operators: dict[int, tuple] = _kept_solves()
+    _compressed: dict[tuple[bytes, float], tuple] = _kept_solves()
+    _sizes: dict[tuple[str, int], int] = _kept_solves()
 
     def __post_init__(self):
         if len(self.degrees) != N_DEGREES:
@@ -209,8 +215,8 @@ class SumDiagram:
             missing = set(DIM_KEYS) - set(blk.dims)
             if missing:
                 raise ValueError(f"degree {m} missing dims {sorted(missing)}")
-            for key in MAP_KEYS:
-                want = _map_shape(key, m, self._sizes)
+            shapes = _map_shapes(m, self._sizes)
+            for key, want in shapes.items():
                 got = blk.maps[key].shape
                 if got != want:
                     raise ValueError(
@@ -218,9 +224,9 @@ class SumDiagram:
             hx = blk.dims["H_X"]
             if blk.ip_x.shape != (hx, hx):
                 raise ValueError(f"ip_X at degree {m} has wrong shape")
-            if blk.c_plus.shape != _map_shape("del_plus", m, self._sizes):
+            if blk.c_plus.shape != shapes["del_plus"]:
                 raise ValueError(f"C_plus at degree {m} has wrong shape")
-            if blk.c_minus.shape != _map_shape("del_minus", m, self._sizes):
+            if blk.c_minus.shape != shapes["del_minus"]:
                 raise ValueError(f"C_minus at degree {m} has wrong shape")
             _freeze(*blk.maps.values(), blk.ip_x, blk.c_plus, blk.c_minus)
 
@@ -233,7 +239,7 @@ class SumDiagram:
         """Structure map at degree ``m``, a zero-width matrix out of range."""
         if 0 <= m < N_DEGREES:
             return self.degrees[m].maps[key]
-        return np.zeros(_map_shape(key, m, self._sizes))
+        return np.zeros(_map_shapes(m, self._sizes)[key])
 
     def gram(self, m: int) -> np.ndarray:
         if 0 <= m < N_DEGREES:
@@ -266,6 +272,37 @@ class SumDiagram:
                 self, m, self.subspaces(m - 1)))
         return self._operators[m]
 
+    def section(self, m: int) -> np.ndarray:
+        """pinv(K)·K for the two-sided restriction K at degree m, kept: the
+        length-independent block of ``gluing_matrix``."""
+        if m not in self._sections:
+            kmap = np.vstack([self.mat("istar_plus", m),
+                              self.mat("istar_minus", m)])
+            pinv = np.linalg.pinv(kmap, rcond=_RANK_RTOL * max(kmap.shape))
+            self._sections[m] = _freeze(pinv @ kmap)[0]
+        return self._sections[m]
+
+    def side_projector(self, m: int, side: int) -> np.ndarray:
+        """Projector onto E± in degree m - 1, the complement of the ``side``
+        boundary image, kept.
+
+        Raises SingularBoundary when the boundary map degenerates on E±,
+        which an exact diagram never allows; the rank probe follows the
+        one rule of ``_kept``.
+        """
+        if (m, side) not in self._sides:
+            e_basis = self.subspaces(m - 1).e_plus if side > 0 else \
+                self.subspaces(m - 1).e_minus
+            dmat = self.mat("del_plus" if side > 0 else "del_minus", m)
+            if e_basis.shape[1] and _rank(dmat @ e_basis) < e_basis.shape[1]:
+                tag = "+" if side > 0 else "-"
+                raise SingularBoundary(
+                    f"boundary map on side {tag} degenerates on the "
+                    f"degree-{m - 1} exact-parameter space")
+            self._sides[m, side] = _freeze(
+                e_basis @ e_basis.T @ self.gram(m - 1))[0]
+        return self._sides[m, side]
+
 
 # ---------------------------------------------------------------------------
 # basic subspace machinery
@@ -283,19 +320,33 @@ def _kept(s: np.ndarray, shape: tuple[int, ...],
 
 
 def _rank(a: np.ndarray, tol: float = _RANK_RTOL, exact: bool = False) -> int:
-    if a.size == 0:
-        return 0
+    return _ranks([a], tol, exact)[0]
+
+
+def _ranks(mats: list[np.ndarray], tol: float = _RANK_RTOL,
+           exact: bool = False) -> list[int]:
+    """Rank of each matrix; matrices of one shape share one stacked SVD,
+    whose singular values are those of the matrices one by one."""
     if exact:
-        return ratmat.rank(ratmat.asfrac(a))
-    return _kept(np.linalg.svd(a, compute_uv=False), a.shape, tol)
+        return [ratmat.rank(ratmat.asfrac(a)) if a.size else 0 for a in mats]
+    ranks, by_shape = [0] * len(mats), {}
+    for i, a in enumerate(mats):
+        if a.size:
+            by_shape.setdefault(a.shape, []).append(i)
+    for shape, idx in by_shape.items():
+        svals = np.linalg.svd(np.stack([mats[i] for i in idx]),
+                              compute_uv=False)
+        for i, s in zip(idx, svals):
+            ranks[i] = _kept(s, shape, tol)
+    return ranks
 
 
-def _gram_orth(cols: np.ndarray, gram: np.ndarray) -> np.ndarray:
-    """Orthonormal basis, in the given pairing, of the column span."""
-    n = gram.shape[0]
+def _gram_orth(cols: np.ndarray, w: np.ndarray) -> np.ndarray:
+    """Orthonormal basis of the column span in the pairing w wᵀ, given its
+    Cholesky factor ``w``."""
+    n = w.shape[0]
     if cols.size == 0:
         return np.zeros((n, 0))
-    w = np.linalg.cholesky(gram)
     y = w.T @ cols
     u, s, _ = np.linalg.svd(y, full_matrices=False)
     r = _kept(s, y.shape)
@@ -304,10 +355,12 @@ def _gram_orth(cols: np.ndarray, gram: np.ndarray) -> np.ndarray:
     return np.linalg.solve(w.T, u[:, :r])
 
 
-def _gram_complement(basis: np.ndarray, gram: np.ndarray) -> np.ndarray:
-    """Orthogonal complement of an already-orthonormal basis."""
+def _gram_complement(basis: np.ndarray, gram: np.ndarray,
+                     w: np.ndarray) -> np.ndarray:
+    """Orthogonal complement of an already-orthonormal basis; ``w`` is the
+    Cholesky factor of ``gram``."""
     # Vectors annihilated by basis^T G form the complement; orthonormalize.
-    return _gram_orth(_nullspace(basis.T @ gram), gram)
+    return _gram_orth(_nullspace(basis.T @ gram), w)
 
 
 def _nullspace(a: np.ndarray) -> np.ndarray:
@@ -319,18 +372,20 @@ def _nullspace(a: np.ndarray) -> np.ndarray:
     return vt[_kept(s, a.shape):].T
 
 
-def _intersect(u: np.ndarray, v: np.ndarray, gram: np.ndarray) -> np.ndarray:
+def _intersect(u: np.ndarray, v: np.ndarray, gram: np.ndarray,
+               w: np.ndarray) -> np.ndarray:
     """Intersection of two subspaces given by orthonormal bases.
 
     Its dimension k is the nullity of [u | -v]; its basis is spanned by the
-    k leading principal directions of u against v.
+    k leading principal directions of u against v.  ``w`` is the Cholesky
+    factor of ``gram``.
     """
     both = np.hstack([u, -v])
     k = both.shape[1] - _rank(both) if u.shape[1] and v.shape[1] else 0
     if k == 0:
         return np.zeros((gram.shape[0], 0))
     uu, _, _ = np.linalg.svd(u.T @ gram @ v)
-    return _gram_orth(u @ uu[:, :k], gram)
+    return _gram_orth(u @ uu[:, :k], w)
 
 
 @dataclass(frozen=True)
@@ -355,12 +410,13 @@ class Subspaces:
 
 def subspaces(d: SumDiagram, m: int) -> Subspaces:
     gram = d.gram(m)
-    a_plus = _gram_orth(d.mat("jstar_plus", m), gram)
-    a_minus = _gram_orth(d.mat("jstar_minus", m), gram)
-    e_plus = _gram_complement(a_plus, gram)
-    e_minus = _gram_complement(a_minus, gram)
-    a_common = _intersect(a_plus, a_minus, gram)
-    e_common = _intersect(e_plus, e_minus, gram)
+    w = np.linalg.cholesky(gram) if gram.size else gram
+    a_plus = _gram_orth(d.mat("jstar_plus", m), w)
+    a_minus = _gram_orth(d.mat("jstar_minus", m), w)
+    e_plus = _gram_complement(a_plus, gram, w)
+    e_minus = _gram_complement(a_minus, gram, w)
+    a_common = _intersect(a_plus, a_minus, gram, w)
+    e_common = _intersect(e_plus, e_minus, gram, w)
     projector = e_common @ e_common.T @ gram
     return Subspaces(a_plus, a_minus, a_common, e_plus, e_minus, e_common,
                      projector)
@@ -407,24 +463,6 @@ def _comp_norm(outgoing: np.ndarray, incoming: np.ndarray) -> float:
     return float(np.abs(outgoing @ incoming).max(initial=0.0))
 
 
-def _node_checks(records, name, m, incoming, outgoing, dim, tol, exact):
-    r_in = _rank(incoming, tol, exact)
-    r_out = _rank(outgoing, tol, exact)
-    ok = r_in + r_out == dim
-    records.append(CheckRecord(
-        f"{name}-rank", m, ok,
-        f"rank(in)={r_in} rank(out)={r_out} dim={dim}"))
-    comp = _comp_norm(outgoing, incoming)
-    scale = 1.0
-    if incoming.size:
-        scale += float(np.abs(incoming).max())
-    if outgoing.size:
-        scale += float(np.abs(outgoing).max())
-    ok = comp <= tol * scale
-    records.append(CheckRecord(
-        f"{name}-composite", m, ok, f"|out∘in|={comp:.3e}"))
-
-
 def validate_diagram(d: SumDiagram, *, tol: float = 1e-10,
                      exact: bool = False) -> DiagramReport:
     """Check every structural identity the diagram is supposed to satisfy.
@@ -440,32 +478,48 @@ def validate_diagram(d: SumDiagram, *, tol: float = 1e-10,
     rational arithmetic, which is worthwhile for integer-valued diagrams.
     """
     rec: list[CheckRecord] = []
+    # Each map the checks read, by (key, degree), with its rank and its
+    # largest entry, each taken once.
+    mats = {(key, m): d.mat(key, m) for m in range(N_DEGREES + 1)
+            for key in ("jstar_plus", "jstar_minus", "e_plus", "e_minus",
+                        "del_plus", "del_minus", "mv_delta")}
+    for m in range(N_DEGREES):
+        mats["kmap", m] = np.vstack([d.mat("istar_plus", m),
+                                     d.mat("istar_minus", m)])
+        mats["jdiff", m] = np.hstack([mats["jstar_plus", m],
+                                      -mats["jstar_minus", m]])
+    ranks = dict(zip(mats, _ranks(list(mats.values()), tol, exact)))
+    peaks = {key: float(np.abs(a).max()) if a.size else 0.0
+             for key, a in mats.items()}
+
+    def node(name, m, incoming, outgoing, dim):
+        r_in, r_out = ranks[incoming], ranks[outgoing]
+        rec.append(CheckRecord(
+            f"{name}-rank", m, r_in + r_out == dim,
+            f"rank(in)={r_in} rank(out)={r_out} dim={dim}"))
+        comp = _comp_norm(mats[outgoing], mats[incoming])
+        scale = 1.0 + peaks[incoming] + peaks[outgoing]
+        rec.append(CheckRecord(f"{name}-composite", m, comp <= tol * scale,
+                               f"|out∘in|={comp:.3e}"))
+
     for m in range(N_DEGREES):
         # Covering sequence, three nodes per degree.
-        kmap = np.vstack([d.mat("istar_plus", m), d.mat("istar_minus", m)])
-        jdiff = np.hstack([d.mat("jstar_plus", m), -d.mat("jstar_minus", m)])
-        _node_checks(rec, "cover-total", m, d.mat("mv_delta", m), kmap,
-                     d.dim("H_M", m), tol, exact)
-        _node_checks(rec, "cover-halves", m, kmap, jdiff,
-                     d.dim("H_Mplus", m) + d.dim("H_Mminus", m), tol, exact)
-        _node_checks(rec, "cover-section", m, jdiff, d.mat("mv_delta", m + 1),
-                     d.dim("H_X", m), tol, exact)
-        for side, tag in ((1, "plus"), (-1, "minus")):
-            jax = d.mat(f"jstar_{tag}", m)
-            em = d.mat(f"e_{tag}", m)
-            dm = d.mat(f"del_{tag}", m)
-            dnext = d.mat(f"del_{tag}", m + 1)
-            hckey = f"Hcpt_M{tag}"
-            _node_checks(rec, f"rel-{tag}-cpt", m, dm, em,
-                         d.dim(hckey, m), tol, exact)
-            _node_checks(rec, f"rel-{tag}-half", m, em, jax,
-                         d.dim(f"H_M{tag}", m), tol, exact)
-            _node_checks(rec, f"rel-{tag}-section", m, jax, dnext,
-                         d.dim("H_X", m), tol, exact)
+        node("cover-total", m, ("mv_delta", m), ("kmap", m), d.dim("H_M", m))
+        node("cover-halves", m, ("kmap", m), ("jdiff", m),
+             d.dim("H_Mplus", m) + d.dim("H_Mminus", m))
+        node("cover-section", m, ("jdiff", m), ("mv_delta", m + 1),
+             d.dim("H_X", m))
+        for tag in ("plus", "minus"):
+            node(f"rel-{tag}-cpt", m, (f"del_{tag}", m), (f"e_{tag}", m),
+                 d.dim(f"Hcpt_M{tag}", m))
+            node(f"rel-{tag}-half", m, (f"e_{tag}", m), (f"jstar_{tag}", m),
+                 d.dim(f"H_M{tag}", m))
+            node(f"rel-{tag}-section", m, (f"jstar_{tag}", m),
+                 (f"del_{tag}", m + 1), d.dim("H_X", m))
         # Connecting map factors through either half, with opposite signs.
         for sign, tag in ((1.0, "plus"), (-1.0, "minus")):
-            prod = d.mat(f"ipush_{tag}", m) @ d.mat(f"del_{tag}", m)
-            diff = d.mat("mv_delta", m) - sign * prod
+            prod = d.mat(f"ipush_{tag}", m) @ mats[f"del_{tag}", m]
+            diff = mats["mv_delta", m] - sign * prod
             err = float(np.abs(diff).max()) if diff.size else 0.0
             scale = 1.0 + (float(np.abs(prod).max()) if prod.size else 0.0)
             rec.append(CheckRecord(f"delta-factor-{tag}", m, err <= tol * scale,
@@ -473,8 +527,7 @@ def validate_diagram(d: SumDiagram, *, tol: float = 1e-10,
         # Duality: restriction at degree m pairs with the boundary map whose
         # domain is the complementary cross-section degree 6-m.
         for tag in ("plus", "minus"):
-            rj = _rank(d.mat(f"jstar_{tag}", m), tol, exact)
-            rd = _rank(d.mat(f"del_{tag}", 7 - m), tol, exact)
+            rj, rd = ranks[f"jstar_{tag}", m], ranks[f"del_{tag}", 7 - m]
             ok = rj + rd == d.dim("H_X", m)
             rec.append(CheckRecord(
                 f"duality-{tag}", m, ok,
@@ -483,7 +536,7 @@ def validate_diagram(d: SumDiagram, *, tol: float = 1e-10,
     if d.dim("H_M", 1) == 0:
         hx1 = d.dim("H_X", 1)
         for tag in ("plus", "minus"):
-            rj = _rank(d.mat(f"jstar_{tag}", 1), tol, exact)
+            rj = ranks[f"jstar_{tag}", 1]
             rec.append(CheckRecord(
                 f"halfdim-{tag}", 1, 2 * rj == hx1,
                 f"2*rank(restriction)={2 * rj} dim={hx1}"))
@@ -494,8 +547,8 @@ def validate_diagram(d: SumDiagram, *, tol: float = 1e-10,
 # the neck-correction operator
 
 
-def _side_preimages(d: SumDiagram, m: int, side: int, taus: np.ndarray,
-                    sub: Subspaces) -> np.ndarray:
+def _side_preimages(d: SumDiagram, m: int, side: int,
+                    taus: np.ndarray) -> np.ndarray:
     """Boundary-map preimages of C(taus), reduced to the complement block.
 
     The boundary map kills exactly the boundary image one degree below, so
@@ -505,21 +558,12 @@ def _side_preimages(d: SumDiagram, m: int, side: int, taus: np.ndarray,
     which an exact diagram never allows.
     """
     dmat = d.mat("del_plus" if side > 0 else "del_minus", m)
+    proj = d.side_projector(m, side)
     cmat = d.c_mat(side, m)
-    e_basis = sub.e_plus if side > 0 else sub.e_minus
-    if e_basis.shape[1]:
-        probe = dmat @ e_basis
-        if _rank(probe) < e_basis.shape[1]:
-            tag = "+" if side > 0 else "-"
-            raise SingularBoundary(
-                f"boundary map on side {tag} degenerates on the "
-                f"degree-{m - 1} exact-parameter space")
     if taus.size == 0 or cmat.size == 0:
         return np.zeros((d.dim("H_X", m - 1), taus.shape[1]))
     rhs = cmat @ taus
     sol, *_ = np.linalg.lstsq(dmat, rhs, rcond=_RANK_RTOL * max(dmat.shape))
-    gram = d.gram(m - 1)
-    proj = e_basis @ e_basis.T @ gram
     return proj @ sol
 
 
@@ -533,8 +577,8 @@ def _common_operator(d: SumDiagram, m: int, sub: Subspaces):
     basis = sub.e_common
     if basis.shape[1] == 0:
         return np.zeros((0, 0)), basis, basis
-    z = (_side_preimages(d, m, +1, basis, sub)
-         + _side_preimages(d, m, -1, basis, sub))
+    z = (_side_preimages(d, m, +1, basis)
+         + _side_preimages(d, m, -1, basis))
     op = basis.T @ d.gram(m - 1) @ z
     return 0.5 * (op + op.T), basis, z
 
@@ -551,20 +595,20 @@ def singular_levels(d: SumDiagram, m: int) -> np.ndarray:
     return np.sort(-0.5 * np.linalg.eigvalsh(op))
 
 
-def validate_C(d: SumDiagram, *, tol: float = 1e-10,
-               shift_probe: float = 2.0) -> DiagramReport:
+def validate_C(d: SumDiagram, *, tol: float = 1e-10) -> DiagramReport:
     """Check the neck-correction matrices against their defining properties.
 
     Per degree and side: the correction must vanish under the extension
     map, land inside the image of the boundary map, and induce a
-    self-adjoint operator on the complement of the boundary image.  The
-    probe shift verifies that moving the neck coordinate acts on the
-    combined operator as an exact multiple of the identity; the shifted
-    diagram solves its operators afresh.  ``tol`` bounds each residual;
-    the boundary-map rank probe follows the one rule of ``_kept``.
+    self-adjoint operator on the complement of the boundary image.  A
+    shift by ``_SHIFT_PROBE`` verifies that moving the neck coordinate acts
+    on the combined operator as an exact multiple of the identity; the
+    shifted diagram solves its operators afresh.  ``tol`` bounds each
+    residual; the boundary-map rank decisions follow the one rule of
+    ``_kept``.
     """
     rec: list[CheckRecord] = []
-    shifted = shift_C(d, shift_probe)
+    shifted = shift_C(d, _SHIFT_PROBE)
     for m in range(1, N_DEGREES):
         if d.dim("H_X", m - 1) == 0:
             continue
@@ -581,14 +625,15 @@ def validate_C(d: SumDiagram, *, tol: float = 1e-10,
                                    kill <= tol * scale,
                                    f"|ext∘corr|={kill:.3e}"))
             dmat = d.mat(f"del_{tag}", m)
-            img = _gram_orth(dmat, np.eye(dmat.shape[0]))
+            img, s, _ = np.linalg.svd(dmat, full_matrices=False)
+            img = img[:, :_kept(s, dmat.shape)]
             resid = cmat - img @ (img.T @ cmat) if img.size else cmat
             rnorm = float(np.abs(resid).max()) if resid.size else 0.0
             rec.append(CheckRecord(f"corr-in-bdry-image-{tag}", m,
                                    rnorm <= tol * scale,
                                    f"image residual={rnorm:.3e}"))
             if e_basis.shape[1]:
-                z = _side_preimages(d, m, side, e_basis, sub)
+                z = _side_preimages(d, m, side, e_basis)
                 op = e_basis.T @ d.gram(m - 1) @ z
                 asym = float(np.abs(op - op.T).max())
                 opscale = 1.0 + float(np.abs(op).max())
@@ -598,9 +643,10 @@ def validate_C(d: SumDiagram, *, tol: float = 1e-10,
         op0, _, _ = d.operator(m)
         if op0.shape[0]:
             op1, _, _ = shifted.operator(m)
-            drift = float(np.abs(op1 - op0 - shift_probe * np.eye(op0.shape[0])).max())
+            drift = float(np.abs(
+                op1 - op0 - _SHIFT_PROBE * np.eye(op0.shape[0])).max())
             rec.append(CheckRecord(
-                "corr-shift-rule", m, drift <= tol * (1.0 + abs(shift_probe)),
+                "corr-shift-rule", m, drift <= tol * (1.0 + abs(_SHIFT_PROBE)),
                 f"|shifted-op - op - λI|={drift:.3e}"))
     return DiagramReport(tuple(rec))
 
@@ -612,7 +658,8 @@ def shift_C(d: SumDiagram, lam: float) -> SumDiagram:
     correction, so the combined operator on the common complement gains
     exactly ``lam`` times the identity and every singular level drops by
     ``lam / 2``.  The boundary images do not move, so the result shares
-    the subspaces ``d`` has solved; its operators are its own.
+    every solve of ``d`` that C± does not enter; its operators are its
+    own.
     """
     blocks = []
     for m, blk in enumerate(d.degrees):
@@ -622,7 +669,8 @@ def shift_C(d: SumDiagram, lam: float) -> SumDiagram:
             c_minus=blk.c_minus + 0.5 * lam * d.mat("del_minus", m),
         ))
     shifted = SumDiagram(tuple(blocks))
-    object.__setattr__(shifted, "_subspaces", d._subspaces)
+    for name in ("_subspaces", "_sections", "_sides"):
+        object.__setattr__(shifted, name, getattr(d, name))
     return shifted
 
 
@@ -726,13 +774,11 @@ def gluing_matrix(d: SumDiagram, m: int, length: float) -> np.ndarray:
     column of the common-complement basis E, with E and Z read from
     ``_common_operator``.  Rank equal to the total-space dimension is the
     brute-force isomorphism test.  Once ``d`` has solved the degree, a
-    call costs pinv(K)·K and the exact-block product.
+    call costs the exact-block product.
     """
-    kmap = np.vstack([d.mat("istar_plus", m), d.mat("istar_minus", m)])
     _, basis, z = d.operator(m)
     exact = d.mat("mv_delta", m) @ (z + 2.0 * length * basis)
-    section = np.linalg.pinv(kmap, rcond=_RANK_RTOL * max(kmap.shape))
-    return np.hstack([section @ kmap, exact])
+    return np.hstack([d.section(m), exact])
 
 
 # ---------------------------------------------------------------------------
@@ -776,7 +822,9 @@ def derivative_model(d: SumDiagram, omega_class: np.ndarray, length: float, *,
     scales the connecting image of that class, and bijectivity holds
     precisely when minus twice the length misses the compressed spectrum.
     ``tol`` is only the norm below which the class counts as orthogonal
-    to the common complement.
+    to the common complement.  What does not depend on the length (the
+    compression, its operator and spectrum, the length column) ``d``
+    keeps per class and ``tol``.
     """
     if d.dim("H_M", 1) != 0:
         raise B1NotZero(
@@ -787,32 +835,36 @@ def derivative_model(d: SumDiagram, omega_class: np.ndarray, length: float, *,
         raise ValueError("distinguished class must live on the degree-2 "
                          "cross-section")
     op, basis, _ = d.operator(3)
-    k = basis.shape[1]
     delta = d.mat("mv_delta", 3)
-    gram = d.gram(2)
-    w_coords = basis.T @ gram @ omega_class if k else np.zeros(0)
-    wnorm = float(np.linalg.norm(w_coords))
-    if k and wnorm > tol:
-        comp = _nullspace(w_coords.reshape(1, -1) / wnorm)
-    else:
-        comp = np.eye(k)
-    f_mat = comp.T @ op @ comp
-    f_mat = 0.5 * (f_mat + f_mat.T)
+    key = (omega_class.tobytes(), tol)
+    if key not in d._compressed:
+        k = basis.shape[1]
+        w_coords = basis.T @ d.gram(2) @ omega_class if k else np.zeros(0)
+        wnorm = float(np.linalg.norm(w_coords))
+        if k and wnorm > tol:
+            comp = _nullspace(w_coords.reshape(1, -1) / wnorm)
+        else:
+            comp = np.eye(k)
+        f_mat = comp.T @ op @ comp
+        f_mat = 0.5 * (f_mat + f_mat.T)
+        spec = np.linalg.eigvalsh(f_mat) if f_mat.size else np.zeros(0)
+        d._compressed[key] = _freeze(
+            comp, f_mat, spec, (2.0 * (delta @ omega_class)).reshape(-1, 1))
+    comp, f_mat, spec, class_col = d._compressed[key]
     cols = []
     exact_block = np.zeros((d.dim("H_M", 3), 0))
     if comp.shape[1]:
         action = 2.0 * length * comp + comp @ f_mat
         exact_block = delta @ (basis @ action)
         cols.append(exact_block)
-    cols.append((2.0 * (delta @ omega_class)).reshape(-1, 1))
+    cols.append(class_col)
     matrix = np.hstack(cols)
-    spec = np.linalg.eigvalsh(f_mat) if f_mat.size else np.zeros(0)
     bij = bool(np.all(np.abs(2.0 * length + spec) >= 1e-8)) if spec.size else True
     if exact_block.size:
         sigma = float(np.linalg.svd(exact_block, compute_uv=False)[-1])
     else:
         sigma = float("inf")
-    return DerivativeModel(length, matrix, spec, bij, sigma)
+    return DerivativeModel(length, matrix, spec.copy(), bij, sigma)
 
 
 @dataclass(frozen=True)
@@ -886,21 +938,21 @@ class _Builder:
     def put_c(self, side: int, m: int, row: int, col: int, val: float) -> None:
         self.c_entries.append((side, m, row, col, val))
 
-    def build(self) -> SumDiagram:
-        def zeros(key, m):
-            return np.zeros(_map_shape(key, m, self.counts))
+    def blocks(self) -> tuple[DegreeBlock, ...]:
         blocks = []
         for m in range(N_DEGREES):
             dims = {node: self.counts[(node, m)] for node in DIM_KEYS}
+            shapes = _map_shapes(m, self.counts)
             blocks.append(DegreeBlock(
-                m, dims, {key: zeros(key, m) for key in MAP_KEYS},
-                np.eye(dims["H_X"]), zeros("del_plus", m), zeros("del_minus", m)))
+                m, dims, {key: np.zeros(shapes[key]) for key in MAP_KEYS},
+                np.eye(dims["H_X"]), np.zeros(shapes["del_plus"]),
+                np.zeros(shapes["del_minus"])))
         for key, m, row, col, val in self.entries:
             blocks[m].maps[key][row, col] = val
         for side, m, row, col, val in self.c_entries:
             target = blocks[m].c_plus if side > 0 else blocks[m].c_minus
             target[row, col] = val
-        return SumDiagram(tuple(blocks))
+        return tuple(blocks)
 
 
 def _strand_shared(b: _Builder, m: int) -> None:
@@ -971,12 +1023,9 @@ def _unimodular(rng: np.random.Generator, n: int) -> tuple[np.ndarray, np.ndarra
     for _ in range(2 * n):
         i, j = rng.choice(n, size=2, replace=False)
         k = float(rng.integers(-1, 2))
-        shear = np.eye(n)
-        shear[i, j] = k
-        unshear = np.eye(n)
-        unshear[i, j] = -k
-        t = t @ shear
-        tinv = unshear @ tinv
+        # t ← t (I + k e_i e_jᵀ) and tinv ← (I - k e_i e_jᵀ) tinv.
+        t[:, j] += k * t[:, i]
+        tinv[i] -= k * tinv[j]
     perm = rng.permutation(n)
     signs = rng.choice([-1.0, 1.0], size=n)
     # t' = t P S with P the permutation matrix; invert by S P^T on the left.
@@ -985,7 +1034,8 @@ def _unimodular(rng: np.random.Generator, n: int) -> tuple[np.ndarray, np.ndarra
     return t, tinv
 
 
-def _conjugate(d: SumDiagram, rng: np.random.Generator) -> SumDiagram:
+def _conjugate(blocks: tuple[DegreeBlock, ...],
+               rng: np.random.Generator) -> tuple[DegreeBlock, ...]:
     """Change basis at every node by random unimodular integer matrices.
 
     Exactness, factorization, duality ranks, spectra, and self-adjointness
@@ -997,21 +1047,21 @@ def _conjugate(d: SumDiagram, rng: np.random.Generator) -> SumDiagram:
     tinv = {}
     for node in DIM_KEYS:
         for m in range(N_DEGREES):
-            t[(node, m)], tinv[(node, m)] = _unimodular(rng, d.dim(node, m))
-    blocks = []
-    for m, blk in enumerate(d.degrees):
+            t[node, m], tinv[node, m] = _unimodular(rng, blocks[m].dims[node])
+    moved = []
+    for m, blk in enumerate(blocks):
         def move(key, mat):
             if not mat.size:
                 return mat
-            rows, cols = _map_nodes(key, m)
-            return t[rows] @ mat @ tinv[cols]
+            row, col, offset = _MAP_NODES[key]
+            return t[row, m] @ mat @ tinv[col, m + offset]
         maps = {key: move(key, blk.maps[key]) for key in MAP_KEYS}
-        tx = tinv[("H_X", m)]
+        tx = tinv["H_X", m]
         ip = tx.T @ blk.ip_x @ tx
-        blocks.append(DegreeBlock(m, blk.dims, maps, ip,
-                                  move("del_plus", blk.c_plus),
-                                  move("del_minus", blk.c_minus)))
-    return SumDiagram(tuple(blocks))
+        moved.append(DegreeBlock(m, blk.dims, maps, ip,
+                                 move("del_plus", blk.c_plus),
+                                 move("del_minus", blk.c_minus)))
+    return tuple(moved)
 
 
 def product_diagram(betti: tuple[int, ...]) -> SumDiagram:
@@ -1028,7 +1078,7 @@ def product_diagram(betti: tuple[int, ...]) -> SumDiagram:
     for m, dim in enumerate(betti):
         for _ in range(int(dim)):
             _strand_shared(b, m)
-    return b.build()
+    return SumDiagram(b.blocks())
 
 
 def synth_diagram(seed: int, dim_e2d: int = 0,
@@ -1087,10 +1137,10 @@ def synth_diagram(seed: int, dim_e2d: int = 0,
     for lam, (xi, cpi, cmi) in zip(spectrum, xs):
         b.put_c(+1, 3, cpi, xi, 0.5 * lam)
         b.put_c(-1, 3, cmi, xi, 0.5 * lam)
-    d = b.build()
+    blocks = b.blocks()
     if scramble:
-        d = _conjugate(d, rng)
-    return d
+        blocks = _conjugate(blocks, rng)
+    return SumDiagram(blocks)
 
 
 # ---------------------------------------------------------------------------
@@ -1123,14 +1173,15 @@ def diagram_from_json(obj: dict) -> SumDiagram:
     for pos, blk in enumerate(sorted(obj["degrees"], key=lambda b: b["m"])):
         dims = {key: int(blk["dims"][key]) for key in DIM_KEYS}
         sizes.update(((key, pos), n) for key, n in dims.items())
-
-        def read(key, entry):
-            return _as2d(entry, *_map_shape(key, pos, sizes))
-        blocks.append(DegreeBlock(
-            int(blk["m"]), dims,
-            {key: read(key, blk["maps"][key]) for key in MAP_KEYS},
-            _as2d(blk["ip_X"], dims["H_X"], dims["H_X"]),
-            read("del_plus", blk["C_plus"]), read("del_minus", blk["C_minus"])))
+        shapes = _map_shapes(pos, sizes)
+        maps = {key: _as2d(blk["maps"][key], shapes[key]) for key in MAP_KEYS}
+        arrays = (_as2d(blk["ip_X"], (dims["H_X"],) * 2),
+                  _as2d(blk["C_plus"], shapes["del_plus"]),
+                  _as2d(blk["C_minus"], shapes["del_minus"]))
+        if not np.isfinite(np.concatenate(
+                [a.ravel() for a in (*maps.values(), *arrays)])).all():
+            raise ValueError("matrix has a non-finite entry")
+        blocks.append(DegreeBlock(int(blk["m"]), dims, maps, *arrays))
     diagram = SumDiagram(tuple(blocks))
     for blk in diagram.degrees:
         _check_gram(blk.ip_x, blk.m)

@@ -3,7 +3,9 @@
 numpy object arrays carry ``fractions.Fraction`` scalars through ``+``, ``*``
 and ``@`` without losing exactness, but ``numpy.linalg`` refuses them.  The
 handful of dense routines needed for exact-arithmetic paths (determinants,
-inverses, ranks, solves on matrices of size at most a few dozen) live here.
+inverses, ranks on matrices of size at most a few dozen) live here.  numpy
+scalars enter as the Python numbers they hold, so no exact product ever runs
+in fixed-width integers.
 All of them eliminate with "pivot on first nonzero"; ``det``, which exact
 minors call many times, runs fraction-free on integers.
 """
@@ -16,6 +18,13 @@ from fractions import Fraction
 import numpy as np
 
 
+def _fraction(v) -> Fraction:
+    """``v`` as a Fraction; a numpy scalar as the Python number it holds."""
+    if isinstance(v, Fraction):
+        return v
+    return Fraction(v.item() if isinstance(v, np.generic) else v)
+
+
 def asfrac(a) -> np.ndarray:
     """Copy ``a`` into an object array of Fractions."""
     arr = np.asarray(a)
@@ -23,7 +32,7 @@ def asfrac(a) -> np.ndarray:
     flat_in = arr.reshape(-1)
     flat_out = out.reshape(-1)
     for i, v in enumerate(flat_in):
-        flat_out[i] = v if isinstance(v, Fraction) else Fraction(v)
+        flat_out[i] = _fraction(v)
     return out
 
 
@@ -44,9 +53,10 @@ def det(a: np.ndarray) -> Fraction:
         raise ValueError("det needs a square matrix")
     rows, scale = [], 1
     for row in m.tolist():
-        row = [v if isinstance(v, Fraction) else Fraction(v) for v in row]
-        lcm = math.lcm(*(v.denominator for v in row))
-        rows.append([v.numerator * (lcm // v.denominator) for v in row])
+        row = [_fraction(v) for v in row]
+        lcm = math.lcm(*(int(v.denominator) for v in row))
+        rows.append([int(v.numerator) * (lcm // int(v.denominator))
+                     for v in row])
         scale *= lcm
     sign, prev = 1, 1
     for c in range(n - 1):
@@ -103,9 +113,4 @@ def inv(a: np.ndarray) -> np.ndarray:
     if piv[:n] != list(range(n)):
         raise ValueError("singular matrix")
     return red[:, n:]
-
-
-def solve(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Exact solve of a square system."""
-    return inv(a) @ asfrac(b)
 

@@ -333,7 +333,8 @@ def test_glue_sweep_rows_equal_sweep_reports(tmp_path, flat_pair, capsys,
     assert [r.stop_reason for r in serial] == reasons
     assert rc == (0 if all(r.converged for r in serial) else 1)
     payload = json.loads(out)
-    assert payload["rows"] == [cli._jsonable(r.to_json_obj()) for r in serial]
+    assert payload["rows"] == json.loads(
+        cli._json_text([r.to_json_obj() for r in serial]))
     assert payload["slope"] == serial[0].slope
 
 
@@ -694,6 +695,41 @@ def test_diagram_commands_match_golden_bytes(tmp_path, capsys, dim_e2d):
     got = [hashlib.sha256(text.encode()).hexdigest()[:16]
            for text in _golden_outputs(tmp_path, capsys, dim_e2d)]
     assert got == GOLDEN_SHA256[dim_e2d]
+
+
+def reference_jsonable(value):
+    """The conversion ``json.dumps`` was given before the one-pass writer."""
+    if isinstance(value, dict):
+        return {k: reference_jsonable(v) for k, v in value.items()}
+    if isinstance(value, (list, tuple)):
+        return [reference_jsonable(v) for v in value]
+    if isinstance(value, np.ndarray):
+        return [reference_jsonable(v) for v in value.tolist()]
+    if isinstance(value, np.bool_):
+        return bool(value)
+    if isinstance(value, np.integer):
+        return int(value)
+    if isinstance(value, np.floating):
+        value = float(value)
+    if isinstance(value, float):
+        return value + 0.0 if math.isfinite(value) else repr(value)
+    return value
+
+
+@pytest.mark.parametrize("payload", [
+    {"zero": -0.0, "inf": math.inf, "ninf": -math.inf, "nan": math.nan},
+    {"scalars": [np.float64(-0.0), np.float32(0.1), np.int64(-7), np.bool_(True),
+                 np.float64("inf"), np.int32(3), True, False, None, 2]},
+    {"tuple": (1.5, (2, -0.0), ()), "empty": [], "nothing": {}, "s": "é\n\"x"},
+    {"b": {"y": [[1e-300, -2.5e17], [], [[]]], "x": {}}, "a": np.zeros((2, 0))},
+    {"levels": {"3": np.array([-0.0, 0.75, np.nan])},
+     "rows": [{"L": 0.25, "rank": np.int64(4), "deficient": np.bool_(False),
+               "gap": math.inf}]},
+    [], {}, -0.0, np.float64(math.nan), "text",
+])
+def test_json_writer_matches_json_dumps(payload):
+    want = json.dumps(reference_jsonable(payload), sort_keys=True, indent=2)
+    assert cli._json_text(payload) == want
 
 
 def test_synth_has_no_csv_form(capsys):

@@ -497,18 +497,22 @@ def test_plan_arrays_are_read_only(rigged):
     # Every call shares the diagram's arrays and its kept solves; a write
     # in place must fail rather than change the answer of later calls.
     sub = rigged.subspaces(2)
+    omega = sub.a_common[:, 0]
+    derivative_model(rigged, omega, 2.0)
     for arr in (rigged.mat("mv_delta", 3), rigged.gram(2), rigged.c_mat(1, 3),
                 *rigged.operator(3), sub.e_common, sub.a_common,
-                sub.projector):
+                sub.projector, rigged.section(3), rigged.side_projector(3, 1),
+                rigged.side_projector(3, -1),
+                *rigged._compressed[omega.tobytes(), 1e-10]):
         with pytest.raises(ValueError, match="read-only"):
             arr *= 2.0
     with pytest.raises(TypeError):
         rigged.degrees[3].maps["del_plus"] = 2.0 * rigged.mat("del_plus", 3)
-    model = derivative_model(rigged, sub.a_common[:, 0], 2.0)
+    model = derivative_model(rigged, omega, 2.0)
     model.f_spectrum[:] = 0.0
-    again = derivative_model(rigged, sub.a_common[:, 0], 2.0)
+    again = derivative_model(rigged, omega, 2.0)
     assert np.array_equal(again.f_spectrum, derivative_model(
-        dataclasses.replace(rigged), sub.a_common[:, 0], 2.0).f_spectrum)
+        dataclasses.replace(rigged), omega, 2.0).f_spectrum)
 
 
 def test_validate_C_solves_the_shifted_operator_afresh(rigged):

@@ -14,8 +14,8 @@ runs in well under a second.  How the program treats a range of 1e300
 lengths or a grid of 1e12 samples is not covered here.
 
 The library's side of the contract, its public names and the
-signatures of the batched kernels and the torsion pipeline, is pinned
-last.
+signatures of the batched kernels, the torsion pipeline and the diagram
+layer, is pinned last.
 """
 
 import inspect
@@ -27,7 +27,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 import g2glue
-from g2glue import cli, forms, gluing
+from g2glue import cli, cohomology, forms, gluing
 from g2glue.cohomology import diagram_to_json, synth_diagram
 
 CONTRACT = settings(derandomize=True, database=None, deadline=None,
@@ -316,8 +316,9 @@ def test_public_names():
     assert names == PUBLIC_NAMES
 
 
-# Signatures of the pointwise kernels and the torsion pipeline: changing
-# one is a stated change, so it shows up here as a diff to this table.
+# Signatures of the pointwise kernels, the torsion pipeline and the
+# diagram layer: changing one is a stated change, so it shows up here as a
+# diff to this table.
 KERNEL_SIGNATURES = {
     forms.gram_from_3form: "(phi: 'ConstForm') -> 'np.ndarray'",
     forms.hodge_star: "(metric, alpha: 'ConstForm') -> 'ConstForm'",
@@ -333,6 +334,22 @@ KERNEL_SIGNATURES = {
     gluing.torsion_reduce:
         "(glued: 'GluedField', tol: 'float' = 1e-10, max_iter: 'int' = 25)"
         " -> 'tuple[GluedField, GluingReport]'",
+    cohomology.subspaces: "(d: 'SumDiagram', m: 'int') -> 'Subspaces'",
+    cohomology.gluing_matrix:
+        "(d: 'SumDiagram', m: 'int', length: 'float') -> 'np.ndarray'",
+    cohomology.singular_levels: "(d: 'SumDiagram', m: 'int') -> 'np.ndarray'",
+    cohomology.derivative_model:
+        "(d: 'SumDiagram', omega_class: 'np.ndarray', length: 'float', *,"
+        " tol: 'float' = 1e-10) -> 'DerivativeModel'",
+    cohomology.validate_diagram:
+        "(d: 'SumDiagram', *, tol: 'float' = 1e-10, exact: 'bool' = False)"
+        " -> 'DiagramReport'",
+    cohomology.validate_C:
+        "(d: 'SumDiagram', *, tol: 'float' = 1e-10) -> 'DiagramReport'",
+    cohomology.synth_diagram:
+        "(seed: 'int', dim_e2d: 'int' = 0, spectrum: 'tuple[float, ...]' = (),"
+        " *, b1_zero: 'bool' = True, scramble: 'bool' = True) -> 'SumDiagram'",
+    cohomology.diagram_from_json: "(obj: 'dict') -> 'SumDiagram'",
 }
 
 

@@ -92,7 +92,7 @@ def exact_panel_weights():
         rhs = np.empty((8, 1), dtype=object)
         for k in range(8):
             rhs[k, 0] = Fraction((p + 1) ** (k + 1) - p ** (k + 1), k + 1)
-        rows.append(list(ratmat.solve(v, rhs)[:, 0]))
+        rows.append(list((ratmat.inv(v) @ ratmat.asfrac(rhs))[:, 0]))
     return rows
 
 

@@ -64,3 +64,18 @@ def test_det_of_floats_and_edge_shapes():
     for bad in (np.zeros((2, 3)), np.zeros(3)):
         with pytest.raises(ValueError, match="square"):
             ratmat.det(bad)
+
+
+def test_numpy_scalars_enter_as_python_numbers():
+    # Entries up to 1e6: a 7 x 7 determinant near 1e42 overflows int64, so
+    # every exact product must run on Python ints.
+    a = np.random.default_rng(0).integers(-10**6, 10**6, (7, 7))
+    want = elimination_det(a.tolist())
+    assert want.denominator == 1 and -1.2e42 < want < -1.1e42
+    frac = ratmat.asfrac(a)
+    assert all(type(v.numerator) is int for v in frac.flat)
+    assert ratmat.det(frac) == ratmat.det(a) == want
+    assert ratmat.rank(a) == 7
+    half = ratmat.asfrac(np.array([np.float64(0.5), np.float32(0.25)]))
+    assert half.tolist() == [Fraction(1, 2), Fraction(1, 4)]
+    assert all(type(v.numerator) is int for v in half)
