@@ -28,6 +28,7 @@ import math
 import os
 import sys
 from dataclasses import dataclass, replace
+from json.encoder import encode_basestring_ascii
 from pathlib import Path
 
 import numpy as np
@@ -282,36 +283,26 @@ def _json_text(value, indent: str = "") -> str:
     -0.0 as 0.0, and a non-finite float as the string of its repr."""
     if isinstance(value, np.ndarray):
         value = value.tolist()
+    inner = indent + "  "
+    if isinstance(value, dict) and value:
+        items = [f"{encode_basestring_ascii(k)}: {_json_text(value[k], inner)}"
+                 for k in sorted(value)]
+        return f"{{\n{inner}" + f",\n{inner}".join(items) + f"\n{indent}}}"
+    if isinstance(value, (list, tuple)) and value:
+        # Finite floats, the bulk of a diagram, inline.
+        items = [repr(v + 0.0) if type(v) is float and math.isfinite(v)
+                 else _json_text(v, inner) for v in value]
+        return f"[\n{inner}" + f",\n{inner}".join(items) + f"\n{indent}]"
     if isinstance(value, (dict, list, tuple)):
-        if not value:
-            return "{}" if isinstance(value, dict) else "[]"
-        inner = indent + "  "
-        if isinstance(value, dict):
-            items = [f"{_JSON_STR(k)}: {_json_text(value[k], inner)}"
-                     for k in sorted(value)]
-            opener, closer = "{", "}"
-        else:
-            # Finite floats, the bulk of a diagram, inline.
-            items = [repr(v + 0.0) if type(v) is float and math.isfinite(v)
-                     else _json_text(v, inner) for v in value]
-            opener, closer = "[", "]"
-        return (f"{opener}\n{inner}" + f",\n{inner}".join(items)
-                + f"\n{indent}{closer}")
+        return "{}" if isinstance(value, dict) else "[]"
     if isinstance(value, (bool, np.bool_)):
         return "true" if value else "false"
     if isinstance(value, (int, np.integer)):
         return str(int(value))
     if isinstance(value, (float, np.floating)):
         value = float(value)
-        if not math.isfinite(value):
-            return f'"{value!r}"'
-        return repr(value + 0.0)
-    if value is None:
-        return "null"
-    return _JSON_STR(value)
-
-
-_JSON_STR = json.encoder.encode_basestring_ascii
+        return repr(value + 0.0) if math.isfinite(value) else f'"{value!r}"'
+    return "null" if value is None else encode_basestring_ascii(value)
 
 
 def _emit(cfg: ScenarioConfig, payload: dict,
@@ -521,17 +512,15 @@ def _diagram_failures(diagram: SumDiagram, tol: float, exact: bool):
 
 def _rank_rows(diagram: SumDiagram, lengths: list[float],
                levels: np.ndarray) -> list[dict]:
-    """One row per length; the gluing matrices, all of one shape, share one
-    stacked SVD."""
+    """One row per length; the gluing matrices share one stacked SVD."""
     matrices = [gluing_matrix(diagram, 3, length) for length in lengths]
-    rows = []
-    for length, matrix, rank in zip(lengths, matrices, _ranks(matrices)):
-        full = min(matrix.shape)
-        gap = (2.0 * float(np.min(np.abs(length - levels)))
-               if levels.size else math.inf)
-        rows.append({"L": length, "rank": rank, "full": full,
-                     "deficient": rank < full, "gap": gap})
-    return rows
+    gaps = (2.0 * np.abs(np.subtract.outer(lengths, levels)).min(axis=1)
+            if levels.size else np.full(len(lengths), math.inf))
+    full = min(matrices[0].shape)
+    return [{"L": length, "rank": rank, "full": full,
+             "deficient": rank < full, "gap": gap}
+            for length, rank, gap in zip(lengths, _ranks(matrices),
+                                         gaps.tolist())]
 
 
 def cmd_spectrum(cfg: ScenarioConfig) -> int:

@@ -95,14 +95,12 @@ _MAP_NODES = {
 
 # Relative cut of the one rank rule, see ``_kept``.
 _RANK_RTOL = 1e-10
-
 # Neck-coordinate shift by which ``validate_C`` probes the shift rule.
 _SHIFT_PROBE = 2.0
 
 
 def _map_shapes(m: int, sizes: Mapping) -> dict[str, tuple[int, int]]:
-    """Shape of every map at degree ``m``; ``sizes`` holds (node, degree)
-    sizes."""
+    """Shape of every map at degree ``m`` from (node, degree) ``sizes``."""
     return {key: (sizes.get((row, m), 0), sizes.get((col, m + offset), 0))
             for key, (row, col, offset) in _MAP_NODES.items()}
 
@@ -131,7 +129,7 @@ def _as2d(a, shape: tuple[int, int]) -> np.ndarray:
 def _freeze(*arrays: np.ndarray) -> tuple[np.ndarray, ...]:
     """Make ``arrays`` read-only and return them."""
     for a in arrays:
-        a.flags.writeable = False
+        a.setflags(write=False)
     return arrays
 
 
@@ -174,11 +172,6 @@ class DegreeBlock:
         object.__setattr__(self, "maps", MappingProxyType(dict(self.maps)))
 
 
-def _kept_solves():
-    """A diagram's store of solves: not an init argument, not compared."""
-    return field(default_factory=dict, init=False, repr=False, compare=False)
-
-
 @dataclass(frozen=True)
 class SumDiagram:
     """Eight degree blocks plus cross-degree shape consistency.
@@ -186,23 +179,22 @@ class SumDiagram:
     Construction marks every map, pairing and correction array read-only.
     The harmonic gluing map is affine in the neck length, so apart from a
     final product everything a length scan needs is fixed by the diagram.
-    Per degree it keeps the boundary-image ``subspaces``, the neck
-    ``operator`` and the ``section`` block of the gluing matrix; per degree
-    and side the ``side_projector``, kept once the boundary map is checked
-    injective on its exact parameters; and per distinguished class the
-    compressed operator of ``derivative_model``.  The diagram solves each
-    the first time it is asked for and keeps it, read-only, for every later
-    call.  The corrections C± enter only the operators and the compressed
-    operators, so a ``shift_C`` of the diagram shares the rest.
+    It keeps each solve, read-only, from the first time it is asked for.
+    ``_fixed`` holds those C± does not enter, which a ``shift_C`` shares:
+    per degree m the boundary-image ``subspaces``, ("section", m) the
+    pinv(K)·K block of ``gluing_matrix`` and ("side", m, ±1) the projector
+    of ``_side_preimages``.  ``_solved`` holds per degree m the neck
+    ``operator`` and per distinguished class the compressed operator of
+    ``derivative_model``.
     """
 
     degrees: tuple[DegreeBlock, ...]
-    _subspaces: dict[int, Subspaces] = _kept_solves()
-    _sections: dict[int, np.ndarray] = _kept_solves()
-    _sides: dict[tuple[int, int], np.ndarray] = _kept_solves()
-    _operators: dict[int, tuple] = _kept_solves()
-    _compressed: dict[tuple[bytes, float], tuple] = _kept_solves()
-    _sizes: dict[tuple[str, int], int] = _kept_solves()
+    _fixed: dict = field(
+        default_factory=dict, init=False, repr=False, compare=False)
+    _solved: dict = field(
+        default_factory=dict, init=False, repr=False, compare=False)
+    _sizes: dict[tuple[str, int], int] = field(
+        default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if len(self.degrees) != N_DEGREES:
@@ -254,12 +246,12 @@ class SumDiagram:
 
     def subspaces(self, m: int) -> Subspaces:
         """``subspaces(self, m)``, solved on first use and kept."""
-        if m not in self._subspaces:
+        if m not in self._fixed:
             # The module-level function, so that wrapping it sees each solve.
             sub = subspaces(self, m)
             _freeze(*(getattr(sub, f.name) for f in fields(sub)))
-            self._subspaces[m] = sub
-        return self._subspaces[m]
+            self._fixed[m] = sub
+        return self._fixed[m]
 
     def operator(self, m: int):
         """(op, E, Z) of ``_common_operator`` over degree m - 1, kept.
@@ -267,41 +259,10 @@ class SumDiagram:
         Its boundary-map rank decisions follow the one rule of ``_kept``;
         no caller's tolerance enters the solve.
         """
-        if m not in self._operators:
-            self._operators[m] = _freeze(*_common_operator(
+        if m not in self._solved:
+            self._solved[m] = _freeze(*_common_operator(
                 self, m, self.subspaces(m - 1)))
-        return self._operators[m]
-
-    def section(self, m: int) -> np.ndarray:
-        """pinv(K)·K for the two-sided restriction K at degree m, kept: the
-        length-independent block of ``gluing_matrix``."""
-        if m not in self._sections:
-            kmap = np.vstack([self.mat("istar_plus", m),
-                              self.mat("istar_minus", m)])
-            pinv = np.linalg.pinv(kmap, rcond=_RANK_RTOL * max(kmap.shape))
-            self._sections[m] = _freeze(pinv @ kmap)[0]
-        return self._sections[m]
-
-    def side_projector(self, m: int, side: int) -> np.ndarray:
-        """Projector onto E± in degree m - 1, the complement of the ``side``
-        boundary image, kept.
-
-        Raises SingularBoundary when the boundary map degenerates on E±,
-        which an exact diagram never allows; the rank probe follows the
-        one rule of ``_kept``.
-        """
-        if (m, side) not in self._sides:
-            e_basis = self.subspaces(m - 1).e_plus if side > 0 else \
-                self.subspaces(m - 1).e_minus
-            dmat = self.mat("del_plus" if side > 0 else "del_minus", m)
-            if e_basis.shape[1] and _rank(dmat @ e_basis) < e_basis.shape[1]:
-                tag = "+" if side > 0 else "-"
-                raise SingularBoundary(
-                    f"boundary map on side {tag} degenerates on the "
-                    f"degree-{m - 1} exact-parameter space")
-            self._sides[m, side] = _freeze(
-                e_basis @ e_basis.T @ self.gram(m - 1))[0]
-        return self._sides[m, side]
+        return self._solved[m]
 
 
 # ---------------------------------------------------------------------------
@@ -320,15 +281,19 @@ def _kept(s: np.ndarray, shape: tuple[int, ...],
 
 
 def _rank(a: np.ndarray, tol: float = _RANK_RTOL, exact: bool = False) -> int:
-    return _ranks([a], tol, exact)[0]
+    if a.size == 0:
+        return 0
+    if exact:
+        return ratmat.rank(ratmat.asfrac(a))
+    return _kept(np.linalg.svd(a, compute_uv=False), a.shape, tol)
 
 
 def _ranks(mats: list[np.ndarray], tol: float = _RANK_RTOL,
            exact: bool = False) -> list[int]:
-    """Rank of each matrix; matrices of one shape share one stacked SVD,
-    whose singular values are those of the matrices one by one."""
+    """``_rank`` of each matrix.  Matrices of one shape share one stacked
+    SVD, whose singular values are those of the matrices one by one."""
     if exact:
-        return [ratmat.rank(ratmat.asfrac(a)) if a.size else 0 for a in mats]
+        return [_rank(a, tol, exact) for a in mats]
     ranks, by_shape = [0] * len(mats), {}
     for i, a in enumerate(mats):
         if a.size:
@@ -342,8 +307,7 @@ def _ranks(mats: list[np.ndarray], tol: float = _RANK_RTOL,
 
 
 def _gram_orth(cols: np.ndarray, w: np.ndarray) -> np.ndarray:
-    """Orthonormal basis of the column span in the pairing w wᵀ, given its
-    Cholesky factor ``w``."""
+    """Orthonormal basis of the column span in the pairing w wᵀ."""
     n = w.shape[0]
     if cols.size == 0:
         return np.zeros((n, 0))
@@ -357,8 +321,7 @@ def _gram_orth(cols: np.ndarray, w: np.ndarray) -> np.ndarray:
 
 def _gram_complement(basis: np.ndarray, gram: np.ndarray,
                      w: np.ndarray) -> np.ndarray:
-    """Orthogonal complement of an already-orthonormal basis; ``w`` is the
-    Cholesky factor of ``gram``."""
+    """Orthogonal complement of an already-orthonormal basis."""
     # Vectors annihilated by basis^T G form the complement; orthonormalize.
     return _gram_orth(_nullspace(basis.T @ gram), w)
 
@@ -377,8 +340,7 @@ def _intersect(u: np.ndarray, v: np.ndarray, gram: np.ndarray,
     """Intersection of two subspaces given by orthonormal bases.
 
     Its dimension k is the nullity of [u | -v]; its basis is spanned by the
-    k leading principal directions of u against v.  ``w`` is the Cholesky
-    factor of ``gram``.
+    k leading principal directions of u against v.
     """
     both = np.hstack([u, -v])
     k = both.shape[1] - _rank(both) if u.shape[1] and v.shape[1] else 0
@@ -409,12 +371,18 @@ class Subspaces:
 
 
 def subspaces(d: SumDiagram, m: int) -> Subspaces:
+    """The boundary-image decomposition at degree ``m``.  One Cholesky
+    factor w of the pairing serves every basis; equal halves share solves."""
     gram = d.gram(m)
     w = np.linalg.cholesky(gram) if gram.size else gram
-    a_plus = _gram_orth(d.mat("jstar_plus", m), w)
-    a_minus = _gram_orth(d.mat("jstar_minus", m), w)
+    jplus, jminus = d.mat("jstar_plus", m), d.mat("jstar_minus", m)
+    a_plus = _gram_orth(jplus, w)
     e_plus = _gram_complement(a_plus, gram, w)
-    e_minus = _gram_complement(a_minus, gram, w)
+    if jplus.shape == jminus.shape and jplus.tobytes() == jminus.tobytes():
+        a_minus, e_minus = a_plus, e_plus
+    else:
+        a_minus = _gram_orth(jminus, w)
+        e_minus = _gram_complement(a_minus, gram, w)
     a_common = _intersect(a_plus, a_minus, gram, w)
     e_common = _intersect(e_plus, e_minus, gram, w)
     projector = e_common @ e_common.T @ gram
@@ -478,8 +446,7 @@ def validate_diagram(d: SumDiagram, *, tol: float = 1e-10,
     rational arithmetic, which is worthwhile for integer-valued diagrams.
     """
     rec: list[CheckRecord] = []
-    # Each map the checks read, by (key, degree), with its rank and its
-    # largest entry, each taken once.
+    # Each map the checks read, with its rank and largest entry taken once.
     mats = {(key, m): d.mat(key, m) for m in range(N_DEGREES + 1)
             for key in ("jstar_plus", "jstar_minus", "e_plus", "e_minus",
                         "del_plus", "del_minus", "mv_delta")}
@@ -558,13 +525,21 @@ def _side_preimages(d: SumDiagram, m: int, side: int,
     which an exact diagram never allows.
     """
     dmat = d.mat("del_plus" if side > 0 else "del_minus", m)
-    proj = d.side_projector(m, side)
+    if ("side", m, side) not in d._fixed:
+        sub = d.subspaces(m - 1)
+        e_basis = sub.e_plus if side > 0 else sub.e_minus
+        if e_basis.shape[1] and _rank(dmat @ e_basis) < e_basis.shape[1]:
+            raise SingularBoundary(
+                f"boundary map on side {'+' if side > 0 else '-'} "
+                f"degenerates on the degree-{m - 1} exact-parameter space")
+        d._fixed["side", m, side], = _freeze(
+            e_basis @ e_basis.T @ d.gram(m - 1))
     cmat = d.c_mat(side, m)
     if taus.size == 0 or cmat.size == 0:
         return np.zeros((d.dim("H_X", m - 1), taus.shape[1]))
     rhs = cmat @ taus
     sol, *_ = np.linalg.lstsq(dmat, rhs, rcond=_RANK_RTOL * max(dmat.shape))
-    return proj @ sol
+    return d._fixed["side", m, side] @ sol
 
 
 def _common_operator(d: SumDiagram, m: int, sub: Subspaces):
@@ -600,12 +575,11 @@ def validate_C(d: SumDiagram, *, tol: float = 1e-10) -> DiagramReport:
 
     Per degree and side: the correction must vanish under the extension
     map, land inside the image of the boundary map, and induce a
-    self-adjoint operator on the complement of the boundary image.  A
-    shift by ``_SHIFT_PROBE`` verifies that moving the neck coordinate acts
-    on the combined operator as an exact multiple of the identity; the
-    shifted diagram solves its operators afresh.  ``tol`` bounds each
-    residual; the boundary-map rank decisions follow the one rule of
-    ``_kept``.
+    self-adjoint operator on the complement of the boundary image.  The
+    ``_SHIFT_PROBE`` shift verifies that moving the neck coordinate acts on
+    the combined operator as an exact multiple of the identity; the shifted
+    diagram solves its operators afresh.  ``tol`` bounds each residual;
+    the boundary-map rank decisions follow the one rule of ``_kept``.
     """
     rec: list[CheckRecord] = []
     shifted = shift_C(d, _SHIFT_PROBE)
@@ -643,8 +617,7 @@ def validate_C(d: SumDiagram, *, tol: float = 1e-10) -> DiagramReport:
         op0, _, _ = d.operator(m)
         if op0.shape[0]:
             op1, _, _ = shifted.operator(m)
-            drift = float(np.abs(
-                op1 - op0 - _SHIFT_PROBE * np.eye(op0.shape[0])).max())
+            drift = float(np.abs(op1 - op0 - _SHIFT_PROBE * np.eye(op0.shape[0])).max())
             rec.append(CheckRecord(
                 "corr-shift-rule", m, drift <= tol * (1.0 + abs(_SHIFT_PROBE)),
                 f"|shifted-op - op - λI|={drift:.3e}"))
@@ -669,8 +642,7 @@ def shift_C(d: SumDiagram, lam: float) -> SumDiagram:
             c_minus=blk.c_minus + 0.5 * lam * d.mat("del_minus", m),
         ))
     shifted = SumDiagram(tuple(blocks))
-    for name in ("_subspaces", "_sections", "_sides"):
-        object.__setattr__(shifted, name, getattr(d, name))
+    object.__setattr__(shifted, "_fixed", d._fixed)
     return shifted
 
 
@@ -773,12 +745,16 @@ def gluing_matrix(d: SumDiagram, m: int, length: float) -> np.ndarray:
     halves by K, exact part zero); the second holds ``yh_exact`` of each
     column of the common-complement basis E, with E and Z read from
     ``_common_operator``.  Rank equal to the total-space dimension is the
-    brute-force isomorphism test.  Once ``d`` has solved the degree, a
-    call costs the exact-block product.
+    brute-force isomorphism test.  ``d`` keeps the first block, so a call
+    on a solved degree costs the exact-block product.
     """
+    if ("section", m) not in d._fixed:
+        kmap = np.vstack([d.mat("istar_plus", m), d.mat("istar_minus", m)])
+        d._fixed["section", m], = _freeze(np.linalg.pinv(
+            kmap, rcond=_RANK_RTOL * max(kmap.shape)) @ kmap)
     _, basis, z = d.operator(m)
     exact = d.mat("mv_delta", m) @ (z + 2.0 * length * basis)
-    return np.hstack([d.section(m), exact])
+    return np.hstack([d._fixed["section", m], exact])
 
 
 # ---------------------------------------------------------------------------
@@ -822,9 +798,7 @@ def derivative_model(d: SumDiagram, omega_class: np.ndarray, length: float, *,
     scales the connecting image of that class, and bijectivity holds
     precisely when minus twice the length misses the compressed spectrum.
     ``tol`` is only the norm below which the class counts as orthogonal
-    to the common complement.  What does not depend on the length (the
-    compression, its operator and spectrum, the length column) ``d``
-    keeps per class and ``tol``.
+    to the common complement.  ``d`` keeps the length-independent part.
     """
     if d.dim("H_M", 1) != 0:
         raise B1NotZero(
@@ -836,8 +810,8 @@ def derivative_model(d: SumDiagram, omega_class: np.ndarray, length: float, *,
                          "cross-section")
     op, basis, _ = d.operator(3)
     delta = d.mat("mv_delta", 3)
-    key = (omega_class.tobytes(), tol)
-    if key not in d._compressed:
+    key = ("compressed", omega_class.tobytes(), tol)
+    if key not in d._solved:
         k = basis.shape[1]
         w_coords = basis.T @ d.gram(2) @ omega_class if k else np.zeros(0)
         wnorm = float(np.linalg.norm(w_coords))
@@ -848,13 +822,14 @@ def derivative_model(d: SumDiagram, omega_class: np.ndarray, length: float, *,
         f_mat = comp.T @ op @ comp
         f_mat = 0.5 * (f_mat + f_mat.T)
         spec = np.linalg.eigvalsh(f_mat) if f_mat.size else np.zeros(0)
-        d._compressed[key] = _freeze(
-            comp, f_mat, spec, (2.0 * (delta @ omega_class)).reshape(-1, 1))
-    comp, f_mat, spec, class_col = d._compressed[key]
+        d._solved[key] = _freeze(
+            comp, comp @ f_mat, spec,
+            (2.0 * (delta @ omega_class)).reshape(-1, 1))
+    comp, comp_f, spec, class_col = d._solved[key]
     cols = []
     exact_block = np.zeros((d.dim("H_M", 3), 0))
     if comp.shape[1]:
-        action = 2.0 * length * comp + comp @ f_mat
+        action = 2.0 * length * comp + comp_f
         exact_block = delta @ (basis @ action)
         cols.append(exact_block)
     cols.append(class_col)
@@ -1023,9 +998,9 @@ def _unimodular(rng: np.random.Generator, n: int) -> tuple[np.ndarray, np.ndarra
     for _ in range(2 * n):
         i, j = rng.choice(n, size=2, replace=False)
         k = float(rng.integers(-1, 2))
-        # t ← t (I + k e_i e_jᵀ) and tinv ← (I - k e_i e_jᵀ) tinv.
-        t[:, j] += k * t[:, i]
-        tinv[i] -= k * tinv[j]
+        if k:  # t ← t (I + k e_i e_jᵀ) and tinv ← (I - k e_i e_jᵀ) tinv
+            t[:, j] += k * t[:, i]
+            tinv[i] -= k * tinv[j]
     perm = rng.permutation(n)
     signs = rng.choice([-1.0, 1.0], size=n)
     # t' = t P S with P the permutation matrix; invert by S P^T on the left.

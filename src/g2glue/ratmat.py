@@ -3,9 +3,7 @@
 numpy object arrays carry ``fractions.Fraction`` scalars through ``+``, ``*``
 and ``@`` without losing exactness, but ``numpy.linalg`` refuses them.  The
 handful of dense routines needed for exact-arithmetic paths (determinants,
-inverses, ranks on matrices of size at most a few dozen) live here.  numpy
-scalars enter as the Python numbers they hold, so no exact product ever runs
-in fixed-width integers.
+inverses, ranks on matrices of size at most a few dozen) live here.
 All of them eliminate with "pivot on first nonzero"; ``det``, which exact
 minors call many times, runs fraction-free on integers.
 """
@@ -19,10 +17,10 @@ import numpy as np
 
 
 def _fraction(v) -> Fraction:
-    """``v`` as a Fraction; a numpy scalar as the Python number it holds."""
-    if isinstance(v, Fraction):
-        return v
-    return Fraction(v.item() if isinstance(v, np.generic) else v)
+    """``v`` as a Fraction, a numpy scalar as the Python number it holds, so
+    that no exact product runs in fixed-width integers."""
+    return v if isinstance(v, Fraction) else Fraction(
+        v.item() if isinstance(v, np.generic) else v)
 
 
 def asfrac(a) -> np.ndarray:

@@ -499,11 +499,12 @@ def test_plan_arrays_are_read_only(rigged):
     sub = rigged.subspaces(2)
     omega = sub.a_common[:, 0]
     derivative_model(rigged, omega, 2.0)
+    gluing_matrix(rigged, 3, 2.0)
     for arr in (rigged.mat("mv_delta", 3), rigged.gram(2), rigged.c_mat(1, 3),
                 *rigged.operator(3), sub.e_common, sub.a_common,
-                sub.projector, rigged.section(3), rigged.side_projector(3, 1),
-                rigged.side_projector(3, -1),
-                *rigged._compressed[omega.tobytes(), 1e-10]):
+                sub.projector, rigged._fixed["section", 3],
+                rigged._fixed["side", 3, 1], rigged._fixed["side", 3, -1],
+                *rigged._solved["compressed", omega.tobytes(), 1e-10]):
         with pytest.raises(ValueError, match="read-only"):
             arr *= 2.0
     with pytest.raises(TypeError):
