@@ -15,9 +15,12 @@ determines a class on the sum.  Its dependence on the neck length is
 affine, it degenerates precisely at a finite set of singular lengths
 computed from a self-adjoint operator, and its degree-3 restriction
 models the derivative of the nonlinear gluing construction.  A diagram
-is immutable once built (its arrays are read-only), so it keeps each
-degree's length-independent solves itself and every function here reads
-them from it: a scan over many lengths solves each degree once.
+is immutable once built (its arrays are read-only), so it keeps every
+length-independent solve itself: per degree the subspaces, the neck
+operator and the pinv(K)·K block of the gluing matrix, per side the
+boundary-preimage projector, per distinguished class the compressed
+derivative operator.  A scan over many lengths solves each once, and the
+matrices of one shape that a check or a scan ranks share one stacked SVD.
 """
 
 from __future__ import annotations
@@ -177,15 +180,11 @@ class SumDiagram:
     """Eight degree blocks plus cross-degree shape consistency.
 
     Construction marks every map, pairing and correction array read-only.
-    The harmonic gluing map is affine in the neck length, so apart from a
-    final product everything a length scan needs is fixed by the diagram.
-    It keeps each solve, read-only, from the first time it is asked for.
-    ``_fixed`` holds those C± does not enter, which a ``shift_C`` shares:
-    per degree m the boundary-image ``subspaces``, ("section", m) the
-    pinv(K)·K block of ``gluing_matrix`` and ("side", m, ±1) the projector
-    of ``_side_preimages``.  ``_solved`` holds per degree m the neck
-    ``operator`` and per distinguished class the compressed operator of
-    ``derivative_model``.
+    The diagram keeps each length-independent solve, read-only, from the
+    first time it is asked for.  ``_fixed`` holds those C± does not enter,
+    which a ``shift_C`` shares: per degree m the ``subspaces``, and the
+    ("section", m) and ("side", m, ±1) arrays; ``_solved`` holds the
+    ``operator`` per degree and the compressed derivative operators.
     """
 
     degrees: tuple[DegreeBlock, ...]
