@@ -413,16 +413,6 @@ class DiagramReport:
     def failures(self) -> tuple[CheckRecord, ...]:
         return tuple(c for c in self.checks if not c.passed)
 
-    def as_dict(self) -> dict:
-        return {
-            "ok": self.ok,
-            "checks": [
-                {"name": c.name, "degree": c.degree, "passed": c.passed,
-                 "detail": c.detail}
-                for c in self.checks
-            ],
-        }
-
 
 def _comp_norm(outgoing: np.ndarray, incoming: np.ndarray) -> float:
     if outgoing.size == 0 or incoming.size == 0:

@@ -361,11 +361,6 @@ def map_components(f: SpectralForm, mat: np.ndarray, degree: int) -> SpectralFor
     return SpectralForm(degree, f.band, f.grid, out, check=False)
 
 
-def dt_wedge(f: SpectralForm) -> SpectralForm:
-    """dt ^ f, one degree up."""
-    return map_components(f, _axis_wedge_matrix(1, f.degree), f.degree + 1)
-
-
 # -- exterior calculus -----------------------------------------------------
 
 def _d_mode(xi: tuple, coeffs: np.ndarray, dfree: np.ndarray,

@@ -13,11 +13,15 @@ Given a half-cylinder field with decomposition limit + beta + dt ^ gamma
 
     limit + (1 - rho) beta + dt ^ ((1 - rho) gamma + rho' I),
 
-where rho rises from 0 to 1 on [L-2, L-1] and I(t) is the tail integral
-of gamma from t to infinity.  This equals the field plus an exact form
-(d of the cutoff 2-form rho I) up to quadrature error, is identically
-the translation-invariant limit for t > L-1, and keeps the cohomology
-bookkeeping exact because the limit block is never touched.
+where the cutoff rho is the quintic smoothstep, rising from 0 to 1 on
+[L-2, L-1] with two continuous derivatives, and I(t) is the tail integral
+of gamma from t to infinity.  This equals the field plus an exact form,
+d of the cutoff 2-form eta = rho I, up to quadrature error; it is
+identically the translation-invariant limit for t > L-1, and keeps the
+cohomology bookkeeping exact because the limit block is never touched.
+Integrating by parts, the glued class differs from the model only in its
+dt block, by the halves' I(0) (the minus one transplanted) over 2L,
+whatever the cutoff.
 
 Torsion is measured as the pair (d phi, d of the induced 4-form), the
 4-form star computed sample by sample with the frozen-coefficient
@@ -53,7 +57,6 @@ from .fields import (
     _d_mode,
     _dt_count,
     _ncomp,
-    decompose_cyl,
     exterior_d,
     norm_l2,
     norm_sup,
@@ -63,7 +66,6 @@ from .fields import (
 from .forms import (
     AXES7,
     KForm7,
-    NotStable,
     Omega0,
     _contract_table,
     _star_matrix,
@@ -73,10 +75,6 @@ from .forms import (
     phi0,
     star3_batch,
 )
-
-
-class NotClosed(ValueError):
-    """Input field fails the closedness check."""
 
 
 class MismatchedLimits(ValueError):
@@ -89,74 +87,40 @@ class NeckTooShort(ValueError):
 
 # -- cutoff profiles -------------------------------------------------------
 
-_SHAPES = ("quintic", "septic", "nonic", "exp")
+def _rho(t: np.ndarray, length: float) -> np.ndarray:
+    """The cutoff: the quintic smoothstep (C^2), 0 to 1 on [L-2, L-1]."""
+    u = np.clip(np.asarray(t, dtype=float) - (length - 2.0), 0.0, 1.0)
+    return u ** 3 * (10.0 + u * (-15.0 + 6.0 * u))
 
 
-@dataclass(frozen=True)
-class CutoffSpec:
-    """Monotone 0-to-1 profile rising on [L-2, L-1].
+def _drho(t: np.ndarray, length: float) -> np.ndarray:
+    """Analytic derivative of _rho with respect to t."""
+    u = np.clip(np.asarray(t, dtype=float) - (length - 2.0), 0.0, 1.0)
+    return 30.0 * u ** 2 * (1.0 - u) ** 2
 
-    Shapes: polynomial smoothsteps of order 5 (C^2, default), 7 (C^3),
-    9 (C^4), and the C-infinity exponential ramp "exp".  Smoother shapes
-    cost nothing and keep spectral derivatives of the glued field quiet;
-    the default matches the minimum the construction needs.
-    """
 
-    shape: str = "quintic"
+def _exp_ramp(u: np.ndarray) -> np.ndarray:
+    """C-infinity ramp from 0 at u <= 0 to 1 at u >= 1."""
+    out = np.zeros_like(u)
+    inside = (u > 0.0) & (u < 1.0)
+    ui = u[inside]
+    a = np.exp(-1.0 / ui)
+    b = np.exp(-1.0 / (1.0 - ui))
+    out[inside] = a / (a + b)
+    out[u >= 1.0] = 1.0
+    return out
 
-    def __post_init__(self):
-        if self.shape not in _SHAPES:
-            raise ValueError(f"unknown cutoff shape {self.shape!r}")
 
-    def _u(self, t: np.ndarray, length: float) -> np.ndarray:
-        return np.clip(np.asarray(t, dtype=float) - (length - 2.0), 0.0, 1.0)
-
-    def rho(self, t: np.ndarray, length: float) -> np.ndarray:
-        u = self._u(t, length)
-        if self.shape == "quintic":
-            return u ** 3 * (10.0 + u * (-15.0 + 6.0 * u))
-        if self.shape == "septic":
-            return u ** 4 * (35.0 + u * (-84.0 + u * (70.0 - 20.0 * u)))
-        if self.shape == "nonic":
-            return u ** 5 * (126.0 + u * (-420.0 + u * (540.0 + u * (-315.0 + 70.0 * u))))
-        return self._exp_ramp(u)
-
-    def drho(self, t: np.ndarray, length: float) -> np.ndarray:
-        """Analytic derivative of rho with respect to t."""
-        u = self._u(t, length)
-        inside = (u > 0.0) & (u < 1.0)
-        if self.shape == "quintic":
-            d = 30.0 * u ** 2 * (1.0 - u) ** 2
-        elif self.shape == "septic":
-            d = 140.0 * u ** 3 * (1.0 - u) ** 3
-        elif self.shape == "nonic":
-            d = 630.0 * u ** 4 * (1.0 - u) ** 4
-        else:
-            d = self._exp_ramp_deriv(u)
-        return np.where(inside, d, 0.0)
-
-    @staticmethod
-    def _exp_ramp(u: np.ndarray) -> np.ndarray:
-        out = np.zeros_like(u)
-        inside = (u > 0.0) & (u < 1.0)
-        ui = u[inside]
-        a = np.exp(-1.0 / ui)
-        b = np.exp(-1.0 / (1.0 - ui))
-        out[inside] = a / (a + b)
-        out[u >= 1.0] = 1.0
-        return out
-
-    @staticmethod
-    def _exp_ramp_deriv(u: np.ndarray) -> np.ndarray:
-        out = np.zeros_like(u)
-        inside = (u > 0.0) & (u < 1.0)
-        ui = u[inside]
-        a = np.exp(-1.0 / ui)
-        b = np.exp(-1.0 / (1.0 - ui))
-        da = a / ui ** 2
-        db = -b / (1.0 - ui) ** 2
-        out[inside] = (da * b - a * db) / (a + b) ** 2
-        return out
+def _exp_ramp_deriv(u: np.ndarray) -> np.ndarray:
+    out = np.zeros_like(u)
+    inside = (u > 0.0) & (u < 1.0)
+    ui = u[inside]
+    a = np.exp(-1.0 / ui)
+    b = np.exp(-1.0 / (1.0 - ui))
+    da = a / ui ** 2
+    db = -b / (1.0 - ui) ** 2
+    out[inside] = (da * b - a * db) / (a + b) ** 2
+    return out
 
 
 # -- tail integration ------------------------------------------------------
@@ -241,54 +205,14 @@ def integral_to_infinity(f: SpectralForm) -> dict:
     return out
 
 
-# -- the eta correction ----------------------------------------------------
-
-_CLOSED_TOL = 1e-6  # relative closedness tolerance of the input check
-
-
-def eta_correction(alpha: SpectralForm, cutoff: CutoffSpec,
-                   length: float) -> SpectralForm:
-    """Cutoff 2-form eta with alpha + d(eta) translation-invariant past L-1.
-
-    eta = rho(t) * I(t) with I the tail integral of the decaying
-    dt-component of alpha.  The closedness precondition is checked with
-    the grid derivative (finite differences bound the tolerance here).
-    """
-    if alpha.degree != 3:
-        raise ValueError("expected a degree-3 half-cylinder field")
-    scale = 1.0 + alpha.amplitude()
-    if norm_sup(exterior_d(alpha)) > _CLOSED_TOL * scale:
-        raise NotClosed("input field is not closed at the grid tolerance")
-    _, _, gamma = decompose_cyl(alpha)
-    tails = integral_to_infinity(gamma)
-    rho = cutoff.rho(alpha.grid.points, length)
-    modes = {xi: rho[:, None] * acc for xi, acc in tails.items()}
-    return SpectralForm(2, alpha.band, alpha.grid, modes, check=False)
-
-
 # -- gluing ----------------------------------------------------------------
 
-@dataclass(frozen=True)
-class GluedField:
-    """Degree-3 field on the periodic neck plus the data that built it."""
-
-    field: SpectralForm
-    plus: object
-    minus: object
-    length: float
-    cutoff: CutoffSpec
-
-    def with_field(self, field: SpectralForm) -> "GluedField":
-        return replace(self, field=field)
-
-
-def _corrected_half_samples(structure, length: float, cutoff: CutoffSpec,
-                            nkeep: int) -> dict:
+def _corrected_half_samples(structure, length: float, nkeep: int) -> dict:
     """Per-mode corrected samples of one half on its first nkeep points."""
     pert = structure.perturbation
     t = pert.grid.points
-    rho = cutoff.rho(t, length)
-    drho = cutoff.drho(t, length)
+    rho = _rho(t, length)
+    drho = _drho(t, length)
     limit, beta, gamma, tails = structure._tail_parts
     if limit.amplitude() > 1e-9 * (1.0 + pert.amplitude()):
         raise MismatchedLimits("perturbation does not decay to zero, so the "
@@ -314,9 +238,9 @@ def _corrected_half_samples(structure, length: float, cutoff: CutoffSpec,
     return out
 
 
-def glue_fields(plus, minus, length: float,
-                cutoff: CutoffSpec = CutoffSpec()) -> GluedField:
-    """Assemble the corrected halves into one field on the periodic neck.
+def glue_fields(plus, minus, length: float) -> SpectralForm:
+    """Assemble the corrected halves into one degree-3 field on the
+    periodic neck, whose grid (length 2L) carries L to torsion_reduce.
 
     ``plus`` and ``minus`` are CylStructures with signs +1 and -1 whose
     cross-section pairs agree to 1e-12.  The neck has circumference
@@ -355,8 +279,8 @@ def glue_fields(plus, minus, length: float,
         if lead > 1e-11 * (1.0 + st.perturbation.amplitude()):
             raise ValueError("perturbation must vanish near the inner end t = 0")
 
-    half_p = _corrected_half_samples(plus, length, cutoff, q + 1)
-    half_m = _corrected_half_samples(minus, length, cutoff, q + 1)
+    half_p = _corrected_half_samples(plus, length, q + 1)
+    half_m = _corrected_half_samples(minus, length, q + 1)
     neck = TGrid(0.0, 2.0 * length, 2 * q, periodic=True)
     band = max(plus.perturbation.band, minus.perturbation.band)
     ncomp = 35
@@ -374,8 +298,7 @@ def glue_fields(plus, minus, length: float,
             raise ValueError(f"non-finite samples in glued mode {xi}")
         if np.abs(arr).max() > 0.0:
             modes[xi] = arr
-    return GluedField(SpectralForm(3, band, neck, modes, check=False),
-                      plus, minus, float(length), cutoff)
+    return SpectralForm(3, band, neck, modes, check=False)
 
 
 # -- torsion ---------------------------------------------------------------
@@ -414,28 +337,27 @@ def induced_4form(field: SpectralForm) -> SpectralForm:
     return spectral_from_samples(starred, 4, field.band, field.grid)
 
 
-def torsion_residual(phi, *, dphi: SpectralForm | None = None) -> TorsionMeasure:
-    """Norms of the two torsion components of a neck field.
+def torsion_residual(phi: SpectralForm, *,
+                     dphi: SpectralForm | None = None) -> TorsionMeasure:
+    """Norms of the two torsion components of a degree-3 neck field.
 
-    Accepts a GluedField or a bare degree-3 SpectralForm; raises
-    NotStable (from the pointwise kernels) if any sample leaves the
+    Raises NotStable (from the pointwise kernels) if any sample leaves the
     stable orbit.  ``dphi``, when given, is taken as d(phi) instead of
     differentiating phi: torsion_reduce passes the previous step's on a
     xi = 0 field, whose d(phi) a step leaves bitwise alone.  It must be
     a 4-form on phi's grid, band and modes (ValueError otherwise); its
     values are the caller's to vouch for.
     """
-    field = phi.field if isinstance(phi, GluedField) else phi
-    if field.degree != 3:
+    if phi.degree != 3:
         raise ValueError("torsion is defined for degree-3 fields")
     if dphi is None:
-        d3 = exterior_d(field)
-    elif (dphi.degree != 4 or dphi.grid != field.grid
-          or dphi.band != field.band or dphi.modes.keys() != field.modes.keys()):
+        d3 = exterior_d(phi)
+    elif (dphi.degree != 4 or dphi.grid != phi.grid
+          or dphi.band != phi.band or dphi.modes.keys() != phi.modes.keys()):
         raise ValueError("dphi must be a 4-form on phi's grid, band and modes")
     else:
         d3 = dphi
-    d4 = exterior_d(induced_4form(field))
+    d4 = exterior_d(induced_4form(phi))
     return TorsionMeasure(norm_l2(d3), norm_sup(d3), norm_l2(d4), norm_sup(d4),
                           dstar=d4, dphi=d3)
 
@@ -605,9 +527,15 @@ _PROGRESS = 1e-6
 _SMALLNESS = 0.1
 
 
-def torsion_reduce(glued: GluedField, tol: float = 1e-10,
-                   max_iter: int = 25) -> tuple[GluedField, GluingReport]:
-    """Iteratively remove torsion by adding exact forms.
+def torsion_reduce(field: SpectralForm, tol: float = 1e-10,
+                   max_iter: int = 25) -> tuple[SpectralForm, GluingReport]:
+    """Iteratively remove torsion from a glued neck field by adding exact
+    forms.
+
+    ``field`` is a degree-3 field on a periodic neck grid, as glue_fields
+    builds it; the report's length is L = grid length / 2.  A field on an
+    interval grid raises ValueError, since the mode solver assumes the
+    neck circle.
 
     Each step solves the flat-model linearization mode by mode for a
     2-form sigma against d(induced 4-form), in closed form as
@@ -634,14 +562,15 @@ def torsion_reduce(glued: GluedField, tol: float = 1e-10,
     than a relative _PROGRESS (at the closedness floor the steps differ
     only in roundoff, which must not decide the step count), or the
     torsion is NaN.  above-smallness: the initial torsion exceeds
-    _SMALLNESS relative to the field, and ``glued`` itself comes back.
+    _SMALLNESS relative to the field, and ``field`` itself comes back.
     """
-    field = glued.field
+    if not field.grid.periodic:
+        raise ValueError("torsion reduction needs a field on the periodic neck")
     meas = torsion_residual(field)
-    length = glued.length
+    length = field.grid.length / 2
     if meas.worst > _SMALLNESS * max(norm_sup(field), 1e-30):
-        return glued, GluingReport.from_measure(length, meas, 0, "above-smallness")
-    solve = _mode_solver(2.0 * np.pi / (2.0 * length), field.grid.n)
+        return field, GluingReport.from_measure(length, meas, 0, "above-smallness")
+    solve = _mode_solver(2.0 * np.pi / field.grid.length, field.grid.n)
     iterations = 0
     worse = 0
     best = meas.worst
@@ -658,14 +587,13 @@ def torsion_reduce(glued: GluedField, tol: float = 1e-10,
     reason = ("converged" if meas.worst <= tol else
               "max_iter" if worse < 3 and not math.isnan(meas.worst) else
               "diverged")
-    return glued.with_field(field), GluingReport.from_measure(
-        length, meas, iterations, reason)
+    return field, GluingReport.from_measure(length, meas, iterations, reason)
 
 
-# -- sweeps and the empirical threshold ------------------------------------
+# -- sweeps ----------------------------------------------------------------
 
-def sweep_reports(plus, minus, lengths, cutoff: CutoffSpec = CutoffSpec(),
-                  reduce_tol: float | None = None, max_iter: int = 25) -> list:
+def sweep_reports(plus, minus, lengths, reduce_tol: float | None = None,
+                  max_iter: int = 25) -> list:
     """Glue (and optionally reduce) at each L; fit the torsion decay slope.
 
     Without a reduce tolerance the reports carry the raw glued torsion
@@ -674,7 +602,7 @@ def sweep_reports(plus, minus, lengths, cutoff: CutoffSpec = CutoffSpec(),
     """
     reports = []
     for length in lengths:
-        glued = glue_fields(plus, minus, length, cutoff)
+        glued = glue_fields(plus, minus, length)
         if reduce_tol is None:
             meas = torsion_residual(glued)
             reports.append(GluingReport.from_measure(length, meas, 0, "unreduced"))
@@ -700,28 +628,6 @@ def fit_torsion_slope(reports) -> float | None:
     return float(np.polyfit(ls, np.log(ys), 1)[0])
 
 
-def estimate_L0(plus, minus, lengths, tol: float = 1e-10, max_iter: int = 25,
-                cutoff: CutoffSpec = CutoffSpec()) -> float:
-    """Smallest sampled L at which the reduction converges; inf if none.
-
-    A length below the cutoff's L >= 4 (NeckTooShort), whose reduction
-    stops for any reason other than converged, or whose field leaves the
-    stable orbit (NotStable) does not converge.  Any other ValueError from
-    glue_fields names unusable input, such as two halves of one sign, a
-    length off the grid or half grids that do not reach L + 1, and is
-    raised.
-    """
-    for length in sorted(lengths):
-        try:
-            glued = glue_fields(plus, minus, length, cutoff)
-            _, rep = torsion_reduce(glued, tol=tol, max_iter=max_iter)
-        except (NeckTooShort, NotStable):
-            continue
-        if rep.converged:
-            return float(length)
-    return math.inf
-
-
 # -- synthetic half-cylinder structures ------------------------------------
 
 def _model_vectors() -> tuple[np.ndarray, np.ndarray]:
@@ -732,12 +638,12 @@ def _model_vectors() -> tuple[np.ndarray, np.ndarray]:
 def _support_envelope(t: np.ndarray, lo: float = 0.75, hi: float = 1.75) -> np.ndarray:
     """C-infinity ramp from 0 to 1 on [lo, hi] (keeps fields off t = 0)."""
     u = np.clip((t - lo) / (hi - lo), 0.0, 1.0)
-    return CutoffSpec("exp")._exp_ramp(u)
+    return _exp_ramp(u)
 
 
 def _support_envelope_deriv(t: np.ndarray, lo: float = 0.75, hi: float = 1.75) -> np.ndarray:
     u = np.clip((t - lo) / (hi - lo), 0.0, 1.0)
-    return CutoffSpec("exp")._exp_ramp_deriv(u) / (hi - lo)
+    return _exp_ramp_deriv(u) / (hi - lo)
 
 
 def flat_structure(sign: int, extent: float = 11.0, density: int = 64,

@@ -161,11 +161,11 @@ def test_criterion_05_torsion_reduction_preserves_class():
     for amplitude, length in ((1e-3, 5.0), (1e-3, 7.0), (5e-3, 4.25)):
         plus = closed_perturbation_structure(1, amplitude=amplitude)
         glued = glue_fields(plus, minus, length)
-        pin = harmonic_project(glued.field).modes[ZERO_XI][0]
+        pin = harmonic_project(glued).modes[ZERO_XI][0]
         out, rep = torsion_reduce(glued, tol=1e-10, max_iter=25)
         assert rep.converged and rep.iterations <= 25
         assert max(rep.torsion_d_sup, rep.torsion_ds_sup) <= 1e-10
-        got = harmonic_project(out.field).modes[ZERO_XI][0]
+        got = harmonic_project(out).modes[ZERO_XI][0]
         free = slice(15, 35)
         assert np.array_equal(got[free], pin[free])
         assert np.abs(got[:15] - pin[:15]).max() < 2e-15

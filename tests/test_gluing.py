@@ -24,14 +24,10 @@ from g2glue.fields import (
 )
 from g2glue.forms import AXES7, Omega0, basis_position, omega0, phi0
 from g2glue.gluing import (
-    CutoffSpec,
     GluingReport,
     MismatchedLimits,
     NeckTooShort,
-    NotClosed,
     closed_perturbation_structure,
-    estimate_L0,
-    eta_correction,
     fit_torsion_slope,
     flat_structure,
     glue_fields,
@@ -46,6 +42,7 @@ from g2glue.gluing import _PANEL_WEIGHTS, _cumulative_from_right
 
 MODEL = phi0().tovector()
 POS3 = basis_position(AXES7, 3)
+DT24 = POS3[(1, 2, 4)]
 
 
 @pytest.fixture(scope="module")
@@ -60,22 +57,26 @@ def flat_glued(flat_pair):
 
 # -- cutoff profiles -------------------------------------------------------
 
-def test_unknown_cutoff_shape_rejected():
-    with pytest.raises(ValueError, match="shape"):
-        CutoffSpec("cubic")
+# Both ramps rise from 0 to 1 on [5, 6]: the neck cutoff at L = 7, and the
+# exponential ramp that keeps the synthetic perturbations off t = 0.
+RAMPS = {
+    "quintic": (lambda t: gluing._rho(t, 7.0), lambda t: gluing._drho(t, 7.0)),
+    "exp": (lambda t: gluing._support_envelope(t, 5.0, 6.0),
+            lambda t: gluing._support_envelope_deriv(t, 5.0, 6.0)),
+}
 
 
-@pytest.mark.parametrize("shape", ["quintic", "septic", "nonic", "exp"])
+@pytest.mark.parametrize("shape", sorted(RAMPS))
 def test_cutoff_endpoints_and_derivative(shape):
-    cut = CutoffSpec(shape)
+    rho, drho = RAMPS[shape]
     t = np.linspace(0.0, 8.0, 1601)
-    r = cut.rho(t, 7.0)
+    r = rho(t)
     assert np.all(r[t <= 5.0] == 0.0)
     assert np.all(r[t >= 6.0] == 1.0)
     assert np.all(np.diff(r) >= -1e-15)
     h = 1e-6
-    fd = (cut.rho(t + h, 7.0) - cut.rho(t - h, 7.0)) / (2 * h)
-    assert np.abs(cut.drho(t, 7.0) - fd).max() < 1e-5
+    fd = (rho(t + h) - rho(t - h)) / (2 * h)
+    assert np.abs(drho(t) - fd).max() < 1e-5
 
 
 # -- tail integration ------------------------------------------------------
@@ -141,55 +142,81 @@ def test_tail_integral_needs_decay():
 
 
 # -- the eta correction ----------------------------------------------------
+#
+# glue_fields replaces each closed half alpha by alpha + d(eta), with
+# eta = rho I the cutoff 2-form of the gluing module: rho the quintic
+# cutoff on [L-2, L-1] and I the tail integral of alpha's dt part.
 
-def zeta_slot():
-    arr_slot = POS3[(1, 2, 4)]
-    pos2 = basis_position((1,) + tuple(range(2, 8)), 2)
-    return arr_slot, pos2[(2, 4)]
+def decaying_half(slot):
+    """Plus half perturbed by 1e-2 E(t) e^{-t} in one 3-form slot."""
+    grid = TGrid.interval(0.0, 11.0, 64)
+    arr = np.zeros((grid.n, 35))
+    arr[:, slot] = 1e-2 * gluing._support_envelope(grid.points) * np.exp(-grid.points)
+    pert = SpectralForm(3, 2, grid, {ZERO_XI: arr}, check=False)
+    return CylStructure(Omega0(), omega0(), 1, pert, 1.0)
+
+
+@pytest.fixture(scope="module")
+def class_moving_half():
+    """Closed half whose dt tail f dt^dx2^dx4 moves the glued class."""
+    return decaying_half(DT24)
 
 
 def test_eta_vanishes_without_dt_part():
-    grid = TGrid.interval(0.0, 11.0, 64)
-    arr = np.tile(MODEL.astype(complex), (grid.n, 1))
-    alpha = SpectralForm(3, 2, grid, {ZERO_XI: arr})
-    eta = eta_correction(alpha, CutoffSpec(), 6.0)
-    assert norm_sup(eta) == 0.0
+    # A dt-free perturbation (not closed, which glue_fields does not
+    # check) has no tail integral, so the surgery only cuts it off:
+    # model + (1 - rho) beta, with an untouched dt block.
+    slot = POS3[(2, 3, 4)]
+    plus = decaying_half(slot)
+    glued = glue_fields(plus, flat_structure(-1), 6.0)
+    arr = glued.modes[ZERO_XI]
+    assert np.array_equal(arr[:, :15], np.tile(MODEL[:15], (len(arr), 1)))
+    t = plus.perturbation.grid.points
+    f = plus.perturbation.modes[ZERO_XI][:, slot]
+    want = MODEL[slot] + (1.0 - gluing._rho(t, 6.0)) * f
+    q = round(6.0 * 64)
+    assert np.abs(arr[: q + 1, slot] - want[: q + 1]).max() < 1e-15
 
 
-def test_eta_matches_exponential_closed_form():
-    grid = TGrid.interval(0.0, 11.0, 64)
-    slot3, slot2 = zeta_slot()
-    arr = np.zeros((grid.n, 35), dtype=complex)
-    arr[:, slot3] = -np.exp(-grid.points)
-    alpha = SpectralForm(3, 2, grid, {ZERO_XI: arr})
-    eta = eta_correction(alpha, CutoffSpec(), 6.0)
-    rho = CutoffSpec().rho(grid.points, 6.0)
-    got = eta.modes[ZERO_XI][:, slot2]
-    assert np.abs(got - (-rho * np.exp(-grid.points))).max() < 1e-12
-    head = eta.modes[ZERO_XI][grid.points < 4.0]
-    assert np.abs(head).max() == 0.0
-
-
-def test_eta_rejects_nonclosed_input():
-    grid = TGrid.interval(0.0, 11.0, 64)
-    arr = np.zeros((grid.n, 35), dtype=complex)
-    arr[:, POS3[(2, 3, 4)]] = np.exp(-grid.points)
-    alpha = SpectralForm(3, 2, grid, {ZERO_XI: arr})
-    with pytest.raises(NotClosed):
-        eta_correction(alpha, CutoffSpec(), 6.0)
+def test_eta_matches_exponential_closed_form(class_moving_half):
+    # Past the envelope f = 1e-2 e^{-t} and I = f, so on [L-2, L] the glued
+    # dt slot is (1 - rho) f + rho' I = 1e-2 e^{-t} (1 - rho + rho').
+    length = 6.0
+    glued = glue_fields(class_moving_half, flat_structure(-1), length)
+    t = glued.grid.points
+    band = (t >= length - 2.0) & (t <= length)
+    got = glued.modes[ZERO_XI][band, DT24] - MODEL[DT24]
+    tb = t[band]
+    want = 1e-2 * np.exp(-tb) * (1.0 - gluing._rho(tb, length)
+                                 + gluing._drho(tb, length))
+    assert np.abs(got - want).max() < 1e-15
 
 
 def test_alpha_plus_d_eta_translation_invariant():
+    length = 6.0
     st = closed_perturbation_structure(1, amplitude=5e-2)
     alpha = st.total()
-    eta = eta_correction(alpha, CutoffSpec(), 6.0)
+    t = alpha.grid.points
+    rho = gluing._rho(t, length)
+    tails = st._tail_parts[3]
+    eta = SpectralForm(2, alpha.band, alpha.grid,
+                       {xi: rho[:, None] * acc for xi, acc in tails.items()},
+                       check=False)
     total = alpha + exterior_d(eta)
     # past t = L-1 the correction is the bare tail integral; the first two
     # rows are excluded so the difference stencil reads only that region
-    clear = alpha.grid.points >= 5.0 + 2 * alpha.grid.h
+    clear = t >= length - 1.0 + 2 * alpha.grid.h
     rows = total.modes[ZERO_XI][clear]
     drift = np.abs(rows - rows[-1]).max()
     assert drift < 1e-10
+    # The glued half is alpha + d(eta).  The grid derivative of eta is
+    # only accurate off the kinks of rho's third derivative, so the band
+    # around [L-2, L-1] is left out.
+    q = round(length * 64)
+    glued = glue_fields(st, flat_structure(-1), length).modes[ZERO_XI][: q + 1]
+    tq = t[: q + 1]
+    away = (tq < length - 2.1) | (tq > length - 0.9)
+    assert np.abs(glued - total.modes[ZERO_XI][: q + 1])[away].max() < 1e-11
 
 
 # -- neck surgery ----------------------------------------------------------
@@ -247,9 +274,8 @@ def test_glue_rejects_non_finite_samples():
 
 def test_glue_rejects_support_at_inner_end():
     grid = TGrid.interval(0.0, 11.0, 64)
-    slot3, _ = zeta_slot()
     arr = np.zeros((grid.n, 35), dtype=complex)
-    arr[:, slot3] = -1e-3 * np.exp(-grid.points)
+    arr[:, DT24] = -1e-3 * np.exp(-grid.points)
     pert = SpectralForm(3, 2, grid, {ZERO_XI: arr})
     st = CylStructure(Omega0(), omega0(), 1, pert, 1.0)
     with pytest.raises(ValueError, match="inner end"):
@@ -258,9 +284,8 @@ def test_glue_rejects_support_at_inner_end():
 
 def test_glue_rejects_a_perturbation_with_a_limit_at_every_length():
     grid = TGrid.interval(0.0, 11.0, 64)
-    slot3, _ = zeta_slot()
     arr = np.zeros((grid.n, 35), dtype=complex)
-    arr[:, slot3] = 1e-3 * gluing._support_envelope(grid.points)
+    arr[:, DT24] = 1e-3 * gluing._support_envelope(grid.points)
     pert = SpectralForm(3, 2, grid, {ZERO_XI: arr})
     st = CylStructure(Omega0(), omega0(), 1, pert, 1.0)
     for length in (5.0, 6.0):
@@ -276,15 +301,14 @@ def test_a_sweep_decomposes_each_half_once(monkeypatch):
         calls.append(1)
         return real(f)
 
-    for module in (fields, gluing):
-        monkeypatch.setattr(module, "decompose_cyl", counting)
+    monkeypatch.setattr(fields, "decompose_cyl", counting)
     plus, minus = closed_perturbation_structure(1, amplitude=2e-3), flat_structure(-1)
-    first = glue_fields(plus, minus, 5.0).field
+    first = glue_fields(plus, minus, 5.0)
     for length in (6.0, 7.5, 5.0):
-        again = glue_fields(plus, minus, length).field
+        again = glue_fields(plus, minus, length)
     assert len(calls) == 2
     fresh = glue_fields(closed_perturbation_structure(1, amplitude=2e-3),
-                        flat_structure(-1), 5.0).field
+                        flat_structure(-1), 5.0)
     assert len(calls) == 4
     for other in (again, fresh):
         assert set(other.modes) == set(first.modes)
@@ -296,17 +320,17 @@ def test_flat_glue_is_the_constant_model(flat_glued):
     meas = torsion_residual(flat_glued)
     assert meas.d_sup == 0.0 and meas.dstar_sup == 0.0
     assert meas.d_l2 == 0.0 and meas.dstar_l2 == 0.0
-    arr = flat_glued.field.modes[ZERO_XI]
+    arr = flat_glued.modes[ZERO_XI]
     assert np.array_equal(arr, np.tile(MODEL.astype(complex), (arr.shape[0], 1)))
 
 
 def test_glued_modes_stay_conjugate_paired():
     plus = modulated_shear_structure(1)
     glued = glue_fields(plus, flat_structure(-1), 5.0)
-    for xi, arr in glued.field.modes.items():
+    for xi, arr in glued.modes.items():
         mirror = tuple(-v for v in xi)
-        assert mirror in glued.field.modes
-        assert np.array_equal(glued.field.modes[mirror], np.conj(arr))
+        assert mirror in glued.modes
+        assert np.array_equal(glued.modes[mirror], np.conj(arr))
 
 
 def test_closed_perturbation_glues_closed_and_flat_past_cutoff():
@@ -315,36 +339,36 @@ def test_closed_perturbation_glues_closed_and_flat_past_cutoff():
     meas = torsion_residual(glued)
     assert meas.d_sup == 0.0
     assert meas.dstar_sup > 1e-6
-    arr = glued.field.modes[ZERO_XI]
-    t = glued.field.grid.points
+    arr = glued.modes[ZERO_XI]
+    t = glued.grid.points
     outer = arr[(t > 4.0) & (t < 6.0)]
     assert np.array_equal(outer, np.tile(MODEL.astype(complex), (len(outer), 1)))
 
 
-def test_glued_class_independent_of_cutoff_profile():
-    plus = sheared_structure(1)
-    minus = flat_structure(-1)
-    classes = {}
-    for shape in ("quintic", "nonic", "exp"):
-        glued = glue_fields(plus, minus, 5.0, CutoffSpec(shape))
-        classes[shape] = harmonic_project(glued.field).modes[ZERO_XI][0]
-    assert np.abs(classes["nonic"] - classes["exp"]).max() < 1e-12
-    # the default profile has two continuous derivatives, so its sampled
-    # surgery term aliases at the 1e-10 level instead of machine precision
-    assert np.abs(classes["quintic"] - classes["exp"]).max() < 1e-9
+def test_glued_class_independent_of_cutoff_profile(class_moving_half):
+    # Integrating (1 - rho) f + rho' I over [0, L] by parts leaves I(0),
+    # whatever rho is: 2L (class - model) in the dt block is the tail
+    # integral I+(0), and the dt-free block is the model's.
+    i0 = class_moving_half._tail_parts[3][ZERO_XI][0, 6:]
+    assert np.abs(i0).max() > 1e-3
+    for length in (5.0, 6.0, 8.0):
+        glued = glue_fields(class_moving_half, flat_structure(-1), length)
+        hp = harmonic_project(glued).modes[ZERO_XI][0]
+        assert np.array_equal(hp[15:], MODEL[15:])
+        assert np.abs(2.0 * length * (hp[:15] - MODEL[:15]) - i0).max() < 1e-10
 
 
 def test_flat_glue_class_is_length_independent(flat_pair):
     for L in (5.0, 6.0):
         glued = glue_fields(*flat_pair, L)
-        hp = harmonic_project(glued.field).modes[ZERO_XI]
+        hp = harmonic_project(glued).modes[ZERO_XI]
         assert np.array_equal(hp[0], MODEL.astype(complex))
 
 
 # -- torsion measurement ---------------------------------------------------
 
 def test_exact_perturbation_keeps_d_and_moves_dstar(flat_glued):
-    grid = flat_glued.field.grid
+    grid = flat_glued.grid
     rng = np.random.default_rng(7)
     xi = (1, 0, 0, 0, 0, 0)
     prof = np.outer(np.exp(1j * 2 * np.pi * grid.points / grid.length),
@@ -352,7 +376,7 @@ def test_exact_perturbation_keeps_d_and_moves_dstar(flat_glued):
     chi = SpectralForm(2, 2, grid, {xi: prof, tuple(-v for v in xi): np.conj(prof)})
     pert = exterior_d(chi)
     pert = pert.scale(1e-3 / norm_sup(pert))
-    meas = torsion_residual(flat_glued.with_field(flat_glued.field + pert))
+    meas = torsion_residual(flat_glued + pert)
     assert meas.d_sup < 1e-13
     assert meas.dstar_sup > 1e-5
 
@@ -381,13 +405,13 @@ def test_torsion_decay_rate_matches_perturbation_rate():
 
 def test_reduce_is_a_noop_on_torsion_free_input(flat_glued):
     out, report = torsion_reduce(flat_glued)
-    assert out.field is flat_glued.field
+    assert out is flat_glued
     assert report.iterations == 0
     assert report.converged
 
 
 def exact_perturbed(flat_glued, seed, eps=1e-3):
-    grid = flat_glued.field.grid
+    grid = flat_glued.grid
     rng = np.random.default_rng(seed)
     w = 2 * np.pi / grid.length
     t = grid.points
@@ -399,17 +423,16 @@ def exact_perturbed(flat_glued, seed, eps=1e-3):
     chi = SpectralForm(2, 2, grid, {ZERO_XI: a0, xi: a1,
                                     tuple(-v for v in xi): np.conj(a1)})
     pert = exterior_d(chi)
-    return flat_glued.with_field(
-        flat_glued.field + pert.scale(eps / norm_sup(pert)))
+    return flat_glued + pert.scale(eps / norm_sup(pert))
 
 
 def test_reduce_converges_and_preserves_the_class(flat_glued):
     start = exact_perturbed(flat_glued, seed=3)
-    pin = harmonic_project(start.field).modes[ZERO_XI][0]
+    pin = harmonic_project(start).modes[ZERO_XI][0]
     out, report = torsion_reduce(start, tol=1e-10, max_iter=25)
     assert report.converged and report.iterations <= 25
     assert max(report.torsion_d_sup, report.torsion_ds_sup) <= 1e-10
-    got = harmonic_project(out.field).modes[ZERO_XI][0]
+    got = harmonic_project(out).modes[ZERO_XI][0]
     free = slice(15, 35)
     assert np.array_equal(got[free], pin[free])
     assert np.abs(got[:15] - pin[:15]).max() < 2e-15
@@ -430,10 +453,19 @@ def test_reduce_stars_the_field_once_per_step(monkeypatch):
     assert report.iterations >= 1
     assert len(calls) == report.iterations + 1
     monkeypatch.undo()
-    meas = torsion_residual(out.field)
+    meas = torsion_residual(out)
     assert (report.torsion_d_l2, report.torsion_d_sup,
             report.torsion_ds_l2, report.torsion_ds_sup) == (
         meas.d_l2, meas.d_sup, meas.dstar_l2, meas.dstar_sup)
+
+
+def test_reduce_rejects_an_interval_field():
+    # The mode solver assumes the neck circle, so a half's own field on
+    # its interval grid is refused before anything is measured.
+    field = closed_perturbation_structure(1).total()
+    assert not field.grid.periodic
+    with pytest.raises(ValueError, match="periodic neck"):
+        torsion_reduce(field)
 
 
 def test_reduce_rejects_large_torsion(flat_glued):
@@ -458,7 +490,7 @@ def test_stopped_reductions_carry_steps_and_last_torsion(flat_glued):
     start = exact_perturbed(flat_glued, seed=5, eps=0.5)
     _, report = torsion_reduce(start)
     assert report == GluingReport.from_measure(
-        start.length, torsion_residual(start), 0, "above-smallness")
+        5.0, torsion_residual(start), 0, "above-smallness")
     plus = modulated_shear_structure(1, amplitude=0.05)
     glued = glue_fields(plus, flat_structure(-1), 5.0)
     out, report = torsion_reduce(glued, tol=1e-10)
@@ -595,10 +627,10 @@ def test_xi0_solve_on_the_real_half_spectrum(n_t):
 def test_reduction_keeps_the_xi0_mode_exactly_real(length):
     plus = closed_perturbation_structure(1, amplitude=2e-3)
     glued = glue_fields(plus, flat_structure(-1), length)
-    assert glued.field.modes[ZERO_XI].dtype == np.float64
+    assert glued.modes[ZERO_XI].dtype == np.float64
     out, report = torsion_reduce(glued, tol=1e-10)
     assert (report.stop_reason, report.iterations) == ("converged", 2)
-    assert out.field.modes[ZERO_XI].dtype == np.float64
+    assert out.modes[ZERO_XI].dtype == np.float64
     assert torsion_residual(out).dstar.modes[ZERO_XI].dtype == np.float64
 
 
@@ -640,10 +672,10 @@ def test_spectral_update_matches_the_sample_space_step(kind):
         assert np.abs(got - a).max() <= 1e-13 * scale, xi
     out, report = torsion_reduce(glued, max_iter=1)
     assert (report.stop_reason, report.iterations) == ("max_iter", 1)
-    stepped = glued.field + want
-    assert set(out.field.modes) == set(stepped.modes)
+    stepped = glued + want
+    assert set(out.modes) == set(stepped.modes)
     for xi, a in stepped.modes.items():
-        assert np.abs(out.field.modes[xi] - a).max() <= 1e-13 * stepped.amplitude()
+        assert np.abs(out.modes[xi] - a).max() <= 1e-13 * stepped.amplitude()
 
 
 @pytest.mark.parametrize("kind", ["closed", "modulated"])
@@ -698,7 +730,7 @@ def test_reused_dphi_is_the_steps_dphi_bitwise(monkeypatch):
 
 
 def test_torsion_residual_takes_a_given_dphi(flat_glued):
-    field = exact_perturbed(flat_glued, seed=3).field
+    field = exact_perturbed(flat_glued, seed=3)
     meas = torsion_residual(field)
     assert np.array_equal(meas.dphi.modes[ZERO_XI],
                           exterior_d(field).modes[ZERO_XI])
@@ -708,7 +740,7 @@ def test_torsion_residual_takes_a_given_dphi(flat_glued):
 
 
 def test_torsion_residual_rejects_a_dphi_of_another_shape(flat_glued):
-    field = exact_perturbed(flat_glued, seed=3).field
+    field = exact_perturbed(flat_glued, seed=3)
     dphi = torsion_residual(field).dphi
     for wrong in (torsion_residual(field).dstar, dphi._like({}),
                   dphi._like(dphi.modes, band=field.band + 1)):
@@ -728,8 +760,8 @@ def test_reduction_keeps_the_exactly_rounded_class():
             glued = glue_fields(plus, minus, length)
             out, report = torsion_reduce(glued, tol=1e-10)
             assert report.converged and report.iterations >= 1
-            before = glued.field.modes[ZERO_XI].real
-            after = out.field.modes[ZERO_XI].real
+            before = glued.modes[ZERO_XI].real
+            after = out.modes[ZERO_XI].real
             n_t = len(before)
             for c in range(35):
                 moved = math.fsum(after[:, c]) / n_t - math.fsum(before[:, c]) / n_t
@@ -777,48 +809,14 @@ def test_sweep_flat_pair_reduced(flat_pair):
         assert rep.slope is None
 
 
-# -- the convergence threshold --------------------------------------------
-
-def test_estimate_L0_flat_pair_takes_smallest_length(flat_pair):
-    assert estimate_L0(*flat_pair, [4.0, 5.0, 6.0]) == 4.0
-    # L < 4 cannot carry the cutoff: it is skipped, not raised.
-    assert estimate_L0(*flat_pair, [3.0]) == math.inf
-    assert estimate_L0(*flat_pair, [3.0, 6.0]) == 6.0
-
-
-def test_estimate_L0_monotone_in_amplitude_and_tol():
+def test_sweep_converges_sooner_at_smaller_amplitude():
     minus = flat_structure(-1)
     big = modulated_shear_structure(1, amplitude=0.05)
     small = modulated_shear_structure(1, amplitude=0.005)
-    lengths = [5.0, 7.0]
-    l_big = estimate_L0(big, minus, lengths, tol=1e-7)
-    l_small = estimate_L0(small, minus, lengths, tol=1e-7)
-    assert l_small <= l_big
-    assert (l_big, l_small) == (7.0, 5.0)
-    assert estimate_L0(big, minus, lengths, tol=1e-6) <= l_big
-
-
-def test_estimate_L0_sentinel_when_nothing_converges():
-    plus = modulated_shear_structure(1, amplitude=0.05)
-    assert estimate_L0(plus, flat_structure(-1), [5.0], tol=1e-9) == math.inf
-
-
-def test_estimate_L0_raises_on_two_plus_halves(flat_pair):
-    plus = modulated_shear_structure(1, amplitude=0.05)
-    with pytest.raises(ValueError, match="signs"):
-        estimate_L0(plus, flat_pair[0], [5.0])
-
-
-def test_estimate_L0_raises_on_a_length_off_the_grid():
-    plus = modulated_shear_structure(1, amplitude=0.05)
-    with pytest.raises(ValueError, match="whole number"):
-        estimate_L0(plus, flat_structure(-1), [5.003])
-
-
-def test_estimate_L0_raises_when_the_halves_do_not_reach_past_L(flat_pair):
-    with pytest.raises(ValueError, match="extend") as info:
-        estimate_L0(*flat_pair, [10.5])
-    assert not isinstance(info.value, NeckTooShort)
+    flags = [r.converged for r in sweep_reports(big, minus, [5.0, 7.0],
+                                                 reduce_tol=1e-7)]
+    assert flags == [False, True]
+    assert sweep_reports(small, minus, [5.0], reduce_tol=1e-7)[0].converged
 
 
 # -- synthetic structure validation ---------------------------------------
