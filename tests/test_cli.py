@@ -753,6 +753,66 @@ def test_spectrum_product_model_never_degenerates(tmp_path, capsys):
 # -- shared plumbing -------------------------------------------------------
 
 
+def _csv_cell(value):
+    """A JSON row value as the CSV writer spells it."""
+    if isinstance(value, bool):
+        return "true" if value else "false"
+    return repr(value) if isinstance(value, float) else str(value)
+
+
+def _csv_case(case, tmp_path, diagram_file, flat_pair):
+    """(argv, columns, JSON payload -> the rows the CSV holds)."""
+    if case == "glue-sweep":
+        closed = write_structure(tmp_path / "closed.json", 1,
+                                 kind="closed-perturbation", amplitude=1e-3)
+        return (["glue-sweep", "--input", closed, "--input2", flat_pair[1],
+                 "--L-start", "4", "--L-stop", "5"],
+                ("L", "torsion_d_L2", "torsion_d_sup", "torsion_ds_L2",
+                 "torsion_ds_sup", "iters", "converged"),
+                lambda payload: payload["rows"])
+    if case == "spectrum-failing":
+        obj = json.loads(Path(diagram_file).read_text())
+        block = next(b for b in obj["degrees"]
+                     if np.asarray(b["maps"]["mv_delta"]).size)
+        block["maps"]["mv_delta"][0][0] += 1e-3
+        bad = tmp_path / "bad_diagram.json"
+        bad.write_text(json.dumps(obj))
+        return (["spectrum", "--input", str(bad)], ("failure",),
+                lambda payload: [{"failure": f} for f in payload["failures"]])
+    if case == "spectrum":
+        return (["spectrum", "--input", diagram_file],
+                ("L", "rank", "full", "deficient", "gap"),
+                lambda payload: payload["rows"])
+    if case == "derivative":
+        return (["derivative", "--input", diagram_file, "--L-stop", "8"],
+                ("L", "bijective", "sigma_min", "gap"),
+                lambda payload: payload["rows"])
+    # A check records its worst deviation as worst or deviation; the
+    # calibration check records neither and reads 0.0.
+    return (["pointwise-check", "--seed", "9", "--corrupt"],
+            ("name", "passed", "worst"),
+            lambda payload: [{"name": c["name"], "passed": c["passed"],
+                              "worst": c.get("worst", c.get("deviation", 0.0))}
+                             for c in payload["checks"]])
+
+
+@pytest.mark.parametrize("case", ["glue-sweep", "spectrum", "spectrum-failing",
+                                  "derivative", "pointwise-check"])
+def test_csv_rows_are_the_json_rows(tmp_path, diagram_file, flat_pair, capsys,
+                                    case):
+    argv, columns, json_rows = _csv_case(case, tmp_path, diagram_file,
+                                         flat_pair)
+    rc, out, _ = run_cli(argv, capsys)
+    rc_csv, csv, _ = run_cli(argv + ["--format", "csv"], capsys)
+    assert rc == rc_csv
+    lines = [ln for ln in csv.splitlines() if not ln.startswith("# ")]
+    assert lines[0] == ",".join(columns)
+    rows = json_rows(json.loads(out))
+    assert rows
+    assert [ln.split(",", len(columns) - 1) for ln in lines[1:]] == [
+        [_csv_cell(row[col]) for col in columns] for row in rows]
+
+
 def test_pointwise_report_carries_calibration_constant(capsys):
     rc, out, _ = run_cli(["pointwise-check"], capsys)
     assert rc == 0
