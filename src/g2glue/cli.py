@@ -10,7 +10,8 @@ the derivative model of the gluing map and tracks its conditioning, and
 ``synth`` generates a valid diagram from a seed.
 
 Run parameters come from flags, optionally backed by a JSON config file
-(``--config``); explicit flags override the file.  Every run is
+(``--config``) keyed by the flags' dests; explicit flags override the
+file.  A command offers only the flags it reads.  Every run is
 reproducible: outputs carry the schema tag and the seed, JSON is emitted
 with sorted keys, sweep rows are computed and reported in length order,
 and no timestamps or environment state leak into reports.
@@ -27,7 +28,7 @@ import json
 import math
 import os
 import sys
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields, replace
 from json.encoder import encode_basestring_ascii
 from pathlib import Path
 
@@ -83,119 +84,97 @@ class InputError(Exception):
 
 @dataclass(frozen=True)
 class ScenarioConfig:
-    """Resolved run parameters: flags merged over an optional config file."""
+    """Resolved run parameters: flags merged over an optional config file.
+
+    The fields are the parser's dests, and the config file's keys.
+    """
 
     command: str
     input: str | None = None
     input2: str | None = None
-    l_start: float | None = None
-    l_stop: float | None = None
-    l_step: float | None = None
-    modes: int | None = None
+    L_start: float | None = None
+    L_stop: float | None = None
+    L_step: float | None = None
+    K: int | None = None
     tol: float = 1e-10
     seed: int = 0
-    fmt: str = "json"
+    format: str = "json"
     exact: bool = False
     out: str = "-"
 
     def __post_init__(self):
-        for name, value in (("tolerance", self.tol), ("L-start", self.l_start),
-                            ("L-stop", self.l_stop), ("L-step", self.l_step)):
+        for name, value in (("tolerance", self.tol), ("L-start", self.L_start),
+                            ("L-stop", self.L_stop), ("L-step", self.L_step)):
             if value is not None and not math.isfinite(value):
                 raise InputError(f"{name} must be finite, got {value!r}")
         if self.tol <= 0.0:
             raise InputError("tolerance must be positive")
-        if self.fmt not in ("json", "csv"):
-            raise InputError(f"unknown format {self.fmt!r}")
-        if self.modes is not None and self.modes < 0:
+        if self.format not in ("json", "csv"):
+            raise InputError(f"unknown format {self.format!r}")
+        if self.K is not None and self.K < 0:
             raise InputError("mode cutoff must be nonnegative")
-        if self.l_step is not None:
-            if self.l_step <= 0.0:
+        if self.L_step is not None:
+            if self.L_step <= 0.0:
                 raise InputError("L-step must be positive")
-            if self.l_stop < self.l_start:
+            if self.L_stop < self.L_start:
                 raise InputError(
-                    f"empty length range: start {self.l_start} exceeds "
-                    f"stop {self.l_stop}")
+                    f"empty length range: start {self.L_start} exceeds "
+                    f"stop {self.L_stop}")
             if not self._steps() < _MAX_LENGTHS:
                 raise InputError(
                     f"length range has more than {_MAX_LENGTHS} lengths")
 
     def _steps(self) -> float:
         """L-steps from start to stop; may overflow to inf."""
-        return (self.l_stop - self.l_start) / self.l_step + 1e-9
+        return (self.L_stop - self.L_start) / self.L_step + 1e-9
 
     def lengths(self) -> list[float]:
         count = int(math.floor(self._steps())) + 1
-        return [self.l_start + i * self.l_step for i in range(count)]
+        return [self.L_start + i * self.L_step for i in range(count)]
 
     def need(self, key: str) -> str:
         value = getattr(self, key)
         if value is None:
-            flag = "--input2" if key == "input2" else "--input"
-            raise InputError(f"missing required {flag} (or config key "
+            raise InputError(f"missing required --{key} (or config key "
                              f"{key!r})")
         return value
 
 
-_DEFAULTS = {
-    "pointwise-check": {},
-    "glue-sweep": {"input": None, "input2": None, "K": None,
-                   "L_start": 4.0, "L_stop": 10.0, "L_step": 1.0},
-    "spectrum": {"input": None,
-                 "L_start": 1.0, "L_stop": 6.0, "L_step": 0.5},
-    "derivative": {"input": None, "input2": None,
-                   "L_start": 4.0, "L_stop": 12.0, "L_step": 1.0},
-    "synth": {"input": None},
-}
-_COMMON_DEFAULTS = {"seed": 0, "tol": 1e-10, "format": "json",
-                    "out": "-", "exact": False}
-_FLAG_ATTRS = {"input": "input", "input2": "input2", "K": "k_modes",
-               "L_start": "l_start", "L_stop": "l_stop", "L_step": "l_step",
-               "seed": "seed", "tol": "tol", "format": "format",
-               "out": "out", "exact": "exact"}
+# The default length range (L_start, L_stop, L_step) of each command that
+# reads one.
+_LENGTH_RANGES = {"glue-sweep": (4.0, 10.0, 1.0),
+                  "spectrum": (1.0, 6.0, 0.5),
+                  "derivative": (4.0, 12.0, 1.0)}
+
+# The JSON types a config value may take, by its field's annotation: a
+# bool is never a number, and an integer is a float.
+_JSON_TYPES = {"int": (int,), "float": (int, float), "bool": (bool,),
+               "str": (str,)}
+_KEY_TYPES = {f.name: f.type.removesuffix(" | None")
+              for f in fields(ScenarioConfig)}
+
+
+def _config_keys(args) -> list[str]:
+    """The config keys of a parsed command: the dests of its flags."""
+    return [key for key in _KEY_TYPES if key != "command" and key in vars(args)]
 
 
 def _resolve_config(args) -> ScenarioConfig:
-    allowed = {**_COMMON_DEFAULTS, **_DEFAULTS[args.command]}
-    from_file = {}
-    if args.config is not None:
-        obj = _load_json(args.config)
-        if not isinstance(obj, dict):
-            raise InputError(f"{args.config}: expected a JSON object")
-        unknown = sorted(set(obj) - set(allowed))
-        if unknown:
-            raise InputError(
-                f"{args.config}: unknown key(s) {unknown}; "
-                f"allowed: {sorted(allowed)}")
-        from_file = obj
-
-    def pick(key):
-        flag = getattr(args, _FLAG_ATTRS[key], None)
-        if flag is not None:
-            return flag
-        if key in from_file:
-            return from_file[key]
-        return allowed[key]
-
-    try:
-        values = {
-            "tol": float(pick("tol")),
-            "seed": int(pick("seed")),
-            "fmt": str(pick("format")),
-            "exact": bool(pick("exact")),
-            "out": str(pick("out")),
-        }
-        if "L_start" in allowed:
-            values.update(l_start=float(pick("L_start")),
-                          l_stop=float(pick("L_stop")),
-                          l_step=float(pick("L_step")))
-        if "K" in allowed and pick("K") is not None:
-            values["modes"] = int(pick("K"))
-        for key in ("input", "input2"):
-            if key in allowed and pick(key) is not None:
-                values[key] = str(pick(key))
-    except (OverflowError, TypeError, ValueError) as exc:
-        raise InputError(f"bad configuration value: {exc}") from exc
+    keys = _config_keys(args)
+    from_file = {} if args.config is None else _load_object(args.config, keys)
+    values = dict(zip(("L_start", "L_stop", "L_step"),
+                      _LENGTH_RANGES.get(args.command, ())))
+    for key, value in from_file.items():
+        kind = _KEY_TYPES[key]
+        if type(value) not in _JSON_TYPES[kind]:
+            raise InputError(f"bad configuration value: {key!r} must be "
+                             f"{kind}, got {value!r}")
+        try:
+            values[key] = float(value) if kind == "float" else value
+        except OverflowError as exc:
+            raise InputError(f"bad configuration value: {exc}") from exc
+    values.update((key, getattr(args, key)) for key in keys
+                  if getattr(args, key) is not None)
     return ScenarioConfig(command=args.command, **values)
 
 
@@ -210,6 +189,18 @@ def _load_json(path: str):
         return json.loads(text)
     except json.JSONDecodeError as exc:
         raise InputError(f"{path}: not valid JSON ({exc})") from exc
+
+
+def _load_object(path: str, allowed) -> dict:
+    """A JSON object whose keys are all in ``allowed``."""
+    obj = _load_json(path)
+    if not isinstance(obj, dict):
+        raise InputError(f"{path}: expected a JSON object")
+    unknown = sorted(set(obj) - set(allowed))
+    if unknown:
+        raise InputError(f"{path}: unknown key(s) {unknown}; "
+                         f"allowed: {sorted(allowed)}")
+    return obj
 
 
 def _load_diagram(path: str) -> SumDiagram:
@@ -305,15 +296,37 @@ def _json_text(value, indent: str = "") -> str:
     return "null" if value is None else encode_basestring_ascii(value)
 
 
-def _emit(cfg: ScenarioConfig, payload: dict,
-          csv_lines: list[str] | None) -> None:
-    if cfg.fmt == "csv":
-        if csv_lines is None:
-            raise InputError(
-                f"command {payload['command']!r} has no CSV form; use json")
-        text = "\n".join(csv_lines) + "\n"
-    else:
+def _csv_cell(value) -> str:
+    """A CSV cell: true/false, a float's repr (-0.0 as 0.0), a sequence
+    joined by ';', anything else as str."""
+    if isinstance(value, (list, tuple, np.ndarray)):
+        return ";".join(_csv_cell(v) for v in value)
+    if isinstance(value, (bool, np.bool_)):
+        return "true" if value else "false"
+    if isinstance(value, (float, np.floating)):
+        return repr(float(value) + 0.0)
+    return str(value)
+
+
+def _emit(cfg: ScenarioConfig, payload: dict, columns=None, rows=(),
+          notes=None) -> None:
+    """Write ``payload`` as JSON, or as CSV: a ``# `` line of schema,
+    command and seed, one ``# key=value`` line per note that is not None,
+    a header of ``columns`` and one line per row dict.  A command that
+    passes no columns has no CSV form."""
+    if cfg.format == "json":
         text = _json_text(payload) + "\n"
+    elif columns is None:
+        raise InputError(
+            f"command {payload['command']!r} has no CSV form; use json")
+    else:
+        lines = [f"# schema={payload['schema']} "
+                 f"command={payload['command']} seed={payload['seed']}"]
+        lines += [f"# {key}={_csv_cell(value)}"
+                  for key, value in (notes or {}).items() if value is not None]
+        lines.append(",".join(columns))
+        lines += [",".join(_csv_cell(row[c]) for c in columns) for row in rows]
+        text = "\n".join(lines) + "\n"
     if cfg.out and cfg.out != "-":
         try:
             Path(cfg.out).write_text(text)
@@ -321,16 +334,6 @@ def _emit(cfg: ScenarioConfig, payload: dict,
             raise InputError(f"{cfg.out}: {exc.strerror or exc}") from exc
     else:
         sys.stdout.write(text)
-
-
-def _csv_head(payload: dict) -> str:
-    return (f"# schema={payload['schema']} command={payload['command']} "
-            f"seed={payload['seed']}")
-
-
-def _fmt(x: float) -> str:
-    x = float(x)
-    return repr(x + 0.0 if math.isfinite(x) else x)
 
 
 # -- pointwise-check -------------------------------------------------------
@@ -412,23 +415,15 @@ def cmd_pointwise_check(cfg: ScenarioConfig, corrupt: bool = False) -> int:
         _check_involution(rng, cfg.tol),
         _check_equivariance(rng),
     ]
-    if cfg.exact:
-        # The calibration comparison is already exact rational; rerun it
-        # explicitly so the flag has a visible effect in the report.
-        again = _check_calibration(corrupt)
-        again["name"] = "calibration-identity-exact"
-        checks.append(again)
     ok = all(c["passed"] for c in checks)
     payload = {"schema": SCHEMA, "command": "pointwise-check",
                "seed": cfg.seed, "tol": cfg.tol, "kappa": float(KAPPA),
                "passed": ok, "checks": checks}
-    csv_lines = [_csv_head(payload), f"# kappa={_fmt(KAPPA)}",
-                 "name,passed,worst"]
-    for c in checks:
-        worst = c.get("worst", c.get("deviation", 0.0))
-        csv_lines.append(
-            f"{c['name']},{str(c['passed']).lower()},{_fmt(worst)}")
-    _emit(cfg, payload, csv_lines)
+    # A check's worst deviation is its worst or deviation; the calibration
+    # check records neither.
+    rows = [{**c, "worst": c.get("worst", c.get("deviation", 0.0))}
+            for c in checks]
+    _emit(cfg, payload, ("name", "passed", "worst"), rows, {"kappa": KAPPA})
     return 0 if ok else 1
 
 
@@ -479,8 +474,8 @@ def _keep_freed_memory() -> None:
 
 
 def cmd_glue_sweep(cfg: ScenarioConfig) -> int:
-    plus = _load_structure(cfg.need("input"), 1, cfg.modes)
-    minus = _load_structure(cfg.need("input2"), -1, cfg.modes)
+    plus = _load_structure(cfg.need("input"), 1, cfg.K)
+    minus = _load_structure(cfg.need("input2"), -1, cfg.K)
     lengths = cfg.lengths()
     _keep_freed_memory()
     reports = [_sweep_row(plus, minus, length, cfg.tol) for length in lengths]
@@ -488,15 +483,12 @@ def cmd_glue_sweep(cfg: ScenarioConfig) -> int:
     reports = [replace(r, slope=slope) for r in reports]
     ok = all(r.converged for r in reports)
     payload = {"schema": SCHEMA, "command": "glue-sweep", "seed": cfg.seed,
-               "tol": cfg.tol, "L_start": cfg.l_start, "L_stop": cfg.l_stop,
-               "L_step": cfg.l_step, "passed": ok,
+               "tol": cfg.tol, "L_start": cfg.L_start, "L_stop": cfg.L_stop,
+               "L_step": cfg.L_step, "passed": ok,
                "slope": slope, "rows": [r.to_json_obj() for r in reports]}
-    csv_lines = [_csv_head(payload)]
-    if slope is not None:
-        csv_lines.append(f"# slope={_fmt(slope)}")
-    csv_lines.append(GluingReport.CSV_HEADER)
-    csv_lines.extend(r.to_csv_row() for r in reports)
-    _emit(cfg, payload, csv_lines)
+    _emit(cfg, payload, ("L", "torsion_d_L2", "torsion_d_sup",
+                         "torsion_ds_L2", "torsion_ds_sup", "iters",
+                         "converged"), payload["rows"], {"slope": slope})
     return 0 if ok else 1
 
 
@@ -533,25 +525,16 @@ def cmd_spectrum(cfg: ScenarioConfig) -> int:
                "tol": cfg.tol, "checks_run": total,
                "valid": not failures, "failures": failures}
     if failures:
-        csv_lines = [_csv_head(payload), "# valid=false", "failure"]
-        csv_lines.extend(failures)
-        _emit(cfg, payload, csv_lines)
+        _emit(cfg, payload, ("failure",),
+              [{"failure": f} for f in failures], {"valid": False})
         return 1
     levels = {m: singular_levels(diagram, m) for m in range(8)}
     levels = {m: lv for m, lv in levels.items() if lv.size}
     rows = _rank_rows(diagram, cfg.lengths(), levels.get(3, np.zeros(0)))
     payload["levels"] = {str(m): lv for m, lv in levels.items()}
     payload["rows"] = rows
-    csv_lines = [_csv_head(payload), "# valid=true"]
-    for m, lv in sorted(levels.items()):
-        joined = ";".join(_fmt(x) for x in lv)
-        csv_lines.append(f"# levels[{m}]={joined}")
-    csv_lines.append("L,rank,full,deficient,gap")
-    for r in rows:
-        csv_lines.append(
-            f"{_fmt(r['L'])},{r['rank']},{r['full']},"
-            f"{str(r['deficient']).lower()},{_fmt(r['gap'])}")
-    _emit(cfg, payload, csv_lines)
+    _emit(cfg, payload, ("L", "rank", "full", "deficient", "gap"), rows,
+          {"valid": True, **{f"levels[{m}]": lv for m, lv in levels.items()}})
     return 0
 
 
@@ -604,37 +587,22 @@ def cmd_derivative(cfg: ScenarioConfig) -> int:
                "tol": cfg.tol, "f_spectrum": spec,
                "singular_lengths": models[0].singular_lengths,
                "sigma_slope": sigma_slope, "rows": rows}
-    csv_lines = [_csv_head(payload)]
-    joined = ";".join(_fmt(x) for x in models[0].singular_lengths)
-    csv_lines.append(f"# singular_lengths={joined}")
-    if sigma_slope is not None:
-        csv_lines.append(f"# sigma_slope={_fmt(sigma_slope)}")
-    csv_lines.append("L,bijective,sigma_min,gap")
-    for r in rows:
-        csv_lines.append(f"{_fmt(r['L'])},{str(r['bijective']).lower()},"
-                         f"{_fmt(r['sigma_min'])},{_fmt(r['gap'])}")
-    _emit(cfg, payload, csv_lines)
+    _emit(cfg, payload, ("L", "bijective", "sigma_min", "gap"), rows,
+          {"singular_lengths": models[0].singular_lengths,
+           "sigma_slope": sigma_slope})
     return 0
 
 
 # -- synth -----------------------------------------------------------------
 
-_SYNTH_DEFAULTS = {"dim_e2d": 1, "spectrum": [-6.0],
-                   "b1_zero": True, "scramble": True}
+_SYNTH_REQUEST = {"dim_e2d": 1, "spectrum": [-6.0],
+                  "b1_zero": True, "scramble": True}
 
 
 def cmd_synth(cfg: ScenarioConfig) -> int:
-    request = dict(_SYNTH_DEFAULTS)
+    request = dict(_SYNTH_REQUEST)
     if cfg.input is not None:
-        obj = _load_json(cfg.input)
-        if not isinstance(obj, dict):
-            raise InputError(f"{cfg.input}: expected a JSON object")
-        unknown = sorted(set(obj) - set(_SYNTH_DEFAULTS))
-        if unknown:
-            raise InputError(
-                f"{cfg.input}: unknown key(s) {unknown}; "
-                f"allowed: {sorted(_SYNTH_DEFAULTS)}")
-        request.update(obj)
+        request.update(_load_object(cfg.input, _SYNTH_REQUEST))
     try:
         diagram = synth_diagram(cfg.seed, int(request["dim_e2d"]),
                                 tuple(float(x) for x in request["spectrum"]),
@@ -644,39 +612,39 @@ def cmd_synth(cfg: ScenarioConfig) -> int:
         raise InputError(f"unusable synthesis request: {exc}") from exc
     payload = {"schema": SCHEMA, "command": "synth", "seed": cfg.seed,
                **diagram_to_json(diagram)}
-    _emit(cfg, payload, None)
+    _emit(cfg, payload)
     return 0
 
 
 # -- parser ----------------------------------------------------------------
 
-def _add_common(sub, lengths=False, modes=False):
-    sub.add_argument("--config", default=None,
+def _add_common(sub, tol=True, exact=False, lengths=False):
+    """The flags every command shares, and those only some read.
+
+    A flag not given parses to None, so that a config file can set it.
+    """
+    sub.add_argument("--config",
                      help="JSON config file; explicit flags override it")
-    sub.add_argument("--seed", type=int, default=None,
+    sub.add_argument("--seed", type=int,
                      help="random seed recorded in the output (default 0)")
-    sub.add_argument("--tol", type=float, default=None,
-                     help="tolerance of residual checks, of diagram "
-                          "validation ranks and of the torsion target "
-                          "(default 1e-10); other diagram ranks keep "
-                          "their fixed rule")
-    sub.add_argument("--format", choices=("json", "csv"), default=None,
+    if tol:
+        sub.add_argument("--tol", type=float,
+                         help="tolerance of residual checks, of diagram "
+                              "validation ranks and of the torsion target "
+                              "(default 1e-10); other diagram ranks keep "
+                              "their fixed rule")
+    sub.add_argument("--format", choices=("json", "csv"),
                      help="output format (default json)")
-    sub.add_argument("--out", default=None,
-                     help="output file, '-' for stdout (default)")
-    sub.add_argument("--exact", action="store_true", default=None,
-                     help="rerun rank decisions in exact rational arithmetic")
+    sub.add_argument("--out", help="output file, '-' for stdout (default)")
+    if exact:
+        sub.add_argument("--exact", action="store_true", default=None,
+                         help="rerun rank decisions in exact rational "
+                              "arithmetic")
     if lengths:
-        sub.add_argument("--L-start", dest="l_start", type=float,
-                         default=None, help="first neck length")
-        sub.add_argument("--L-stop", dest="l_stop", type=float,
-                         default=None, help="last neck length")
-        sub.add_argument("--L-step", dest="l_step", type=float,
-                         default=None, help="neck length increment")
-    if modes:
-        sub.add_argument("--K", dest="k_modes", type=int, default=None,
-                         help="cross-section mode cutoff override (default: "
-                              "whatever the descriptors request, usually 2)")
+        sub.add_argument("--L-start", type=float, help="first neck length")
+        sub.add_argument("--L-stop", type=float, help="last neck length")
+        sub.add_argument("--L-step", type=float,
+                         help="neck length increment")
 
 
 class _Parser(argparse.ArgumentParser):
@@ -715,32 +683,35 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = subs.add_parser("glue-sweep",
                         help="glue a structure pair over a range of lengths")
-    _add_common(p, lengths=True, modes=True)
-    p.add_argument("--input", default=None,
+    _add_common(p, lengths=True)
+    p.add_argument("--K", type=int,
+                   help="cross-section mode cutoff override (default: "
+                        "whatever the descriptors request, usually 2)")
+    p.add_argument("--input",
                    help="descriptor file for the +1 half-cylinder structure")
-    p.add_argument("--input2", default=None,
+    p.add_argument("--input2",
                    help="descriptor file for the -1 half-cylinder structure")
     p.set_defaults(func=lambda cfg, args: cmd_glue_sweep(cfg))
 
     p = subs.add_parser("spectrum",
                         help="validate a diagram and locate degenerate lengths")
-    _add_common(p, lengths=True)
-    p.add_argument("--input", default=None, help="diagram JSON file")
+    _add_common(p, exact=True, lengths=True)
+    p.add_argument("--input", help="diagram JSON file")
     p.set_defaults(func=lambda cfg, args: cmd_spectrum(cfg))
 
     p = subs.add_parser("derivative",
                         help="assemble the derivative model over a length range")
     _add_common(p, lengths=True)
-    p.add_argument("--input", default=None, help="diagram JSON file")
-    p.add_argument("--input2", default=None,
+    p.add_argument("--input", help="diagram JSON file")
+    p.add_argument("--input2",
                    help="JSON file {'omega': [...]} choosing the "
                         "distinguished degree-2 class")
     p.set_defaults(func=lambda cfg, args: cmd_derivative(cfg))
 
     p = subs.add_parser("synth",
                         help="generate a valid diagram from a seed")
-    _add_common(p)
-    p.add_argument("--input", default=None,
+    _add_common(p, tol=False)
+    p.add_argument("--input",
                    help="JSON request: dim_e2d, spectrum, b1_zero, scramble")
     p.set_defaults(func=lambda cfg, args: cmd_synth(cfg))
     return parser

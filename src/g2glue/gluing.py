@@ -512,14 +512,6 @@ class GluingReport:
             obj["slope"] = self.slope
         return obj
 
-    CSV_HEADER = "L,torsion_d_L2,torsion_d_sup,torsion_ds_L2,torsion_ds_sup,iters,converged"
-
-    def to_csv_row(self) -> str:
-        return ",".join([repr(self.length),
-                         repr(self.torsion_d_l2), repr(self.torsion_d_sup),
-                         repr(self.torsion_ds_l2), repr(self.torsion_ds_sup),
-                         str(self.iterations), str(self.converged).lower()])
-
 
 # Relative drop in the worst torsion that counts as progress of a step,
 # and the largest initial torsion, relative to the field, worth reducing.
@@ -605,7 +597,8 @@ def sweep_reports(plus, minus, lengths, reduce_tol: float | None = None,
         glued = glue_fields(plus, minus, length)
         if reduce_tol is None:
             meas = torsion_residual(glued)
-            reports.append(GluingReport.from_measure(length, meas, 0, "unreduced"))
+            reports.append(GluingReport.from_measure(float(length), meas, 0,
+                                                     "unreduced"))
         else:
             _, rep = torsion_reduce(glued, tol=reduce_tol, max_iter=max_iter)
             reports.append(rep)

@@ -1,5 +1,6 @@
 """End-to-end tests for the command-line runners."""
 
+import dataclasses
 import hashlib
 import json
 import math
@@ -22,7 +23,6 @@ from g2glue.cohomology import (
     synth_diagram,
 )
 from g2glue.gluing import (
-    GluingReport,
     flat_structure,
     glue_fields,
     modulated_shear_structure,
@@ -78,11 +78,27 @@ def test_pointwise_check_corrupt_table_fails(capsys):
     assert broken["calibration-identity"] is False
 
 
-def test_pointwise_check_exact_flag_adds_check(capsys):
-    rc, out, _ = run_cli(["pointwise-check", "--exact"], capsys)
-    assert rc == 0
-    names = [c["name"] for c in json.loads(out)["checks"]]
-    assert "calibration-identity-exact" in names
+@pytest.mark.parametrize("command, flag", [
+    ("pointwise-check", "--exact"), ("glue-sweep", "--exact"),
+    ("derivative", "--exact"), ("synth", "--exact"), ("synth", "--tol=1e-6"),
+    ("spectrum", "--K=2")])
+@pytest.mark.parametrize("via", ["flag", "config"])
+def test_unread_flag_or_key_exits_two(tmp_path, capsys, command, flag, via):
+    # A command offers only the flags, and config keys, that it reads.
+    key, _, value = flag[2:].partition("=")
+    if via == "flag":
+        argv = [command, flag]
+    else:
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps({key: json.loads(value or "true")}))
+        argv = [command, "--config", str(config)]
+    try:
+        rc = cli.main(argv)
+    except SystemExit as exc:
+        rc = exc.code
+    captured = capsys.readouterr()
+    assert rc == 2 and captured.out == ""
+    assert captured.err.count("\n") == 1 and key in captured.err
 
 
 def test_pointwise_worst_of_checks_propagate_nan(monkeypatch):
@@ -137,7 +153,8 @@ def test_glue_sweep_flat_pair_csv(flat_pair, capsys):
     assert lines[0].startswith("# schema=")
     header_at = next(i for i, ln in enumerate(lines)
                      if not ln.startswith("#"))
-    assert lines[header_at] == GluingReport.CSV_HEADER
+    assert lines[header_at] == ("L,torsion_d_L2,torsion_d_sup,torsion_ds_L2,"
+                                "torsion_ds_sup,iters,converged")
     rows = [ln.split(",") for ln in lines[header_at + 1:]]
     assert [r[0] for r in rows] == ["4.0", "5.0", "6.0"]
     assert all(r[-1] == "true" for r in rows)
@@ -831,6 +848,57 @@ def test_config_file_supplies_flags(tmp_path, flat_pair, capsys):
     assert [row["L"] for row in json.loads(out)["rows"]] == [4.0, 5.0, 6.0]
 
 
+COMMANDS = ["pointwise-check", "glue-sweep", "spectrum", "derivative", "synth"]
+
+# A value for each config key; a JSON integer is a float value too.
+KEY_VALUES = {"input": "a.json", "input2": "b.json", "L_start": 4.5,
+              "L_stop": 7, "L_step": 0.5, "K": 1, "tol": 1e-6, "seed": 3,
+              "format": "csv", "out": "report.csv", "exact": True}
+
+
+def _flag(key, value):
+    flag = "--" + key.replace("_", "-")
+    return [flag] if value is True else [flag, str(value)]
+
+
+def _resolved(argv):
+    return cli._resolve_config(cli.build_parser().parse_args(argv))
+
+
+@pytest.mark.parametrize("command", COMMANDS)
+def test_flag_and_config_key_give_one_config(tmp_path, command):
+    keys = cli._config_keys(cli.build_parser().parse_args([command]))
+    assert keys
+    for key in keys:
+        value = KEY_VALUES[key]
+        config = tmp_path / f"{key}.json"
+        config.write_text(json.dumps({key: value}))
+        by_flag = _resolved([command, *_flag(key, value)])
+        by_key = _resolved([command, "--config", str(config)])
+        assert repr(by_flag) == repr(by_key) and getattr(by_key, key) == value
+
+
+def test_config_fields_are_the_parsers_dests():
+    dests = set()
+    for command in COMMANDS:
+        dests |= set(vars(cli.build_parser().parse_args([command])))
+    fields = {f.name for f in dataclasses.fields(cli.ScenarioConfig)}
+    assert fields == dests - {"config", "corrupt", "func"}
+
+
+@pytest.mark.parametrize("command, key, value", [
+    ("glue-sweep", "K", 1.5), ("spectrum", "seed", 4.7),
+    ("spectrum", "seed", True), ("spectrum", "exact", "false"),
+    ("spectrum", "L_start", "4"), ("spectrum", "input", None)])
+def test_config_value_takes_its_flags_type(tmp_path, capsys, command, key,
+                                           value):
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({key: value}))
+    rc, out, err = run_cli([command, "--config", str(config)], capsys)
+    assert rc == 2 and out == "" and err.count("\n") == 1
+    assert err.startswith("error: bad configuration value") and key in err
+
+
 def test_flags_override_config_file(tmp_path, flat_pair, capsys):
     plus, minus = flat_pair
     config = tmp_path / "config.json"
@@ -893,12 +961,12 @@ def test_parser_is_built_once_and_keeps_no_state(diagram_file, capsys,
         assert run_cli(argv, capsys)[0] == 0
     (exact_args, exact_cfg), (deriv_args, deriv_cfg), (args, cfg) = seen
     assert exact_cfg.exact and not cfg.exact
-    assert deriv_args["exact"] is None and args["exact"] is None
-    assert (deriv_cfg.l_start, deriv_cfg.l_stop) == (5.0, 12.0)
-    assert (cfg.l_start, cfg.l_stop, cfg.l_step) == (1.0, 6.0, 0.5)
+    assert "exact" not in deriv_args and args["exact"] is None
+    assert (deriv_cfg.L_start, deriv_cfg.L_stop) == (5.0, 12.0)
+    assert (cfg.L_start, cfg.L_stop, cfg.L_step) == (1.0, 6.0, 0.5)
     assert args == {**exact_args, "exact": None}
     assert cfg == cli.ScenarioConfig(command="spectrum", input=diagram_file,
-                                     l_start=1.0, l_stop=6.0, l_step=0.5)
+                                     L_start=1.0, L_stop=6.0, L_step=0.5)
 
 
 def test_negative_exponent_length_is_a_value(diagram_file, capsys):

@@ -130,8 +130,11 @@ def _argv(command, flags, tmp_path, draw, broken):
     moved = draw(st.sets(st.sampled_from(sorted(flags))))
     config = {key: flags[key] for key in moved}
     if "config" in broken:
-        config[draw(st.sampled_from(["L_start", "L_step", "tol", "seed",
-                                     "K", "format", "exact"]))] = draw(JUNK)
+        # One of the command's own keys, so that its value reaches the
+        # typing rule; no path keys, so that no run writes a stray file.
+        keys = cli._config_keys(cli.build_parser().parse_args([command]))
+        config[draw(st.sampled_from(sorted(set(keys) - {"input", "input2",
+                                                      "out"})))] = draw(JUNK)
     argv = [command]
     for key, value in flags.items():
         if key not in config:
