@@ -24,6 +24,7 @@ from __future__ import annotations
 import argparse
 import ctypes
 import functools
+import inspect
 import json
 import math
 import os
@@ -146,12 +147,19 @@ _LENGTH_RANGES = {"glue-sweep": (4.0, 10.0, 1.0),
                   "spectrum": (1.0, 6.0, 0.5),
                   "derivative": (4.0, 12.0, 1.0)}
 
-# The JSON types a config value may take, by its field's annotation: a
-# bool is never a number, and an integer is a float.
+# The JSON types a value may take, by its annotation: a bool is never a
+# number, and an integer is a float.
 _JSON_TYPES = {"int": (int,), "float": (int, float), "bool": (bool,),
-               "str": (str,)}
+               "str": (str,), "list": (list,)}
 _KEY_TYPES = {f.name: f.type.removesuffix(" | None")
               for f in fields(ScenarioConfig)}
+
+
+def _check_type(value, want, name: str) -> None:
+    """Raise InputError, naming ``name``, unless the JSON type of ``value``
+    is one that annotation ``want`` takes; other annotations take any."""
+    if want in _JSON_TYPES and type(value) not in _JSON_TYPES[want]:
+        raise InputError(f"{name} must be {want}, got {value!r}")
 
 
 def _config_keys(args) -> list[str]:
@@ -166,9 +174,7 @@ def _resolve_config(args) -> ScenarioConfig:
                       _LENGTH_RANGES.get(args.command, ())))
     for key, value in from_file.items():
         kind = _KEY_TYPES[key]
-        if type(value) not in _JSON_TYPES[kind]:
-            raise InputError(f"bad configuration value: {key!r} must be "
-                             f"{kind}, got {value!r}")
+        _check_type(value, kind, f"bad configuration value: {key!r}")
         try:
             values[key] = float(value) if kind == "float" else value
         except OverflowError as exc:
@@ -211,19 +217,11 @@ def _load_diagram(path: str) -> SumDiagram:
         raise InputError(f"{path}: not a usable diagram ({exc})") from exc
 
 
-_STRUCTURE_KINDS = {
-    "flat": (flat_structure,
-             {"extent", "density", "band"}),
-    "sheared": (sheared_structure,
-                {"rate", "amplitude", "drift", "direction",
-                 "extent", "density", "band"}),
-    "modulated-shear": (modulated_shear_structure,
-                        {"rate", "amplitude", "direction", "modulation",
-                         "extent", "density", "band"}),
-    "closed-perturbation": (closed_perturbation_structure,
-                            {"rate", "amplitude", "component",
-                             "extent", "density", "band"}),
-}
+# Each kind's factory: its parameters but ``sign`` are the kind's params,
+# each read by its annotation, as a config value is.
+_STRUCTURE_KINDS = {"flat": flat_structure, "sheared": sheared_structure,
+                    "modulated-shear": modulated_shear_structure,
+                    "closed-perturbation": closed_perturbation_structure}
 
 
 def _load_structure(path: str, sign: int, modes: int | None):
@@ -247,13 +245,16 @@ def _load_structure(path: str, sign: int, modes: int | None):
     params = obj.get("params", {})
     if not isinstance(params, dict):
         raise InputError(f"{path}: field 'params' must be an object")
-    factory, allowed = _STRUCTURE_KINDS[kind]
-    unknown = sorted(set(params) - allowed)
+    factory = _STRUCTURE_KINDS[kind]
+    types = {name: p.annotation for name, p in
+             inspect.signature(factory).parameters.items() if name != "sign"}
+    unknown = sorted(set(params) - set(types))
     if unknown:
         raise InputError(
             f"{path}: unknown parameter(s) {unknown} for kind {kind!r}")
     params = dict(params)
     for key, value in params.items():
+        _check_type(value, types[key], f"{path}: parameter {key!r}")
         values = value if isinstance(value, list) else [value]
         if any(isinstance(v, float) and not math.isfinite(v) for v in values):
             raise InputError(
@@ -262,7 +263,7 @@ def _load_structure(path: str, sign: int, modes: int | None):
         params["band"] = modes
     try:
         return factory(sign, **params)
-    except (TypeError, ValueError) as exc:
+    except (OverflowError, TypeError, ValueError) as exc:
         raise InputError(f"{path}: {exc}") from exc
 
 
@@ -595,6 +596,8 @@ def cmd_derivative(cfg: ScenarioConfig) -> int:
 
 # -- synth -----------------------------------------------------------------
 
+# The default request.  Each key takes the JSON type of its default, and
+# each spectrum entry is a float.
 _SYNTH_REQUEST = {"dim_e2d": 1, "spectrum": [-6.0],
                   "b1_zero": True, "scramble": True}
 
@@ -603,12 +606,17 @@ def cmd_synth(cfg: ScenarioConfig) -> int:
     request = dict(_SYNTH_REQUEST)
     if cfg.input is not None:
         request.update(_load_object(cfg.input, _SYNTH_REQUEST))
+    for key, value in request.items():
+        _check_type(value, type(_SYNTH_REQUEST[key]).__name__,
+                    f"unusable synthesis request: {key!r}")
+    for x in request["spectrum"]:
+        _check_type(x, "float", "unusable synthesis request: a 'spectrum' entry")
     try:
-        diagram = synth_diagram(cfg.seed, int(request["dim_e2d"]),
-                                tuple(float(x) for x in request["spectrum"]),
-                                b1_zero=bool(request["b1_zero"]),
-                                scramble=bool(request["scramble"]))
-    except (InconsistentTargets, TypeError, ValueError) as exc:
+        diagram = synth_diagram(cfg.seed, request["dim_e2d"],
+                                tuple(request["spectrum"]),
+                                b1_zero=request["b1_zero"],
+                                scramble=request["scramble"])
+    except (InconsistentTargets, OverflowError, ValueError) as exc:
         raise InputError(f"unusable synthesis request: {exc}") from exc
     payload = {"schema": SCHEMA, "command": "synth", "seed": cfg.seed,
                **diagram_to_json(diagram)}

@@ -696,15 +696,14 @@ def yh_exact(d: SumDiagram, m: int, tau: np.ndarray, length: float, *,
 
 
 def yh_full(d: SumDiagram, m: int, pair: HarmonicPair, length: float, *,
-            section: np.ndarray | None = None,
             tol: float = 1e-10) -> np.ndarray:
     """Harmonic gluing map: matching pair plus exact parameter to total class.
 
-    The matching part is lifted through a stored right-inverse of the
-    two-sided restriction (the pseudo-inverse unless a custom section is
-    supplied); different sections move the output by elements of the image
-    of the connecting map only, which never affects rank diagnostics.  The
-    restriction of the output back to the halves reproduces the input pair.
+    The matching part is lifted through the pseudo-inverse of the two-sided
+    restriction; another right-inverse would move the output by elements
+    of the image of the connecting map only, which never affects rank
+    diagnostics.  The restriction of the output back to the halves
+    reproduces the input pair.
     """
     if pair.m != m:
         raise ValueError("pair degree does not match request")
@@ -716,9 +715,7 @@ def yh_full(d: SumDiagram, m: int, pair: HarmonicPair, length: float, *,
         raise ValueError("pair restrictions disagree on the cross-section")
     kmap = np.vstack([d.mat("istar_plus", m), d.mat("istar_minus", m)])
     target = np.concatenate([pair.a_plus, pair.a_minus])
-    if section is None:
-        section = np.linalg.pinv(kmap, rcond=_RANK_RTOL * max(kmap.shape))
-    y0 = section @ target
+    y0 = np.linalg.pinv(kmap, rcond=_RANK_RTOL * max(kmap.shape)) @ target
     back = kmap @ y0 - target
     if back.size and float(np.abs(back).max(initial=0.0)) > \
             tol * (1.0 + float(np.abs(target).max(initial=0.0))):

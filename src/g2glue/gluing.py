@@ -99,30 +99,6 @@ def _drho(t: np.ndarray, length: float) -> np.ndarray:
     return 30.0 * u ** 2 * (1.0 - u) ** 2
 
 
-def _exp_ramp(u: np.ndarray) -> np.ndarray:
-    """C-infinity ramp from 0 at u <= 0 to 1 at u >= 1."""
-    out = np.zeros_like(u)
-    inside = (u > 0.0) & (u < 1.0)
-    ui = u[inside]
-    a = np.exp(-1.0 / ui)
-    b = np.exp(-1.0 / (1.0 - ui))
-    out[inside] = a / (a + b)
-    out[u >= 1.0] = 1.0
-    return out
-
-
-def _exp_ramp_deriv(u: np.ndarray) -> np.ndarray:
-    out = np.zeros_like(u)
-    inside = (u > 0.0) & (u < 1.0)
-    ui = u[inside]
-    a = np.exp(-1.0 / ui)
-    b = np.exp(-1.0 / (1.0 - ui))
-    da = a / ui ** 2
-    db = -b / (1.0 - ui) ** 2
-    out[inside] = (da * b - a * db) / (a + b) ** 2
-    return out
-
-
 # -- tail integration ------------------------------------------------------
 
 # Weights integrating the degree-7 interpolant on 8 uniform nodes over
@@ -628,23 +604,36 @@ def _model_vectors() -> tuple[np.ndarray, np.ndarray]:
     return KForm7(3, Omega0().coeffs).tovector(), KForm7(2, omega0().coeffs).tovector()
 
 
-def _support_envelope(t: np.ndarray, lo: float = 0.75, hi: float = 1.75) -> np.ndarray:
-    """C-infinity ramp from 0 to 1 on [lo, hi] (keeps fields off t = 0)."""
-    u = np.clip((t - lo) / (hi - lo), 0.0, 1.0)
-    return _exp_ramp(u)
+def _envelope(t: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """E and E': a C-infinity ramp from 0 to 1 on [0.75, 1.75] that keeps
+    the synthetic perturbations off t = 0."""
+    u = np.clip(t - 0.75, 0.0, 1.0)
+    env, denv = np.zeros_like(u), np.zeros_like(u)
+    inside = (u > 0.0) & (u < 1.0)
+    ui = u[inside]
+    a = np.exp(-1.0 / ui)
+    b = np.exp(-1.0 / (1.0 - ui))
+    env[inside] = a / (a + b)
+    env[u >= 1.0] = 1.0
+    denv[inside] = (a / ui ** 2 * b + a * (b / (1.0 - ui) ** 2)) / (a + b) ** 2
+    return env, denv
 
 
-def _support_envelope_deriv(t: np.ndarray, lo: float = 0.75, hi: float = 1.75) -> np.ndarray:
-    u = np.clip((t - lo) / (hi - lo), 0.0, 1.0)
-    return _exp_ramp_deriv(u) / (hi - lo)
+def _half(sign: int, rate: float, extent: float, density: int, band: int,
+          modes) -> CylStructure:
+    """The model pair perturbed on the grid of [0, extent] by the samples,
+    keyed by cross-section frequency, of ``modes(E, E', e^{-rate t})``."""
+    grid = TGrid.interval(0.0, extent, density)
+    env, denv = _envelope(grid.points)
+    decay = np.exp(-rate * grid.points)
+    pert = SpectralForm(3, band, grid, modes(env, denv, decay), check=False)
+    return CylStructure(Omega0(), omega0(), sign, pert, rate)
 
 
 def flat_structure(sign: int, extent: float = 11.0, density: int = 64,
                    band: int = 2):
     """Exactly cylindrical half: the model pair with zero perturbation."""
-    grid = TGrid.interval(0.0, extent, density)
-    pert = SpectralForm.zero(3, band, grid)
-    return CylStructure(Omega0(), omega0(), sign, pert, 1.0)
+    return _half(sign, 1.0, extent, density, band, lambda *_: {})
 
 
 def sheared_structure(sign: int, rate: float = 1.0, amplitude: float = 0.25,
@@ -661,23 +650,20 @@ def sheared_structure(sign: int, rate: float = 1.0, amplitude: float = 0.25,
     """
     if not 2 <= direction <= 7:
         raise ValueError("direction indexes a torus axis, 2..7")
-    grid = TGrid.interval(0.0, extent, density)
-    t = grid.points
-    env = _support_envelope(t)
-    denv = _support_envelope_deriv(t)
-    decay = np.exp(-rate * t)
-    du = amplitude * (denv - rate * env) * decay
-    dw = drift * (denv - rate * env) * decay
-    if np.abs(dw).max() >= 0.9:
-        raise ValueError("drift too large: t -> t + w(t) must stay monotone")
-    big, small = _model_vectors()
-    dt = _axis_wedge_matrix(1, 2)
-    # Each term adds onto +0.0, so no -0.0 product reaches the samples.
-    arr = np.zeros((grid.n, 35))
-    arr += np.outer(du, dt @ (_contract_table(7, 3)[direction - 1] @ big))
-    arr += np.outer(sign * dw, dt @ small)
-    pert = SpectralForm(3, band, grid, {ZERO_XI: arr}, check=False)
-    return CylStructure(Omega0(), omega0(), sign, pert, rate)
+
+    def modes(env, denv, decay):
+        du = amplitude * (denv - rate * env) * decay
+        dw = drift * (denv - rate * env) * decay
+        if np.abs(dw).max() >= 0.9:
+            raise ValueError("drift too large: t -> t + w(t) must stay monotone")
+        big, small = _model_vectors()
+        dt = _axis_wedge_matrix(1, 2)
+        # Each term adds onto +0.0, so no -0.0 product reaches the samples.
+        arr = np.zeros((env.size, 35))
+        arr += np.outer(du, dt @ (_contract_table(7, 3)[direction - 1] @ big))
+        arr += np.outer(sign * dw, dt @ small)
+        return {ZERO_XI: arr}
+    return _half(sign, rate, extent, density, band, modes)
 
 
 def modulated_shear_structure(sign: int, rate: float = 1.0,
@@ -703,28 +689,22 @@ def modulated_shear_structure(sign: int, rate: float = 1.0,
     if direction == modulation:
         raise ValueError("modulation along the translated axis is not a "
                          "well-defined torus map")
-    grid = TGrid.interval(0.0, extent, density)
-    t = grid.points
-    env = _support_envelope(t)
-    denv = _support_envelope_deriv(t)
-    decay = np.exp(-rate * t)
-    a = amplitude * env * decay
-    da = amplitude * (denv - rate * env) * decay
-    big, small = _model_vectors()
-    dt = _axis_wedge_matrix(1, 2)
-    t1 = _contract_table(7, 3)[direction - 1] @ big
-    t3 = _axis_wedge_matrix(modulation, 1) @ (_contract_table(7, 2)[direction - 1] @ small)
-    arr = np.zeros((grid.n, 35), dtype=complex)
-    arr += np.outer(0.5 * da, dt @ t1)
-    arr += np.outer(0.5j * a, _axis_wedge_matrix(modulation, 2) @ t1)
-    arr += np.outer(0.5j * sign * a, dt @ t3)
-    xi = [0] * 6
-    xi[modulation - 2] = 1
-    xi = tuple(xi)
-    mxi = tuple(-v for v in xi)
-    pert = SpectralForm(3, band, grid, {xi: arr, mxi: np.conj(arr)},
-                        check=False)
-    return CylStructure(Omega0(), omega0(), sign, pert, rate)
+
+    def modes(env, denv, decay):
+        a = amplitude * env * decay
+        da = amplitude * (denv - rate * env) * decay
+        big, small = _model_vectors()
+        dt = _axis_wedge_matrix(1, 2)
+        t1 = _contract_table(7, 3)[direction - 1] @ big
+        t3 = _axis_wedge_matrix(modulation, 1) @ (
+            _contract_table(7, 2)[direction - 1] @ small)
+        arr = np.zeros((env.size, 35), dtype=complex)
+        arr += np.outer(0.5 * da, dt @ t1)
+        arr += np.outer(0.5j * a, _axis_wedge_matrix(modulation, 2) @ t1)
+        arr += np.outer(0.5j * sign * a, dt @ t3)
+        xi = tuple(int(d == modulation) for d in range(2, 8))
+        return {xi: arr, tuple(-v for v in xi): np.conj(arr)}
+    return _half(sign, rate, extent, density, band, modes)
 
 
 def closed_perturbation_structure(sign: int, rate: float = 1.0,
@@ -744,13 +724,10 @@ def closed_perturbation_structure(sign: int, rate: float = 1.0,
     if len(axes) != 2 or not 2 <= axes[0] < axes[1] <= 7:
         raise ValueError("component must be two torus axes in increasing "
                          f"order, 2..7, got {component!r}")
-    grid = TGrid.interval(0.0, extent, density)
-    t = grid.points
-    env = _support_envelope(t)
-    denv = _support_envelope_deriv(t)
-    decay = np.exp(-rate * t)
-    dg = amplitude * (denv - rate * env) * decay
-    arr = np.zeros((grid.n, 35))
-    arr[:, basis_position(AXES7, 3)[(1,) + axes]] = dg
-    pert = SpectralForm(3, band, grid, {ZERO_XI: arr}, check=False)
-    return CylStructure(Omega0(), omega0(), sign, pert, rate)
+
+    def modes(env, denv, decay):
+        arr = np.zeros((env.size, 35))
+        arr[:, basis_position(AXES7, 3)[(1,) + axes]] = (
+            amplitude * (denv - rate * env) * decay)
+        return {ZERO_XI: arr}
+    return _half(sign, rate, extent, density, band, modes)

@@ -240,6 +240,36 @@ def test_glue_sweep_rejects_non_finite_param(tmp_path, flat_pair, capsys):
     assert err.count("\n") == 1 and "amplitude" in err and "finite" in err
 
 
+@pytest.mark.parametrize("kind, params", [
+    ("sheared", {"direction": 7.0}), ("modulated-shear", {"direction": 4.0}),
+    ("flat", {"band": True}), ("closed-perturbation", {"amplitude": True})])
+def test_descriptor_param_takes_its_annotated_type(tmp_path, flat_pair,
+                                                   capsys, kind, params):
+    plus = write_structure(tmp_path / "typed.json", 1, kind=kind, **params)
+    rc, out, err = run_cli(["glue-sweep", "--input", plus,
+                            "--input2", flat_pair[1], "--L-stop", "4"], capsys)
+    assert rc == 2 and out == "" and err.count("\n") == 1
+    (key, value), = params.items()
+    assert f"parameter {key!r} must be " in err and repr(value) in err
+
+
+def test_param_past_float_range_exits_two(tmp_path, flat_pair, capsys):
+    huge = tmp_path / "huge.json"
+    huge.write_text('{"schema": "g2glue-structure/1", "kind": "flat", '
+                    '"sign": 1, "params": {"extent": 1' + "0" * 400 + '}}')
+    rc, out, err = run_cli(["glue-sweep", "--input", str(huge),
+                            "--input2", flat_pair[1], "--L-stop", "4"], capsys)
+    assert rc == 2 and out == "" and err.count("\n") == 1
+
+
+def test_float_param_takes_a_json_integer(tmp_path, flat_pair, capsys):
+    plus = write_structure(tmp_path / "int.json", 1,
+                           kind="closed-perturbation", rate=1, amplitude=1e-3)
+    rc, out, err = run_cli(["glue-sweep", "--input", plus,
+                            "--input2", flat_pair[1], "--L-stop", "4"], capsys)
+    assert rc == 0 and err == "" and json.loads(out)["passed"]
+
+
 def test_glue_sweep_rejects_mismatched_density(tmp_path, flat_pair, capsys):
     _, minus = flat_pair
     coarse = write_structure(tmp_path / "coarse.json", 1, density=32)
@@ -344,7 +374,7 @@ def test_glue_sweep_rows_equal_sweep_reports(tmp_path, flat_pair, capsys,
                           "--L-start", repr(lengths[0]),
                           "--L-stop", repr(lengths[-1]),
                           "--L-step", "0.5"], capsys)
-    factory = cli._STRUCTURE_KINDS[kind][0]
+    factory = cli._STRUCTURE_KINDS[kind]
     serial = sweep_reports(factory(1, amplitude=amplitude), flat_structure(-1),
                            lengths, reduce_tol=1e-10)
     assert [r.stop_reason for r in serial] == reasons
@@ -658,6 +688,19 @@ def test_synth_rejects_inconsistent_request(tmp_path, capsys):
     rc, _, err = run_cli(["synth", "--input", str(req)], capsys)
     assert rc == 2
     assert "spectrum" in err
+
+
+@pytest.mark.parametrize("request_obj, key", [
+    ({"b1_zero": "false", "dim_e2d": 0, "spectrum": []}, "b1_zero"),
+    ({"dim_e2d": 1.7}, "dim_e2d"), ({"spectrum": ["-6"]}, "spectrum"),
+    ({"spectrum": -6.0}, "spectrum"), ({"scramble": 0}, "scramble"),
+    ({"dim_e2d": True, "spectrum": [True]}, "dim_e2d")])
+def test_synth_request_key_takes_its_type(tmp_path, capsys, request_obj, key):
+    req = tmp_path / "req.json"
+    req.write_text(json.dumps(request_obj))
+    rc, out, err = run_cli(["synth", "--input", str(req)], capsys)
+    assert rc == 2 and out == "" and err.count("\n") == 1
+    assert err.startswith("error: unusable synthesis request") and key in err
 
 
 def test_synth_rejects_unknown_key(tmp_path, capsys):

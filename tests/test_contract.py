@@ -57,8 +57,10 @@ PARAMS = {
     "amplitude": (st.floats(1e-4, 0.1),
                   st.one_of(st.floats(-1e308, 1e308), JUNK)),
     "drift": (st.floats(-0.3, 0.3), JUNK),
-    "direction": (st.integers(2, 7), JUNK),
-    "modulation": (st.integers(2, 7), JUNK),
+    "direction": (st.integers(2, 7),
+                  st.one_of(st.sampled_from([2.0, 7.0]), JUNK)),
+    "modulation": (st.integers(2, 7),
+                   st.one_of(st.sampled_from([2.0, 7.0]), JUNK)),
     "component": (st.lists(st.integers(2, 7), min_size=2, max_size=2), JUNK),
     "extent": (st.sampled_from([7.0, 6.5]),
                st.sampled_from([5.0, 0.0, -2.0, "7", None])),
@@ -76,6 +78,23 @@ LENGTHS = {
     "K": (st.sampled_from([None, 0, 1, 2]), st.sampled_from([-2, 12])),
 }
 KINDS = sorted(cli._STRUCTURE_KINDS)
+
+# The params of each structure kind and their annotations (None for none):
+# its factory's parameters but sign.  Changing one is a stated change, so
+# it shows up here as a diff to this table, checked last.
+DESCRIPTOR_PARAMS = {
+    "closed-perturbation": {"amplitude": "float", "band": "int",
+                            "component": None, "density": "int",
+                            "extent": "float", "rate": "float"},
+    "flat": {"band": "int", "density": "int", "extent": "float"},
+    "modulated-shear": {"amplitude": "float", "band": "int", "density": "int",
+                        "direction": "int", "extent": "float",
+                        "modulation": "int", "rate": "float"},
+    "sheared": {"amplitude": "float", "band": "int", "density": "int",
+                "direction": "int", "drift": "float", "extent": "float",
+                "rate": "float"},
+}
+
 FAULTS = ["schema", "kind", "sign", "shape", "wiggle", "L_stop", "config",
           "argv", *PARAMS, *LENGTHS]
 
@@ -92,7 +111,7 @@ def _pick(draw, broken, key, good, bad):
 @st.composite
 def descriptors(draw, sign, kinds, broken):
     kind = draw(st.sampled_from(kinds))
-    allowed = sorted(cli._STRUCTURE_KINDS[kind][1])
+    allowed = sorted(DESCRIPTOR_PARAMS[kind])
     keys = draw(st.sets(st.sampled_from(allowed), max_size=3))
     keys |= broken & set(allowed)
     params = {key: _pick(draw, broken, key, *PARAMS[key]) for key in keys}
@@ -381,3 +400,11 @@ KERNEL_SIGNATURES = {
 def test_kernel_signatures():
     got = {fn.__qualname__: str(inspect.signature(fn)) for fn in KERNEL_SIGNATURES}
     assert got == {fn.__qualname__: sig for fn, sig in KERNEL_SIGNATURES.items()}
+
+
+def test_descriptor_params():
+    got = {kind: {name: None if p.annotation is p.empty else p.annotation
+                  for name, p in inspect.signature(factory).parameters.items()
+                  if name != "sign"}
+           for kind, factory in cli._STRUCTURE_KINDS.items()}
+    assert got == DESCRIPTOR_PARAMS

@@ -58,11 +58,12 @@ def flat_glued(flat_pair):
 # -- cutoff profiles -------------------------------------------------------
 
 # Both ramps rise from 0 to 1 on [5, 6]: the neck cutoff at L = 7, and the
-# exponential ramp that keeps the synthetic perturbations off t = 0.
+# envelope of the synthetic perturbations (0 to 1 on [0.75, 1.75]) read
+# 4.25 later.
 RAMPS = {
     "quintic": (lambda t: gluing._rho(t, 7.0), lambda t: gluing._drho(t, 7.0)),
-    "exp": (lambda t: gluing._support_envelope(t, 5.0, 6.0),
-            lambda t: gluing._support_envelope_deriv(t, 5.0, 6.0)),
+    "exp": (lambda t: gluing._envelope(t - 4.25)[0],
+            lambda t: gluing._envelope(t - 4.25)[1]),
 }
 
 
@@ -151,7 +152,7 @@ def decaying_half(slot):
     """Plus half perturbed by 1e-2 E(t) e^{-t} in one 3-form slot."""
     grid = TGrid.interval(0.0, 11.0, 64)
     arr = np.zeros((grid.n, 35))
-    arr[:, slot] = 1e-2 * gluing._support_envelope(grid.points) * np.exp(-grid.points)
+    arr[:, slot] = 1e-2 * gluing._envelope(grid.points)[0] * np.exp(-grid.points)
     pert = SpectralForm(3, 2, grid, {ZERO_XI: arr}, check=False)
     return CylStructure(Omega0(), omega0(), 1, pert, 1.0)
 
@@ -285,7 +286,7 @@ def test_glue_rejects_support_at_inner_end():
 def test_glue_rejects_a_perturbation_with_a_limit_at_every_length():
     grid = TGrid.interval(0.0, 11.0, 64)
     arr = np.zeros((grid.n, 35), dtype=complex)
-    arr[:, DT24] = 1e-3 * gluing._support_envelope(grid.points)
+    arr[:, DT24] = 1e-3 * gluing._envelope(grid.points)[0]
     pert = SpectralForm(3, 2, grid, {ZERO_XI: arr})
     st = CylStructure(Omega0(), omega0(), 1, pert, 1.0)
     for length in (5.0, 6.0):
