@@ -96,7 +96,6 @@ class ScenarioConfig:
     L_start: float | None = None
     L_stop: float | None = None
     L_step: float | None = None
-    K: int | None = None
     tol: float = 1e-10
     seed: int = 0
     format: str = "json"
@@ -112,8 +111,6 @@ class ScenarioConfig:
             raise InputError("tolerance must be positive")
         if self.format not in ("json", "csv"):
             raise InputError(f"unknown format {self.format!r}")
-        if self.K is not None and self.K < 0:
-            raise InputError("mode cutoff must be nonnegative")
         if self.L_step is not None:
             if self.L_step <= 0.0:
                 raise InputError("L-step must be positive")
@@ -224,7 +221,7 @@ _STRUCTURE_KINDS = {"flat": flat_structure, "sheared": sheared_structure,
                     "closed-perturbation": closed_perturbation_structure}
 
 
-def _load_structure(path: str, sign: int, modes: int | None):
+def _load_structure(path: str, sign: int):
     """Build a half-cylinder structure from its descriptor file."""
     obj = _load_json(path)
     if not isinstance(obj, dict):
@@ -252,15 +249,12 @@ def _load_structure(path: str, sign: int, modes: int | None):
     if unknown:
         raise InputError(
             f"{path}: unknown parameter(s) {unknown} for kind {kind!r}")
-    params = dict(params)
     for key, value in params.items():
         _check_type(value, types[key], f"{path}: parameter {key!r}")
         values = value if isinstance(value, list) else [value]
         if any(isinstance(v, float) and not math.isfinite(v) for v in values):
             raise InputError(
                 f"{path}: parameter {key!r} must be finite, got {value!r}")
-    if modes is not None:
-        params["band"] = modes
     try:
         return factory(sign, **params)
     except (OverflowError, TypeError, ValueError) as exc:
@@ -475,8 +469,8 @@ def _keep_freed_memory() -> None:
 
 
 def cmd_glue_sweep(cfg: ScenarioConfig) -> int:
-    plus = _load_structure(cfg.need("input"), 1, cfg.K)
-    minus = _load_structure(cfg.need("input2"), -1, cfg.K)
+    plus = _load_structure(cfg.need("input"), 1)
+    minus = _load_structure(cfg.need("input2"), -1)
     lengths = cfg.lengths()
     _keep_freed_memory()
     reports = [_sweep_row(plus, minus, length, cfg.tol) for length in lengths]
@@ -547,10 +541,20 @@ def _distinguished_class(diagram: SumDiagram, path: str | None) -> np.ndarray:
         obj = _load_json(path)
         if not isinstance(obj, dict) or "omega" not in obj:
             raise InputError(f"{path}: expected an object with key 'omega'")
-        omega = np.asarray(obj["omega"], dtype=float)
-        if omega.shape != (want,):
+        values = obj["omega"]
+        _check_type(values, "list", f"{path}: 'omega'")
+        for x in values:
+            _check_type(x, "float", f"{path}: an 'omega' entry")
+        if len(values) != want:
             raise InputError(
                 f"{path}: 'omega' must have {want} entries for this diagram")
+        try:
+            omega = np.array(values, dtype=float)
+        except OverflowError as exc:
+            raise InputError(f"{path}: 'omega': {exc}") from exc
+        if not np.isfinite(omega).all():
+            raise InputError(
+                f"{path}: 'omega' entries must be finite, got {values!r}")
         return omega
     sub = diagram.subspaces(2)
     pool = sub.a_common if sub.a_common.shape[1] else sub.e_common
@@ -692,9 +696,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = subs.add_parser("glue-sweep",
                         help="glue a structure pair over a range of lengths")
     _add_common(p, lengths=True)
-    p.add_argument("--K", type=int,
-                   help="cross-section mode cutoff override (default: "
-                        "whatever the descriptors request, usually 2)")
     p.add_argument("--input",
                    help="descriptor file for the +1 half-cylinder structure")
     p.add_argument("--input2",

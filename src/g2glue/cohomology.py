@@ -17,10 +17,11 @@ computed from a self-adjoint operator, and its degree-3 restriction
 models the derivative of the nonlinear gluing construction.  A diagram
 is immutable once built (its arrays are read-only), so it keeps every
 length-independent solve itself: per degree the subspaces, the neck
-operator and the pinv(K)·K block of the gluing matrix, per side the
-boundary-preimage projector, per distinguished class the compressed
-derivative operator.  A scan over many lengths solves each once, and the
-matrices of one shape that a check or a scan ranks share one stacked SVD.
+operator and the pinv(K) section that the gluing matrix and the gluing
+map read, per side the boundary-preimage projector, per distinguished
+class the compressed derivative operator.  A scan over many lengths
+solves each once, and the matrices of one shape that a check or a scan
+ranks share one stacked SVD.
 """
 
 from __future__ import annotations
@@ -655,13 +656,13 @@ class HarmonicPair:
     tau: np.ndarray
 
 
-def sample_pair(d: SumDiagram, m: int, rng: np.random.Generator,
-                scale: float = 1.0) -> HarmonicPair:
+def sample_pair(d: SumDiagram, m: int,
+                rng: np.random.Generator) -> HarmonicPair:
     """Random valid input: restrict a random total class, random exact part."""
-    y = rng.standard_normal(d.dim("H_M", m)) * scale
+    y = rng.standard_normal(d.dim("H_M", m))
     sub = d.subspaces(m - 1)
     k = sub.e_common.shape[1]
-    tau = sub.e_common @ (rng.standard_normal(k) * scale) if k else \
+    tau = sub.e_common @ rng.standard_normal(k) if k else \
         np.zeros(d.dim("H_X", m - 1))
     return HarmonicPair(m, d.mat("istar_plus", m) @ y,
                         d.mat("istar_minus", m) @ y, tau)
@@ -695,6 +696,21 @@ def yh_exact(d: SumDiagram, m: int, tau: np.ndarray, length: float, *,
     return d.mat("mv_delta", m) @ (z @ coords + 2.0 * length * tau)
 
 
+def _restriction(d: SumDiagram, m: int) -> np.ndarray:
+    """K = [istar₊; istar₋]: a total class restricted to both halves."""
+    return np.vstack([d.mat("istar_plus", m), d.mat("istar_minus", m)])
+
+
+def _section(d: SumDiagram, m: int) -> np.ndarray:
+    """pinv(K), the section of the two-sided restriction, solved once per
+    degree and kept read-only."""
+    if ("section", m) not in d._fixed:
+        kmap = _restriction(d, m)
+        d._fixed["section", m], = _freeze(
+            np.linalg.pinv(kmap, rcond=_RANK_RTOL * max(kmap.shape)))
+    return d._fixed["section", m]
+
+
 def yh_full(d: SumDiagram, m: int, pair: HarmonicPair, length: float, *,
             tol: float = 1e-10) -> np.ndarray:
     """Harmonic gluing map: matching pair plus exact parameter to total class.
@@ -713,9 +729,9 @@ def yh_full(d: SumDiagram, m: int, pair: HarmonicPair, length: float, *,
         float(np.abs(jm).max(initial=0.0))
     if jp.size and float(np.abs(jp - jm).max(initial=0.0)) > tol * scale:
         raise ValueError("pair restrictions disagree on the cross-section")
-    kmap = np.vstack([d.mat("istar_plus", m), d.mat("istar_minus", m)])
+    kmap = _restriction(d, m)
     target = np.concatenate([pair.a_plus, pair.a_minus])
-    y0 = np.linalg.pinv(kmap, rcond=_RANK_RTOL * max(kmap.shape)) @ target
+    y0 = _section(d, m) @ target
     back = kmap @ y0 - target
     if back.size and float(np.abs(back).max(initial=0.0)) > \
             tol * (1.0 + float(np.abs(target).max(initial=0.0))):
@@ -731,16 +747,12 @@ def gluing_matrix(d: SumDiagram, m: int, length: float) -> np.ndarray:
     halves by K, exact part zero); the second holds ``yh_exact`` of each
     column of the common-complement basis E, with E and Z read from
     ``_common_operator``.  Rank equal to the total-space dimension is the
-    brute-force isomorphism test.  ``d`` keeps the first block, so a call
-    on a solved degree costs the exact-block product.
+    brute-force isomorphism test.  ``d`` keeps the section, so a call on
+    a solved degree costs two block products.
     """
-    if ("section", m) not in d._fixed:
-        kmap = np.vstack([d.mat("istar_plus", m), d.mat("istar_minus", m)])
-        d._fixed["section", m], = _freeze(np.linalg.pinv(
-            kmap, rcond=_RANK_RTOL * max(kmap.shape)) @ kmap)
     _, basis, z = d.operator(m)
     exact = d.mat("mv_delta", m) @ (z + 2.0 * length * basis)
-    return np.hstack([d._fixed["section", m], exact])
+    return np.hstack([_section(d, m) @ _restriction(d, m), exact])
 
 
 # ---------------------------------------------------------------------------

@@ -38,10 +38,8 @@ from .forms import (
     AXES7,
     ConstForm,
     KForm7,
-    Metric7,
-    _compound,
     _contract_table,
-    _star_matrix,
+    _hodge_table,
     _wedge_table,
     assemble_cylindrical,
     is_g2_form,
@@ -50,10 +48,6 @@ from .forms import (
 ZERO_XI = (0, 0, 0, 0, 0, 0)
 BAND_MAX = 4
 _MAX_INTERVAL_SAMPLES = 2 ** 16
-
-
-class NonFlatMetric(ValueError):
-    """The codifferential only supports translation-invariant metrics."""
 
 
 class NoLimit(ValueError):
@@ -355,12 +349,6 @@ def _axis_wedge_matrix(axis: int, degree: int) -> np.ndarray:
     return np.ascontiguousarray(_contract_table(7, degree + 1)[axis - 1].T, dtype=float)
 
 
-def map_components(f: SpectralForm, mat: np.ndarray, degree: int) -> SpectralForm:
-    """Apply a constant matrix to every coefficient vector of f."""
-    out = {xi: a @ mat.T for xi, a in f.modes.items()}
-    return SpectralForm(degree, f.band, f.grid, out, check=False)
-
-
 # -- exterior calculus -----------------------------------------------------
 
 def _d_mode(xi: tuple, coeffs: np.ndarray, dfree: np.ndarray,
@@ -399,63 +387,45 @@ def exterior_d(f: SpectralForm) -> SpectralForm:
     return SpectralForm(f.degree + 1, f.band, f.grid, out, check=False)
 
 
-def _constant_metric(metric) -> np.ndarray:
-    if metric is None:
-        return np.eye(7)
-    if isinstance(metric, Metric7):
-        metric = metric.mat
-    g = np.asarray(metric)
-    if g.dtype == object:
-        g = np.array([[float(v) for v in row] for row in g])
-    if g.ndim != 2 or g.shape != (7, 7):
-        raise NonFlatMetric("codifferential needs one translation-invariant metric")
-    return g.astype(float)
+def _flat_star(f: SpectralForm) -> SpectralForm:
+    """The Hodge star of the flat metric, a signed permutation of each
+    coefficient vector."""
+    comp, signs = _hodge_table(7, f.degree)
+    out = {xi: a[:, comp] * signs for xi, a in f.modes.items()}
+    return SpectralForm(7 - f.degree, f.band, f.grid, out, check=False)
 
 
-def codifferential(f: SpectralForm, metric=None) -> SpectralForm:
-    """Formal adjoint of exterior_d for a translation-invariant metric.
+def codifferential(f: SpectralForm) -> SpectralForm:
+    """Formal adjoint of exterior_d for the flat metric of the neck.
 
-    Computed as (-1)^k * d * on k-forms (dimension 7); ``metric`` is a
-    Metric7, a constant 7x7 matrix, or None for the Euclidean one.  A
-    sample-dependent metric raises NonFlatMetric.
+    Computed as (-1)^k * d * on k-forms (dimension 7).
     """
     if f.degree == 0:
         raise ValueError("codifferential needs degree > 0")
-    g = _constant_metric(metric)
-    k = f.degree
-    a = map_components(f, _star_matrix(g, k), 7 - k)
-    b = exterior_d(a)
-    c = map_components(b, _star_matrix(g, 8 - k), k - 1)
-    return c.scale(float((-1) ** k))
+    c = _flat_star(exterior_d(_flat_star(f)))
+    return c.scale(float((-1) ** f.degree))
 
 
 # -- pairings and norms ----------------------------------------------------
 
-def inner_l2(f: SpectralForm, h: SpectralForm, metric=None) -> float:
-    """L^2 pairing: probability measure on the torus, t-quadrature in t.
-
-    The pointwise pairing of k-forms is sqrt(det g) Lambda^k(g^-1).
-    """
+def inner_l2(f: SpectralForm, h: SpectralForm) -> float:
+    """L^2 pairing of the flat metric: probability measure on the torus,
+    t-quadrature in t."""
     if f.degree != h.degree or f.grid != h.grid:
         raise ValueError("mismatched degree or grid")
-    g = _constant_metric(metric)
-    if np.array_equal(g, np.eye(7)):
-        pmat = None
-    else:
-        pmat = math.sqrt(np.linalg.det(g)) * _compound(np.linalg.inv(g), f.degree)
     w = f.grid.weights
     acc = 0.0
     for xi, a in f.modes.items():
         b = h.modes.get(xi)
         if b is None:
             continue
-        dens = np.einsum("ti,ti->t", a.conj(), b if pmat is None else b @ pmat.T)
+        dens = np.einsum("ti,ti->t", a.conj(), b)
         acc += float(np.real(w @ dens))
     return acc
 
 
-def norm_l2(f: SpectralForm, metric=None) -> float:
-    return math.sqrt(max(inner_l2(f, f, metric), 0.0))
+def norm_l2(f: SpectralForm) -> float:
+    return math.sqrt(max(inner_l2(f, f), 0.0))
 
 
 def _active_axes(dims) -> tuple[int, ...]:

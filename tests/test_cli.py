@@ -81,7 +81,7 @@ def test_pointwise_check_corrupt_table_fails(capsys):
 @pytest.mark.parametrize("command, flag", [
     ("pointwise-check", "--exact"), ("glue-sweep", "--exact"),
     ("derivative", "--exact"), ("synth", "--exact"), ("synth", "--tol=1e-6"),
-    ("spectrum", "--K=2")])
+    ("spectrum", "--K=2"), ("glue-sweep", "--K=2")])
 @pytest.mark.parametrize("via", ["flag", "config"])
 def test_unread_flag_or_key_exits_two(tmp_path, capsys, command, flag, via):
     # A command offers only the flags, and config keys, that it reads.
@@ -602,6 +602,29 @@ def test_derivative_rejects_wrong_length_omega(tmp_path, diagram_file, capsys):
     assert "omega" in err
 
 
+# The derivative report of ``synth --seed 3``, whose degree-2 section has
+# dimension 2, for an omega file: the first 16 hex digits of the sha256 of
+# stdout, or None where the file must exit 2 with one line.
+@pytest.mark.parametrize("omega, sha", [
+    ('[1, 0]', "14ae0b4f6498026b"), ('[0, 0]', "eb59301a7f682240"),
+    ('["a", 0]', None), ('"ab"', None), ('[NaN, 0]', None),
+    ('[true, 0]', None), ('[1e999, 0]', None),
+    pytest.param(f"[{10 ** 400}, 0]", None, id="past-float-range")])
+def test_derivative_omega_is_a_list_of_finite_numbers(tmp_path, capsys, omega,
+                                                      sha):
+    diagram, path = tmp_path / "d.json", tmp_path / "omega.json"
+    assert cli.main(["synth", "--seed", "3", "--out", str(diagram)]) == 0
+    path.write_text('{"omega": %s}' % omega)
+    rc, out, err = run_cli(["derivative", "--input", str(diagram),
+                            "--input2", str(path)], capsys)
+    if sha is None:
+        assert rc == 2 and out == "" and err.count("\n") == 1
+        assert err.startswith(f"error: {path}: ") and "omega" in err
+    else:
+        assert (rc, err) == (0, "")
+        assert hashlib.sha256(out.encode()).hexdigest()[:16] == sha
+
+
 def test_derivative_needs_trivial_degree_one(tmp_path, capsys):
     path = tmp_path / "b1.json"
     save_diagram(synth_diagram(13, 0, (), b1_zero=False), path)
@@ -757,6 +780,31 @@ def test_diagram_commands_match_golden_bytes(tmp_path, capsys, dim_e2d):
     assert got == GOLDEN_SHA256[dim_e2d]
 
 
+# Two glue-sweep runs of a half against the flat one: the plus half's kind
+# and params, the length and format flags, the exit code and the first 16
+# hex digits of the sha256 of stdout.  A change to any byte of the neck
+# path's output shows up here.
+GLUE_GOLDEN = [
+    ("closed-perturbation", {"amplitude": 2e-3},
+     ["--L-start", "4", "--L-stop", "6.5", "--L-step", "0.5"],
+     0, "f6c4fcc7488786b3"),
+    ("modulated-shear", {"rate": 1.0, "amplitude": 0.05},
+     ["--L-start", "4", "--L-stop", "5", "--format", "csv"],
+     1, "e5fc85a90e4ef9de"),
+]
+
+
+@pytest.mark.parametrize("kind, params, flags, code, sha", GLUE_GOLDEN)
+def test_glue_sweep_matches_golden_bytes(tmp_path, capsys, kind, params,
+                                         flags, code, sha):
+    plus = write_structure(tmp_path / "plus.json", 1, kind, **params)
+    minus = write_structure(tmp_path / "minus.json", -1)
+    rc, out, err = run_cli(["glue-sweep", "--input", plus, "--input2", minus,
+                            *flags], capsys)
+    assert (rc, err) == (code, "")
+    assert hashlib.sha256(out.encode()).hexdigest()[:16] == sha
+
+
 def reference_jsonable(value):
     """The conversion ``json.dumps`` was given before the one-pass writer."""
     if isinstance(value, dict):
@@ -895,7 +943,7 @@ COMMANDS = ["pointwise-check", "glue-sweep", "spectrum", "derivative", "synth"]
 
 # A value for each config key; a JSON integer is a float value too.
 KEY_VALUES = {"input": "a.json", "input2": "b.json", "L_start": 4.5,
-              "L_stop": 7, "L_step": 0.5, "K": 1, "tol": 1e-6, "seed": 3,
+              "L_stop": 7, "L_step": 0.5, "tol": 1e-6, "seed": 3,
               "format": "csv", "out": "report.csv", "exact": True}
 
 
@@ -930,7 +978,7 @@ def test_config_fields_are_the_parsers_dests():
 
 
 @pytest.mark.parametrize("command, key, value", [
-    ("glue-sweep", "K", 1.5), ("spectrum", "seed", 4.7),
+    ("glue-sweep", "seed", 1.5), ("spectrum", "seed", 4.7),
     ("spectrum", "seed", True), ("spectrum", "exact", "false"),
     ("spectrum", "L_start", "4"), ("spectrum", "input", None)])
 def test_config_value_takes_its_flags_type(tmp_path, capsys, command, key,

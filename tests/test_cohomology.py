@@ -494,6 +494,25 @@ def test_plan_backed_samples_equal_fresh_samples_bitwise(e2d_diagram,
     assert calls == [2]
 
 
+def test_gluing_map_solves_one_section_per_degree(e2d_diagram, monkeypatch):
+    # yh_full and gluing_matrix read one kept pinv(K) per degree, however
+    # many pairs they map.
+    real_pinv, calls = np.linalg.pinv, []
+
+    def counting(*args, **kwargs):
+        calls.append(1)
+        return real_pinv(*args, **kwargs)
+
+    d = dataclasses.replace(e2d_diagram)
+    rng = np.random.default_rng(8)
+    monkeypatch.setattr(np.linalg, "pinv", counting)
+    for m in (2, 3):
+        for _ in range(100):
+            yh_full(d, m, sample_pair(d, m, rng), 2.2)
+        gluing_matrix(d, m, 2.2)
+    assert len(calls) <= 2
+
+
 def test_plan_arrays_are_read_only(rigged):
     # Every call shares the diagram's arrays and its kept solves; a write
     # in place must fail rather than change the answer of later calls.

@@ -75,7 +75,6 @@ LENGTHS = {
                st.sampled_from([0.3, 0.0, -1.0, 1e-300, NAN, INF])),
     "tol": (st.sampled_from([1e-10, 1e-6]),
             st.sampled_from([0.0, -1.0, NAN, INF])),
-    "K": (st.sampled_from([None, 0, 1, 2]), st.sampled_from([-2, 12])),
 }
 KINDS = sorted(cli._STRUCTURE_KINDS)
 
@@ -138,8 +137,6 @@ def sweep_flags(draw, broken):
         draw, broken, "L_stop",
         st.sampled_from([0, 1, 2]).map(lambda n: start + n * step),
         st.sampled_from([start - 1.0, NAN, INF, -INF]))
-    if flags["K"] is None:
-        del flags["K"]
     flags["seed"] = draw(st.integers(-2**70, 2**70))
     return flags
 
@@ -297,7 +294,6 @@ def test_diagram_contract(tmp_path, capsys, data, diagram, command, broken,
                           fmt, exact):
     (tmp_path / "diagram.json").write_text(json.dumps(diagram))
     flags = data.draw(sweep_flags(broken))
-    flags.pop("K", None)
     flags["format"] = fmt
     argv = _argv(command, flags, tmp_path, data.draw, broken)
     argv += ["--input", str(tmp_path / "diagram.json")]
