@@ -780,10 +780,12 @@ def test_diagram_commands_match_golden_bytes(tmp_path, capsys, dim_e2d):
     assert got == GOLDEN_SHA256[dim_e2d]
 
 
-# Two glue-sweep runs of a half against the flat one: the plus half's kind
+# Glue-sweep runs of a half against the flat one: the plus half's kind
 # and params, the length and format flags, the exit code and the first 16
 # hex digits of the sha256 of stdout.  A change to any byte of the neck
-# path's output shows up here.
+# path's output shows up here.  The flat pair, every sample the model, and
+# the long closed-perturbation necks cover the lengths 4 to 10 that the
+# neck-closed benchmark draws.
 GLUE_GOLDEN = [
     ("closed-perturbation", {"amplitude": 2e-3},
      ["--L-start", "4", "--L-stop", "6.5", "--L-step", "0.5"],
@@ -791,6 +793,10 @@ GLUE_GOLDEN = [
     ("modulated-shear", {"rate": 1.0, "amplitude": 0.05},
      ["--L-start", "4", "--L-stop", "5", "--format", "csv"],
      1, "e5fc85a90e4ef9de"),
+    ("flat", {}, ["--L-start", "4", "--L-stop", "6"], 0, "9cbc6c5f05ee84ee"),
+    ("closed-perturbation", {"amplitude": 5e-3},
+     ["--L-start", "8", "--L-stop", "10", "--L-step", "2", "--format", "json"],
+     0, "ea0c2d552bc7b519"),
 ]
 
 
