@@ -555,6 +555,9 @@ def _distinguished_class(diagram: SumDiagram, path: str | None) -> np.ndarray:
         if not np.isfinite(omega).all():
             raise InputError(
                 f"{path}: 'omega' entries must be finite, got {values!r}")
+        if not omega.any():
+            raise InputError(f"{path}: 'omega' is zero, which distinguishes "
+                             "no class")
         return omega
     sub = diagram.subspaces(2)
     pool = sub.a_common if sub.a_common.shape[1] else sub.e_common

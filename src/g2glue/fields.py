@@ -466,6 +466,14 @@ def sample_physical(f: SpectralForm) -> tuple[np.ndarray, tuple[int, ...]]:
     return np.real(spec), dims
 
 
+def _require_finite(samples: np.ndarray) -> None:
+    """Raise ValueError, naming the first, if any sample is NaN or inf."""
+    if samples.size and not np.isfinite(np.abs(samples).max()):
+        bad = np.argwhere(~np.isfinite(samples))
+        raise ValueError(f"{len(bad)} non-finite samples, the first at index "
+                         f"{tuple(int(i) for i in bad[0])}")
+
+
 def spectral_from_samples(samples: np.ndarray, degree: int, band: int,
                           grid: TGrid) -> SpectralForm:
     """Inverse of sample_physical with band projection.
@@ -481,11 +489,7 @@ def spectral_from_samples(samples: np.ndarray, degree: int, band: int,
     dims = arr.shape[1:-1]
     if len(dims) != 6:
         raise ValueError("expected six torus axes between t and components")
-    scale = np.abs(arr).max() if arr.size else 0.0
-    if not np.isfinite(scale):
-        bad = np.argwhere(~np.isfinite(arr))
-        raise ValueError(f"{len(bad)} non-finite samples, the first at index "
-                         f"{tuple(int(i) for i in bad[0])}")
+    _require_finite(arr)
     axes = _active_axes(dims)
     spec = np.fft.fftn(arr, axes=axes) / np.prod(dims) if axes else arr
     ranges = []

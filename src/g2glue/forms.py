@@ -625,24 +625,27 @@ def metric_batch(coeffs: np.ndarray) -> np.ndarray:
 
 
 # Any four axes hold two of one part {1, 2, 3}, {4, 5} or {6, 7}, so one
-# of these pairs (0-based) lies in every quadruple.
+# of these pairs (0-based) lies in every quadruple, and one of the last
+# three in every quadruple without axis 0.
 _RAISED_PAIRS = ((0, 1), (0, 2), (1, 2), (3, 4), (5, 6))
 
 
-@lru_cache(maxsize=1)
-def _star3_tables() -> tuple[np.ndarray, ...]:
-    """Tables for star3_batch, the J-th quadruple taken as
-    sign[J] * (a, b, c, d) with (a, b) the r-th raised pair and p the
-    i-th axis off c and d: rows 5 p + r of raise_mat @ c and 5 J + i of
+@lru_cache(maxsize=2)
+def _star3_tables(dt_free: bool) -> tuple[np.ndarray, ...]:
+    """Tables for star3_batch over the 35 quadruples, or with ``dt_free``
+    the last 15 (no axis 0) and the raised pairs they use.  The J-th is
+    sign[J] * (a, b, c, d) with (a, b) the r-th of R raised pairs and p
+    the i-th axis off c and d: rows R p + r of raise_mat @ c and 5 J + i of
     low_mat @ c are phi_abp and phi_cdp, entry (yp, yr)[J, i] of the
     eliminated [B | phi_ab.] is (phi_ab. B^-1)_p, and g[:, J] holds the
     entries B_ac, B_bd, B_ad and B_bc of the flattened B."""
     u_mat = _gram_matrices()[0]
     pos2 = basis_position(tuple(range(7)), 2)
-    raise_rows = [21 * p + pos2[ab] for p in range(7) for ab in _RAISED_PAIRS]
+    pairs = _RAISED_PAIRS[2:] if dt_free else _RAISED_PAIRS
+    raise_rows = [21 * p + pos2[ab] for p in range(7) for ab in pairs]
     sign, yp, yr, low_rows, g = [], [], [], [], []
-    for quad in basis_indices(tuple(range(7)), 4):
-        r, (a, b) = next((r, ab) for r, ab in enumerate(_RAISED_PAIRS)
+    for quad in basis_indices(tuple(range(7)), 4)[20 if dt_free else 0:]:
+        r, (a, b) = next((r, ab) for r, ab in enumerate(pairs)
                          if set(ab) <= set(quad))
         c, d = (x for x in quad if x not in (a, b))
         sign.append(_merge_sign((a, b), (c, d))[0])
@@ -655,26 +658,29 @@ def _star3_tables() -> tuple[np.ndarray, ...]:
             *map(np.array, (sign, yp, yr, np.transpose(g))))
 
 
-def star3_batch(coeffs: np.ndarray) -> np.ndarray:
+def star3_batch(coeffs: np.ndarray, *, dt_free: bool = False) -> np.ndarray:
     """Hodge star of a batch of 3-forms, each for the metric it induces.
 
     ``coeffs`` (..., 35); returns hodge_star's 4-form rows (..., 35) as
     eps psi.  One elimination of [B | phi_ab.] gives det B, the stability
     test and the scale s of metric_batch, and B^-1 phi_ab.; the identity
     is then read with g = s B and g^-1 = B^-1 / s.  Raises NotStable as
-    metric_batch does, with the same messages.
+    metric_batch does, with the same messages.  ``dt_free`` forms only
+    the 15 dt-free components, all that d(star phi) reads on a xi = 0
+    field, eliminating with the 3 raised pairs they use: (..., 15), bitwise
+    the full star's last 15.
     """
     c = np.asarray(coeffs, dtype=float)
-    raise_mat, low_mat, sign, yp, yr, g = _star3_tables()
+    raise_mat, low_mat, sign, yp, yr, g = _star3_tables(dt_free)
     rows = c.reshape(-1, 35)
     ct, n = rows.T, len(rows)
     with np.errstate(all="ignore"):
         b = gram_batch(rows)
-        aug = np.concatenate([b.transpose(1, 2, 0),
-                              (raise_mat @ ct).reshape(7, 5, n)], axis=1)
+        raised = (raise_mat @ ct).reshape(7, len(raise_mat) // 7, n)
+        aug = np.concatenate([b.transpose(1, 2, 0), raised], axis=1)
         s = _scale(_eliminate(aug), b)
     gt = s * b.reshape(n, 49).T
-    low = (low_mat @ ct).reshape(35, 5, n)
+    low = (low_mat @ ct).reshape(len(sign), 5, n)
     psi = sign[:, None] * (np.einsum("jpn,jpn->jn", aug[yp, yr], low) / s
                            - gt[g[0]] * gt[g[1]] + gt[g[2]] * gt[g[3]])
-    return (np.sign(s) * psi).T.reshape(c.shape)
+    return (np.sign(s) * psi).T.reshape(c.shape[:-1] + (len(sign),))

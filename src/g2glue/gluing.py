@@ -25,15 +25,17 @@ whatever the cutoff.
 
 Torsion is measured as the pair (d phi, d of the induced 4-form), the
 4-form star computed sample by sample with the frozen-coefficient
-pointwise kernels.  The reduction iterates phi += d sigma with sigma
-solved mode by mode from the linearization of the induced-4-form map at
-the flat model.  At every frequency k = (w n, xi) the linearization A(k)
-has rank 8 with all nonzero singular values equal to |k|^2 (the star
-derivative at the flat model commutes with G2, which is transitive on
-S^6), so each mode is solved in closed form by A^+ = A^T / |k|^4 and the
-solver builds nothing per neck length.  The update d sigma is formed on
-the t-spectrum, i k ^ sigma^ per frequency, and enters phi through one
-inverse transform; sigma itself is never sampled.  Its (xi, n) = (0, 0)
+pointwise kernels; on a xi = 0 field, d of the star is dt ^ d/dt of its
+dt-free block, so only those 15 components are starred.  The reduction
+iterates phi += d sigma with sigma solved mode by mode from the
+linearization of the induced-4-form map at the flat model.  At every
+frequency k = (w n, xi) the linearization A(k) has rank 8 with all
+nonzero singular values equal to |k|^2 (the star derivative at the flat
+model commutes with G2, which is transitive on S^6), so each mode is
+solved in closed form by A^+ = A^T / |k|^4 and the solver builds nothing
+per neck length.  The update d sigma is formed on the t-spectrum,
+i k ^ sigma^ per frequency, and enters phi through one inverse
+transform; sigma itself is never sampled.  Its (xi, n) = (0, 0)
 coefficient is an exact 0, so the update is exact and the harmonic class
 is held by construction, with no step that restores it.
 """
@@ -57,6 +59,7 @@ from .fields import (
     _d_mode,
     _dt_count,
     _ncomp,
+    _require_finite,
     exterior_d,
     norm_l2,
     norm_sup,
@@ -318,11 +321,14 @@ def torsion_residual(phi: SpectralForm, *,
     """Norms of the two torsion components of a degree-3 neck field.
 
     Raises NotStable (from the pointwise kernels) if any sample leaves the
-    stable orbit.  ``dphi``, when given, is taken as d(phi) instead of
-    differentiating phi: torsion_reduce passes the previous step's on a
-    xi = 0 field, whose d(phi) a step leaves bitwise alone.  It must be
-    a 4-form on phi's grid, band and modes (ValueError otherwise); its
-    values are the caller's to vouch for.
+    stable orbit, and ValueError if a starred sample is not finite.  d(star
+    phi) is exterior_d(induced_4form(phi)), bitwise; on a xi = 0 field it
+    is formed as dt ^ d/dt of the dt-free block of star phi, starred alone.
+    ``dphi``, when given, is taken as d(phi) instead of differentiating
+    phi: torsion_reduce passes the previous step's on a xi = 0 field, whose
+    d(phi) a step leaves bitwise alone.  It must be a 4-form on phi's grid,
+    band and modes (ValueError otherwise); its values are the caller's to
+    vouch for.
     """
     if phi.degree != 3:
         raise ValueError("torsion is defined for degree-3 fields")
@@ -333,7 +339,13 @@ def torsion_residual(phi: SpectralForm, *,
         raise ValueError("dphi must be a 4-form on phi's grid, band and modes")
     else:
         d3 = dphi
-    d4 = exterior_d(induced_4form(phi))
+    if phi.modes.keys() == {ZERO_XI}:
+        star = star3_batch(phi.modes[ZERO_XI], dt_free=True)
+        _require_finite(star)
+        dt = _d_mode(ZERO_XI, star, phi.grid.ddt(star), 4)
+        d4 = SpectralForm(5, phi.band, phi.grid, {ZERO_XI: dt}, check=False)
+    else:
+        d4 = exterior_d(induced_4form(phi))
     return TorsionMeasure(norm_l2(d3), norm_sup(d3), norm_l2(d4), norm_sup(d4),
                           dstar=d4, dphi=d3)
 
@@ -363,9 +375,10 @@ def star_derivative_matrix() -> np.ndarray:
     return _star_matrix(np.eye(7), 3) @ j
 
 
+@lru_cache(maxsize=None)
 def _t_blocks(xi: tuple) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """(T_tt, T_tx + T_xt, T_xx): the pieces of the linearized torsion
-    operator A(n) = -((w n)^2 T_tt + w n (T_tx + T_xt) + T_xx).
+    """(T_tt, T_tx + T_xt, T_xx), read-only: the pieces of the linearized
+    torsion operator A(n) = -((w n)^2 T_tt + w n (T_tx + T_xt) + T_xx).
 
     A(n) = D5(n) M D3(n) takes the 2-form update sigma to the linearized
     residual at t-frequency index n, with D(n) = i (n w W_t + sum_d xi_d W_{x_d})
@@ -380,7 +393,10 @@ def _t_blocks(xi: tuple) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         if xi[d]:
             x3 += xi[d] * _axis_wedge_matrix(d + 2, 2)
             x5 += xi[d] * _axis_wedge_matrix(d + 2, 4)
-    return wt5 @ m @ wt3, wt5 @ m @ x3 + x5 @ m @ wt3, x5 @ m @ x3
+    blocks = wt5 @ m @ wt3, wt5 @ m @ x3 + x5 @ m @ wt3, x5 @ m @ x3
+    for b in blocks:
+        b.flags.writeable = False
+    return blocks
 
 
 def _mode_solver(omega: float, n_t: int):
@@ -393,7 +409,8 @@ def _mode_solver(omega: float, n_t: int):
     all equal |k|^2 = (w n)^2 + |xi|^2, because the star derivative at the
     flat model commutes with G2 and G2 is transitive on S^6.  So
     A^+ = A^T / |k|^4 and the solve is the three blocks of _t_blocks
-    applied to the rows, with 0 at k = 0.
+    applied to the rows, with 0 at k = 0.  At xi = 0 the last two blocks
+    are exactly 0, so only T_tt is applied.
     """
     wn = omega * np.fft.fftfreq(n_t, d=1.0 / n_t)
 
@@ -402,6 +419,8 @@ def _mode_solver(omega: float, n_t: int):
         w = wn[:len(rhat), None]
         k2 = w ** 2 + sum(v * v for v in xi)
         k4 = np.where(k2 > 0.0, k2 ** 2, np.inf)
+        if not any(xi):
+            return w ** 2 * (rhat @ t_tt) / k4
         return (w ** 2 * (rhat @ t_tt) + w * (rhat @ t_mix) + rhat @ t_xx) / k4
 
     return solve

@@ -366,7 +366,8 @@ KERNEL_SIGNATURES = {
     forms.ConstForm.pullback: "(self, a: 'np.ndarray') -> \"'ConstForm'\"",
     forms.gram_batch: "(coeffs: 'np.ndarray') -> 'np.ndarray'",
     forms.metric_batch: "(coeffs: 'np.ndarray') -> 'np.ndarray'",
-    forms.star3_batch: "(coeffs: 'np.ndarray') -> 'np.ndarray'",
+    forms.star3_batch:
+        "(coeffs: 'np.ndarray', *, dt_free: 'bool' = False) -> 'np.ndarray'",
     gluing.induced_4form: "(field: 'SpectralForm') -> 'SpectralForm'",
     gluing.torsion_residual:
         "(phi: 'SpectralForm', *, dphi: 'SpectralForm | None' = None)"

@@ -5,6 +5,8 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from g2glue import forms, ratmat
 from g2glue.forms import (
@@ -717,6 +719,33 @@ def test_batched_star_messages(index):
     check_messages(forms.star3_batch, index)
 
 
+@pytest.mark.parametrize("index", range(5), ids=UNSTABLE_IDS)
+def test_dt_free_star_messages(index):
+    check_messages(lambda rows: forms.star3_batch(rows, dt_free=True), index)
+
+
+# Rows on the 1/512 grid within 1/16 of phi0 or of its orientation
+# reversal, each component drawn alone: all stable.
+STABLE_ROWS = st.lists(
+    st.tuples(st.booleans(),
+              st.lists(st.integers(-32, 32), min_size=35, max_size=35)),
+    min_size=1, max_size=24)
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=60)
+@given(STABLE_ROWS, st.booleans())
+def test_dt_free_star_is_the_full_stars_last_15(drawn, one_row):
+    bases = (phi0().tovector(),
+             assemble_cylindrical(Omega0(), omega0(), -1).tovector())
+    coeffs = np.array([bases[rev] + np.array(steps) / 512
+                       for rev, steps in drawn])
+    if one_row:
+        coeffs = coeffs[0]
+    got = forms.star3_batch(coeffs, dt_free=True)
+    assert got.shape == coeffs.shape[:-1] + (15,)
+    assert got.tobytes() == forms.star3_batch(coeffs)[..., 20:].tobytes()
+
+
 def test_batched_metric_reports_degenerate_before_indefinite():
     (degenerate, _), (split, _), *_ = unstable_rows()
     batch = stable_rows(np.random.default_rng(73), 3)
@@ -750,7 +779,7 @@ def two_kernel_star(coeffs):
     ct = np.asarray(coeffs, dtype=float).reshape(-1, 35).T
     n = ct.shape[1]
     gt = g.reshape(n, 49).T
-    raise_mat, low_mat, sign, yp, yr, gi = forms._star3_tables()
+    raise_mat, low_mat, sign, yp, yr, gi = forms._star3_tables(False)
     aug = np.concatenate([gt.reshape(7, 7, n), (raise_mat @ ct).reshape(7, 5, n)],
                          axis=1)
     forms._eliminate(aug)
@@ -772,4 +801,5 @@ def test_one_pass_star_matches_the_two_kernel_formula():
         assert rel_err(got, two_kernel_star(batch)) <= 1e-14
     empty = np.zeros((0, 35))
     assert forms.star3_batch(empty).shape == (0, 35)
+    assert forms.star3_batch(empty, dt_free=True).shape == (0, 15)
     assert two_kernel_star(empty).shape == (0, 35)

@@ -20,6 +20,7 @@ from g2glue.fields import (
     estimate_decay_rate,
     exterior_d,
     harmonic_project,
+    norm_l2,
     norm_sup,
 )
 from g2glue.forms import AXES7, Omega0, basis_position, omega0, phi0
@@ -31,6 +32,7 @@ from g2glue.gluing import (
     fit_torsion_slope,
     flat_structure,
     glue_fields,
+    induced_4form,
     integral_to_infinity,
     modulated_shear_structure,
     sheared_structure,
@@ -443,13 +445,13 @@ def test_reduce_stars_the_field_once_per_step(monkeypatch):
     plus = closed_perturbation_structure(1, amplitude=1e-3)
     glued = glue_fields(plus, flat_structure(-1), 5.0)
     calls = []
-    real = gluing.induced_4form
+    real = gluing.star3_batch
 
     def counting(*args, **kwargs):
         calls.append(1)
         return real(*args, **kwargs)
 
-    monkeypatch.setattr(gluing, "induced_4form", counting)
+    monkeypatch.setattr(gluing, "star3_batch", counting)
     out, report = torsion_reduce(glued, tol=1e-10)
     assert report.iterations >= 1
     assert len(calls) == report.iterations + 1
@@ -595,6 +597,17 @@ def test_nonzero_xi_solve_matches_explicit_pinv(xi, n_t):
     assert np.array_equal(solve(xi, rhat), got)
 
 
+def test_xi0_pencil_is_t_tt_alone():
+    # The xi = 0 solve applies T_tt only: the other two blocks are exact
+    # zeros there.  The blocks are cached per xi, so they are read-only.
+    t_tt, t_mix, t_xx = gluing._t_blocks(ZERO_XI)
+    assert t_tt.any() and not t_mix.any() and not t_xx.any()
+    for xi in (ZERO_XI, (1, 0, -2, 0, 0, 0)):
+        blocks = gluing._t_blocks(xi)
+        assert gluing._t_blocks(xi) is blocks
+        assert not any(b.flags.writeable for b in blocks)
+
+
 def test_flat_pencil_is_a_scaled_partial_isometry():
     # A(k) has rank 8 with every nonzero singular value |k|^2, which is
     # what lets _mode_solver use A^T / |k|^4 as the pseudoinverse.
@@ -691,9 +704,10 @@ def test_xi0_update_leaves_the_class_coefficients_exactly_alone(kind):
 
 
 def test_reduce_differentiates_only_inside_torsion_residual(monkeypatch):
-    # d(induced 4-form) once per measure; d(phi) once per reduction on the
-    # xi = 0 neck, whose steps leave it bitwise alone, and once per
-    # measure on the modulated one.
+    # On the xi = 0 neck exterior_d runs once, for d(phi), which its steps
+    # leave bitwise alone; d(induced 4-form) is the grid derivative of the
+    # star's dt-free block.  On the modulated neck it runs twice per
+    # measure, for d(phi) and d(induced 4-form).
     calls = []
     real = gluing.exterior_d
 
@@ -704,7 +718,7 @@ def test_reduce_differentiates_only_inside_torsion_residual(monkeypatch):
     monkeypatch.setattr(gluing, "exterior_d", counting)
     _, report = torsion_reduce(neck_at_5("closed"), tol=1e-10)
     assert report.iterations == 2 and report.converged
-    assert len(calls) == report.iterations + 2
+    assert len(calls) == 1
     calls.clear()
     _, report = torsion_reduce(neck_at_5("modulated"), tol=1e-10)
     assert report.iterations >= 2
@@ -738,6 +752,40 @@ def test_torsion_residual_takes_a_given_dphi(flat_glued):
     doubled = torsion_residual(field, dphi=2.0 * meas.dphi)
     assert (doubled.d_l2, doubled.d_sup) == (2.0 * meas.d_l2, 2.0 * meas.d_sup)
     assert (doubled.dstar_l2, doubled.dstar_sup) == (meas.dstar_l2, meas.dstar_sup)
+
+
+@pytest.mark.parametrize("kind", ["closed", "flat", "interval"])
+def test_xi0_dstar_is_d_of_the_induced_4form_bitwise(kind, flat_glued):
+    # On a xi = 0 field torsion_residual stars only the dt-free block and
+    # differentiates it on the grid; the full star through exterior_d is
+    # the reference, bit for bit.
+    field = {"closed": lambda: neck_at_5("closed"),
+             "flat": lambda: flat_glued,
+             "interval": lambda: closed_perturbation_structure(1).total()}[kind]()
+    assert field.modes.keys() == {ZERO_XI}
+    meas = torsion_residual(field)
+    want = exterior_d(induced_4form(field))
+    got = meas.dstar
+    assert (got.degree, got.band, got.grid) == (5, want.band, want.grid)
+    assert got.modes.keys() == want.modes.keys() == {ZERO_XI}
+    a, b = got.modes[ZERO_XI], want.modes[ZERO_XI]
+    assert a.dtype == b.dtype == np.float64
+    assert a.shape == b.shape and a.tobytes() == b.tobytes()
+    assert (meas.dstar_l2, meas.dstar_sup) == (norm_l2(want), norm_sup(want))
+    assert kind == "flat" or meas.dstar_sup > 0.0
+
+
+def test_xi0_dstar_refuses_non_finite_stars(monkeypatch, flat_glued):
+    real = gluing.star3_batch
+
+    def poisoned(coeffs, **kwargs):
+        out = real(coeffs, **kwargs).copy()
+        out[3, 2] = np.nan
+        return out
+
+    monkeypatch.setattr(gluing, "star3_batch", poisoned)
+    with pytest.raises(ValueError, match=r"1 non-finite samples.*\(3, 2\)"):
+        torsion_residual(flat_glued)
 
 
 def test_torsion_residual_rejects_a_dphi_of_another_shape(flat_glued):
