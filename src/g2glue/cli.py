@@ -555,6 +555,9 @@ def _distinguished_class(diagram: SumDiagram, path: str | None) -> np.ndarray:
         if not np.isfinite(omega).all():
             raise InputError(
                 f"{path}: 'omega' entries must be finite, got {values!r}")
+        if want == 0:
+            raise InputError(
+                f"{path}: the diagram has no degree-2 class to distinguish")
         if not omega.any():
             raise InputError(f"{path}: 'omega' is zero, which distinguishes "
                              "no class")

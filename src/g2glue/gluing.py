@@ -375,10 +375,9 @@ def star_derivative_matrix() -> np.ndarray:
     return _star_matrix(np.eye(7), 3) @ j
 
 
-@lru_cache(maxsize=None)
 def _t_blocks(xi: tuple) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """(T_tt, T_tx + T_xt, T_xx), read-only: the pieces of the linearized
-    torsion operator A(n) = -((w n)^2 T_tt + w n (T_tx + T_xt) + T_xx).
+    """(T_tt, T_tx + T_xt, T_xx): the pieces of the linearized torsion
+    operator A(n) = -((w n)^2 T_tt + w n (T_tx + T_xt) + T_xx).
 
     A(n) = D5(n) M D3(n) takes the 2-form update sigma to the linearized
     residual at t-frequency index n, with D(n) = i (n w W_t + sum_d xi_d W_{x_d})
@@ -393,10 +392,7 @@ def _t_blocks(xi: tuple) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         if xi[d]:
             x3 += xi[d] * _axis_wedge_matrix(d + 2, 2)
             x5 += xi[d] * _axis_wedge_matrix(d + 2, 4)
-    blocks = wt5 @ m @ wt3, wt5 @ m @ x3 + x5 @ m @ wt3, x5 @ m @ x3
-    for b in blocks:
-        b.flags.writeable = False
-    return blocks
+    return wt5 @ m @ wt3, wt5 @ m @ x3 + x5 @ m @ wt3, x5 @ m @ x3
 
 
 def _mode_solver(omega: float, n_t: int):
@@ -409,8 +405,7 @@ def _mode_solver(omega: float, n_t: int):
     all equal |k|^2 = (w n)^2 + |xi|^2, because the star derivative at the
     flat model commutes with G2 and G2 is transitive on S^6.  So
     A^+ = A^T / |k|^4 and the solve is the three blocks of _t_blocks
-    applied to the rows, with 0 at k = 0.  At xi = 0 the last two blocks
-    are exactly 0, so only T_tt is applied.
+    applied to the rows, with 0 at k = 0.
     """
     wn = omega * np.fft.fftfreq(n_t, d=1.0 / n_t)
 
@@ -419,8 +414,6 @@ def _mode_solver(omega: float, n_t: int):
         w = wn[:len(rhat), None]
         k2 = w ** 2 + sum(v * v for v in xi)
         k4 = np.where(k2 > 0.0, k2 ** 2, np.inf)
-        if not any(xi):
-            return w ** 2 * (rhat @ t_tt) / k4
         return (w ** 2 * (rhat @ t_tt) + w * (rhat @ t_mix) + rhat @ t_xx) / k4
 
     return solve

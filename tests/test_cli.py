@@ -626,6 +626,28 @@ def test_derivative_omega_is_a_list_of_finite_numbers(tmp_path, capsys, omega,
         assert hashlib.sha256(out.encode()).hexdigest()[:16] == sha
 
 
+def test_derivative_refuses_omega_without_degree_two_classes(tmp_path,
+                                                             capsys):
+    # A diagram with no degree-2 cross-section class: the one well-sized
+    # omega, [], distinguishes nothing, and so does the default.
+    b = cohomology._Builder()
+    for degree in (0, 3, 6):
+        cohomology._strand_shared(b, degree)
+    for degree in (1, 3, 5):
+        for side in (+1, -1):
+            cohomology._strand_onesided(b, degree, side)
+    diagram = cohomology.SumDiagram(b.blocks())
+    assert diagram.dim("H_X", 2) == 0
+    path, omega = tmp_path / "d.json", tmp_path / "omega.json"
+    save_diagram(diagram, path)
+    omega.write_text('{"omega": []}')
+    for extra in (["--input2", str(omega)], []):
+        rc, out, err = run_cli(["derivative", "--input", str(path), *extra],
+                               capsys)
+        assert rc == 2 and out == "" and err.count("\n") == 1
+        assert "no degree-2 class to distinguish" in err
+
+
 def test_derivative_needs_trivial_degree_one(tmp_path, capsys):
     path = tmp_path / "b1.json"
     save_diagram(synth_diagram(13, 0, (), b1_zero=False), path)

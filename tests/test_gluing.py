@@ -597,17 +597,6 @@ def test_nonzero_xi_solve_matches_explicit_pinv(xi, n_t):
     assert np.array_equal(solve(xi, rhat), got)
 
 
-def test_xi0_pencil_is_t_tt_alone():
-    # The xi = 0 solve applies T_tt only: the other two blocks are exact
-    # zeros there.  The blocks are cached per xi, so they are read-only.
-    t_tt, t_mix, t_xx = gluing._t_blocks(ZERO_XI)
-    assert t_tt.any() and not t_mix.any() and not t_xx.any()
-    for xi in (ZERO_XI, (1, 0, -2, 0, 0, 0)):
-        blocks = gluing._t_blocks(xi)
-        assert gluing._t_blocks(xi) is blocks
-        assert not any(b.flags.writeable for b in blocks)
-
-
 def test_flat_pencil_is_a_scaled_partial_isometry():
     # A(k) has rank 8 with every nonzero singular value |k|^2, which is
     # what lets _mode_solver use A^T / |k|^4 as the pseudoinverse.
