@@ -62,7 +62,6 @@ __all__ = [
     "synth_diagram",
     "validate_C",
     "validate_diagram",
-    "yh_exact",
     "yh_full",
 ]
 
@@ -668,8 +667,8 @@ def sample_pair(d: SumDiagram, m: int,
                         d.mat("istar_minus", m) @ y, tau)
 
 
-def yh_exact(d: SumDiagram, m: int, tau: np.ndarray, length: float, *,
-             tol: float = 1e-10) -> np.ndarray:
+def _yh_exact(d: SumDiagram, m: int, tau: np.ndarray, length: float, *,
+              tol: float = 1e-10) -> np.ndarray:
     """Exact-parameter part of the harmonic gluing map, affine in the length.
 
     With E, Z from ``_common_operator`` and c = Eᵀ G τ the coordinates of
@@ -736,7 +735,7 @@ def yh_full(d: SumDiagram, m: int, pair: HarmonicPair, length: float, *,
     if back.size and float(np.abs(back).max(initial=0.0)) > \
             tol * (1.0 + float(np.abs(target).max(initial=0.0))):
         raise ValueError("pair is not realizable by a total class")
-    return y0 + yh_exact(d, m, pair.tau, length, tol=tol)
+    return y0 + _yh_exact(d, m, pair.tau, length, tol=tol)
 
 
 def gluing_matrix(d: SumDiagram, m: int, length: float) -> np.ndarray:
@@ -744,7 +743,7 @@ def gluing_matrix(d: SumDiagram, m: int, length: float) -> np.ndarray:
 
     G(L) = [section·K | δ(Z + 2L·E)], affine in the length.  The first
     block holds the images of a basis of total classes (restricted to both
-    halves by K, exact part zero); the second holds ``yh_exact`` of each
+    halves by K, exact part zero); the second holds ``_yh_exact`` of each
     column of the common-complement basis E, with E and Z read from
     ``_common_operator``.  Rank equal to the total-space dimension is the
     brute-force isomorphism test.  ``d`` keeps the section, so a call on

@@ -16,9 +16,9 @@ every other mode as complex128.
 
 The t-axis is either an interval [a, b] with n inclusive samples (fourth
 order finite differences) or a circle of circumference b - a with n
-samples and spectral derivatives.  The exterior derivative differentiates
-in t only the dt-free columns, the only ones dt ^ (.) keeps, and takes the
-real xi = 0 coefficient through the real half-spectrum on a circle.  The
+samples and spectral derivatives; TGrid owns the t-Fourier layout of a
+circle.  The exterior derivative differentiates in t only the dt-free
+columns, the only ones dt ^ (.) keeps, and keeps the xi = 0 mode real.  The
 L^2 pairing uses the probability measure on the torus, so Parseval holds
 without 2*pi factors, and the trapezoid rule (interval) or uniform rule
 (circle) in t.
@@ -74,8 +74,8 @@ class TGrid:
 
     Interval grids hold n samples on [a, b] inclusive; circle grids hold n
     samples on [a, b) with period b - a.  Derivatives are fourth-order
-    finite differences (interval) or spectral (circle).
-    """
+    finite differences (interval) or spectral (circle).  A circle grid owns
+    the t-Fourier layout: forward, inverse, ddt_spectrum and wavenumbers."""
 
     a: float
     b: float
@@ -126,29 +126,36 @@ class TGrid:
 
     @cached_property
     def _ddt_multiplier(self) -> np.ndarray:
-        """Spectral d/dt on a circle, 2 pi i k / length over the fft
-        frequencies k, with the Nyquist entry zeroed for even n.  Its first
-        n // 2 + 1 entries are the multiplier of the real half-spectrum."""
+        """Spectral d/dt, 2 pi i k / length over the fft frequencies k, 0 at Nyquist."""
         k = np.fft.fftfreq(self.n, d=1.0 / self.n)
         if self.n % 2 == 0:
             k[self.n // 2] = 0.0
         return 2j * np.pi * k / self.length
 
-    def ddt(self, y: np.ndarray) -> np.ndarray:
-        """d/dt along axis 0 of a sample array.
+    def forward(self, y: np.ndarray) -> np.ndarray:
+        """t-spectrum along axis 0: rfft of a real array, fft of a complex one."""
+        return np.fft.fft(y, axis=0) if np.iscomplexobj(y) else np.fft.rfft(y, axis=0)
 
-        On a circle a complex array takes the full fft round trip and a
-        real one (such as the xi = 0 coefficient, real by the reality
-        constraint) the real half-spectrum, rfft then irfft, returning a
-        real array.  On an interval it is the fourth-order stencil.
-        """
+    def inverse(self, yhat: np.ndarray) -> np.ndarray:
+        """Samples from a t-spectrum: irfft of n // 2 + 1 rows, ifft of n rows."""
+        return (np.fft.irfft(yhat, self.n, axis=0) if len(yhat) == self.n // 2 + 1
+                else np.fft.ifft(yhat, axis=0))
+
+    def wavenumbers(self, yhat: np.ndarray) -> np.ndarray:
+        """2 pi k / length for each row of a t-spectrum, the Nyquist row too."""
+        k = np.fft.fftfreq(self.n, d=1.0 / self.n)[: len(yhat)]
+        return 2.0 * np.pi / self.length * k
+
+    def ddt_spectrum(self, yhat: np.ndarray) -> np.ndarray:
+        """d/dt on a t-spectrum: each row times its entry of _ddt_multiplier."""
+        shape = (-1,) + (1,) * (yhat.ndim - 1)
+        return self._ddt_multiplier[: len(yhat)].reshape(shape) * yhat
+
+    def ddt(self, y: np.ndarray) -> np.ndarray:
+        """d/dt along axis 0: on a circle the pair around ddt_spectrum, real
+        in and out for a real array; on an interval the fourth-order stencil."""
         if self.periodic:
-            shape = (-1,) + (1,) * (y.ndim - 1)
-            mult = self._ddt_multiplier
-            if np.iscomplexobj(y):
-                return np.fft.ifft(mult.reshape(shape) * np.fft.fft(y, axis=0), axis=0)
-            half = mult[: self.n // 2 + 1].reshape(shape)
-            return np.fft.irfft(half * np.fft.rfft(y, axis=0), self.n, axis=0)
+            return self.inverse(self.ddt_spectrum(self.forward(y)))
         h12 = 12.0 * self.h
         d = np.empty_like(y, dtype=complex if np.iscomplexobj(y) else float)
         d[2:-2] = (y[:-4] - 8 * y[1:-3] + 8 * y[3:-1] - y[4:]) / h12
@@ -375,8 +382,7 @@ def exterior_d(f: SpectralForm) -> SpectralForm:
     """Exterior derivative: i*xi on torus modes, grid derivative in t.
 
     The t-part is dt ^ d/dt, which kills the dt block, so only the dt-free
-    columns are differentiated (see _d_mode).  The real xi = 0 mode goes,
-    on a circle, through the real half-spectrum and stays real.
+    columns are differentiated (see _d_mode), by TGrid.ddt.
     """
     if f.degree >= 7:
         raise ValueError("cannot differentiate a top-degree form")
@@ -436,12 +442,18 @@ def _active_axes(dims) -> tuple[int, ...]:
 _OVERSAMPLE = 2
 
 
+def _slot(xi: tuple, dims) -> tuple:
+    """Index of mode xi in a torus spectrum: xi_d at fft position xi_d mod M_d."""
+    return (slice(None),) + tuple(xi[d] % dims[d] for d in range(6)) + (slice(None),)
+
+
 def sample_physical(f: SpectralForm) -> tuple[np.ndarray, tuple[int, ...]]:
     """Evaluate on a physical grid: (samples, torus shape).
 
     Returns an array of shape (grid.n, M_1, .., M_6, ncomp) with M_d = 1
     for torus directions carrying no nonzero frequency and
-    M_d = 2 * _OVERSAMPLE * max|xi_d| otherwise, together with the M tuple.
+    M_d = 2 * _OVERSAMPLE * max|xi_d| otherwise (f's own frequencies, not
+    its band: see induced_4form), together with the M tuple.
     The grid in each active direction is uniform on [0, 2*pi).  Only the
     active directions are transformed: an FFT over a length-1 axis is the
     identity, so skipping it leaves the samples bitwise unchanged.  With
@@ -460,8 +472,7 @@ def sample_physical(f: SpectralForm) -> tuple[np.ndarray, tuple[int, ...]]:
         return (np.zeros(shape) if zero is None else zero.reshape(shape)), dims
     spec = np.zeros(shape, dtype=complex)
     for xi, a in f.modes.items():
-        pos = tuple(xi[d] % dims[d] for d in range(6))
-        spec[(slice(None),) + pos + (slice(None),)] += a
+        spec[_slot(xi, dims)] += a
     spec = np.fft.ifftn(spec, axes=axes) * np.prod(dims)
     return np.real(spec), dims
 
@@ -498,8 +509,7 @@ def spectral_from_samples(samples: np.ndarray, degree: int, band: int,
         ranges.append(range(-lim, lim + 1) if m > 1 else range(0, 1))
     modes = {}
     for xi in itertools.product(*ranges):
-        pos = tuple(xi[d] % dims[d] for d in range(6))
-        a = spec[(slice(None),) + pos + (slice(None),)]
+        a = spec[_slot(xi, dims)]
         if np.abs(a).max() > 0.0:
             modes[xi] = a
     return SpectralForm(degree, band, grid, modes)

@@ -34,10 +34,10 @@ nonzero singular values equal to |k|^2 (the star derivative at the flat
 model commutes with G2, which is transitive on S^6), so each mode is
 solved in closed form by A^+ = A^T / |k|^4 and the solver builds nothing
 per neck length.  The update d sigma is formed on the t-spectrum,
-i k ^ sigma^ per frequency, and enters phi through one inverse
-transform; sigma itself is never sampled.  Its (xi, n) = (0, 0)
-coefficient is an exact 0, so the update is exact and the harmonic class
-is held by construction, with no step that restores it.
+i k ^ sigma^ per frequency, and enters phi through one inverse transform
+of the neck grid's pair (fields.TGrid); sigma is never sampled.  Its
+(xi, n) = (0, 0) coefficient is an exact 0, so the update is exact and
+the harmonic class is held by construction, with no step that restores it.
 """
 
 from __future__ import annotations
@@ -309,8 +309,10 @@ class TorsionMeasure:
 
 def induced_4form(field: SpectralForm) -> SpectralForm:
     """The pointwise star of a degree-3 field with respect to its own
-    induced metric, projected back to the field's mode band.  Each
-    physical sample is factored once, by star3_batch."""
+    induced metric, each physical sample factored once by star3_batch, kept
+    on the modes sample_physical resolves: |xi_d| <= min(band, 2M - 1) where
+    the field reaches |xi_d| = M > 0, so a band-2 field holding only
+    xi = +-e_m keeps |xi_m| <= 1 of its star (ROADMAP.md, item 1(a))."""
     phys, _ = sample_physical(field)
     starred = star3_batch(phys.reshape(-1, 35)).reshape(phys.shape)
     return spectral_from_samples(starred, 4, field.band, field.grid)
@@ -395,23 +397,20 @@ def _t_blocks(xi: tuple) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     return wt5 @ m @ wt3, wt5 @ m @ x3 + x5 @ m @ wt3, x5 @ m @ x3
 
 
-def _mode_solver(omega: float, n_t: int):
-    """Per-mode solver of the linearized torsion operator for one neck.
+def _mode_solver(grid: TGrid):
+    """Per-mode solver of the linearized torsion operator on one neck grid.
 
-    Returns solve(xi, rhat) -> -A(n)^+ rhat row by row, for rhat the
-    t-Fourier coefficients (n_t, 21) of a residual mode, or the first
-    n_t // 2 + 1 of them (the real half-spectrum of the xi = 0 mode).
-    A(n) is a scaled partial isometry: its eight nonzero singular values
-    all equal |k|^2 = (w n)^2 + |xi|^2, because the star derivative at the
-    flat model commutes with G2 and G2 is transitive on S^6.  So
-    A^+ = A^T / |k|^4 and the solve is the three blocks of _t_blocks
-    applied to the rows, with 0 at k = 0.
+    Returns solve(xi, rhat) -> -A(n)^+ rhat row by row, for rhat a
+    residual mode's t-spectrum (21 columns) in the grid's layout (see
+    TGrid.forward).  A(n) is a scaled partial isometry: its eight nonzero
+    singular values all equal |k|^2 = (w n)^2 + |xi|^2, because the star
+    derivative at the flat model commutes with G2 and G2 is transitive on
+    S^6.  So A^+ = A^T / |k|^4 and the solve is the three blocks of
+    _t_blocks applied to the rows, with 0 at k = 0.
     """
-    wn = omega * np.fft.fftfreq(n_t, d=1.0 / n_t)
-
     def solve(xi: tuple, rhat: np.ndarray) -> np.ndarray:
         t_tt, t_mix, t_xx = _t_blocks(xi)
-        w = wn[:len(rhat), None]
+        w = grid.wavenumbers(rhat)[:, None]
         k2 = w ** 2 + sum(v * v for v in xi)
         k4 = np.where(k2 > 0.0, k2 ** 2, np.inf)
         return (w ** 2 * (rhat @ t_tt) + w * (rhat @ t_mix) + rhat @ t_xx) / k4
@@ -422,24 +421,20 @@ def _mode_solver(omega: float, n_t: int):
 def _update_spectra(dstar: SpectralForm, solve) -> dict:
     """The t-spectra of the update d sigma, one per residual mode.
 
-    sigma^ = solve(xi, r^) per mode, then d sigma^ = D(n) sigma^ formed on
-    the spectrum itself: the grid's d/dt multiplier on the dt-free columns
-    (its real half, Nyquist zeroed, for the real xi = 0 mode) and i xi ^
-    for xi != 0, by the assembly exterior_d uses on samples.  sigma is
-    never sampled.  The (xi, n) = (0, 0) row is an exact 0 (the solve
-    returns 0 at k = 0) and so is the dt-free block of the xi = 0 mode,
-    so the class is held by construction.  The xi = 0 entry is a real
-    half-spectrum, for irfft; the others are full spectra, for ifft.
+    sigma^ = solve(xi, r^) per mode on the grid's t-spectrum of r, then
+    d sigma^ = D(n) sigma^ formed on the spectrum itself: the grid's
+    ddt_spectrum on the dt-free columns and i xi ^ for xi != 0, by the
+    assembly exterior_d uses on samples.  sigma is never sampled.  The
+    (xi, n) = (0, 0) row is an exact 0 (the solve returns 0 at k = 0) and
+    so is the dt-free block of the xi = 0 mode, so the class is held by
+    construction.  Each entry keeps its mode's layout, for TGrid.inverse.
     """
-    mult = dstar.grid._ddt_multiplier[:, None]
+    grid = dstar.grid
     free = slice(_dt_count(2), _ncomp(2))
     out = {}
     for xi, arr in dstar.modes.items():
-        if xi == ZERO_XI:
-            shat = solve(xi, np.fft.rfft(arr, axis=0))
-        else:
-            shat = solve(xi, np.fft.fft(arr, axis=0))
-        out[xi] = _d_mode(xi, shat, mult[:len(shat)] * shat[:, free], 2)
+        shat = solve(xi, grid.forward(arr))
+        out[xi] = _d_mode(xi, shat, grid.ddt_spectrum(shat[:, free]), 2)
     return out
 
 
@@ -449,9 +444,7 @@ def _step(field: SpectralForm, dstar: SpectralForm, solve) -> SpectralForm:
     The spectra and samples of the update die on return, before the
     caller measures the new field.
     """
-    n_t = field.grid.n
-    update = {xi: np.fft.irfft(dhat, n_t, axis=0) if xi == ZERO_XI
-              else np.fft.ifft(dhat, axis=0)
+    update = {xi: field.grid.inverse(dhat)
               for xi, dhat in _update_spectra(dstar, solve).items()}
     return field + SpectralForm(3, field.band, field.grid, update, check=False)
 
@@ -525,10 +518,9 @@ def torsion_reduce(field: SpectralForm, tol: float = 1e-10,
     (xi, n) = (0, 0) coefficient is an exact 0 and its xi = 0 dt-free
     block is exactly 0, so the harmonic class is held by construction:
     its free block bitwise, its dt block up to the rounding of adding a
-    zero-mean update to the samples, and no step restores it.  The
-    xi = 0 mode is stored real (see fields.SpectralForm) and goes through
-    its real half-spectrum (rfft, then irfft); every other mode uses the
-    full complex transform.  The residual solved against is the one
+    zero-mean update to the samples, and no step restores it.  Each mode
+    goes through the neck grid's t-transform pair (TGrid.forward and
+    TGrid.inverse).  The residual solved against is the one
     torsion_residual measured at the end of the previous step, so each
     step stars the field once and differentiates only inside
     torsion_residual.  On a field holding only the xi = 0 mode a step
@@ -550,7 +542,7 @@ def torsion_reduce(field: SpectralForm, tol: float = 1e-10,
     length = field.grid.length / 2
     if meas.worst > _SMALLNESS * max(norm_sup(field), 1e-30):
         return field, GluingReport.from_measure(length, meas, 0, "above-smallness")
-    solve = _mode_solver(2.0 * np.pi / field.grid.length, field.grid.n)
+    solve = _mode_solver(field.grid)
     iterations = 0
     worse = 0
     best = meas.worst

@@ -26,7 +26,6 @@ from g2glue.cohomology import (
     synth_diagram,
     validate_C,
     validate_diagram,
-    yh_exact,
     yh_full,
 )
 
@@ -247,7 +246,7 @@ def test_degenerate_boundary_raises():
 
 @pytest.mark.parametrize("path", [
     lambda d: gluing_matrix(d, 3, 2.0),
-    lambda d: yh_exact(d, 3, np.zeros(d.dim("H_X", 2)), 2.0),
+    lambda d: cohomology._yh_exact(d, 3, np.zeros(d.dim("H_X", 2)), 2.0),
     lambda d: validate_C(d),
     lambda d: derivative_model(d, np.zeros(d.dim("H_X", 2)), 2.0),
 ], ids=["gluing_matrix", "yh_exact", "validate_C", "derivative_model"])
@@ -280,7 +279,7 @@ def test_shifted_diagram_still_validates(rigged):
 
 
 def test_yh_exact_zero_input(rigged):
-    out = yh_exact(rigged, 3, np.zeros(rigged.dim("H_X", 2)), 4.0)
+    out = cohomology._yh_exact(rigged, 3, np.zeros(rigged.dim("H_X", 2)), 4.0)
     assert np.all(out == 0)
 
 
@@ -290,14 +289,14 @@ def test_yh_exact_collapses_without_correction():
     tau = sub.e_common @ np.array([0.7, -0.2])
     for length in (1.0, 4.5):
         want = 2.0 * length * (d.mat("mv_delta", 3) @ tau)
-        assert np.allclose(yh_exact(d, 3, tau, length), want, atol=1e-12)
+        assert np.allclose(cohomology._yh_exact(d, 3, tau, length), want, atol=1e-12)
 
 
 def test_yh_exact_rejects_bad_parameter(rigged):
     sub = subspaces(rigged, 2)
     stray = sub.a_plus[:, 0]
     with pytest.raises(ValueError, match="orthogonal"):
-        yh_exact(rigged, 3, stray, 3.0)
+        cohomology._yh_exact(rigged, 3, stray, 3.0)
 
 
 def test_yh_full_restriction_roundtrip(rigged):
@@ -316,7 +315,7 @@ def test_yh_full_zero_pair_is_exact_part(rigged):
     p = HarmonicPair(3, np.zeros(rigged.dim("H_Mplus", 3)),
                      np.zeros(rigged.dim("H_Mminus", 3)), tau)
     assert np.allclose(yh_full(rigged, 3, p, 2.0),
-                       yh_exact(rigged, 3, tau, 2.0), atol=1e-13)
+                       cohomology._yh_exact(rigged, 3, tau, 2.0), atol=1e-13)
 
 
 def test_yh_full_rejects_mismatched_pair(rigged):
@@ -349,7 +348,7 @@ def test_section_ambiguity_lies_in_connecting_image(rigged):
     v1 = yh_full(rigged, 3, p, 4.0)
     # The same map, its matching part lifted through ``other``.
     target = np.concatenate([p.a_plus, p.a_minus])
-    v2 = other @ target + yh_exact(rigged, 3, p.tau, 4.0)
+    v2 = other @ target + cohomology._yh_exact(rigged, 3, p.tau, 4.0)
     diff = v2 - v1
     delta = rigged.mat("mv_delta", 3)
     sol, *_ = np.linalg.lstsq(delta, diff, rcond=None)
@@ -416,7 +415,8 @@ def test_gluing_matrix_exact_block_is_yh_exact(e2d_diagram):
         assert gm.shape == (hm, hm + basis.shape[1])
         want = np.zeros((hm, 0))
         if basis.shape[1]:
-            want = np.column_stack([yh_exact(d, 3, e, length) for e in basis.T])
+            want = np.column_stack([cohomology._yh_exact(d, 3, e, length)
+                                    for e in basis.T])
         scale = float(np.abs(want).max(initial=1.0))
         assert np.abs(gm[:, hm:] - want).max(initial=0.0) <= 1e-12 * scale
 
@@ -487,8 +487,8 @@ def test_plan_backed_samples_equal_fresh_samples_bitwise(e2d_diagram,
         want, got = sample_pair(warm, 3, rng_w), sample_pair(cold, 3, rng_c)
         assert np.array_equal(got.tau, want.tau)
         assert np.array_equal(got.a_plus, want.a_plus)
-        assert np.array_equal(yh_exact(cold, 3, got.tau, length),
-                              yh_exact(warm, 3, want.tau, length))
+        assert np.array_equal(cohomology._yh_exact(cold, 3, got.tau, length),
+                              cohomology._yh_exact(warm, 3, want.tau, length))
         assert np.array_equal(yh_full(cold, 3, got, length),
                               yh_full(warm, 3, want, length))
     assert calls == [2]

@@ -324,7 +324,7 @@ PUBLIC_NAMES = [
     "sheared_structure", "shift_C", "singular_levels", "split_cylindrical",
     "su3_tangent_residual", "subspaces", "sweep_reports", "synth_diagram",
     "torsion_reduce", "torsion_residual", "validate_C", "validate_diagram",
-    "yh_exact", "yh_full",
+    "yh_full",
 ]
 
 
@@ -405,3 +405,28 @@ def test_descriptor_params():
                   if name != "sign"}
            for kind, factory in cli._STRUCTURE_KINDS.items()}
     assert got == DESCRIPTOR_PARAMS
+
+
+def test_the_t_fourier_layout_has_one_home():
+    # fields.TGrid owns the neck's t-Fourier layout: numpy's fft module is
+    # named in fields.py alone (its torus transforms and TGrid), and the
+    # d/dt multiplier is read inside TGrid alone.
+    root = pathlib.Path(__file__).resolve().parents[1] / "src" / "g2glue"
+    strays = []
+    for path in sorted(root.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        home = {id(node) for cls in ast.walk(tree)
+                if isinstance(cls, ast.ClassDef) and cls.name == "TGrid"
+                for node in ast.walk(cls)} if path.name == "fields.py" else set()
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Attribute):
+                name = node.attr
+            elif isinstance(node, (ast.Import, ast.ImportFrom)):
+                name = " ".join([getattr(node, "module", None) or ""]
+                                + [alias.name for alias in node.names])
+            else:
+                continue
+            fft = "fft" in re.split(r"\W", name) and path.name != "fields.py"
+            if fft or (name == "_ddt_multiplier" and id(node) not in home):
+                strays.append(f"{path.name}:{node.lineno}: {name}")
+    assert strays == []

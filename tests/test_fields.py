@@ -207,6 +207,55 @@ def test_spectral_from_samples_rejects_inf_on_an_active_axis():
         spectral_from_samples(bad, 3, 2, CIRCLE)
 
 
+# -- the t-transform pair --------------------------------------------------
+
+def pair_inputs(n):
+    rng = np.random.default_rng(n)
+    real = rng.standard_normal((n, 5))
+    return TGrid(0.0, 10.0, n, periodic=True), real, real + 1j * rng.standard_normal((n, 5))
+
+
+@pytest.mark.parametrize("n", [640, 641])
+def test_forward_is_rfft_of_real_and_fft_of_complex(n):
+    grid, real, cplx = pair_inputs(n)
+    half, full = grid.forward(real), grid.forward(cplx)
+    assert half.shape == (n // 2 + 1, 5) and full.shape == (n, 5)
+    assert np.array_equal(half, np.fft.rfft(real, axis=0))
+    assert np.array_equal(full, np.fft.fft(cplx, axis=0))
+
+
+@pytest.mark.parametrize("n", [640, 641])
+def test_inverse_picks_irfft_or_ifft_by_row_count(n):
+    grid, real, cplx = pair_inputs(n)
+    half, full = np.fft.rfft(real, axis=0), np.fft.fft(cplx, axis=0)
+    back_real, back_cplx = grid.inverse(half), grid.inverse(full)
+    assert back_real.shape == back_cplx.shape == (n, 5)
+    assert (back_real.dtype, back_cplx.dtype) == (np.float64, np.complex128)
+    assert np.array_equal(back_real, np.fft.irfft(half, n, axis=0))
+    assert np.array_equal(back_cplx, np.fft.ifft(full, axis=0))
+    assert np.abs(back_real - real).max() <= 1e-14
+
+
+@pytest.mark.parametrize("n", [640, 641])
+def test_ddt_is_the_multiplier_between_the_pair_bitwise(n):
+    # The formula TGrid.ddt had before it was built on the pair, and the
+    # solver's frequencies as the reducer formed them from the neck length.
+    grid, real, cplx = pair_inputs(n)
+    k = np.fft.fftfreq(n, d=1.0 / n)
+    wn = 2.0 * np.pi / grid.length * k
+    assert np.array_equal(grid.wavenumbers(grid.forward(cplx)), wn)
+    assert np.array_equal(grid.wavenumbers(grid.forward(real)), wn[: n // 2 + 1])
+    if n % 2 == 0:
+        k[n // 2] = 0.0
+    mult = 2j * np.pi * k / grid.length
+    want_real = np.fft.irfft(mult[: n // 2 + 1, None] * np.fft.rfft(real, axis=0),
+                             n, axis=0)
+    want_cplx = np.fft.ifft(mult[:, None] * np.fft.fft(cplx, axis=0), axis=0)
+    assert grid.ddt(real).dtype == np.float64
+    assert np.array_equal(grid.ddt(real), want_real)
+    assert np.array_equal(grid.ddt(cplx), want_cplx)
+
+
 # -- exterior derivative ---------------------------------------------------
 
 def test_d_constant_zero_form():

@@ -573,7 +573,8 @@ def test_closed_form_xi0_solve_matches_explicit_pinv(length):
     omega = np.pi / length
     rng = np.random.default_rng(7)
     rhat = rng.standard_normal((n_t, 21)) + 1j * rng.standard_normal((n_t, 21))
-    got = gluing._mode_solver(omega, n_t)(ZERO_XI, rhat)
+    grid = TGrid(0.0, 2 * length, n_t, periodic=True)
+    got = gluing._mode_solver(grid)(ZERO_XI, rhat)
     want = -np.einsum("nij,nj->ni", explicit_pinv(ZERO_XI, omega, n_t), rhat)
     assert not got[0].any() and not want[0].any()
     nyquist = n_t // 2
@@ -590,7 +591,7 @@ def test_nonzero_xi_solve_matches_explicit_pinv(xi, n_t):
     omega = np.pi / 5.0
     rng = np.random.default_rng(8)
     rhat = rng.standard_normal((n_t, 21)) + 1j * rng.standard_normal((n_t, 21))
-    solve = gluing._mode_solver(omega, n_t)
+    solve = gluing._mode_solver(TGrid(0.0, 10.0, n_t, periodic=True))
     got = solve(xi, rhat)
     want = -np.einsum("nij,nj->ni", explicit_pinv(xi, omega, n_t), rhat)
     assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
@@ -617,9 +618,8 @@ def test_flat_pencil_is_a_scaled_partial_isometry():
 
 @pytest.mark.parametrize("n_t", [640, 641])
 def test_xi0_solve_on_the_real_half_spectrum(n_t):
-    omega = np.pi / 5.0
     r = np.random.default_rng(9).standard_normal((n_t, 21))
-    solve = gluing._mode_solver(omega, n_t)
+    solve = gluing._mode_solver(TGrid(0.0, 10.0, n_t, periodic=True))
     half = solve(ZERO_XI, np.fft.rfft(r, axis=0))
     full = solve(ZERO_XI, np.fft.fft(r, axis=0))[: n_t // 2 + 1]
     assert half.shape == full.shape
@@ -663,7 +663,7 @@ def test_spectral_update_matches_the_sample_space_step(kind):
     glued = neck_at_5(kind)
     dstar = torsion_residual(glued).dstar
     n_t = dstar.grid.n
-    solve = gluing._mode_solver(np.pi / 5.0, n_t)
+    solve = gluing._mode_solver(dstar.grid)
     want = sample_space_update(dstar, solve)
     spectra = gluing._update_spectra(dstar, solve)
     assert set(spectra) == set(want.modes)
@@ -684,7 +684,7 @@ def test_spectral_update_matches_the_sample_space_step(kind):
 @pytest.mark.parametrize("kind", ["closed", "modulated"])
 def test_xi0_update_leaves_the_class_coefficients_exactly_alone(kind):
     dstar = torsion_residual(neck_at_5(kind)).dstar
-    solve = gluing._mode_solver(np.pi / 5.0, dstar.grid.n)
+    solve = gluing._mode_solver(dstar.grid)
     dhat = gluing._update_spectra(dstar, solve)[ZERO_XI]
     assert dhat.shape == (dstar.grid.n // 2 + 1, 35)
     assert np.abs(dhat[1:, :15]).max() > 0.0
