@@ -68,6 +68,11 @@ class RealityError(ValueError):
 
 # -- t-axis discretizations ------------------------------------------------
 
+def _require_density(density) -> None:
+    if not density > 0:
+        raise ValueError(f"grid density must be positive, got {density!r}")
+
+
 @dataclass(frozen=True)
 class TGrid:
     """Uniform sample grid for the cylinder coordinate.
@@ -90,7 +95,9 @@ class TGrid:
 
     @classmethod
     def interval(cls, a: float, b: float, density: int = 64) -> "TGrid":
-        """Raises ValueError past ``_MAX_INTERVAL_SAMPLES`` samples."""
+        """Raises ValueError if the density is not positive or the grid
+        would pass ``_MAX_INTERVAL_SAMPLES`` samples."""
+        _require_density(density)
         steps = (b - a) * density
         if not steps < _MAX_INTERVAL_SAMPLES - 0.5:
             raise ValueError(f"grid needs {steps + 1:.3g} samples, more than "
@@ -99,6 +106,8 @@ class TGrid:
 
     @classmethod
     def circle(cls, length: float, density: int = 64) -> "TGrid":
+        """Raises ValueError on a density that is not positive."""
+        _require_density(density)
         return cls(0.0, float(length), max(8, round(length * density)), periodic=True)
 
     @property

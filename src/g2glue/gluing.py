@@ -27,24 +27,16 @@ Torsion is measured as the pair (d phi, d of the induced 4-form), the
 4-form star computed sample by sample with the frozen-coefficient
 pointwise kernels; on a xi = 0 field, d of the star is dt ^ d/dt of its
 dt-free block, so only those 15 components are starred.  The reduction
-iterates phi += d sigma with sigma solved mode by mode from the
-linearization of the induced-4-form map at the flat model.  At every
-frequency k = (w n, xi) the linearization A(k) has rank 8 with all
-nonzero singular values equal to |k|^2 (the star derivative at the flat
-model commutes with G2, which is transitive on S^6), so each mode is
-solved in closed form by A^+ = A^T / |k|^4 and the solver builds nothing
-per neck length.  The update d sigma is formed on the t-spectrum,
-i k ^ sigma^ per frequency, and enters phi through one inverse transform
-of the neck grid's pair (fields.TGrid); sigma is never sampled.  Its
-(xi, n) = (0, 0) coefficient is an exact 0, so the update is exact and
-the harmonic class is held by construction, with no step that restores it.
+iterates phi += d sigma (_step), with sigma solved mode by mode in closed
+form from the linearization of the induced-4-form map at the flat model
+(_solve).
 """
 
 from __future__ import annotations
 
 import math
 import operator
-from dataclasses import dataclass, field as dataclass_field, replace
+from dataclasses import dataclass, field as dataclass_field
 from functools import lru_cache
 
 import numpy as np
@@ -260,7 +252,7 @@ def glue_fields(plus, minus, length: float) -> SpectralForm:
 
     half_p = _corrected_half_samples(plus, length, q + 1)
     half_m = _corrected_half_samples(minus, length, q + 1)
-    neck = TGrid(0.0, 2.0 * length, 2 * q, periodic=True)
+    neck = TGrid.circle(2.0 * length, density)
     band = max(plus.perturbation.band, minus.perturbation.band)
     ncomp = 35
     dtslots = slice(0, 15)
@@ -311,8 +303,9 @@ def induced_4form(field: SpectralForm) -> SpectralForm:
     """The pointwise star of a degree-3 field with respect to its own
     induced metric, each physical sample factored once by star3_batch, kept
     on the modes sample_physical resolves: |xi_d| <= min(band, 2M - 1) where
-    the field reaches |xi_d| = M > 0, so a band-2 field holding only
-    xi = +-e_m keeps |xi_m| <= 1 of its star (ROADMAP.md, item 1(a))."""
+    the field reaches |xi_d| = M > 0.  So a band-2 field holding only
+    xi = +-e_m keeps |xi_m| <= 1 of its star, and the star's higher
+    frequencies in the band alias onto the ones kept."""
     phys, _ = sample_physical(field)
     starred = star3_batch(phys.reshape(-1, 35)).reshape(phys.shape)
     return spectral_from_samples(starred, 4, field.band, field.grid)
@@ -397,66 +390,58 @@ def _t_blocks(xi: tuple) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     return wt5 @ m @ wt3, wt5 @ m @ x3 + x5 @ m @ wt3, x5 @ m @ x3
 
 
-def _mode_solver(grid: TGrid):
-    """Per-mode solver of the linearized torsion operator on one neck grid.
+def _solve(grid: TGrid, xi: tuple, rhat: np.ndarray) -> np.ndarray:
+    """-A(n)^+ rhat row by row, for rhat a residual mode's t-spectrum (21
+    columns) in the grid's layout (see TGrid.forward).
 
-    Returns solve(xi, rhat) -> -A(n)^+ rhat row by row, for rhat a
-    residual mode's t-spectrum (21 columns) in the grid's layout (see
-    TGrid.forward).  A(n) is a scaled partial isometry: its eight nonzero
-    singular values all equal |k|^2 = (w n)^2 + |xi|^2, because the star
-    derivative at the flat model commutes with G2 and G2 is transitive on
-    S^6.  So A^+ = A^T / |k|^4 and the solve is the three blocks of
-    _t_blocks applied to the rows, with 0 at k = 0.
+    A(n) is a scaled partial isometry: its eight nonzero singular values
+    all equal |k|^2 = (w n)^2 + |xi|^2, because the star derivative at the
+    flat model commutes with G2 and G2 is transitive on S^6.  So
+    A^+ = A^T / |k|^4, the three blocks of _t_blocks applied to the rows,
+    with 0 at k = 0; nothing is built per neck length.
     """
-    def solve(xi: tuple, rhat: np.ndarray) -> np.ndarray:
-        t_tt, t_mix, t_xx = _t_blocks(xi)
-        w = grid.wavenumbers(rhat)[:, None]
-        k2 = w ** 2 + sum(v * v for v in xi)
-        k4 = np.where(k2 > 0.0, k2 ** 2, np.inf)
-        return (w ** 2 * (rhat @ t_tt) + w * (rhat @ t_mix) + rhat @ t_xx) / k4
-
-    return solve
+    t_tt, t_mix, t_xx = _t_blocks(xi)
+    w = grid.wavenumbers(rhat)[:, None]
+    k2 = w ** 2 + sum(v * v for v in xi)
+    k4 = np.where(k2 > 0.0, k2 ** 2, np.inf)
+    return (w ** 2 * (rhat @ t_tt) + w * (rhat @ t_mix) + rhat @ t_xx) / k4
 
 
-def _update_spectra(dstar: SpectralForm, solve) -> dict:
-    """The t-spectra of the update d sigma, one per residual mode.
+def _step(field: SpectralForm, dstar: SpectralForm) -> SpectralForm:
+    """field + d sigma, for sigma the flat-model solve against the
+    measured d(induced 4-form) ``dstar``.
 
-    sigma^ = solve(xi, r^) per mode on the grid's t-spectrum of r, then
-    d sigma^ = D(n) sigma^ formed on the spectrum itself: the grid's
-    ddt_spectrum on the dt-free columns and i xi ^ for xi != 0, by the
-    assembly exterior_d uses on samples.  sigma is never sampled.  The
-    (xi, n) = (0, 0) row is an exact 0 (the solve returns 0 at k = 0) and
-    so is the dt-free block of the xi = 0 mode, so the class is held by
-    construction.  Each entry keeps its mode's layout, for TGrid.inverse.
+    Per residual mode: the grid's forward transform, sigma^ = _solve, then
+    d sigma^ = D(n) sigma^ formed on the spectrum itself (the grid's
+    ddt_spectrum on the dt-free columns and i xi ^ for xi != 0, the
+    assembly exterior_d uses on samples), then one inverse transform;
+    sigma is never sampled.  The class is held by construction, with no
+    step that restores it: the update's xi = 0 mode has an exact 0 for
+    its dt-free block (dt ^ d/dt writes only dt slots) and for its n = 0
+    row (_solve returns 0 at k = 0).  So the class's free block stays
+    bitwise, its dt block moves only by the rounding of adding a zero-mean
+    update to the samples, and d(phi) of a field holding only the xi = 0
+    mode is bitwise unchanged.  Each spectrum dies with its mode's
+    iteration, and the update's samples on return, before the caller
+    measures the new field.
     """
-    grid = dstar.grid
+    grid = field.grid
     free = slice(_dt_count(2), _ncomp(2))
-    out = {}
+    update = {}
     for xi, arr in dstar.modes.items():
-        shat = solve(xi, grid.forward(arr))
-        out[xi] = _d_mode(xi, shat, grid.ddt_spectrum(shat[:, free]), 2)
-    return out
-
-
-def _step(field: SpectralForm, dstar: SpectralForm, solve) -> SpectralForm:
-    """field + d sigma, one inverse transform of _update_spectra per mode.
-
-    The spectra and samples of the update die on return, before the
-    caller measures the new field.
-    """
-    update = {xi: field.grid.inverse(dhat)
-              for xi, dhat in _update_spectra(dstar, solve).items()}
-    return field + SpectralForm(3, field.band, field.grid, update, check=False)
+        shat = _solve(grid, xi, grid.forward(arr))
+        update[xi] = grid.inverse(
+            _d_mode(xi, shat, grid.ddt_spectrum(shat[:, free]), 2))
+    return field + SpectralForm(3, field.band, grid, update, check=False)
 
 
 @dataclass(frozen=True)
 class GluingReport:
-    """Outcome record for one neck: torsion norms, iterations and why it
-    stopped, one of STOP_REASONS (torsion_reduce's, or unreduced for a
-    raw sweep_reports row); any other stop_reason raises ValueError."""
+    """Outcome record for one torsion_reduce run: torsion norms, iterations
+    and why it stopped, one of STOP_REASONS; any other stop_reason raises
+    ValueError."""
 
-    STOP_REASONS = ("converged", "max_iter", "diverged", "above-smallness",
-                    "unreduced")
+    STOP_REASONS = ("converged", "max_iter", "diverged", "above-smallness")
 
     length: float
     torsion_d_l2: float
@@ -510,31 +495,20 @@ def torsion_reduce(field: SpectralForm, tol: float = 1e-10,
     interval grid raises ValueError, since the mode solver assumes the
     neck circle.
 
-    Each step solves the flat-model linearization mode by mode for a
-    2-form sigma against d(induced 4-form), in closed form as
-    sigma^ = -A(k)^T r^ / |k|^4 (see _mode_solver), forms d sigma on the
-    t-spectrum and adds one inverse transform of it to phi
-    (_update_spectra); sigma is never sampled.  The update's
-    (xi, n) = (0, 0) coefficient is an exact 0 and its xi = 0 dt-free
-    block is exactly 0, so the harmonic class is held by construction:
-    its free block bitwise, its dt block up to the rounding of adding a
-    zero-mean update to the samples, and no step restores it.  Each mode
-    goes through the neck grid's t-transform pair (TGrid.forward and
-    TGrid.inverse).  The residual solved against is the one
-    torsion_residual measured at the end of the previous step, so each
-    step stars the field once and differentiates only inside
-    torsion_residual.  On a field holding only the xi = 0 mode a step
-    leaves d(phi) bitwise alone (the update's dt-free block is an exact
-    0), so the measured d(phi) is handed on and phi is differentiated
-    once per reduction; a field with any xi != 0 mode is differentiated
-    at every step.  A stop is a report, not an error: the field it
-    stopped at comes back with its torsion and a stop_reason.  converged:
-    torsion <= tol (sup norms).  max_iter: max_iter steps ran.  diverged:
-    three consecutive steps did not lower the best torsion so far by more
-    than a relative _PROGRESS (at the closedness floor the steps differ
-    only in roundoff, which must not decide the step count), or the
-    torsion is NaN.  above-smallness: the initial torsion exceeds
-    _SMALLNESS relative to the field, and ``field`` itself comes back.
+    Each step is _step against the d(induced 4-form) torsion_residual
+    measured at the end of the previous step, so each step stars the field
+    once and differentiates only inside torsion_residual.  On a field
+    holding only the xi = 0 mode a step leaves d(phi) bitwise alone, so
+    the measured d(phi) is handed on and phi is differentiated once per
+    reduction; a field with any xi != 0 mode is differentiated at every
+    step.  A stop is a report, not an error: the field it stopped at comes
+    back with its torsion and a stop_reason.  converged: torsion <= tol
+    (sup norms).  max_iter: max_iter steps ran.  diverged: three
+    consecutive steps did not lower the best torsion so far by more than a
+    relative _PROGRESS (at the closedness floor the steps differ only in
+    roundoff, which must not decide the step count), or the torsion is
+    NaN.  above-smallness: the initial torsion exceeds _SMALLNESS relative
+    to the field, and ``field`` itself comes back.
     """
     if not field.grid.periodic:
         raise ValueError("torsion reduction needs a field on the periodic neck")
@@ -542,12 +516,11 @@ def torsion_reduce(field: SpectralForm, tol: float = 1e-10,
     length = field.grid.length / 2
     if meas.worst > _SMALLNESS * max(norm_sup(field), 1e-30):
         return field, GluingReport.from_measure(length, meas, 0, "above-smallness")
-    solve = _mode_solver(field.grid)
     iterations = 0
     worse = 0
     best = meas.worst
     while meas.worst > tol and iterations < max_iter and worse < 3:
-        field = _step(field, meas.dstar, solve)
+        field = _step(field, meas.dstar)
         zero_only = field.modes.keys() == {ZERO_XI}
         meas = torsion_residual(field, dphi=meas.dphi if zero_only else None)
         iterations += 1
@@ -562,29 +535,7 @@ def torsion_reduce(field: SpectralForm, tol: float = 1e-10,
     return field, GluingReport.from_measure(length, meas, iterations, reason)
 
 
-# -- sweeps ----------------------------------------------------------------
-
-def sweep_reports(plus, minus, lengths, reduce_tol: float | None = None,
-                  max_iter: int = 25) -> list:
-    """Glue (and optionally reduce) at each L; fit the torsion decay slope.
-
-    Without a reduce tolerance the reports carry the raw glued torsion
-    (stop reason unreduced); with one, torsion_reduce's report, however
-    it stopped.  The slope is fit_torsion_slope's, attached to every report.
-    """
-    reports = []
-    for length in lengths:
-        glued = glue_fields(plus, minus, length)
-        if reduce_tol is None:
-            meas = torsion_residual(glued)
-            reports.append(GluingReport.from_measure(float(length), meas, 0,
-                                                     "unreduced"))
-        else:
-            _, rep = torsion_reduce(glued, tol=reduce_tol, max_iter=max_iter)
-            reports.append(rep)
-    slope = fit_torsion_slope(reports)
-    return [replace(r, slope=slope) for r in reports]
-
+# -- torsion decay ---------------------------------------------------------
 
 def fit_torsion_slope(reports) -> float | None:
     """Gradient of log(dstar sup norm) against L over the unconverged rows.

@@ -23,10 +23,10 @@ from g2glue.cohomology import (
     synth_diagram,
 )
 from g2glue.gluing import (
+    fit_torsion_slope,
     flat_structure,
     glue_fields,
     modulated_shear_structure,
-    sweep_reports,
     torsion_reduce,
 )
 
@@ -279,6 +279,18 @@ def test_glue_sweep_rejects_mismatched_density(tmp_path, flat_pair, capsys):
     assert err.count("\n") == 1 and "spacing" in err
 
 
+@pytest.mark.parametrize("density", [0, -64])
+def test_glue_sweep_rejects_a_density_that_is_not_positive(tmp_path, capsys,
+                                                           density):
+    plus = write_structure(tmp_path / "plus.json", 1, density=density)
+    minus = write_structure(tmp_path / "minus.json", -1, density=density)
+    rc, out, err = run_cli(["glue-sweep", "--input", plus, "--input2", minus,
+                            "--L-stop", "4"], capsys)
+    assert rc == 2 and out == ""
+    assert err.count("\n") == 1 and err.startswith("error: ")
+    assert "density" in err
+
+
 def test_glue_sweep_unstable_perturbation_exits_two(tmp_path, flat_pair,
                                                    capsys):
     _, minus = flat_pair
@@ -361,12 +373,12 @@ def test_oversized_input_exits_two_without_allocating(tmp_path, flat_pair,
 
 @pytest.mark.parametrize("kind, amplitude, lengths, reasons", [
     ("closed-perturbation", 2e-3, [5.0, 5.5, 6.0], ["converged"] * 3),
-    # The stalling pair: the library sweep returns its rows, like the CLI.
+    # The stalling pair: a stopped reduction is a row, not an error.
     ("modulated-shear", 0.05, [5.0], ["diverged"]),
 ], ids=["closed", "modulated"])
-def test_glue_sweep_rows_equal_sweep_reports(tmp_path, flat_pair, capsys,
-                                             kind, amplitude, lengths,
-                                             reasons):
+def test_glue_sweep_rows_equal_torsion_reduce_reports(tmp_path, flat_pair,
+                                                      capsys, kind, amplitude,
+                                                      lengths, reasons):
     _, minus = flat_pair
     plus = write_structure(tmp_path / "half.json", 1, kind=kind,
                            amplitude=amplitude)
@@ -374,15 +386,17 @@ def test_glue_sweep_rows_equal_sweep_reports(tmp_path, flat_pair, capsys,
                           "--L-start", repr(lengths[0]),
                           "--L-stop", repr(lengths[-1]),
                           "--L-step", "0.5"], capsys)
-    factory = cli._STRUCTURE_KINDS[kind]
-    serial = sweep_reports(factory(1, amplitude=amplitude), flat_structure(-1),
-                           lengths, reduce_tol=1e-10)
+    half = cli._STRUCTURE_KINDS[kind](1, amplitude=amplitude)
+    serial = [torsion_reduce(glue_fields(half, flat_structure(-1), length))[1]
+              for length in lengths]
     assert [r.stop_reason for r in serial] == reasons
     assert rc == (0 if all(r.converged for r in serial) else 1)
+    slope = fit_torsion_slope(serial)
     payload = json.loads(out)
-    assert payload["rows"] == json.loads(
-        cli._json_text([r.to_json_obj() for r in serial]))
-    assert payload["slope"] == serial[0].slope
+    assert payload["rows"] == json.loads(cli._json_text(
+        [dataclasses.replace(r, slope=slope).to_json_obj()
+         for r in serial]))
+    assert payload["slope"] == slope
 
 
 def test_converged_sweep_fits_no_slope(tmp_path, flat_pair, capsys):

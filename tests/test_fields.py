@@ -54,6 +54,14 @@ def rand_field(degree, band, grid, rng, active=(0, 3), nmodes=4, envelope=None):
 
 # -- construction ----------------------------------------------------------
 
+@pytest.mark.parametrize("density", [0, -64, 0.0, math.nan])
+def test_grid_constructors_refuse_a_density_that_is_not_positive(density):
+    with pytest.raises(ValueError, match="density"):
+        TGrid.interval(0.0, 1.0, density)
+    with pytest.raises(ValueError, match="density"):
+        TGrid.circle(1.0, density)
+
+
 def test_band_rejected_at_construction():
     arr = np.ones((CIRCLE.n, 7), dtype=complex)
     with pytest.raises(ValueError, match="band"):

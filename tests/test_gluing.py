@@ -36,7 +36,6 @@ from g2glue.gluing import (
     integral_to_infinity,
     modulated_shear_structure,
     sheared_structure,
-    sweep_reports,
     torsion_reduce,
     torsion_residual,
 )
@@ -248,6 +247,11 @@ def test_glue_rejects_fractional_step_length(flat_pair):
         glue_fields(*flat_pair, 5.0071)
 
 
+@pytest.mark.parametrize("length", [4.0, 5.25, 7.5])
+def test_the_neck_is_the_circle_of_length_2l(flat_pair, length):
+    assert glue_fields(*flat_pair, length).grid == TGrid.circle(2 * length, 64)
+
+
 def test_glue_needs_room_past_the_seam():
     plus = flat_structure(1, extent=6.0)
     minus = flat_structure(-1, extent=6.0)
@@ -396,10 +400,10 @@ def test_torsion_decay_rate_matches_perturbation_rate():
     for rate in (1.0, 1.3):
         plus = modulated_shear_structure(1, rate=rate)
         measured = estimate_decay_rate(plus.perturbation, (3.0, 10.0))
-        reports = sweep_reports(plus, minus, [4.0, 5.0, 6.0, 7.0])
-        assert {(r.stop_reason, r.iterations) for r in reports} == {
-            ("unreduced", 0)}
-        slope = reports[0].slope
+        lengths = [4.0, 5.0, 6.0, 7.0]
+        torsion = [torsion_residual(glue_fields(plus, minus, length)).dstar_sup
+                   for length in lengths]
+        slope = np.polyfit(lengths, np.log(torsion), 1)[0]
         assert abs(slope + measured) < 0.1 * measured
         assert abs(measured - rate) < 0.05
 
@@ -574,7 +578,7 @@ def test_closed_form_xi0_solve_matches_explicit_pinv(length):
     rng = np.random.default_rng(7)
     rhat = rng.standard_normal((n_t, 21)) + 1j * rng.standard_normal((n_t, 21))
     grid = TGrid(0.0, 2 * length, n_t, periodic=True)
-    got = gluing._mode_solver(grid)(ZERO_XI, rhat)
+    got = gluing._solve(grid, ZERO_XI, rhat)
     want = -np.einsum("nij,nj->ni", explicit_pinv(ZERO_XI, omega, n_t), rhat)
     assert not got[0].any() and not want[0].any()
     nyquist = n_t // 2
@@ -591,16 +595,16 @@ def test_nonzero_xi_solve_matches_explicit_pinv(xi, n_t):
     omega = np.pi / 5.0
     rng = np.random.default_rng(8)
     rhat = rng.standard_normal((n_t, 21)) + 1j * rng.standard_normal((n_t, 21))
-    solve = gluing._mode_solver(TGrid(0.0, 10.0, n_t, periodic=True))
-    got = solve(xi, rhat)
+    grid = TGrid(0.0, 10.0, n_t, periodic=True)
+    got = gluing._solve(grid, xi, rhat)
     want = -np.einsum("nij,nj->ni", explicit_pinv(xi, omega, n_t), rhat)
     assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
-    assert np.array_equal(solve(xi, rhat), got)
+    assert np.array_equal(gluing._solve(grid, xi, rhat), got)
 
 
 def test_flat_pencil_is_a_scaled_partial_isometry():
     # A(k) has rank 8 with every nonzero singular value |k|^2, which is
-    # what lets _mode_solver use A^T / |k|^4 as the pseudoinverse.
+    # what lets _solve use A^T / |k|^4 as the pseudoinverse.
     omega, n_t = np.pi / 5.0, 640
     rng = np.random.default_rng(11)
     for _ in range(20):
@@ -619,9 +623,9 @@ def test_flat_pencil_is_a_scaled_partial_isometry():
 @pytest.mark.parametrize("n_t", [640, 641])
 def test_xi0_solve_on_the_real_half_spectrum(n_t):
     r = np.random.default_rng(9).standard_normal((n_t, 21))
-    solve = gluing._mode_solver(TGrid(0.0, 10.0, n_t, periodic=True))
-    half = solve(ZERO_XI, np.fft.rfft(r, axis=0))
-    full = solve(ZERO_XI, np.fft.fft(r, axis=0))[: n_t // 2 + 1]
+    grid = TGrid(0.0, 10.0, n_t, periodic=True)
+    half = gluing._solve(grid, ZERO_XI, np.fft.rfft(r, axis=0))
+    full = gluing._solve(grid, ZERO_XI, np.fft.fft(r, axis=0))[: n_t // 2 + 1]
     assert half.shape == full.shape
     assert np.abs(half - full).max() <= 1e-14 * np.abs(full).max()
 
@@ -645,16 +649,17 @@ def neck_at_5(kind):
     return glue_fields(plus, flat_structure(-1), 5.0)
 
 
-def sample_space_update(dstar, solve):
+def sample_space_update(dstar):
     """d sigma with sigma sampled first, then differentiated by exterior_d."""
     grid = dstar.grid
     modes = {}
     for xi, arr in dstar.modes.items():
         if xi == ZERO_XI:
-            shat = solve(xi, np.fft.rfft(arr.real, axis=0))
+            shat = gluing._solve(grid, xi, np.fft.rfft(arr.real, axis=0))
             modes[xi] = np.fft.irfft(shat, grid.n, axis=0)
         else:
-            modes[xi] = np.fft.ifft(solve(xi, np.fft.fft(arr, axis=0)), axis=0)
+            shat = gluing._solve(grid, xi, np.fft.fft(arr, axis=0))
+            modes[xi] = np.fft.ifft(shat, axis=0)
     return exterior_d(SpectralForm(2, dstar.band, grid, modes, check=False))
 
 
@@ -662,17 +667,14 @@ def sample_space_update(dstar, solve):
 def test_spectral_update_matches_the_sample_space_step(kind):
     glued = neck_at_5(kind)
     dstar = torsion_residual(glued).dstar
-    n_t = dstar.grid.n
-    solve = gluing._mode_solver(dstar.grid)
-    want = sample_space_update(dstar, solve)
-    spectra = gluing._update_spectra(dstar, solve)
-    assert set(spectra) == set(want.modes)
+    want = sample_space_update(dstar)
+    # A step from the zero field is the update d sigma itself.
+    got = gluing._step(SpectralForm(3, glued.band, glued.grid), dstar)
+    assert set(got.modes) == set(want.modes)
     scale = want.amplitude()
     assert scale > 0.0
     for xi, a in want.modes.items():
-        got = (np.fft.irfft(spectra[xi], n_t, axis=0) if xi == ZERO_XI
-               else np.fft.ifft(spectra[xi], axis=0))
-        assert np.abs(got - a).max() <= 1e-13 * scale, xi
+        assert np.abs(got.modes[xi] - a).max() <= 1e-13 * scale, xi
     out, report = torsion_reduce(glued, max_iter=1)
     assert (report.stop_reason, report.iterations) == ("max_iter", 1)
     stepped = glued + want
@@ -683,13 +685,18 @@ def test_spectral_update_matches_the_sample_space_step(kind):
 
 @pytest.mark.parametrize("kind", ["closed", "modulated"])
 def test_xi0_update_leaves_the_class_coefficients_exactly_alone(kind):
-    dstar = torsion_residual(neck_at_5(kind)).dstar
-    solve = gluing._mode_solver(dstar.grid)
-    dhat = gluing._update_spectra(dstar, solve)[ZERO_XI]
-    assert dhat.shape == (dstar.grid.n // 2 + 1, 35)
-    assert np.abs(dhat[1:, :15]).max() > 0.0
-    assert not dhat[0].any()
-    assert not dhat[:, 15:].any()
+    glued = neck_at_5(kind)
+    dstar = torsion_residual(glued).dstar
+    grid = dstar.grid
+    shat = gluing._solve(grid, ZERO_XI, grid.forward(dstar.modes[ZERO_XI]))
+    assert shat.shape == (grid.n // 2 + 1, 21)
+    assert np.abs(shat[1:]).max() > 0.0
+    assert not shat[0].any()
+    before = glued.modes[ZERO_XI]
+    after = gluing._step(glued, dstar).modes[ZERO_XI]
+    assert after.dtype == np.float64
+    assert np.abs(after[:, :15] - before[:, :15]).max() > 0.0
+    assert np.array_equal(after[:, 15:], before[:, 15:])
 
 
 def test_reduce_differentiates_only_inside_torsion_residual(monkeypatch):
@@ -837,28 +844,32 @@ def test_slope_fit_needs_two_positive_points():
     assert fit_torsion_slope([rep, rep]) is None
 
 
+def sweep_row(plus, minus, length, tol):
+    """One glue-sweep row: the reduction report of the glued neck."""
+    return torsion_reduce(glue_fields(plus, minus, length), tol=tol)[1]
+
+
 def test_sweep_flat_pair_reduced(flat_pair):
-    reports = sweep_reports(*flat_pair, [5.0, 6.0], reduce_tol=1e-10)
+    reports = [sweep_row(*flat_pair, length, 1e-10) for length in (5.0, 6.0)]
     for rep in reports:
         assert rep.converged and rep.iterations == 0
         assert rep.slope is None
+    assert fit_torsion_slope(reports) is None
 
 
 def test_sweep_rows_carry_float_lengths(flat_pair):
-    raw = sweep_reports(*flat_pair, [5])
-    reduced = sweep_reports(*flat_pair, [5], reduce_tol=1e-10)
-    assert [type(r.length) for r in raw + reduced] == [float, float]
-    assert raw[0].length == reduced[0].length == 5.0
+    rep = sweep_row(*flat_pair, 5, 1e-10)
+    assert type(rep.length) is float and rep.length == 5.0
 
 
 def test_sweep_converges_sooner_at_smaller_amplitude():
     minus = flat_structure(-1)
     big = modulated_shear_structure(1, amplitude=0.05)
     small = modulated_shear_structure(1, amplitude=0.005)
-    flags = [r.converged for r in sweep_reports(big, minus, [5.0, 7.0],
-                                                 reduce_tol=1e-7)]
+    flags = [sweep_row(big, minus, length, 1e-7).converged
+             for length in (5.0, 7.0)]
     assert flags == [False, True]
-    assert sweep_reports(small, minus, [5.0], reduce_tol=1e-7)[0].converged
+    assert sweep_row(small, minus, 5.0, 1e-7).converged
 
 
 # -- synthetic structure validation ---------------------------------------
