@@ -22,6 +22,10 @@ columns, the only ones dt ^ (.) keeps, and keeps the xi = 0 mode real.  The
 L^2 pairing uses the probability measure on the torus, so Parseval holds
 without 2*pi factors, and the trapezoid rule (interval) or uniform rule
 (circle) in t.
+
+The asymptotics on an interval live here too: decompose_cyl (limit plus
+decaying remainders) and integral_to_infinity (tail integrals); a
+half-cylinder end itself is a gluing.CylStructure.
 """
 
 from __future__ import annotations
@@ -37,12 +41,9 @@ import numpy as np
 from .forms import (
     AXES7,
     ConstForm,
-    KForm7,
     _contract_table,
     _hodge_table,
     _wedge_table,
-    assemble_cylindrical,
-    is_g2_form,
 )
 
 ZERO_XI = (0, 0, 0, 0, 0, 0)
@@ -68,9 +69,21 @@ class RealityError(ValueError):
 
 # -- t-axis discretizations ------------------------------------------------
 
-def _require_density(density) -> None:
+def _grid_steps(extent: float, density, fewest: int) -> float:
+    """extent * density, the steps of spacing 1 / density.  Raises
+    ValueError if density or extent is not positive, or, naming both, if
+    the steps are not finite or round below ``fewest``: a grid too short
+    for its 8 samples is refused, not respaced to reach them."""
     if not density > 0:
         raise ValueError(f"grid density must be positive, got {density!r}")
+    if extent <= 0:
+        raise ValueError("grid needs b > a")
+    steps = extent * density
+    if not math.isfinite(steps) or round(steps) < fewest:
+        raise ValueError(f"a grid of extent {extent!r} at density {density!r} "
+                         f"has {steps:.3g} steps of 1 / density, not a finite "
+                         f"{fewest} or more")
+    return steps
 
 
 @dataclass(frozen=True)
@@ -95,20 +108,19 @@ class TGrid:
 
     @classmethod
     def interval(cls, a: float, b: float, density: int = 64) -> "TGrid":
-        """Raises ValueError if the density is not positive or the grid
-        would pass ``_MAX_INTERVAL_SAMPLES`` samples."""
-        _require_density(density)
-        steps = (b - a) * density
+        """Raises ValueError as _grid_steps does, or if the grid would pass
+        ``_MAX_INTERVAL_SAMPLES`` samples."""
+        steps = _grid_steps(b - a, density, 7)
         if not steps < _MAX_INTERVAL_SAMPLES - 0.5:
             raise ValueError(f"grid needs {steps + 1:.3g} samples, more than "
                              f"{_MAX_INTERVAL_SAMPLES}")
-        return cls(float(a), float(b), max(8, round(steps) + 1))
+        return cls(float(a), float(b), round(steps) + 1)
 
     @classmethod
     def circle(cls, length: float, density: int = 64) -> "TGrid":
-        """Raises ValueError on a density that is not positive."""
-        _require_density(density)
-        return cls(0.0, float(length), max(8, round(length * density)), periodic=True)
+        """Raises ValueError as _grid_steps does."""
+        return cls(0.0, float(length), round(_grid_steps(length, density, 8)),
+                   periodic=True)
 
     @property
     def h(self) -> float:
@@ -322,15 +334,14 @@ class SpectralForm:
         return self._like(out)
 
     def dt_part(self) -> "SpectralForm":
-        """The (k-1)-form g on the cross-section with f = free + dt ^ g."""
+        """The (k-1)-form g on the cross-section with f = free + dt ^ g: f's
+        dt block, in order, as g's dt-free block."""
         if self.degree == 0:
             raise ValueError("a 0-form has no dt-component")
-        ncm = _ncomp(self.degree - 1)
-        lo = ncm - _dt_count(self.degree)  # free block offset of degree k-1
         out = {}
         for xi, a in self.modes.items():
-            b = np.zeros((self.grid.n, ncm), dtype=a.dtype)
-            b[:, lo:] = a[:, self.dt_slice]
+            b = np.zeros((self.grid.n, _ncomp(self.degree - 1)), dtype=a.dtype)
+            b[:, _dt_count(self.degree - 1):] = a[:, self.dt_slice]
             out[xi] = b
         return self._like(out, degree=self.degree - 1)
 
@@ -639,65 +650,77 @@ def decompose_cyl(f: SpectralForm) -> tuple[SpectralForm, SpectralForm, Spectral
     return limit, rest.free_part(), rest.dt_part()
 
 
-# -- half-cylinder structures ----------------------------------------------
+# -- tail integration ------------------------------------------------------
 
-@dataclass(frozen=True)
-class CylStructure:
-    """A G2 half-cylinder end: asymptotic cross-section pair plus decay.
+# Weights integrating the degree-7 interpolant on 8 uniform nodes over
+# each of the 7 unit panels; row p covers [p, p+1].  They are exact:
+# integers over 120960, the solutions of the 8 x 8 Vandermonde moment
+# systems, each row summing to 120960.
+_PANEL_WEIGHTS = np.array([
+    [36799, 139849, -121797, 123133, -88547, 41499, -11351, 1375],
+    [-1375, 47799, 101349, -44797, 26883, -11547, 2999, -351],
+    [351, -4183, 57627, 81693, -20227, 7227, -1719, 191],
+    [-191, 1879, -9531, 68323, 68323, -9531, 1879, -191],
+    [191, -1719, 7227, -20227, 81693, 57627, -4183, 351],
+    [-351, 2999, -11547, 26883, -44797, 101349, 47799, -1375],
+    [1375, -11351, 41499, -88547, 123133, -121797, 139849, 36799],
+]) / 120960
+_PANEL_WEIGHTS.flags.writeable = False
 
-    ``big`` (degree 3) and ``small`` (degree 2) are the limiting
-    cross-section forms, ``sign`` fixes the orientation of the dt-part of
-    the asymptotic model big + sign * dt ^ small, ``perturbation`` is the
-    decaying degree-3 correction on the half-cylinder and ``decay_rate``
-    its declared exponential rate.
+
+def _cumulative_from_right(y: np.ndarray, h: float) -> np.ndarray:
+    """I[i] = integral of y from t_i to t_{n-1}, order-8 panel rule.
+
+    ``y`` is (n, m); the result matches in shape, with I[-1] = 0.
     """
+    n = y.shape[0]
+    if n < 8:
+        raise ValueError("need at least 8 samples to integrate")
+    starts = np.clip(np.arange(n - 1) - 3, 0, n - 8)
+    pos = np.arange(n - 1) - starts
+    stencil = starts[:, None] + np.arange(8)[None, :]
+    incr = h * np.einsum("ij,ij...->i...", _PANEL_WEIGHTS[pos], y[stencil])
+    out = np.zeros_like(y)
+    out[:-1] = np.cumsum(incr[::-1], axis=0)[::-1]
+    return out
 
-    big: ConstForm
-    small: ConstForm
-    sign: int
-    perturbation: SpectralForm
-    decay_rate: float
 
-    def __post_init__(self):
-        if self.sign not in (1, -1):
-            raise ValueError("sign must be +1 or -1")
-        if not self.decay_rate > 0.0:
-            raise ValueError("decay rate must be positive")
-        if (self.big.degree, self.small.degree) != (3, 2):
-            raise ValueError("expected degrees (3, 2) for the asymptotic pair")
-        if self.perturbation.degree != 3:
-            raise ValueError("perturbation must be a 3-form")
-        if self.perturbation.grid.periodic:
-            raise ValueError("half-cylinder fields live on interval grids")
-        if not all(np.isfinite(a).all()
-                   for a in self.perturbation.modes.values()):
-            raise ValueError("perturbation has non-finite samples")
-        if not is_g2_form(assemble_cylindrical(self.big, self.small, self.sign)):
-            raise ValueError("asymptotic pair does not assemble to a stable form")
+def _tail_beyond_grid(t: np.ndarray, y: np.ndarray, vartol: float):
+    """Integral of the fitted B e^{-rt} continuation past the last sample.
 
-    @cached_property
-    def _tail_parts(self):
-        """(limit, beta, gamma, tails): decompose_cyl of the perturbation
-        and integral_to_infinity of its dt part gamma.  Neither depends on
-        a neck length, so a sweep computes them once per half; the tail
-        arrays are made read-only, as every length shares them."""
-        from .gluing import integral_to_infinity
-        limit, beta, gamma = decompose_cyl(self.perturbation)
-        tails = integral_to_infinity(gamma)
-        for a in tails.values():
-            a.flags.writeable = False
-        return limit, beta, gamma, tails
+    Fits each column of ``y`` (values over the window ``t``) separately;
+    a column with negligible amplitude contributes 0.  Raises NoLimit if
+    a non-negligible column fails to decay.
+    """
+    tail = np.zeros(y.shape[1], dtype=y.dtype)
+    for c, col in enumerate(y.T):
+        amp = np.abs(col).max()
+        if amp <= vartol:
+            continue
+        mask = np.abs(col) > 1e-3 * amp
+        if mask.sum() < 3:
+            continue
+        slope, _ = np.polyfit(t[mask], np.log(np.abs(col[mask])), 1)
+        if not slope < 0.0:
+            raise NoLimit("dt-component tail does not decay")
+        r = -slope
+        e = np.exp(-r * (t - t[-1]))
+        b = (col @ e) / (e @ e)          # least squares for B e^{-r(t-T)}
+        tail[c] = b / r
+    return tail
 
-    def model(self) -> KForm7:
-        return assemble_cylindrical(self.big, self.small, self.sign)
 
-    def total(self) -> SpectralForm:
-        base = SpectralForm.from_constant(self.model(), self.perturbation.grid,
-                                          band=self.perturbation.band)
-        return base + self.perturbation
+def integral_to_infinity(f: SpectralForm) -> dict:
+    """Per-mode arrays I(t_i) = integral of f from t_i onward.
 
-    def fitted_decay(self, window: tuple[float, float] | None = None) -> float:
-        if window is None:
-            g = self.perturbation.grid
-            window = (g.a + 0.5 * g.length, g.b)
-        return estimate_decay_rate(self.perturbation, window)
+    On-grid part by the order-8 panel rule, beyond-grid part from a
+    fitted exponential continuation of the final quarter.
+    """
+    if f.grid.periodic:
+        raise ValueError("tail integration needs an interval grid")
+    w = max(4, -(-f.grid.n // 4))
+    twin = f.grid.points[-w:]
+    vartol = 1e-13 * (1.0 + f.amplitude())
+    return {xi: _cumulative_from_right(a, f.grid.h)
+            + _tail_beyond_grid(twin, a[-w:], vartol)[None, :]
+            for xi, a in f.modes.items()}

@@ -8,20 +8,22 @@ outside the support of their perturbations, so the seam at t = 0 (where
 a compact piece would sit in the genuine geometry) is exact; the seam at
 t = L is flattened by the cutoff correction below.
 
-Given a half-cylinder field with decomposition limit + beta + dt ^ gamma
-(see fields.decompose_cyl), the correction replaces it by
+Given a half-cylinder end (a CylStructure) whose field decomposes as
+limit + beta + dt ^ gamma (fields.decompose_cyl), the correction replaces
+it by
 
     limit + (1 - rho) beta + dt ^ ((1 - rho) gamma + rho' I),
 
 where the cutoff rho is the quintic smoothstep, rising from 0 to 1 on
 [L-2, L-1] with two continuous derivatives, and I(t) is the tail integral
-of gamma from t to infinity.  This equals the field plus an exact form,
-d of the cutoff 2-form eta = rho I, up to quadrature error; it is
-identically the translation-invariant limit for t > L-1, and keeps the
-cohomology bookkeeping exact because the limit block is never touched.
-Integrating by parts, the glued class differs from the model only in its
-dt block, by the halves' I(0) (the minus one transplanted) over 2L,
-whatever the cutoff.
+of gamma from t to infinity (fields.integral_to_infinity); each half
+prepares beta, gamma and I once, in CylStructure._tail_parts.  This equals
+the field plus an exact form, d of the cutoff 2-form eta = rho I, up to
+quadrature error; it is identically the translation-invariant limit for
+t > L-1, and keeps the cohomology bookkeeping exact because the limit
+block is never touched.  Integrating by parts, the glued class differs
+from the model only in its dt block, by the halves' I(0) (the minus one
+transplanted) over 2L, whatever the cutoff.
 
 Torsion is measured as the pair (d phi, d of the induced 4-form), the
 4-form star computed sample by sample with the frozen-coefficient
@@ -37,22 +39,23 @@ from __future__ import annotations
 import math
 import operator
 from dataclasses import dataclass, field as dataclass_field
-from functools import lru_cache
+from functools import cached_property, lru_cache
 
 import numpy as np
 
 from .fields import (
-    CylStructure,
     SpectralForm,
     TGrid,
     ZERO_XI,
-    NoLimit,
     _axis_wedge_matrix,
     _d_mode,
     _dt_count,
     _ncomp,
     _require_finite,
+    decompose_cyl,
+    estimate_decay_rate,
     exterior_d,
+    integral_to_infinity,
     norm_l2,
     norm_sup,
     sample_physical,
@@ -60,12 +63,15 @@ from .fields import (
 )
 from .forms import (
     AXES7,
+    ConstForm,
     KForm7,
     Omega0,
     _contract_table,
     _star_matrix,
+    assemble_cylindrical,
     basis_position,
     hodge_star,
+    is_g2_form,
     omega0,
     phi0,
     star3_batch,
@@ -94,118 +100,99 @@ def _drho(t: np.ndarray, length: float) -> np.ndarray:
     return 30.0 * u ** 2 * (1.0 - u) ** 2
 
 
-# -- tail integration ------------------------------------------------------
+# -- half-cylinder ends ----------------------------------------------------
 
-# Weights integrating the degree-7 interpolant on 8 uniform nodes over
-# each of the 7 unit panels; row p covers [p, p+1].  They are exact:
-# integers over 120960, the solutions of the 8 x 8 Vandermonde moment
-# systems, each row summing to 120960.
-_PANEL_WEIGHTS = np.array([
-    [36799, 139849, -121797, 123133, -88547, 41499, -11351, 1375],
-    [-1375, 47799, 101349, -44797, 26883, -11547, 2999, -351],
-    [351, -4183, 57627, 81693, -20227, 7227, -1719, 191],
-    [-191, 1879, -9531, 68323, 68323, -9531, 1879, -191],
-    [191, -1719, 7227, -20227, 81693, 57627, -4183, 351],
-    [-351, 2999, -11547, 26883, -44797, 101349, 47799, -1375],
-    [1375, -11351, 41499, -88547, 123133, -121797, 139849, 36799],
-]) / 120960
-_PANEL_WEIGHTS.flags.writeable = False
+@dataclass(frozen=True)
+class CylStructure:
+    """A G2 half-cylinder end: asymptotic cross-section pair plus decay.
 
-
-def _cumulative_from_right(y: np.ndarray, h: float) -> np.ndarray:
-    """I[i] = integral of y from t_i to t_{n-1}, order-8 panel rule.
-
-    ``y`` is (n, m); the result matches in shape, with I[-1] = 0.
+    ``big`` (degree 3) and ``small`` (degree 2) are the limiting
+    cross-section forms, ``sign`` fixes the orientation of the dt-part of
+    the asymptotic model big + sign * dt ^ small, ``perturbation`` is the
+    decaying degree-3 correction on an interval grid from t = 0, and
+    ``decay_rate`` its declared exponential rate.
     """
-    n = y.shape[0]
-    if n < 8:
-        raise ValueError("need at least 8 samples to integrate")
-    starts = np.clip(np.arange(n - 1) - 3, 0, n - 8)
-    pos = np.arange(n - 1) - starts
-    stencil = starts[:, None] + np.arange(8)[None, :]
-    incr = h * np.einsum("ij,ij...->i...", _PANEL_WEIGHTS[pos], y[stencil])
-    out = np.zeros_like(y)
-    out[:-1] = np.cumsum(incr[::-1], axis=0)[::-1]
-    return out
 
+    big: ConstForm
+    small: ConstForm
+    sign: int
+    perturbation: SpectralForm
+    decay_rate: float
 
-def _tail_beyond_grid(t: np.ndarray, y: np.ndarray, vartol: float):
-    """Integral of the fitted B e^{-rt} continuation past the last sample.
+    def __post_init__(self):
+        if self.sign not in (1, -1):
+            raise ValueError("sign must be +1 or -1")
+        if not self.decay_rate > 0.0:
+            raise ValueError("decay rate must be positive")
+        if (self.big.degree, self.small.degree) != (3, 2):
+            raise ValueError("expected degrees (3, 2) for the asymptotic pair")
+        if self.perturbation.degree != 3:
+            raise ValueError("perturbation must be a 3-form")
+        grid = self.perturbation.grid
+        if grid.periodic or grid.a != 0.0:
+            raise ValueError("half-cylinder grids start at 0 on an interval")
+        if not all(np.isfinite(a).all()
+                   for a in self.perturbation.modes.values()):
+            raise ValueError("perturbation has non-finite samples")
+        if not is_g2_form(assemble_cylindrical(self.big, self.small, self.sign)):
+            raise ValueError("asymptotic pair does not assemble to a stable form")
 
-    Fits each column of ``y`` (values over the window ``t``) separately;
-    a column with negligible amplitude contributes 0.  Raises NoLimit if
-    a non-negligible column fails to decay.
-    """
-    ncol = y.shape[1]
-    tail = np.zeros(ncol, dtype=y.dtype)
-    for c in range(ncol):
-        col = y[:, c]
-        amp = np.abs(col).max()
-        if amp <= vartol:
-            continue
-        mask = np.abs(col) > 1e-3 * amp
-        if mask.sum() < 3:
-            continue
-        slope, _ = np.polyfit(t[mask], np.log(np.abs(col[mask])), 1)
-        if not slope < 0.0:
-            raise NoLimit("dt-component tail does not decay")
-        r = -slope
-        e = np.exp(-r * (t - t[-1]))
-        b = (col @ e) / (e @ e)          # least squares for B e^{-r(t-T)}
-        tail[c] = b / r
-    return tail
+    @cached_property
+    def _tail_parts(self) -> dict:
+        """The half prepared for the neck once, none of it depending on L:
+        per mode, read-only (beta, gamma, I) in the neck's columns, the 20
+        dt-free ones of beta, the 15 dt ones of gamma and its tail integral
+        I.  Raises a ValueError unless the perturbation vanishes near t = 0,
+        and MismatchedLimits unless it decays to zero."""
+        pert = self.perturbation
+        head = [a[pert.grid.points < 0.75] for a in pert.modes.values()]
+        lead = max((np.abs(h).max() for h in head if h.size), default=0.0)
+        if lead > 1e-11 * (1.0 + pert.amplitude()):
+            raise ValueError("perturbation must vanish near the inner end t = 0")
+        limit, beta, gamma = decompose_cyl(pert)
+        tails = integral_to_infinity(gamma)
+        if limit.amplitude() > 1e-9 * (1.0 + pert.amplitude()):
+            raise MismatchedLimits("perturbation does not decay to zero, so the "
+                                   "declared cross-section pair is not the limit")
+        free, dt = pert.free_slice, gamma.free_slice   # see dt_part
+        parts = {}
+        for xi in pert.modes:
+            tails[xi].flags.writeable = False
+            parts[xi] = (beta.modes[xi][:, free], gamma.modes[xi][:, dt],
+                         tails[xi][:, dt])
+        return parts
 
+    def model(self) -> KForm7:
+        return assemble_cylindrical(self.big, self.small, self.sign)
 
-def integral_to_infinity(f: SpectralForm) -> dict:
-    """Per-mode arrays I(t_i) = integral of f from t_i onward.
+    def total(self) -> SpectralForm:
+        base = SpectralForm.from_constant(self.model(), self.perturbation.grid,
+                                          band=self.perturbation.band)
+        return base + self.perturbation
 
-    On-grid part by the order-8 panel rule, beyond-grid part from a
-    fitted exponential continuation of the final quarter.
-    """
-    if f.grid.periodic:
-        raise ValueError("tail integration needs an interval grid")
-    h = f.grid.h
-    w = max(4, -(-f.grid.n // 4))
-    twin = f.grid.points[-w:]
-    vartol = 1e-13 * (1.0 + f.amplitude())
-    out = {}
-    for xi, a in f.modes.items():
-        acc = _cumulative_from_right(a, h)
-        acc = acc + _tail_beyond_grid(twin, a[-w:], vartol)[None, :]
-        out[xi] = acc
-    return out
+    def fitted_decay(self, window: tuple[float, float] | None = None) -> float:
+        if window is None:                  # the grid's outer half
+            window = (0.5 * self.perturbation.grid.b, self.perturbation.grid.b)
+        return estimate_decay_rate(self.perturbation, window)
 
 
 # -- gluing ----------------------------------------------------------------
 
 def _corrected_half_samples(structure, length: float, nkeep: int) -> dict:
     """Per-mode corrected samples of one half on its first nkeep points."""
-    pert = structure.perturbation
-    t = pert.grid.points
-    rho = _rho(t, length)
-    drho = _drho(t, length)
-    limit, beta, gamma, tails = structure._tail_parts
-    if limit.amplitude() > 1e-9 * (1.0 + pert.amplitude()):
-        raise MismatchedLimits("perturbation does not decay to zero, so the "
-                               "declared cross-section pair is not the limit")
+    t = structure.perturbation.grid.points
+    rho, drho = _rho(t, length), _drho(t, length)
     model = structure.model().tovector()
-    dtslots = pert.dt_slice
-    freeslots = pert.free_slice
-    glo = _ncomp(2) - _dt_count(3)  # free-block offset inside the 2-form gamma
     out = {}
-    for xi in pert.modes:
-        b = beta.modes[xi]
-        g = gamma.modes[xi][:, glo:]
-        acc = tails[xi][:, glo:]
+    for xi, (b, g, acc) in structure._tail_parts.items():
         samples = np.zeros((nkeep, 35), dtype=b.dtype)
         if xi == ZERO_XI:
             samples += model[None, :]
-        samples[:, freeslots] += ((1.0 - rho)[:, None] * b[:, freeslots])[:nkeep]
-        samples[:, dtslots] += ((1.0 - rho)[:, None] * g + drho[:, None] * acc)[:nkeep]
+        samples[:, 15:] += ((1.0 - rho)[:, None] * b)[:nkeep]
+        samples[:, :15] += ((1.0 - rho)[:, None] * g + drho[:, None] * acc)[:nkeep]
         out[xi] = samples
     if ZERO_XI not in out:
-        samples = np.tile(model, (nkeep, 1))
-        out[ZERO_XI] = samples
+        out[ZERO_XI] = np.tile(model, (nkeep, 1))
     return out
 
 
@@ -221,20 +208,16 @@ def glue_fields(plus, minus, length: float) -> SpectralForm:
     inputs: signs, length, grids, limits, support or finiteness.  Only
     L < 4 is a NeckTooShort; half grids that do not reach L + 1 are a
     plain ValueError, since longer halves, not a longer neck, would fix it.
+    Each half's support and limit are checked once, by its _tail_parts.
     """
     if plus.sign != 1 or minus.sign != -1:
         raise ValueError("expected signs +1 and -1 for the two halves")
     if length < 4.0:
         raise NeckTooShort("gluing needs L >= 4")
-    dbig = (plus.big - minus.big).norm()
-    dsmall = (plus.small - minus.small).norm()
-    if max(dbig, dsmall) > 1e-12:
-        raise MismatchedLimits(
-            f"cross-section pairs differ by {max(dbig, dsmall):.3e}")
+    gap = max((plus.big - minus.big).norm(), (plus.small - minus.small).norm())
+    if gap > 1e-12:
+        raise MismatchedLimits(f"cross-section pairs differ by {gap:.3e}")
     gp, gm = plus.perturbation.grid, minus.perturbation.grid
-    for g in (gp, gm):
-        if g.periodic or g.a != 0.0:
-            raise ValueError("half-cylinder grids start at 0 on an interval")
     if abs(gp.h - gm.h) > 1e-12 * gp.h:
         raise ValueError("half-cylinder grids have different sample spacing")
     density = 1.0 / gp.h
@@ -243,27 +226,19 @@ def glue_fields(plus, minus, length: float) -> SpectralForm:
         raise ValueError("L must be a whole number of grid steps")
     if gp.b < length + 1.0 or gm.b < length + 1.0:
         raise ValueError("half-cylinder grids must extend past L + 1")
-    for st in (plus, minus):
-        head = [a[st.perturbation.grid.points < 0.75]
-                for a in st.perturbation.modes.values()]
-        lead = max((np.abs(h).max() for h in head if h.size), default=0.0)
-        if lead > 1e-11 * (1.0 + st.perturbation.amplitude()):
-            raise ValueError("perturbation must vanish near the inner end t = 0")
 
     half_p = _corrected_half_samples(plus, length, q + 1)
     half_m = _corrected_half_samples(minus, length, q + 1)
     neck = TGrid.circle(2.0 * length, density)
     band = max(plus.perturbation.band, minus.perturbation.band)
-    ncomp = 35
-    dtslots = slice(0, 15)
     modes = {}
     for xi in set(half_p) | set(half_m):
-        arr = np.zeros((2 * q, ncomp), dtype=complex if any(xi) else float)
+        arr = np.zeros((2 * q, 35), dtype=complex if any(xi) else float)
         if xi in half_p:
             arr[: q + 1] = half_p[xi]           # t in [0, L]
         if xi in half_m:
             mirrored = half_m[xi][1:q].copy()   # t- in (0, L), seamless ends
-            mirrored[:, dtslots] *= -1.0
+            mirrored[:, :15] *= -1.0
             arr[q + 1:] = mirrored[::-1]
         if not np.isfinite(arr).all():
             raise ValueError(f"non-finite samples in glued mode {xi}")

@@ -291,6 +291,20 @@ def test_glue_sweep_rejects_a_density_that_is_not_positive(tmp_path, capsys,
     assert "density" in err
 
 
+def test_glue_sweep_rejects_a_grid_too_short_for_its_density(tmp_path,
+                                                             capsys):
+    # 6 steps at density 1 cannot hold the 8 samples a grid needs; such a
+    # half was once respaced to h = 6/7 and then refused for an L that is
+    # a whole number of steps at its declared density.
+    plus = write_structure(tmp_path / "plus.json", 1, density=1, extent=6)
+    minus = write_structure(tmp_path / "minus.json", -1, density=1, extent=6)
+    rc, out, err = run_cli(["glue-sweep", "--input", plus, "--input2", minus,
+                            "--L-stop", "4"], capsys)
+    assert rc == 2 and out == ""
+    assert err.count("\n") == 1 and err.startswith("error: ")
+    assert "extent 6" in err and "density 1" in err
+
+
 def test_glue_sweep_unstable_perturbation_exits_two(tmp_path, flat_pair,
                                                    capsys):
     _, minus = flat_pair
@@ -823,6 +837,10 @@ def test_diagram_commands_match_golden_bytes(tmp_path, capsys, dim_e2d):
 # path's output shows up here.  The flat pair, every sample the model, and
 # the long closed-perturbation necks cover the lengths 4 to 10 that the
 # neck-closed benchmark draws.
+# kind is the plus half's kind, its minus half flat, or the pair of kinds
+# (plus, minus), the minus half at its factory's defaults; params are the
+# plus half's.  The pairs pin the transplant of a minus half's xi = 0 and
+# xi != 0 modes, dt blocks negated.
 GLUE_GOLDEN = [
     ("closed-perturbation", {"amplitude": 2e-3},
      ["--L-start", "4", "--L-stop", "6.5", "--L-step", "0.5"],
@@ -834,14 +852,20 @@ GLUE_GOLDEN = [
     ("closed-perturbation", {"amplitude": 5e-3},
      ["--L-start", "8", "--L-stop", "10", "--L-step", "2", "--format", "json"],
      0, "ea0c2d552bc7b519"),
+    (("sheared", "sheared"), {}, ["--L-start", "4", "--L-stop", "5"],
+     0, "0690395de447e4c4"),
+    (("closed-perturbation", "modulated-shear"), {"amplitude": 2e-3},
+     ["--L-start", "4", "--L-stop", "5", "--format", "csv"],
+     1, "bb63f69965341357"),
 ]
 
 
 @pytest.mark.parametrize("kind, params, flags, code, sha", GLUE_GOLDEN)
 def test_glue_sweep_matches_golden_bytes(tmp_path, capsys, kind, params,
                                          flags, code, sha):
-    plus = write_structure(tmp_path / "plus.json", 1, kind, **params)
-    minus = write_structure(tmp_path / "minus.json", -1)
+    plus_kind, minus_kind = (kind, "flat") if isinstance(kind, str) else kind
+    plus = write_structure(tmp_path / "plus.json", 1, plus_kind, **params)
+    minus = write_structure(tmp_path / "minus.json", -1, minus_kind)
     rc, out, err = run_cli(["glue-sweep", "--input", plus, "--input2", minus,
                             *flags], capsys)
     assert (rc, err) == (code, "")

@@ -441,3 +441,41 @@ def test_source_names_no_planning_document():
                                      .splitlines(), 1)
             if re.search(r"ROADMAP|CHANGES", line)]
     assert hits == []
+
+
+# The package's layers, lowest first: a module imports only from layers
+# below its own.  cohomology stands apart, on ratmat alone.
+LAYERS = ["ratmat", "forms", "fields", "gluing", "cli"]
+ALLOWED_IMPORTS = {name: set(LAYERS[:i]) for i, name in enumerate(LAYERS)}
+ALLOWED_IMPORTS["cohomology"] = {"ratmat"}
+ALLOWED_IMPORTS["cli"].add("cohomology")
+
+
+def _package_imports(tree):
+    """(line, module) for every import of a g2glue module in the tree,
+    relative or absolute, function-local ones included."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            names = [alias.name for alias in node.names]
+        elif isinstance(node, ast.ImportFrom):
+            module = ".".join(filter(None, ["g2glue" * bool(node.level),
+                                            node.module]))
+            names = ([f"{module}.{alias.name}" for alias in node.names]
+                     if module == "g2glue" else [module])
+        else:
+            continue
+        for name in names:
+            if name.startswith("g2glue."):
+                yield node.lineno, name.split(".")[1]
+
+
+def test_modules_import_downward():
+    root = pathlib.Path(__file__).resolve().parents[1] / "src" / "g2glue"
+    modules = sorted(p for p in root.glob("*.py") if p.name != "__init__.py")
+    assert {p.stem for p in modules} == set(ALLOWED_IMPORTS)
+    upward = [f"{path.name}:{line}: {target}"
+              for path in modules
+              for line, target in _package_imports(
+                  ast.parse(path.read_text(encoding="utf-8")))
+              if target not in ALLOWED_IMPORTS[path.stem]]
+    assert upward == []

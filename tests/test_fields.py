@@ -8,7 +8,6 @@ import pytest
 from g2glue import fields as F, forms
 from g2glue.forms import AXES7, ConstForm, basis_indices, phi0
 from g2glue.fields import (
-    CylStructure,
     NoDecay,
     NoLimit,
     RealityError,
@@ -28,6 +27,7 @@ from g2glue.fields import (
     sample_physical,
     spectral_from_samples,
 )
+from g2glue.gluing import CylStructure
 
 CIRCLE = TGrid.circle(6.0, density=16)
 INTERVAL = TGrid.interval(0.0, 6.0, density=16)
@@ -60,6 +60,36 @@ def test_grid_constructors_refuse_a_density_that_is_not_positive(density):
         TGrid.interval(0.0, 1.0, density)
     with pytest.raises(ValueError, match="density"):
         TGrid.circle(1.0, density)
+
+
+@pytest.mark.parametrize("extent, density", [
+    (6.0, 1), (0.1, 64), (math.nan, 64), (math.inf, 64), (3.0, 2.0)])
+def test_grid_constructors_refuse_an_extent_too_short_or_not_finite(extent,
+                                                                    density):
+    # Each names the extent and the density, where the 8-sample floor
+    # once respaced the grid (6 at density 1 got h = 6/7) or a NaN
+    # extent failed converting to an integer.
+    for make in (lambda: TGrid.interval(0.0, extent, density),
+                 lambda: TGrid.circle(extent, density)):
+        with pytest.raises(ValueError) as info:
+            make()
+        assert f"extent {extent!r}" in str(info.value)
+        assert f"density {density!r}" in str(info.value)
+
+
+@pytest.mark.parametrize("extent", [0.0, -2.0, -math.inf])
+def test_grid_constructors_refuse_an_extent_that_is_not_positive(extent):
+    with pytest.raises(ValueError, match="grid needs b > a"):
+        TGrid.interval(0.0, extent, 64)
+    with pytest.raises(ValueError, match="grid needs b > a"):
+        TGrid.circle(extent, 64)
+
+
+def test_the_shortest_grids_keep_their_spacing():
+    interval = TGrid.interval(0.0, 7.0, 1)
+    assert (interval.n, interval.h) == (8, 1.0)
+    circle = TGrid.circle(4.0, 2)
+    assert (circle.n, circle.h) == (8, 0.5)
 
 
 def test_band_rejected_at_construction():

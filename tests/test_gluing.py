@@ -9,10 +9,11 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from g2glue import fields, gluing, ratmat
+from g2glue import gluing, ratmat
 from g2glue.fields import (
-    CylStructure,
+    _PANEL_WEIGHTS,
     _axis_wedge_matrix,
+    _cumulative_from_right,
     NoLimit,
     SpectralForm,
     TGrid,
@@ -20,11 +21,13 @@ from g2glue.fields import (
     estimate_decay_rate,
     exterior_d,
     harmonic_project,
+    integral_to_infinity,
     norm_l2,
     norm_sup,
 )
 from g2glue.forms import AXES7, Omega0, basis_position, omega0, phi0
 from g2glue.gluing import (
+    CylStructure,
     GluingReport,
     MismatchedLimits,
     NeckTooShort,
@@ -33,13 +36,11 @@ from g2glue.gluing import (
     flat_structure,
     glue_fields,
     induced_4form,
-    integral_to_infinity,
     modulated_shear_structure,
     sheared_structure,
     torsion_reduce,
     torsion_residual,
 )
-from g2glue.gluing import _PANEL_WEIGHTS, _cumulative_from_right
 
 MODEL = phi0().tovector()
 POS3 = basis_position(AXES7, 3)
@@ -200,10 +201,14 @@ def test_alpha_plus_d_eta_translation_invariant():
     alpha = st.total()
     t = alpha.grid.points
     rho = gluing._rho(t, length)
-    tails = st._tail_parts[3]
-    eta = SpectralForm(2, alpha.band, alpha.grid,
-                       {xi: rho[:, None] * acc for xi, acc in tails.items()},
-                       check=False)
+    eta = {}
+    for xi, (_, _, acc) in st._tail_parts.items():
+        # I as a 2-form, laid out as decompose_cyl lays out gamma: the
+        # 3-form's 15 dt slots are the 2-form's dt-free columns.
+        tail = np.zeros((len(t), 21), dtype=acc.dtype)
+        tail[:, 6:] = acc
+        eta[xi] = rho[:, None] * tail
+    eta = SpectralForm(2, alpha.band, alpha.grid, eta, check=False)
     total = alpha + exterior_d(eta)
     # past t = L-1 the correction is the bare tail integral; the first two
     # rows are excluded so the difference stencil reads only that region
@@ -279,36 +284,67 @@ def test_glue_rejects_non_finite_samples():
         glue_fields(plus, flat_structure(-1), 5.0)
 
 
-def test_glue_rejects_support_at_inner_end():
+def dt24_half(sign, profile):
+    """Half with the model pair whose dt24 slot is profile(t) on [0, 11]."""
     grid = TGrid.interval(0.0, 11.0, 64)
     arr = np.zeros((grid.n, 35), dtype=complex)
-    arr[:, DT24] = -1e-3 * np.exp(-grid.points)
+    arr[:, DT24] = profile(grid.points)
     pert = SpectralForm(3, 2, grid, {ZERO_XI: arr})
-    st = CylStructure(Omega0(), omega0(), 1, pert, 1.0)
-    with pytest.raises(ValueError, match="inner end"):
-        glue_fields(st, flat_structure(-1), 5.0)
+    return CylStructure(Omega0(), omega0(), sign, pert, 1.0)
+
+
+def held_at_the_inner_end(t):
+    return -1e-3 * np.exp(-t)
+
+
+def with_a_limit(t):
+    return 1e-3 * gluing._envelope(t)[0]
+
+
+def refused_alike_at_every_length(profile, error, message):
+    # A half's own conditions are checked once per half, not per length,
+    # but a half that fails one, plus or minus, is refused by the same
+    # error each time it is glued.
+    for sign in (1, -1):
+        half, other = dt24_half(sign, profile), flat_structure(-sign)
+        pair = (half, other) if sign == 1 else (other, half)
+        for length in (4.0, 5.0, 7.5, 5.0):
+            with pytest.raises(ValueError) as info:
+                glue_fields(*pair, length)
+            assert type(info.value) is error
+            assert str(info.value) == message
+
+
+def test_glue_rejects_support_at_inner_end():
+    refused_alike_at_every_length(
+        held_at_the_inner_end, ValueError,
+        "perturbation must vanish near the inner end t = 0")
 
 
 def test_glue_rejects_a_perturbation_with_a_limit_at_every_length():
-    grid = TGrid.interval(0.0, 11.0, 64)
-    arr = np.zeros((grid.n, 35), dtype=complex)
-    arr[:, DT24] = 1e-3 * gluing._envelope(grid.points)[0]
-    pert = SpectralForm(3, 2, grid, {ZERO_XI: arr})
-    st = CylStructure(Omega0(), omega0(), 1, pert, 1.0)
-    for length in (5.0, 6.0):
-        with pytest.raises(MismatchedLimits, match="does not decay"):
-            glue_fields(st, flat_structure(-1), length)
+    refused_alike_at_every_length(
+        with_a_limit, MismatchedLimits,
+        "perturbation does not decay to zero, so the declared cross-section "
+        "pair is not the limit")
+
+
+@pytest.mark.parametrize("grid", [TGrid.interval(1.0, 12.0, 64),
+                                  TGrid.circle(11.0, 64)])
+def test_a_half_off_an_interval_from_0_is_refused_when_built(grid):
+    pert = SpectralForm.zero(3, 2, grid)
+    with pytest.raises(ValueError, match="start at 0 on an interval"):
+        CylStructure(Omega0(), omega0(), 1, pert, 1.0)
 
 
 def test_a_sweep_decomposes_each_half_once(monkeypatch):
     calls = []
-    real = fields.decompose_cyl
+    real = gluing.decompose_cyl
 
     def counting(f):
         calls.append(1)
         return real(f)
 
-    monkeypatch.setattr(fields, "decompose_cyl", counting)
+    monkeypatch.setattr(gluing, "decompose_cyl", counting)
     plus, minus = closed_perturbation_structure(1, amplitude=2e-3), flat_structure(-1)
     first = glue_fields(plus, minus, 5.0)
     for length in (6.0, 7.5, 5.0):
@@ -356,7 +392,7 @@ def test_glued_class_independent_of_cutoff_profile(class_moving_half):
     # Integrating (1 - rho) f + rho' I over [0, L] by parts leaves I(0),
     # whatever rho is: 2L (class - model) in the dt block is the tail
     # integral I+(0), and the dt-free block is the model's.
-    i0 = class_moving_half._tail_parts[3][ZERO_XI][0, 6:]
+    i0 = class_moving_half._tail_parts[ZERO_XI][2][0]
     assert np.abs(i0).max() > 1e-3
     for length in (5.0, 6.0, 8.0):
         glued = glue_fields(class_moving_half, flat_structure(-1), length)
