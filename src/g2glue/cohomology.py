@@ -857,16 +857,6 @@ class BoundaryMembership:
         return self.structure3_minus and self.square4_minus
 
 
-def _in_image(mat: np.ndarray, vec: np.ndarray, tol: float) -> bool:
-    norm = float(np.abs(vec).max(initial=0.0))
-    if norm == 0.0:
-        return True
-    if mat.size == 0:
-        return False
-    sol, *_ = np.linalg.lstsq(mat, vec, rcond=_RANK_RTOL * max(mat.shape))
-    return float(np.abs(mat @ sol - vec).max(initial=0.0)) <= tol * (1.0 + norm)
-
-
 def boundary_class_check(d: SumDiagram, structure_class: np.ndarray,
                          square_class: np.ndarray, *,
                          tol: float = 1e-10) -> BoundaryMembership:
@@ -874,16 +864,19 @@ def boundary_class_check(d: SumDiagram, structure_class: np.ndarray,
 
     The degree-3 structure class and the degree-4 square class must both
     restrict from each half, i.e. lie in the corresponding boundary
-    images; membership is decided by least-squares residual.
+    images: a class v is in an image when v minus its projection onto the
+    kept basis ``a_plus`` or ``a_minus`` of ``d.subspaces``, orthonormal
+    in the pairing, is within tol * (1 + max|v|) of zero.
     """
-    structure_class = np.asarray(structure_class, dtype=float)
-    square_class = np.asarray(square_class, dtype=float)
-    return BoundaryMembership(
-        _in_image(d.mat("jstar_plus", 3), structure_class, tol),
-        _in_image(d.mat("jstar_minus", 3), structure_class, tol),
-        _in_image(d.mat("jstar_plus", 4), square_class, tol),
-        _in_image(d.mat("jstar_minus", 4), square_class, tol),
-    )
+    inside = []
+    for m, vec in ((3, structure_class), (4, square_class)):
+        vec = np.asarray(vec, dtype=float)
+        sub, gram = d.subspaces(m), d.gram(m)
+        bound = tol * (1.0 + float(np.abs(vec).max(initial=0.0)))
+        for basis in (sub.a_plus, sub.a_minus):
+            resid = vec - basis @ (basis.T @ (gram @ vec))
+            inside.append(float(np.abs(resid).max(initial=0.0)) <= bound)
+    return BoundaryMembership(*inside)
 
 
 # ---------------------------------------------------------------------------

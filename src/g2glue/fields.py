@@ -72,17 +72,19 @@ class RealityError(ValueError):
 def _grid_steps(extent: float, density, fewest: int) -> float:
     """extent * density, the steps of spacing 1 / density.  Raises
     ValueError if density or extent is not positive, or, naming both, if
-    the steps are not finite or round below ``fewest``: a grid too short
-    for its 8 samples is refused, not respaced to reach them."""
+    the steps are not finite, round below ``fewest``, or miss a whole
+    number by more than 1e-9 of themselves: a grid is refused, not
+    respaced to fit its extent or to reach its 8 samples."""
     if not density > 0:
         raise ValueError(f"grid density must be positive, got {density!r}")
     if extent <= 0:
         raise ValueError("grid needs b > a")
     steps = extent * density
-    if not math.isfinite(steps) or round(steps) < fewest:
+    if (not math.isfinite(steps) or round(steps) < fewest
+            or abs(steps - round(steps)) > 1e-9 * steps):
         raise ValueError(f"a grid of extent {extent!r} at density {density!r} "
-                         f"has {steps:.3g} steps of 1 / density, not a finite "
-                         f"{fewest} or more")
+                         f"has {steps!r} steps of 1 / density, not a whole "
+                         f"number of at least {fewest}")
     return steps
 
 

@@ -70,7 +70,6 @@ from .forms import (
     _star_matrix,
     assemble_cylindrical,
     basis_position,
-    hodge_star,
     is_g2_form,
     omega0,
     phi0,
@@ -328,7 +327,7 @@ def flat_projectors() -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     27-dimensional pieces at the flat model."""
     p = phi0().tovector()
     p1 = np.outer(p, p) / 7.0
-    star_p = hodge_star(np.eye(7), phi0()).tovector()
+    star_p = _star_matrix(np.eye(7), 3) @ p
     b = (_contract_table(7, 4) @ star_p).T         # column i: e_i+1 . *phi0
     p7 = b @ np.linalg.inv(b.T @ b) @ b.T
     p27 = np.eye(35) - p1 - p7

@@ -13,7 +13,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from g2glue import cli, cohomology
+from g2glue import cli, cohomology, forms
 from g2glue.cohomology import (
     SingularBoundary,
     diagram_from_json,
@@ -104,16 +104,14 @@ def test_unread_flag_or_key_exits_two(tmp_path, capsys, command, flag, via):
 def test_pointwise_worst_of_checks_propagate_nan(monkeypatch):
     # Python's max keeps its first argument when the second is NaN, so a
     # NaN deviation after a finite one must not read as a pass.
-    real_star, real_gram = cli.hodge_star, cli.gram_from_3form
-    stars, grams = [], []
+    real_star, real_gram = cli._star_matrix, cli.gram_from_3form
+    grams = []
 
-    def nan_star(metric, form):
-        out = real_star(metric, form)
-        stars.append(1)
-        if len(stars) == 6:     # the last coefficient of one round trip
-            coeffs = dict(out.coeffs)
-            coeffs[max(coeffs)] = math.nan
-            return out.__class__(out.axes, out.degree, coeffs)
+    def nan_star(metric, k):
+        out = real_star(metric, k)
+        if k == 5:      # first read by the degree-2 round trip, after the
+            out = out.copy()    # finite degree-0 and degree-1 ones
+            out[-1, -1] = math.nan
         return out
 
     def nan_gram(phi):
@@ -121,7 +119,7 @@ def test_pointwise_worst_of_checks_propagate_nan(monkeypatch):
         out = real_gram(phi)
         return np.full_like(out, np.nan) if len(grams) == 3 else out
 
-    monkeypatch.setattr(cli, "hodge_star", nan_star)
+    monkeypatch.setattr(cli, "_star_matrix", nan_star)
     monkeypatch.setattr(cli, "gram_from_3form", nan_gram)
     inv = cli._check_involution(np.random.default_rng(1), 1e-10, trials=1)
     eqv = cli._check_equivariance(np.random.default_rng(1), trials=3)
@@ -139,6 +137,47 @@ def test_pointwise_check_bytes_reproducible(capsys):
     _, csv2, _ = run_cli(["pointwise-check", "--seed", "9",
                           "--format", "csv"], capsys)
     assert csv1 == csv2 and csv1 != out1
+
+
+# First 16 hex digits of the sha256 of pointwise-check stdout, by seed, in
+# JSON and with --corrupt in CSV, recorded while the star-involution check
+# still sent each random form through hodge_star twice.
+POINTWISE_GOLDEN = {0: ("ac745c0f896e7ba7", "0a10a009e509407f"),
+                    5: ("d3236332733f37e7", "814cedc7a24648ea"),
+                    9: ("73c0fb01784fefd9", "9858e880afd147b5")}
+
+
+@pytest.mark.parametrize("seed", sorted(POINTWISE_GOLDEN))
+def test_pointwise_check_matches_golden_bytes(capsys, seed):
+    got = []
+    for flags, code in (([], 0), (["--corrupt", "--format", "csv"], 1)):
+        rc, out, err = run_cli(["pointwise-check", "--seed", str(seed), *flags],
+                               capsys)
+        assert (rc, err) == (code, "")
+        got.append(hashlib.sha256(out.encode()).hexdigest()[:16])
+    assert tuple(got) == POINTWISE_GOLDEN[seed]
+
+
+@pytest.mark.parametrize("trials", [1, 3])
+def test_involution_builds_each_star_matrix_once(monkeypatch, trials):
+    # Eight degrees per random metric, each star matrix built once and
+    # read by both round trips that use it; no form goes through hodge_star.
+    built, starred = [], []
+
+    def counted(real, calls):
+        def wrapper(*args):
+            calls.append(1)
+            return real(*args)
+        return wrapper
+
+    real = forms._star_matrix
+    monkeypatch.setattr(forms, "_star_matrix", counted(real, built))
+    monkeypatch.setattr(cli, "_star_matrix", counted(real, built),
+                        raising=False)
+    monkeypatch.setattr(cli, "hodge_star", counted(cli.hodge_star, starred))
+    out = cli._check_involution(np.random.default_rng(2), 1e-10, trials=trials)
+    assert out["passed"] and out["trials"] == trials
+    assert (len(built), len(starred)) == (8 * trials, 0)
 
 
 # -- glue-sweep ------------------------------------------------------------

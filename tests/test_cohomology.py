@@ -634,6 +634,16 @@ def test_membership_detects_each_side(rigged):
     assert bc.structure3_plus
 
 
+def test_class_in_minus_image_only(rigged):
+    # The column of the minus image farthest from the plus one.
+    sub, gram = subspaces(rigged, 3), rigged.gram(3)
+    off = sub.a_minus - sub.a_plus @ (sub.a_plus.T @ gram @ sub.a_minus)
+    cls = 3.0 * sub.a_minus[:, np.abs(off).max(axis=0).argmax()]
+    bc = boundary_class_check(rigged, cls, np.zeros(rigged.dim("H_X", 4)))
+    assert bc.structure3_minus and bc.minus
+    assert not bc.structure3_plus and not bc.plus
+
+
 # ---------------------------------------------------------------------------
 # serialization
 

@@ -9,8 +9,9 @@ case breaks a few fields at most, so that most cases get past the loaders
 and into the numerics.
 
 Sizes stay small: neck lengths come as a start plus at most two steps,
-and extent, density and band come from short lists, so that every case
-runs in well under a second.  How the program treats a range of 1e300
+and extent, density and band come from short lists or, for a half that
+is only loaded, extents up to 12 at densities up to 64, so that every
+case runs in well under a second.  How the program treats a range of 1e300
 lengths or a grid of 1e12 samples is not covered here.
 
 The library's side of the contract, its public names and the
@@ -247,6 +248,52 @@ def test_glue_sweep_contract(tmp_path, capsys, data, broken, fmt):
              "--input2", str(tmp_path / "minus.json")]
     rc, out, err = _run(argv, capsys)
     _check_contract(rc, out, err, fmt)
+
+
+@st.composite
+def declared_halves(draw):
+    """A well-typed descriptor whose extent is a whole number of steps of
+    1 / density, or that plus a fraction of a step; mostly 7 to 12 long,
+    sometimes too short for its envelope or its 8 samples."""
+    kind = draw(st.sampled_from(KINDS))
+    density = draw(st.integers(1, 64))
+    steps = draw(st.one_of(st.integers(7 * density, 12 * density),
+                           st.integers(1, 7 * density)))
+    offset = draw(st.sampled_from([0.0, 0.0, 0.5, 0.25, 1e-3, 0.999]))
+    params = {"extent": (steps + offset) / density, "density": density,
+              "band": draw(st.integers(0, 2))}
+    if "rate" in DESCRIPTOR_PARAMS[kind]:
+        params["rate"] = draw(st.floats(0.3, 2.0))
+    sign = draw(st.sampled_from([1, -1]))
+    return {"schema": cli.STRUCTURE_SCHEMA, "kind": kind, "sign": sign,
+            "params": params}
+
+
+# A half's grid is the one its descriptor declares: it ends at the
+# extent, its spacing is 1 / density, and the band and rate are as given;
+# a descriptor no such grid fits exits 2 with one line.
+@CONTRACT
+@given(obj=declared_halves())
+def test_loaded_half_is_the_declared_one(tmp_path, capsys, obj):
+    path, flat = tmp_path / "half.json", tmp_path / "flat.json"
+    path.write_text(json.dumps(obj))
+    params, sign = obj["params"], obj["sign"]
+    try:
+        half = cli._load_structure(str(path), sign)
+    except cli.InputError:
+        flat.write_text(json.dumps({**obj, "kind": "flat", "params": {},
+                                    "sign": -sign}))
+        plus, minus = (path, flat) if sign == 1 else (flat, path)
+        rc, out, err = _run(["glue-sweep", "--input", str(plus),
+                             "--input2", str(minus)], capsys)
+        assert (rc, out) == (2, "") and err.count("\n") == 1
+        assert err.startswith(f"error: {path}: "), err
+        return
+    grid = half.perturbation.grid
+    assert grid.b == params["extent"]
+    assert math.isclose(grid.h, 1.0 / params["density"], rel_tol=1e-12)
+    assert half.perturbation.band == params["band"]
+    assert half.decay_rate == params.get("rate", 1.0)
 
 
 BASE_DIAGRAMS = [diagram_to_json(synth_diagram(seed, seed % 3,
