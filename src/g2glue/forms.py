@@ -516,9 +516,13 @@ def su3_tangent_residual(big: KForm6, small: KForm6, sigma: KForm6, tau: KForm6
 #     star's signs, dx^a ^ (.) in fields and U and Q are read off them.
 #   B = U Q U^T: U (7 x 21) holds the contractions e_p . c in the 2-form
 #     basis, U[p, ab] = phi_abp, and Q (21 x 21) the coefficients of vol in
-#     dx^u ^ dx^v ^ c; both are linear in c.  gram_batch forms them a
+#     dx^u ^ dx^v ^ c; both are linear in c.  _gram_uqu forms them a
 #     block of rows at a time, so their scratch does not grow with n;
 #     gram_from_3form forms them once over Python ints for exact input.
+#   On a batch whose rows all hold the model's dt-free block, as every
+#     sample of a xi = 0 neck does, only the 15 dt coefficients vary and
+#     B is a cubic in them: 81 integer terms, derived once from U and Q
+#     (_dt_cubic_terms) and summed row by row without forming U or Q.
 #   _eliminate factors each B once.  det B is the product of the pivots,
 #     and g = s B is positive definite exactly when every pivot has the
 #     sign of det B (Sylvester's criterion, as Cholesky tests it); _scale
@@ -529,7 +533,8 @@ def su3_tangent_residual(big: KForm6, small: KForm6, sigma: KForm6, tau: KForm6
 #     Its one elimination, of [B | phi_ab.], factors B and solves
 #     B^-1 phi_ab. for five pairs (a, b), one of which lies in every
 #     quadruple; g = s B and g^-1 = B^-1 / s.  The star for dx^1..7 is
-#     eps psi with eps = sign(det B), the orientation of phi.
+#     eps psi with eps = sign(det B), the orientation of phi.  A run of
+#     consecutive rows equal bit for bit is factored once.
 
 @lru_cache(maxsize=None)
 def _gram_matrices(dtype=float) -> tuple[np.ndarray, np.ndarray]:
@@ -550,29 +555,107 @@ def _gram_matrices(dtype=float) -> tuple[np.ndarray, np.ndarray]:
     return u.astype(dtype), q.reshape(21 * 21, 35).astype(dtype)
 
 
-# Rows per block of gram_batch.  U, Q and U Q take 735 doubles a row, so
-# a block bounds them at about 3 MB whatever the batch size.
+# Rows per block of the U Q U^T reference.  U, Q and U Q take 735 doubles
+# a row, so a block bounds them at about 3 MB whatever the batch size.
 _GRAM_BLOCK = 512
 
+# The model's dt-free block, Omega0's: columns 15..34 of phi0.
+_MODEL_FREE = phi0().tovector()[15:]
+_MODEL_FREE.flags.writeable = False
 
-def gram_batch(coeffs: np.ndarray) -> np.ndarray:
-    """Bilinear forms B = U Q U^T for a batch of 3-forms.
 
-    ``coeffs`` has shape (..., 35), rows ordered like
-    basis_indices(AXES7, 3); the result has shape (..., 7, 7) and agrees
-    with gram_from_3form row by row.  U and Q are the linear images of
-    each row under the structure matrices of _gram_matrices, formed a
-    block of _GRAM_BLOCK rows at a time; no row's B depends on the blocks.
-    """
-    c = np.asarray(coeffs, dtype=float)
+def _gram_uqu(rows: np.ndarray) -> np.ndarray:
+    """B = U Q U^T, (n, 7, 7), for coefficient rows (n, 35): U and Q are
+    the linear images of each row under the structure matrices of
+    _gram_matrices, formed a block of _GRAM_BLOCK rows at a time."""
     u_mat, q_mat = _gram_matrices()
-    rows = c.reshape(-1, 35)
     b = np.empty((len(rows), 7, 7))
     for i in range(0, len(rows), _GRAM_BLOCK):
         block = rows[i:i + _GRAM_BLOCK]
         u = (block @ u_mat.T).reshape(-1, 7, 21)
         uq = u @ (block @ q_mat.T).reshape(-1, 21, 21)
         b[i:i + _GRAM_BLOCK] = uq @ np.swapaxes(u, -1, -2)
+    return b
+
+
+@lru_cache(maxsize=1)
+def _dt_cubic_terms() -> tuple[np.ndarray, ...]:
+    """B of a row whose dt-free block is the model's, as a cubic in its 15
+    dt coefficients beta: terms (p, r, s, coef) and where they go.
+
+    With x = (1, beta), U = sum_p x_p U_p and Q = sum_r x_r Q_r, where U_0
+    and Q_0 are the structure matrices contracted with the model's
+    dt-free block and U_p, Q_p (p >= 1) those of dt column p - 1.  So
+    B = sum x_p x_r x_s U_p Q_r U_s^T, a cubic whose constant term B(Omega0)
+    is 0 (no dt): 15 linear, 36 quadratic and 15 cubic monomials (the last
+    only in B_11, Pfaffian-like in beta), 81 terms in all.  Term k adds
+    coef[k] x_p x_r x_s to flat upper entry ``upper[e]``, mirrored to
+    ``lower[e]``, for the e with starts[e] <= k < starts[e + 1].  The
+    coefficients are small integers, so the products and the sums over
+    permutations that form them are exact.
+    """
+    u_mat, q_mat = _gram_matrices()
+    us = np.vstack([u_mat[:, 15:] @ _MODEL_FREE, u_mat[:, :15].T]).reshape(112, 21)
+    qs = np.vstack([q_mat[:, 15:] @ _MODEL_FREE, q_mat[:, :15].T]).reshape(16, 21, 21)
+    uq = (us @ qs.transpose(1, 0, 2).reshape(21, 336)).reshape(16, 7, 16, 21)
+    left = uq.transpose(0, 2, 1, 3).reshape(-1, 21)     # rows (p, r, i) of U_p Q_r
+    # Only the nonzero rows of either factor, about 200 and 50, are
+    # multiplied, which keeps the build near a millisecond.
+    lrow, srow = np.flatnonzero(left.any(axis=1)), np.flatnonzero(us.any(axis=1))
+    t = left[lrow] @ us[srow].T                         # (U_p Q_r U_s^T)[i, j]
+    a, c = np.nonzero(t)
+    p, r, i = np.unravel_index(lrow[a], (16, 16, 7))
+    s, j = np.divmod(srow[c], 7)
+    # Each upper entry sums its terms over the orderings of (p, r, s).
+    up = i <= j
+    keys, where = np.unique(np.ravel_multi_index(
+        (7 * i[up] + j[up], *np.sort([p[up], r[up], s[up]], axis=0)), (49, 16, 16, 16)),
+        return_inverse=True)
+    coef = np.bincount(where, weights=t[a, c][up])
+    entry, p, r, s = np.unravel_index(keys[coef != 0], (49, 16, 16, 16))
+    starts = np.flatnonzero(np.diff(entry, prepend=-1))
+    i, j = np.divmod(entry[starts], 7)
+    tables = (p, r, s, coef[coef != 0], 7 * i + j, 7 * j + i, starts)
+    for arr in tables:
+        arr.flags.writeable = False
+    return tables
+
+
+def _gram_dt_cubic(rows: np.ndarray) -> np.ndarray:
+    """B^T (49, n) of rows (n, 35) that hold the model's dt-free block, from
+    their dt block alone (_dt_cubic_terms).  Exactly symmetric; each entry
+    sums its terms in a fixed order, elementwise over the rows, so no
+    row's B depends on the batch."""
+    p, r, s, coef, upper, lower, starts = _dt_cubic_terms()
+    x = np.empty((16, len(rows)))
+    x[0] = 1.0
+    x[1:] = rows[:, :15].T
+    held = np.add.reduceat(x[p] * x[r] * x[s] * coef[:, None], starts, axis=0)
+    bt = np.zeros((49, len(rows)))
+    bt[upper] = held
+    bt[lower] = held
+    return bt
+
+
+def gram_batch(coeffs: np.ndarray) -> np.ndarray:
+    """Bilinear forms B for a batch of 3-forms.
+
+    ``coeffs`` has shape (..., 35), rows ordered like
+    basis_indices(AXES7, 3); the result has shape (..., 7, 7) and agrees
+    with gram_from_3form row by row.  When every row of the batch holds
+    the model's dt-free block (Omega0's, as on every sample of a xi = 0
+    neck), B is the cubic in the rows' 15 dt coefficients of
+    _dt_cubic_terms, exactly symmetric; any other batch takes U Q U^T
+    (_gram_uqu), the reference.  The rule is per batch, so rows starred
+    together share one path.  On either path no row's B depends on the
+    other rows or on the blocks.
+    """
+    c = np.asarray(coeffs, dtype=float)
+    rows = c.reshape(-1, 35)
+    if (rows[:, 15:] == _MODEL_FREE).all():
+        b = _gram_dt_cubic(rows).T
+    else:
+        b = _gram_uqu(rows).reshape(-1, 49)
     return b.reshape(c.shape[:-1] + (7, 7))
 
 
@@ -668,11 +751,22 @@ def star3_batch(coeffs: np.ndarray, *, dt_free: bool = False) -> np.ndarray:
     metric_batch does, with the same messages.  ``dt_free`` forms only
     the 15 dt-free components, all that d(star phi) reads on a xi = 0
     field, eliminating with the 3 raised pairs they use: (..., 15), bitwise
-    the full star's last 15.
+    the full star's last 15.  Each run of consecutive rows equal bit for
+    bit, such as the model samples where a neck's perturbations vanish, is
+    factored once (gram_batch sees one row of it), bitwise as if each row
+    were starred.
     """
     c = np.asarray(coeffs, dtype=float)
     raise_mat, low_mat, sign, yp, yr, g = _star3_tables(dt_free)
     rows = c.reshape(-1, 35)
+    # Rows equal in value and in the sign of every entry are equal bit for
+    # bit: NaN, the one value with other encodings, is never equal.
+    same = ((rows[1:] == rows[:-1])
+            & (np.signbit(rows[1:]) == np.signbit(rows[:-1]))).all(axis=1)
+    first = np.ones(len(rows), dtype=bool)
+    first[1:] = ~same
+    if not first.all():
+        rows = rows[first]
     ct, n = rows.T, len(rows)
     with np.errstate(all="ignore"):
         b = gram_batch(rows)
@@ -683,4 +777,7 @@ def star3_batch(coeffs: np.ndarray, *, dt_free: bool = False) -> np.ndarray:
     low = (low_mat @ ct).reshape(len(sign), 5, n)
     psi = sign[:, None] * (np.einsum("jpn,jpn->jn", aug[yp, yr], low) / s
                            - gt[g[0]] * gt[g[1]] + gt[g[2]] * gt[g[3]])
-    return (np.sign(s) * psi).T.reshape(c.shape[:-1] + (len(sign),))
+    psi = np.sign(s) * psi
+    if n < len(first):
+        psi = psi[:, np.cumsum(first) - 1]
+    return psi.T.reshape(c.shape[:-1] + (len(sign),))

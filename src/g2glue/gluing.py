@@ -372,13 +372,17 @@ def _solve(grid: TGrid, xi: tuple, rhat: np.ndarray) -> np.ndarray:
     all equal |k|^2 = (w n)^2 + |xi|^2, because the star derivative at the
     flat model commutes with G2 and G2 is transitive on S^6.  So
     A^+ = A^T / |k|^4, the three blocks of _t_blocks applied to the rows,
-    with 0 at k = 0; nothing is built per neck length.
+    with 0 at k = 0; nothing is built per neck length.  At xi = 0 the
+    blocks T_tx + T_xt and T_xx are exact zeros, so only T_tt is applied.
     """
     t_tt, t_mix, t_xx = _t_blocks(xi)
     w = grid.wavenumbers(rhat)[:, None]
     k2 = w ** 2 + sum(v * v for v in xi)
     k4 = np.where(k2 > 0.0, k2 ** 2, np.inf)
-    return (w ** 2 * (rhat @ t_tt) + w * (rhat @ t_mix) + rhat @ t_xx) / k4
+    num = w ** 2 * (rhat @ t_tt)
+    if any(xi):
+        num = num + w * (rhat @ t_mix) + rhat @ t_xx
+    return num / k4
 
 
 def _step(field: SpectralForm, dstar: SpectralForm) -> SpectralForm:
@@ -395,17 +399,27 @@ def _step(field: SpectralForm, dstar: SpectralForm) -> SpectralForm:
     row (_solve returns 0 at k = 0).  So the class's free block stays
     bitwise, its dt block moves only by the rounding of adding a zero-mean
     update to the samples, and d(phi) of a field holding only the xi = 0
-    mode is bitwise unchanged.  Each spectrum dies with its mode's
-    iteration, and the update's samples on return, before the caller
-    measures the new field.
+    mode is bitwise unchanged.  At xi = 0, dstar (d of a 4-form there) and
+    d sigma are dt ^ d/dt of their dt-free blocks, so only their 15 dt
+    columns are transformed, each way; the rest are exact zeros.  Each
+    spectrum dies with its mode's iteration, and the update's samples on
+    return, before the caller measures the new field.
     """
     grid = field.grid
     free = slice(_dt_count(2), _ncomp(2))
     update = {}
     for xi, arr in dstar.modes.items():
-        shat = _solve(grid, xi, grid.forward(arr))
-        update[xi] = grid.inverse(
-            _d_mode(xi, shat, grid.ddt_spectrum(shat[:, free]), 2))
+        if any(xi):
+            shat = _solve(grid, xi, grid.forward(arr))
+            update[xi] = grid.inverse(
+                _d_mode(xi, shat, grid.ddt_spectrum(shat[:, free]), 2))
+        else:
+            dt = dstar.dt_slice
+            shat = _solve(grid, xi, np.pad(grid.forward(arr[:, dt]),
+                                           ((0, 0), (0, dstar.ncomp - dt.stop))))
+            update[xi] = np.zeros((grid.n, field.ncomp))
+            update[xi][:, field.dt_slice] = grid.inverse(
+                grid.ddt_spectrum(shat[:, free]))
     return field + SpectralForm(3, field.band, grid, update, check=False)
 
 

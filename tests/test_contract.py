@@ -446,6 +446,38 @@ def test_kernel_signatures():
     assert got == {fn.__qualname__: sig for fn, sig in KERNEL_SIGNATURES.items()}
 
 
+def test_xi0_necks_form_b_as_the_dt_cubic(monkeypatch):
+    # Every sample of a xi = 0 neck holds the model's dt-free block, during
+    # its reduction too, so each B of the reduction is gram_batch's dt
+    # cubic; the README modulated pair's star batches take U Q U^T.
+    necks = {
+        "closed vs flat": (gluing.closed_perturbation_structure(1),
+                           gluing.flat_structure(-1), 5.0),
+        "sheared vs sheared": (gluing.sheared_structure(1),
+                               gluing.sheared_structure(-1), 4.0),
+        "modulated vs flat": (gluing.modulated_shear_structure(1, rate=1.0,
+                                                               amplitude=0.05),
+                              gluing.flat_structure(-1), 4.0),
+    }
+    calls = []
+    for name in ("_gram_dt_cubic", "_gram_uqu"):
+        real = getattr(forms, name)
+
+        def counting(rows, real=real, name=name):
+            calls.append(name)
+            return real(rows)
+
+        monkeypatch.setattr(forms, name, counting)
+    paths = {}
+    for neck, (plus, minus, length) in necks.items():
+        calls.clear()
+        gluing.torsion_reduce(gluing.glue_fields(plus, minus, length))
+        paths[neck] = set(calls)
+    assert paths == {"closed vs flat": {"_gram_dt_cubic"},
+                     "sheared vs sheared": {"_gram_dt_cubic"},
+                     "modulated vs flat": {"_gram_uqu"}}
+
+
 def test_descriptor_params():
     got = {kind: {name: None if p.annotation is p.empty else p.annotation
                   for name, p in inspect.signature(factory).parameters.items()

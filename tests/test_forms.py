@@ -605,6 +605,48 @@ def test_gram_rows_do_not_depend_on_the_blocks():
                           whole.reshape(40, 30, 7, 7))
 
 
+def model_block_rows(rng, count, scale):
+    """Rows with the model's dt-free block, Omega0's, and the dt block
+    omega0's plus Gaussian noise of the given scale, as every sample of a
+    xi = 0 neck has."""
+    rows = np.tile(phi0().tovector(), (count, 1))
+    rows[:, :15] += scale * rng.standard_normal((count, 15))
+    return rows
+
+
+@pytest.mark.parametrize("scale", [1e-3, 1e-2, 0.1, 0.3])
+def test_model_block_gram_matches_the_uqu_reference(scale):
+    coeffs = model_block_rows(np.random.default_rng(101), 300, scale)
+    got = forms.gram_batch(coeffs)
+    want = forms._gram_uqu(coeffs)
+    err = np.abs(got - want).max(axis=(1, 2))
+    assert np.all(err <= 2e-15 * (1.0 + np.abs(want).max(axis=(1, 2))))
+    assert np.array_equal(got, np.swapaxes(got, 1, 2))
+    assert np.array_equal(got, [forms.gram_batch(c) for c in coeffs])
+    assert np.array_equal(forms.gram_batch(phi0().tovector()), 6.0 * np.eye(7))
+
+
+def test_model_block_gram_keeps_shapes():
+    coeffs = model_block_rows(np.random.default_rng(103), 24, 0.1)
+    whole = forms.gram_batch(coeffs)
+    assert forms.gram_batch(coeffs.reshape(4, 6, 35)).tobytes() == whole.tobytes()
+    assert forms.gram_batch(coeffs.reshape(4, 6, 35)).shape == (4, 6, 7, 7)
+    assert forms.gram_batch(coeffs[5]).shape == (7, 7)
+    assert forms.gram_batch(coeffs[5]).tobytes() == whole[5].tobytes()
+    empty = np.tile(phi0().tovector(), (0, 1))
+    assert forms.gram_batch(empty).shape == (0, 7, 7)
+    assert forms.gram_batch(empty.reshape(0, 3, 35)).shape == (0, 3, 7, 7)
+
+
+def test_one_row_off_the_model_block_sends_its_batch_to_the_reference():
+    coeffs = model_block_rows(np.random.default_rng(107), 40, 0.1)
+    assert (forms.gram_batch(coeffs).tobytes()
+            == forms._gram_dt_cubic(coeffs).T.tobytes())
+    col = 15 + np.flatnonzero(forms._MODEL_FREE)[0]
+    coeffs[17, col] = np.nextafter(coeffs[17, col], np.inf)
+    assert forms.gram_batch(coeffs).tobytes() == forms._gram_uqu(coeffs).tobytes()
+
+
 def test_batched_metric_rejects_a_degenerate_row():
     coeffs = stable_rows(np.random.default_rng(47), 4)
     coeffs[3] = KForm7(3, {(1, 2, 3): 1.0}).tovector()
@@ -696,6 +738,13 @@ def test_unstable_rows_premises():
     assert b[0, 0] == 0.0 and abs(np.linalg.det(b)) > 1e5
 
 
+def test_non_finite_rows_hold_the_model_block():
+    # Alone, the nan and inf rows take gram_batch's dt cubic, so the
+    # message tests below cover that path as well as U Q U^T.
+    for row, _ in unstable_rows()[3:]:
+        assert np.array_equal(row[15:], forms._MODEL_FREE)
+
+
 UNSTABLE_IDS = ["degenerate", "split", "null-leading-pivot", "nan", "inf"]
 
 
@@ -744,6 +793,38 @@ def test_dt_free_star_is_the_full_stars_last_15(drawn, one_row):
     got = forms.star3_batch(coeffs, dt_free=True)
     assert got.shape == coeffs.shape[:-1] + (15,)
     assert got.tobytes() == forms.star3_batch(coeffs)[..., 20:].tobytes()
+
+
+def runs_of_rows(rng):
+    """(distinct, repeats): neighbouring distinct rows differ, two of them
+    only in the sign of a zero, so they are separate runs."""
+    model = phi0().tovector()
+    signed = model.copy()
+    signed[5] = -0.0
+    mixed = np.vstack([model, stable_rows(rng, 2), model, signed, model,
+                       model_block_rows(rng, 2, 0.1)])
+    block = np.vstack([model, model_block_rows(rng, 3, 0.1), model, signed])
+    return [(mixed, [5, 1, 3, 2, 1, 4, 1, 2, 6, 1]), (block, [4, 1, 2, 1, 7, 3])]
+
+
+@pytest.mark.parametrize("dt_free", [False, True])
+def test_star_factors_each_run_of_equal_rows_once(monkeypatch, dt_free):
+    seen = []
+    real = forms.gram_batch
+
+    def counting(rows):
+        seen.append(len(rows))
+        return real(rows)
+
+    for distinct, repeats in runs_of_rows(np.random.default_rng(109)):
+        assert len(repeats) == len(distinct)
+        want = np.repeat(forms.star3_batch(distinct, dt_free=dt_free), repeats, axis=0)
+        monkeypatch.setattr(forms, "gram_batch", counting)
+        seen.clear()
+        got = forms.star3_batch(np.repeat(distinct, repeats, axis=0), dt_free=dt_free)
+        monkeypatch.setattr(forms, "gram_batch", real)
+        assert seen == [len(distinct)]
+        assert got.shape == want.shape and got.tobytes() == want.tobytes()
 
 
 def test_batched_metric_reports_degenerate_before_indefinite():

@@ -14,6 +14,7 @@ from g2glue.fields import (
     _PANEL_WEIGHTS,
     _axis_wedge_matrix,
     _cumulative_from_right,
+    _d_mode,
     NoLimit,
     SpectralForm,
     TGrid,
@@ -733,6 +734,53 @@ def test_xi0_update_leaves_the_class_coefficients_exactly_alone(kind):
     assert after.dtype == np.float64
     assert np.abs(after[:, :15] - before[:, :15]).max() > 0.0
     assert np.array_equal(after[:, 15:], before[:, 15:])
+
+
+def full_column_xi0_update(dstar):
+    """The xi = 0 update with all 21 columns of dstar transformed, all three
+    blocks of the solve applied and all 35 columns of d sigma transformed
+    back."""
+    grid = dstar.grid
+    rhat = grid.forward(dstar.modes[ZERO_XI])
+    t_tt, t_mix, t_xx = gluing._t_blocks(ZERO_XI)
+    w = grid.wavenumbers(rhat)[:, None]
+    k2 = w ** 2
+    k4 = np.where(k2 > 0.0, k2 ** 2, np.inf)
+    shat = (w ** 2 * (rhat @ t_tt) + w * (rhat @ t_mix) + rhat @ t_xx) / k4
+    return grid.inverse(_d_mode(ZERO_XI, shat, grid.ddt_spectrum(shat[:, 6:]), 2))
+
+
+@pytest.mark.parametrize("kind", ["closed", "modulated"])
+def test_xi0_update_is_the_full_column_update_bitwise(kind):
+    glued = neck_at_5(kind)
+    dstar = torsion_residual(glued).dstar
+    t_tt, t_mix, t_xx = gluing._t_blocks(ZERO_XI)
+    assert not t_mix.any() and not t_xx.any() and t_tt.any()
+    want = full_column_xi0_update(dstar)
+    assert want.shape == (glued.grid.n, 35) and np.abs(want).max() > 0.0
+    # A step from the zero field adds the update onto 0.0.
+    got = gluing._step(SpectralForm(3, glued.band, glued.grid), dstar)
+    assert got.modes[ZERO_XI].tobytes() == (0.0 + want).tobytes()
+
+
+@pytest.mark.parametrize("kind", ["closed", "modulated"])
+def test_xi0_step_transforms_only_the_dt_columns(monkeypatch, kind):
+    glued = neck_at_5(kind)
+    dstar = torsion_residual(glued).dstar
+    seen = []
+    for name in ("forward", "inverse"):
+        real = getattr(TGrid, name)
+
+        def recording(self, y, real=real, name=name):
+            seen.append((name, y.shape[1]))
+            return real(self, y)
+
+        monkeypatch.setattr(TGrid, name, recording)
+    gluing._step(glued, dstar)
+    others = len(dstar.modes) - 1
+    assert (kind == "closed") == (others == 0)
+    assert sorted(seen) == sorted([("forward", 15), ("inverse", 15)]
+                                  + [("forward", 21), ("inverse", 35)] * others)
 
 
 def test_reduce_differentiates_only_inside_torsion_residual(monkeypatch):
