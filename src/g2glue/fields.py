@@ -88,6 +88,29 @@ def _grid_steps(extent: float, density, fewest: int) -> float:
     return steps
 
 
+def _constant_columns(cols: np.ndarray) -> np.ndarray:
+    """Mask of the columns of a 2-D array that are finite and equal, bit for
+    bit, in every row.  The middle row rules out most varying columns
+    before the full comparison."""
+    bits = [p.view(np.uint64)
+            for p in ((cols.real, cols.imag) if np.iscomplexobj(cols) else (cols,))]
+    steady = np.isfinite(cols[0])
+    for b in bits:
+        steady &= b[len(b) // 2] == b[0]
+    idx = np.flatnonzero(steady)
+    if idx.size:
+        for b in bits:
+            sub = b[:, idx]
+            steady[idx] &= (sub == sub[0]).all(axis=0)
+    return steady
+
+
+def _k0_only_columns(cols: np.ndarray) -> np.ndarray:
+    """Mask of the columns of a t-spectrum with a finite k = 0 entry and
+    exact zeros in every other row."""
+    return np.isfinite(cols[0]) & ~cols[1:].any(axis=0)
+
+
 @dataclass(frozen=True)
 class TGrid:
     """Uniform sample grid for the cylinder coordinate.
@@ -156,13 +179,46 @@ class TGrid:
         return 2j * np.pi * k / self.length
 
     def forward(self, y: np.ndarray) -> np.ndarray:
-        """t-spectrum along axis 0: rfft of a real array, fft of a complex one."""
-        return np.fft.fft(y, axis=0) if np.iscomplexobj(y) else np.fft.rfft(y, axis=0)
+        """t-spectrum along axis 0: rfft of a real array, fft of a complex one.
+
+        Only the columns that vary along t are transformed.  A column that
+        is finite and constant bit for bit, c in every row, gets its exact
+        spectrum: n c at k = 0 and exact zeros elsewhere.  A column holding
+        a NaN or an infinity always goes through numpy."""
+        full = np.iscomplexobj(y)
+        cols = y.reshape(len(y), -1)
+        steady = _constant_columns(cols)
+        if not steady.any():
+            return np.fft.fft(y, axis=0) if full else np.fft.rfft(y, axis=0)
+        rows = self.n if full else self.n // 2 + 1
+        out = np.zeros((rows, cols.shape[1]), dtype=complex)
+        out[0, steady] = self.n * cols[0, steady]
+        vary = ~steady
+        if vary.any():
+            out[:, vary] = (np.fft.fft(cols[:, vary], axis=0) if full
+                            else np.fft.rfft(cols[:, vary], axis=0))
+        return out.reshape((rows,) + y.shape[1:])
 
     def inverse(self, yhat: np.ndarray) -> np.ndarray:
-        """Samples from a t-spectrum: irfft of n // 2 + 1 rows, ifft of n rows."""
-        return (np.fft.irfft(yhat, self.n, axis=0) if len(yhat) == self.n // 2 + 1
-                else np.fft.ifft(yhat, axis=0))
+        """Samples from a t-spectrum: irfft of n // 2 + 1 rows, ifft of n rows.
+
+        Only the columns with an entry at k != 0 are transformed.  A column
+        whose k != 0 rows are exact zeros and whose k = 0 entry a is finite
+        comes back as a / n in every row (its real part, from n // 2 + 1
+        rows); every other column goes through numpy."""
+        half = len(yhat) == self.n // 2 + 1
+        cols = yhat.reshape(len(yhat), -1)
+        steady = _k0_only_columns(cols)
+        if not steady.any():
+            return np.fft.irfft(yhat, self.n, axis=0) if half else np.fft.ifft(yhat, axis=0)
+        # Every row takes row 0 / n; the varying columns are then overwritten.
+        out = np.empty((self.n, cols.shape[1]), dtype=float if half else complex)
+        out[:] = (cols[0].real if half else cols[0]) / self.n
+        vary = ~steady
+        if vary.any():
+            out[:, vary] = (np.fft.irfft(cols[:, vary], self.n, axis=0) if half
+                            else np.fft.ifft(cols[:, vary], axis=0))
+        return out.reshape((self.n,) + yhat.shape[1:])
 
     def wavenumbers(self, yhat: np.ndarray) -> np.ndarray:
         """2 pi k / length for each row of a t-spectrum, the Nyquist row too."""
@@ -176,7 +232,9 @@ class TGrid:
 
     def ddt(self, y: np.ndarray) -> np.ndarray:
         """d/dt along axis 0: on a circle the pair around ddt_spectrum, real
-        in and out for a real array; on an interval the fourth-order stencil."""
+        in and out for a real array, so a constant column's derivative is
+        exactly 0 and only the varying columns are transformed; on an
+        interval the fourth-order stencil."""
         if self.periodic:
             return self.inverse(self.ddt_spectrum(self.forward(y)))
         h12 = 12.0 * self.h

@@ -255,7 +255,11 @@ class TorsionMeasure:
     ``dstar`` carries the measured d(induced 4-form) itself, so the
     reducer can solve against it without starring the field again, and
     ``dphi`` the measured d(phi), so a xi = 0 reduction differentiates phi
-    once.
+    once.  On a periodic field holding only the xi = 0 mode, ``dstar_hat``
+    is the t-spectrum of dstar's one mode (21 columns, in the grid's
+    layout) that the measure forms before its inverse transform, so a step
+    solves against it without transforming dstar again; None on any other
+    field.
     """
 
     d_l2: float
@@ -266,6 +270,8 @@ class TorsionMeasure:
                                                  compare=False)
     dphi: SpectralForm | None = dataclass_field(default=None, repr=False,
                                                 compare=False)
+    dstar_hat: np.ndarray | None = dataclass_field(default=None, repr=False,
+                                                   compare=False)
 
     @property
     def worst(self) -> float:
@@ -308,15 +314,22 @@ def torsion_residual(phi: SpectralForm, *,
         raise ValueError("dphi must be a 4-form on phi's grid, band and modes")
     else:
         d3 = dphi
+    dstar_hat = None
     if phi.modes.keys() == {ZERO_XI}:
+        grid = phi.grid
         star = star3_batch(phi.modes[ZERO_XI], dt_free=True)
         _require_finite(star)
-        dt = _d_mode(ZERO_XI, star, phi.grid.ddt(star), 4)
-        d4 = SpectralForm(5, phi.band, phi.grid, {ZERO_XI: dt}, check=False)
+        if grid.periodic:
+            dhat = grid.ddt_spectrum(grid.forward(star))
+            dstar_hat = _d_mode(ZERO_XI, dhat, dhat, 4)
+            dt = grid.inverse(dstar_hat)
+        else:
+            dt = _d_mode(ZERO_XI, star, grid.ddt(star), 4)
+        d4 = SpectralForm(5, phi.band, grid, {ZERO_XI: dt}, check=False)
     else:
         d4 = exterior_d(induced_4form(phi))
     return TorsionMeasure(norm_l2(d3), norm_sup(d3), norm_l2(d4), norm_sup(d4),
-                          dstar=d4, dphi=d3)
+                          dstar=d4, dphi=d3, dstar_hat=dstar_hat)
 
 
 # -- linearization at the flat model ---------------------------------------
@@ -385,41 +398,37 @@ def _solve(grid: TGrid, xi: tuple, rhat: np.ndarray) -> np.ndarray:
     return num / k4
 
 
-def _step(field: SpectralForm, dstar: SpectralForm) -> SpectralForm:
+def _step(field: SpectralForm, meas: TorsionMeasure) -> SpectralForm:
     """field + d sigma, for sigma the flat-model solve against the
-    measured d(induced 4-form) ``dstar``.
+    measured d(induced 4-form) ``meas.dstar``.
 
-    Per residual mode: the grid's forward transform, sigma^ = _solve, then
-    d sigma^ = D(n) sigma^ formed on the spectrum itself (the grid's
-    ddt_spectrum on the dt-free columns and i xi ^ for xi != 0, the
-    assembly exterior_d uses on samples), then one inverse transform;
-    sigma is never sampled.  The class is held by construction, with no
-    step that restores it: the update's xi = 0 mode has an exact 0 for
-    its dt-free block (dt ^ d/dt writes only dt slots) and for its n = 0
-    row (_solve returns 0 at k = 0).  So the class's free block stays
-    bitwise, its dt block moves only by the rounding of adding a zero-mean
-    update to the samples, and d(phi) of a field holding only the xi = 0
-    mode is bitwise unchanged.  At xi = 0, dstar (d of a 4-form there) and
-    d sigma are dt ^ d/dt of their dt-free blocks, so only their 15 dt
-    columns are transformed, each way; the rest are exact zeros.  Each
-    spectrum dies with its mode's iteration, and the update's samples on
-    return, before the caller measures the new field.
+    Per residual mode: its t-spectrum, sigma^ = _solve, then d sigma^ =
+    D(n) sigma^ formed on the spectrum itself (the grid's ddt_spectrum on
+    the dt-free columns and i xi ^ for xi != 0, the assembly exterior_d
+    uses on samples), then one inverse transform; sigma is never sampled.
+    On a field holding only the xi = 0 mode the spectrum is the measure's
+    ``dstar_hat``, so the step makes no forward transform; on any other
+    field each mode of dstar goes through the grid's forward transform.
+    The grid's pair transforms only the columns that vary along t, so at
+    xi = 0 only the nonzero columns of d sigma's dt block are inverted:
+    its dt-free block is exact zeros (dt ^ d/dt writes only dt slots).
+    The class is held by construction, with no step that restores it:
+    that dt-free block and the update's n = 0 row (_solve returns 0 at
+    k = 0) are exact zeros.  So the class's free block stays bitwise, its
+    dt block moves only by the rounding of adding a zero-mean update to
+    the samples, and d(phi) of a field holding only the xi = 0 mode is
+    bitwise unchanged.  Each spectrum dies with its mode's iteration, and
+    the update's samples on return, before the caller measures the new
+    field.
     """
     grid = field.grid
     free = slice(_dt_count(2), _ncomp(2))
     update = {}
-    for xi, arr in dstar.modes.items():
-        if any(xi):
-            shat = _solve(grid, xi, grid.forward(arr))
-            update[xi] = grid.inverse(
-                _d_mode(xi, shat, grid.ddt_spectrum(shat[:, free]), 2))
-        else:
-            dt = dstar.dt_slice
-            shat = _solve(grid, xi, np.pad(grid.forward(arr[:, dt]),
-                                           ((0, 0), (0, dstar.ncomp - dt.stop))))
-            update[xi] = np.zeros((grid.n, field.ncomp))
-            update[xi][:, field.dt_slice] = grid.inverse(
-                grid.ddt_spectrum(shat[:, free]))
+    for xi, arr in meas.dstar.modes.items():
+        rhat = grid.forward(arr) if meas.dstar_hat is None else meas.dstar_hat
+        shat = _solve(grid, xi, rhat)
+        update[xi] = grid.inverse(
+            _d_mode(xi, shat, grid.ddt_spectrum(shat[:, free]), 2))
     return field + SpectralForm(3, field.band, grid, update, check=False)
 
 
@@ -483,9 +492,10 @@ def torsion_reduce(field: SpectralForm, tol: float = 1e-10,
     interval grid raises ValueError, since the mode solver assumes the
     neck circle.
 
-    Each step is _step against the d(induced 4-form) torsion_residual
-    measured at the end of the previous step, so each step stars the field
-    once and differentiates only inside torsion_residual.  On a field
+    Each step is _step against the measure torsion_residual took at the
+    end of the previous step: its d(induced 4-form), and on a xi = 0 field
+    that form's t-spectrum.  So each step stars the field once and
+    differentiates only inside torsion_residual.  On a field
     holding only the xi = 0 mode a step leaves d(phi) bitwise alone, so
     the measured d(phi) is handed on and phi is differentiated once per
     reduction; a field with any xi != 0 mode is differentiated at every
@@ -508,7 +518,7 @@ def torsion_reduce(field: SpectralForm, tol: float = 1e-10,
     worse = 0
     best = meas.worst
     while meas.worst > tol and iterations < max_iter and worse < 3:
-        field = _step(field, meas.dstar)
+        field = _step(field, meas)
         zero_only = field.modes.keys() == {ZERO_XI}
         meas = torsion_residual(field, dphi=meas.dphi if zero_only else None)
         iterations += 1

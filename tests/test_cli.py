@@ -883,14 +883,14 @@ def test_diagram_commands_match_golden_bytes(tmp_path, capsys, dim_e2d):
 GLUE_GOLDEN = [
     ("closed-perturbation", {"amplitude": 2e-3},
      ["--L-start", "4", "--L-stop", "6.5", "--L-step", "0.5"],
-     0, "4e3e29d7db2050e4"),
+     0, "1a11e51ac7da22be"),
     ("modulated-shear", {"rate": 1.0, "amplitude": 0.05},
      ["--L-start", "4", "--L-stop", "5", "--format", "csv"],
      1, "e5fc85a90e4ef9de"),
     ("flat", {}, ["--L-start", "4", "--L-stop", "6"], 0, "9cbc6c5f05ee84ee"),
     ("closed-perturbation", {"amplitude": 5e-3},
      ["--L-start", "8", "--L-stop", "10", "--L-step", "2", "--format", "json"],
-     0, "e01fcc67d010aa1e"),
+     0, "14f83433fa171f70"),
     (("sheared", "sheared"), {}, ["--L-start", "4", "--L-stop", "5"],
      0, "f2a29e1bf16e18ea"),
     (("closed-perturbation", "modulated-shear"), {"amplitude": 2e-3},

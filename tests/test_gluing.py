@@ -703,10 +703,10 @@ def sample_space_update(dstar):
 @pytest.mark.parametrize("kind", ["closed", "modulated"])
 def test_spectral_update_matches_the_sample_space_step(kind):
     glued = neck_at_5(kind)
-    dstar = torsion_residual(glued).dstar
-    want = sample_space_update(dstar)
+    meas = torsion_residual(glued)
+    want = sample_space_update(meas.dstar)
     # A step from the zero field is the update d sigma itself.
-    got = gluing._step(SpectralForm(3, glued.band, glued.grid), dstar)
+    got = gluing._step(SpectralForm(3, glued.band, glued.grid), meas)
     assert set(got.modes) == set(want.modes)
     scale = want.amplitude()
     assert scale > 0.0
@@ -723,25 +723,31 @@ def test_spectral_update_matches_the_sample_space_step(kind):
 @pytest.mark.parametrize("kind", ["closed", "modulated"])
 def test_xi0_update_leaves_the_class_coefficients_exactly_alone(kind):
     glued = neck_at_5(kind)
-    dstar = torsion_residual(glued).dstar
-    grid = dstar.grid
-    shat = gluing._solve(grid, ZERO_XI, grid.forward(dstar.modes[ZERO_XI]))
+    meas = torsion_residual(glued)
+    grid = glued.grid
+    shat = gluing._solve(grid, ZERO_XI, xi0_spectrum(meas))
     assert shat.shape == (grid.n // 2 + 1, 21)
     assert np.abs(shat[1:]).max() > 0.0
     assert not shat[0].any()
     before = glued.modes[ZERO_XI]
-    after = gluing._step(glued, dstar).modes[ZERO_XI]
+    after = gluing._step(glued, meas).modes[ZERO_XI]
     assert after.dtype == np.float64
     assert np.abs(after[:, :15] - before[:, :15]).max() > 0.0
     assert np.array_equal(after[:, 15:], before[:, 15:])
 
 
-def full_column_xi0_update(dstar):
-    """The xi = 0 update with all 21 columns of dstar transformed, all three
+def xi0_spectrum(meas):
+    """The t-spectrum of dstar's xi = 0 mode that a step solves against:
+    the measure's own on a xi = 0 field, the forward transform otherwise."""
+    if meas.dstar_hat is not None:
+        return meas.dstar_hat
+    return meas.dstar.grid.forward(meas.dstar.modes[ZERO_XI])
+
+
+def full_column_xi0_update(grid, rhat):
+    """The xi = 0 update from the 21-column spectrum rhat, with all three
     blocks of the solve applied and all 35 columns of d sigma transformed
     back."""
-    grid = dstar.grid
-    rhat = grid.forward(dstar.modes[ZERO_XI])
     t_tt, t_mix, t_xx = gluing._t_blocks(ZERO_XI)
     w = grid.wavenumbers(rhat)[:, None]
     k2 = w ** 2
@@ -753,34 +759,95 @@ def full_column_xi0_update(dstar):
 @pytest.mark.parametrize("kind", ["closed", "modulated"])
 def test_xi0_update_is_the_full_column_update_bitwise(kind):
     glued = neck_at_5(kind)
-    dstar = torsion_residual(glued).dstar
+    meas = torsion_residual(glued)
     t_tt, t_mix, t_xx = gluing._t_blocks(ZERO_XI)
     assert not t_mix.any() and not t_xx.any() and t_tt.any()
-    want = full_column_xi0_update(dstar)
+    want = full_column_xi0_update(glued.grid, xi0_spectrum(meas))
     assert want.shape == (glued.grid.n, 35) and np.abs(want).max() > 0.0
     # A step from the zero field adds the update onto 0.0.
-    got = gluing._step(SpectralForm(3, glued.band, glued.grid), dstar)
+    got = gluing._step(SpectralForm(3, glued.band, glued.grid), meas)
     assert got.modes[ZERO_XI].tobytes() == (0.0 + want).tobytes()
 
 
 @pytest.mark.parametrize("kind", ["closed", "modulated"])
-def test_xi0_step_transforms_only_the_dt_columns(monkeypatch, kind):
+def test_measured_xi0_spectrum_is_the_transform_of_dstar(kind):
+    # The xi = 0 measure hands on the spectrum it inverts to get dstar: its
+    # dt block is the samples' own transform up to roundoff, and its
+    # dt-free block is exact zeros.  Any other field hands on none.
     glued = neck_at_5(kind)
-    dstar = torsion_residual(glued).dstar
+    meas = torsion_residual(glued)
+    if kind == "modulated":
+        assert meas.dstar_hat is None
+        return
+    grid = glued.grid
+    assert meas.dstar_hat.shape == (grid.n // 2 + 1, 21)
+    assert not meas.dstar_hat[:, 15:].any()
+    assert np.array_equal(grid.inverse(meas.dstar_hat), meas.dstar.modes[ZERO_XI])
+    again = grid.forward(meas.dstar.modes[ZERO_XI])
+    scale = np.abs(again).max()
+    assert scale > 0.0
+    assert np.abs(meas.dstar_hat - again).max() <= 1e-13 * scale
+
+
+def recorded_transforms(monkeypatch, where, names):
+    """Patch each named transform of ``where`` to log (name, columns)."""
     seen = []
+    for name in names:
+        real = getattr(where, name)
+
+        def recording(y, *args, real=real, name=name, **kwargs):
+            seen.append((name, y[0].size))
+            return real(y, *args, **kwargs)
+
+        monkeypatch.setattr(where, name, recording)
+    return seen
+
+
+@pytest.mark.parametrize("kind", ["closed", "modulated"])
+def test_xi0_step_transforms_only_the_dt_columns(monkeypatch, kind):
+    # A xi = 0 step makes no forward transform and hands numpy only the
+    # nonzero columns of its update; each xi != 0 mode still passes 21
+    # columns forward and 35 back through the grid's pair.
+    glued = neck_at_5(kind)
+    meas = torsion_residual(glued)
+    update = gluing._step(SpectralForm(3, glued.band, glued.grid), meas)
+    nonzero = int(update.modes[ZERO_XI].any(axis=0).sum())
+    assert 0 < nonzero < 15
+    pair = []
     for name in ("forward", "inverse"):
         real = getattr(TGrid, name)
 
         def recording(self, y, real=real, name=name):
-            seen.append((name, y.shape[1]))
+            pair.append((name, y.shape[1]))
             return real(self, y)
 
         monkeypatch.setattr(TGrid, name, recording)
-    gluing._step(glued, dstar)
-    others = len(dstar.modes) - 1
+    fft = recorded_transforms(monkeypatch, np.fft, ("rfft", "irfft"))
+    gluing._step(glued, meas)
+    others = len(meas.dstar.modes) - 1
     assert (kind == "closed") == (others == 0)
-    assert sorted(seen) == sorted([("forward", 15), ("inverse", 15)]
-                                  + [("forward", 21), ("inverse", 35)] * others)
+    assert [cols for name, cols in fft if name == "irfft"] == [nonzero]
+    if kind == "closed":
+        assert pair == [("inverse", 35)]
+        assert fft == [("irfft", nonzero)]
+    else:
+        assert sorted(pair) == sorted([("forward", 21), ("inverse", 35)]
+                                      * (others + 1))
+
+
+def test_xi0_reduction_hands_numpy_only_the_varying_columns(monkeypatch):
+    # closed-perturbation vs flat at L = 8.40625 (n = 4 * 269, a Bluestein
+    # size): 8 numpy transforms over 40 columns for the whole reduction.
+    # The glued phi's 20 dt-free columns are constant, so d(phi) takes
+    # none; each measure transforms the star's 5 varying dt-free columns
+    # both ways, and each step inverts its update's 5 nonzero columns.
+    plus = closed_perturbation_structure(1, amplitude=2e-3)
+    glued = glue_fields(plus, flat_structure(-1), 8.40625)
+    assert glued.grid.n == 1076
+    seen = recorded_transforms(monkeypatch, np.fft, ("rfft", "irfft", "fft", "ifft"))
+    _, report = torsion_reduce(glued, tol=1e-10)
+    assert (report.stop_reason, report.iterations) == ("converged", 2)
+    assert len(seen) == 8 and sum(cols for _, cols in seen) == 40
 
 
 def test_reduce_differentiates_only_inside_torsion_residual(monkeypatch):
@@ -885,7 +952,7 @@ def test_reduction_keeps_the_exactly_rounded_class():
     minus = flat_structure(-1)
     for amplitude in (5e-4, 1e-3, 2e-3, 5e-3):
         plus = closed_perturbation_structure(1, amplitude=amplitude)
-        for length in (4.0, 4.25, 5.0, 7.0):
+        for length in (4.0, 4.203125, 4.25, 5.0, 7.0, 8.40625):
             glued = glue_fields(plus, minus, length)
             out, report = torsion_reduce(glued, tol=1e-10)
             assert report.converged and report.iterations >= 1
@@ -895,6 +962,20 @@ def test_reduction_keeps_the_exactly_rounded_class():
             for c in range(35):
                 moved = math.fsum(after[:, c]) / n_t - math.fsum(before[:, c]) / n_t
                 assert abs(moved) < 1e-18, (amplitude, length, c, moved)
+
+
+@pytest.mark.parametrize("length", [4.203125, 5.5, 7.484375, 8.40625])
+def test_the_glued_xi0_neck_is_exactly_closed(length):
+    # The glued phi's dt-free block is constant along t, so d(phi) is an
+    # exact 0, also at lengths whose sample counts (n = 538, 704, 958 and
+    # 1076) numpy's transform of a constant misses by roundoff.
+    plus = closed_perturbation_structure(1, amplitude=2e-3)
+    glued = glue_fields(plus, flat_structure(-1), length)
+    free = glued.modes[ZERO_XI][:, 15:]
+    assert (free == free[0]).all()
+    meas = torsion_residual(glued)
+    assert (meas.d_sup, meas.d_l2) == (0.0, 0.0)
+    assert meas.dstar_sup > 0.0
 
 
 def test_reductions_retain_nothing_per_length(flat_pair):
