@@ -9,10 +9,10 @@ coefficient vectors sampled along the cylinder coordinate t = x^1:
 Each c_xi(t) is a full 7-dimensional k-form coefficient vector in the
 basis order of forms.basis_indices(AXES7, k), so the dt-components occupy
 the leading C(6, k-1) slots (multi-indices containing 1) and the dt-free
-components the trailing C(6, k) slots.  Reality of the field is the mode
-constraint c_{-xi} = conj(c_xi), validated at construction.  It makes the
-xi = 0 coefficient real, so that mode is stored as a float64 array and
-every other mode as complex128.
+components the trailing C(6, k) slots.  A field is real, c_{-xi} =
+conj(c_xi): it stores the xi = 0 mode as float64 and of each pair +-xi != 0
+only the canonical mode, first nonzero entry positive, as complex128.  Only
+sample_physical, spectral_from_samples, inner_l2 and wedge meet the -xi modes.
 
 The t-axis is either an interval [a, b] with n inclusive samples (fourth
 order finite differences) or a circle of circumference b - a with n
@@ -64,7 +64,7 @@ class WindowTooSmall(ValueError):
 
 
 class RealityError(ValueError):
-    """Mode coefficients at xi and -xi are not complex conjugates."""
+    """A complex xi = 0 coefficient whose imaginary part is not roundoff."""
 
 
 # -- t-axis discretizations ------------------------------------------------
@@ -257,23 +257,27 @@ def _dt_count(degree: int) -> int:
     return math.comb(6, degree - 1) if degree >= 1 else 0
 
 
+def _is_canonical(xi: tuple) -> bool:
+    """Whether xi is 0 or its first nonzero entry is positive."""
+    return next((v > 0 for v in xi if v), True)
+
+
 class SpectralForm:
-    """Degree-k form on the cylinder, sparse in torus modes, sampled in t.
+    """Real degree-k form on the cylinder, sparse in torus modes, sampled in t.
 
     ``modes`` maps 6-tuples xi to arrays of shape (grid.n, C(7, k)): the
-    xi = 0 mode, real by the reality constraint, as float64, every other
-    mode as complex128.  Construction copies the arrays, freezes them,
-    sorts the keys, checks the band bound |xi|_inf <= band, and enforces
-    reality: a missing -xi partner is filled in by conjugation, an
-    inconsistent one raises RealityError, and the xi = 0 mode keeps its
-    real part.  With ``check`` that mode's imaginary part must be roundoff
-    (its self-conjugacy test), or RealityError is raised; without it the
-    imaginary part is dropped.
+    xi = 0 mode as float64, and of each pair +-xi != 0 the canonical mode
+    (first nonzero entry positive) as complex128, the mode at -xi being its
+    conjugate.  Construction copies the arrays, freezes them, sorts the
+    keys, and checks the band bound |xi|_inf <= band and that each key is
+    canonical (ValueError naming it).  A complex xi = 0 array keeps its real
+    part if its imaginary part is roundoff against the largest finite
+    coefficient, and raises RealityError otherwise, a NaN included.
     """
 
     __slots__ = ("degree", "band", "grid", "modes")
 
-    def __init__(self, degree: int, band: int, grid: TGrid, modes=None, check: bool = True):
+    def __init__(self, degree: int, band: int, grid: TGrid, modes=None):
         if not 0 <= degree <= 7:
             raise ValueError("degree out of range")
         if not 0 <= band <= BAND_MAX:
@@ -286,26 +290,19 @@ class SpectralForm:
                 raise ValueError("mode keys are 6-tuples of integers")
             if max(map(abs, xi), default=0) > band:
                 raise ValueError(f"mode {xi} outside the band |xi| <= {band}")
+            if not _is_canonical(xi):
+                raise ValueError(f"mode {xi} is not canonical: store the conjugate at -xi")
             a = np.asarray(arr) if xi == ZERO_XI else np.array(arr, dtype=complex, order="C")
             if a.shape != (grid.n, nc):
                 raise ValueError(f"mode {xi}: expected shape {(grid.n, nc)}, got {a.shape}")
             stored[xi] = a
         zero = stored.get(ZERO_XI)
-        if check:
-            scale = max((np.abs(a).max() for a in stored.values()), default=0.0)
-            tol = 1e-9 * (1.0 + scale)
-            if np.iscomplexobj(zero) and 2.0 * np.abs(zero.imag).max() > tol:
-                raise RealityError(f"mode {ZERO_XI} is not real")
-            for xi in list(stored):
-                neg = tuple(-v for v in xi)
-                if neg == xi:
-                    continue
-                if neg in stored:
-                    if np.abs(stored[neg] - np.conj(stored[xi])).max() > tol:
-                        raise RealityError(f"modes {xi} and {neg} are not conjugate")
-                else:
-                    stored[neg] = np.conj(stored[xi])
         if zero is not None:
+            if np.iscomplexobj(zero):
+                scale = max((np.abs(a[np.isfinite(a)]).max(initial=0.0)
+                             for a in stored.values()), default=0.0)
+                if not 2.0 * np.abs(zero.imag).max() <= 1e-9 * (1.0 + scale):
+                    raise RealityError(f"mode {ZERO_XI} is not real")
             stored[ZERO_XI] = np.array(zero.real, dtype=float, order="C")
         for a in stored.values():
             a.flags.writeable = False
@@ -321,7 +318,7 @@ class SpectralForm:
 
     @classmethod
     def zero(cls, degree: int, band: int, grid: TGrid) -> "SpectralForm":
-        return cls(degree, band, grid, {}, check=False)
+        return cls(degree, band, grid, {})
 
     @classmethod
     def from_constant(cls, form: ConstForm, grid: TGrid, band: int = 0) -> "SpectralForm":
@@ -329,7 +326,7 @@ class SpectralForm:
         if form.axes != AXES7:
             raise ValueError("expected a form on all seven axes")
         vec = np.tile(form.tovector(), (grid.n, 1))
-        return cls(form.degree, band, grid, {ZERO_XI: vec}, check=False)
+        return cls(form.degree, band, grid, {ZERO_XI: vec})
 
     # ---- bookkeeping ----
 
@@ -352,7 +349,7 @@ class SpectralForm:
     def _like(self, modes, degree=None, band=None) -> "SpectralForm":
         return SpectralForm(self.degree if degree is None else degree,
                             self.band if band is None else band,
-                            self.grid, modes, check=False)
+                            self.grid, modes)
 
     # ---- linear structure ----
 
@@ -363,7 +360,7 @@ class SpectralForm:
             raise ValueError("mismatched degree or grid")
         out = {xi: op(self.modes.get(xi, 0.0), other.modes.get(xi, 0.0))
                for xi in set(self.modes) | set(other.modes)}
-        return SpectralForm(self.degree, max(self.band, other.band), self.grid, out, check=False)
+        return SpectralForm(self.degree, max(self.band, other.band), self.grid, out)
 
     def __add__(self, other):
         return self._binary(other, np.add)
@@ -407,7 +404,13 @@ class SpectralForm:
 
     # ---- multiplication ----
 
+    def _all_modes(self) -> dict:
+        """The stored modes and their mirrors: every mode of the field."""
+        mirrors = {tuple(-v for v in xi): np.conj(a) for xi, a in self.modes.items() if any(xi)}
+        return {**self.modes, **mirrors}
+
     def wedge(self, other: "SpectralForm") -> "SpectralForm":
+        """The wedge over every mode pair, mirrors included, kept canonical."""
         if self.grid != other.grid:
             raise ValueError("mismatched grids")
         k = self.degree + other.degree
@@ -417,16 +420,14 @@ class SpectralForm:
         if band > BAND_MAX:
             raise ValueError("wedge would exceed the supported mode band")
         aa, bb, ind = _wedge_table(7, self.degree, other.degree)
+        theirs = other._all_modes()
         acc: dict[tuple[int, ...], np.ndarray] = {}
-        for x1, m1 in self.modes.items():
-            for x2, m2 in other.modes.items():
+        for x1, m1 in self._all_modes().items():
+            for x2, m2 in theirs.items():
                 xi = tuple(u + v for u, v in zip(x1, x2))
-                term = (m1[:, aa] * m2[:, bb]) @ ind
-                if xi in acc:
-                    acc[xi] = acc[xi] + term
-                else:
-                    acc[xi] = term
-        return SpectralForm(k, band, self.grid, acc, check=False)
+                if _is_canonical(xi):
+                    acc[xi] = acc.get(xi, 0.0) + (m1[:, aa] * m2[:, bb]) @ ind
+        return SpectralForm(k, band, self.grid, acc)
 
 
 @lru_cache(maxsize=None)
@@ -470,7 +471,7 @@ def exterior_d(f: SpectralForm) -> SpectralForm:
     out = {}
     for xi, m in f.modes.items():
         out[xi] = _d_mode(xi, m, f.grid.ddt(m[:, free]), f.degree)
-    return SpectralForm(f.degree + 1, f.band, f.grid, out, check=False)
+    return SpectralForm(f.degree + 1, f.band, f.grid, out)
 
 
 def _flat_star(f: SpectralForm) -> SpectralForm:
@@ -478,7 +479,7 @@ def _flat_star(f: SpectralForm) -> SpectralForm:
     coefficient vector."""
     comp, signs = _hodge_table(7, f.degree)
     out = {xi: a[:, comp] * signs for xi, a in f.modes.items()}
-    return SpectralForm(7 - f.degree, f.band, f.grid, out, check=False)
+    return SpectralForm(7 - f.degree, f.band, f.grid, out)
 
 
 def codifferential(f: SpectralForm) -> SpectralForm:
@@ -501,12 +502,10 @@ def inner_l2(f: SpectralForm, h: SpectralForm) -> float:
         raise ValueError("mismatched degree or grid")
     w = f.grid.weights
     acc = 0.0
-    for xi, a in f.modes.items():
-        b = h.modes.get(xi)
-        if b is None:
-            continue
-        dens = np.einsum("ti,ti->t", a.conj(), b)
-        acc += float(np.real(w @ dens))
+    for xi in sorted(f.modes.keys() & h.modes.keys()):
+        dens = np.einsum("ti,ti->t", f.modes[xi].conj(), h.modes[xi])
+        # A mode and its mirror contribute the same real part.
+        acc += (2.0 if any(xi) else 1.0) * float(np.real(w @ dens))
     return acc
 
 
@@ -534,11 +533,11 @@ def sample_physical(f: SpectralForm) -> tuple[np.ndarray, tuple[int, ...]]:
     for torus directions carrying no nonzero frequency and
     M_d = 2 * _OVERSAMPLE * max|xi_d| otherwise (f's own frequencies, not
     its band: see induced_4form), together with the M tuple.
-    The grid in each active direction is uniform on [0, 2*pi).  Only the
-    active directions are transformed: an FFT over a length-1 axis is the
-    identity, so skipping it leaves the samples bitwise unchanged.  With
-    no active direction the samples are a read-only view of the real
-    xi = 0 mode.
+    The grid in each active direction is uniform on [0, 2*pi); the slot of
+    each mirror mode -xi holds the conjugate of xi's.  Only the active
+    directions are transformed: an FFT over a length-1 axis is the identity,
+    so skipping it leaves the samples bitwise unchanged.  With no active
+    direction the samples are a read-only view of the real xi = 0 mode.
     """
     maxfreq = [0] * 6
     for xi in f.modes:
@@ -551,8 +550,8 @@ def sample_physical(f: SpectralForm) -> tuple[np.ndarray, tuple[int, ...]]:
         zero = f.modes.get(ZERO_XI)
         return (np.zeros(shape) if zero is None else zero.reshape(shape)), dims
     spec = np.zeros(shape, dtype=complex)
-    for xi, a in f.modes.items():
-        spec[_slot(xi, dims)] += a
+    for xi, a in f._all_modes().items():
+        spec[_slot(xi, dims)] = a
     spec = np.fft.ifftn(spec, axes=axes) * np.prod(dims)
     return np.real(spec), dims
 
@@ -569,12 +568,12 @@ def spectral_from_samples(samples: np.ndarray, degree: int, band: int,
                           grid: TGrid) -> SpectralForm:
     """Inverse of sample_physical with band projection.
 
-    ``samples`` has shape (grid.n, M_1, .., M_6, ncomp); frequencies with
-    |xi|_inf <= band representable on the sample grid are kept, everything
-    else is discarded (an orthogonal projection, not an error), and so is
-    every mode that is exactly 0.  Samples must be finite: a NaN or inf
-    raises ValueError before any transform, since it would otherwise fail
-    that nonzero test and vanish.
+    ``samples`` has shape (grid.n, M_1, .., M_6, ncomp); the canonical
+    frequencies with |xi|_inf <= band representable on the sample grid are
+    kept, everything else is discarded (an orthogonal projection, not an
+    error), and so is every mode that is exactly 0.  Samples must be
+    finite: a NaN or inf raises ValueError before any transform, since it
+    would otherwise fail that nonzero test and vanish.
     """
     arr = np.asarray(samples)
     dims = arr.shape[1:-1]
@@ -588,7 +587,7 @@ def spectral_from_samples(samples: np.ndarray, degree: int, band: int,
         lim = min(band, (m - 1) // 2)
         ranges.append(range(-lim, lim + 1) if m > 1 else range(0, 1))
     modes = {}
-    for xi in itertools.product(*ranges):
+    for xi in filter(_is_canonical, itertools.product(*ranges)):
         a = spec[_slot(xi, dims)]
         if np.abs(a).max() > 0.0:
             modes[xi] = a
@@ -627,7 +626,7 @@ def harmonic_project(f: SpectralForm) -> SpectralForm:
     if m0 is None:
         return SpectralForm.zero(f.degree, f.band, f.grid)
     vec = np.tile(m0.T.copy().mean(axis=1), (f.grid.n, 1))
-    return SpectralForm(f.degree, f.band, f.grid, {ZERO_XI: vec}, check=False)
+    return SpectralForm(f.degree, f.band, f.grid, {ZERO_XI: vec})
 
 
 def estimate_decay_rate(f: SpectralForm, window: tuple[float, float]) -> float:
@@ -705,8 +704,8 @@ def decompose_cyl(f: SpectralForm) -> tuple[SpectralForm, SpectralForm, Spectral
             lim[c] = val
         limit_modes[xi] = np.tile(lim, (f.grid.n, 1))
         rest_modes[xi] = a - limit_modes[xi]
-    limit = SpectralForm(f.degree, f.band, f.grid, limit_modes, check=False)
-    rest = SpectralForm(f.degree, f.band, f.grid, rest_modes, check=False)
+    limit = SpectralForm(f.degree, f.band, f.grid, limit_modes)
+    rest = SpectralForm(f.degree, f.band, f.grid, rest_modes)
     return limit, rest.free_part(), rest.dt_part()
 
 

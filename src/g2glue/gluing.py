@@ -243,7 +243,7 @@ def glue_fields(plus, minus, length: float) -> SpectralForm:
             raise ValueError(f"non-finite samples in glued mode {xi}")
         if np.abs(arr).max() > 0.0:
             modes[xi] = arr
-    return SpectralForm(3, band, neck, modes, check=False)
+    return SpectralForm(3, band, neck, modes)
 
 
 # -- torsion ---------------------------------------------------------------
@@ -325,7 +325,7 @@ def torsion_residual(phi: SpectralForm, *,
             dt = grid.inverse(dstar_hat)
         else:
             dt = _d_mode(ZERO_XI, star, grid.ddt(star), 4)
-        d4 = SpectralForm(5, phi.band, grid, {ZERO_XI: dt}, check=False)
+        d4 = SpectralForm(5, phi.band, grid, {ZERO_XI: dt})
     else:
         d4 = exterior_d(induced_4form(phi))
     return TorsionMeasure(norm_l2(d3), norm_sup(d3), norm_l2(d4), norm_sup(d4),
@@ -429,7 +429,7 @@ def _step(field: SpectralForm, meas: TorsionMeasure) -> SpectralForm:
         shat = _solve(grid, xi, rhat)
         update[xi] = grid.inverse(
             _d_mode(xi, shat, grid.ddt_spectrum(shat[:, free]), 2))
-    return field + SpectralForm(3, field.band, grid, update, check=False)
+    return field + SpectralForm(3, field.band, grid, update)
 
 
 @dataclass(frozen=True)
@@ -579,7 +579,7 @@ def _half(sign: int, rate: float, extent: float, density: int, band: int,
     grid = TGrid.interval(0.0, extent, density)
     env, denv = _envelope(grid.points)
     decay = np.exp(-rate * grid.points)
-    pert = SpectralForm(3, band, grid, modes(env, denv, decay), check=False)
+    pert = SpectralForm(3, band, grid, modes(env, denv, decay))
     return CylStructure(Omega0(), omega0(), sign, pert, rate)
 
 
@@ -635,7 +635,8 @@ def modulated_shear_structure(sign: int, rate: float = 1.0,
     torsion-free on the half-cylinder, but unlike the rigid shear the
     cross-section modulation keeps the neck surgery from landing back on
     the family: the glued field carries a first-order remainder supported
-    in the cutoff band, so its torsion scales like e^{-rate L}.
+    in the cutoff band, so its torsion scales like e^{-rate L}.  Of the
+    pair e^{+-i x_m} in cos(x_m) the field stores the canonical mode e_m.
     """
     if not 2 <= direction <= 7 or not 2 <= modulation <= 7:
         raise ValueError("direction and modulation index torus axes, 2..7")
@@ -655,8 +656,7 @@ def modulated_shear_structure(sign: int, rate: float = 1.0,
         arr += np.outer(0.5 * da, dt @ t1)
         arr += np.outer(0.5j * a, _axis_wedge_matrix(modulation, 2) @ t1)
         arr += np.outer(0.5j * sign * a, dt @ t3)
-        xi = tuple(int(d == modulation) for d in range(2, 8))
-        return {xi: arr, tuple(-v for v in xi): np.conj(arr)}
+        return {tuple(int(d == modulation) for d in range(2, 8)): arr}
     return _half(sign, rate, extent, density, band, modes)
 
 

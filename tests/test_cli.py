@@ -886,7 +886,7 @@ GLUE_GOLDEN = [
      0, "1a11e51ac7da22be"),
     ("modulated-shear", {"rate": 1.0, "amplitude": 0.05},
      ["--L-start", "4", "--L-stop", "5", "--format", "csv"],
-     1, "e5fc85a90e4ef9de"),
+     1, "075e6975a20ccfcb"),
     ("flat", {}, ["--L-start", "4", "--L-stop", "6"], 0, "9cbc6c5f05ee84ee"),
     ("closed-perturbation", {"amplitude": 5e-3},
      ["--L-start", "8", "--L-stop", "10", "--L-step", "2", "--format", "json"],
@@ -895,7 +895,7 @@ GLUE_GOLDEN = [
      0, "f2a29e1bf16e18ea"),
     (("closed-perturbation", "modulated-shear"), {"amplitude": 2e-3},
      ["--L-start", "4", "--L-stop", "5", "--format", "csv"],
-     1, "bb63f69965341357"),
+     1, "8c998bfbc7eb0f51"),
 ]
 
 

@@ -31,7 +31,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 import g2glue
-from g2glue import cli, cohomology, forms, gluing
+from g2glue import cli, cohomology, fields, forms, gluing
 from g2glue.cohomology import diagram_to_json, synth_diagram
 
 CONTRACT = settings(derandomize=True, database=None, deadline=None,
@@ -415,6 +415,8 @@ KERNEL_SIGNATURES = {
     forms.metric_batch: "(coeffs: 'np.ndarray') -> 'np.ndarray'",
     forms.star3_batch:
         "(coeffs: 'np.ndarray', *, dt_free: 'bool' = False) -> 'np.ndarray'",
+    fields.SpectralForm.__init__:
+        "(self, degree: 'int', band: 'int', grid: 'TGrid', modes=None)",
     gluing.induced_4form: "(field: 'SpectralForm') -> 'SpectralForm'",
     gluing.torsion_residual:
         "(phi: 'SpectralForm', *, dphi: 'SpectralForm | None' = None)"
@@ -508,6 +510,26 @@ def test_the_t_fourier_layout_has_one_home():
             fft = "fft" in re.split(r"\W", name) and path.name != "fields.py"
             if fft or (name == "_ddt_multiplier" and id(node) not in home):
                 strays.append(f"{path.name}:{node.lineno}: {name}")
+    assert strays == []
+
+
+def test_the_mirror_mode_has_one_home():
+    # A real field stores one mode of each +-xi pair, and fields.py alone
+    # knows the other: no other module builds a mirrored key, as
+    # tuple(-v for v in xi), or conjugates a mode.
+    root = pathlib.Path(__file__).resolve().parents[1] / "src" / "g2glue"
+    strays = []
+    for path in sorted(root.glob("*.py")):
+        if path.name == "fields.py":
+            continue
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            name = (node.attr if isinstance(node, ast.Attribute)
+                    else node.id if isinstance(node, ast.Name) else None)
+            negated = (isinstance(node, (ast.GeneratorExp, ast.ListComp))
+                       and isinstance(node.elt, ast.UnaryOp)
+                       and isinstance(node.elt.op, ast.USub))
+            if negated or name in ("conj", "conjugate"):
+                strays.append(f"{path.name}:{node.lineno}")
     assert strays == []
 
 

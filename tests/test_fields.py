@@ -1,6 +1,7 @@
 """Spectral cylinder field tests: calculus, norms, asymptotics."""
 
 import math
+import re
 
 import numpy as np
 import pytest
@@ -33,6 +34,10 @@ CIRCLE = TGrid.circle(6.0, density=16)
 INTERVAL = TGrid.interval(0.0, 6.0, density=16)
 
 
+def mirror(xi):
+    return tuple(-v for v in xi)
+
+
 def rand_field(degree, band, grid, rng, active=(0, 3), nmodes=4, envelope=None):
     nc = len(basis_indices(AXES7, degree))
     modes = {}
@@ -41,13 +46,15 @@ def rand_field(degree, band, grid, rng, active=(0, 3), nmodes=4, envelope=None):
         for d in active:
             xi[d] = int(rng.integers(-band, band + 1))
         xi = tuple(xi)
-        if xi in modes or tuple(-v for v in xi) in modes:
+        if xi in modes or mirror(xi) in modes:
             continue
         arr = rng.standard_normal((grid.n, nc)) + 1j * rng.standard_normal((grid.n, nc))
         if envelope is not None:
             arr = envelope[:, None] * arr
         if xi == ZERO_XI:
             arr = arr.real.astype(complex)
+        if not F._is_canonical(xi):
+            xi, arr = mirror(xi), np.conj(arr)   # the same real field
         modes[xi] = arr
     return SpectralForm(degree, band, grid, modes)
 
@@ -99,18 +106,31 @@ def test_band_rejected_at_construction():
 
 
 def test_reality_violation_rejected():
+    # An inconsistent +-xi pair cannot be built: the mirrored key is refused.
     a = np.ones((CIRCLE.n, 7), dtype=complex)
     xi = (1, 0, 0, 0, 0, 0)
     neg = (-1, 0, 0, 0, 0, 0)
-    with pytest.raises(RealityError):
+    with pytest.raises(ValueError, match=r"mode \(-1, 0, 0, 0, 0, 0\)"):
         SpectralForm(1, 2, CIRCLE, {xi: a, neg: 3j * a})
+    # The same pair holding a NaN.
+    b = a.copy()
+    b[2, 3] = math.nan
+    with pytest.raises(ValueError, match=r"mode \(-1, 0, 0, 0, 0, 0\)"):
+        SpectralForm(1, 2, CIRCLE, {xi: b, neg: 3j * b})
 
 
-def test_missing_conjugate_filled_in():
+def test_mirrored_key_refused():
+    # A mirrored key is refused by one ValueError naming it; the same field,
+    # keyed by the canonical mode of the pair, is taken.
     a = (1 + 2j) * np.ones((CIRCLE.n, 7))
-    f = SpectralForm(1, 2, CIRCLE, {(1, 0, 0, 0, 0, 0): a})
-    assert (-1, 0, 0, 0, 0, 0) in f.modes
-    assert np.allclose(f.modes[(-1, 0, 0, 0, 0, 0)], np.conj(a))
+    for xi in [(-1, 0, 0, 0, 0, 0), (0, 0, -2, 1, 0, 0), (0, 0, 0, 0, 0, -1)]:
+        key = re.escape(str(xi))
+        with pytest.raises(ValueError, match=f"mode {key} is not canonical") as info:
+            SpectralForm(1, 2, CIRCLE, {xi: a})
+        assert not isinstance(info.value, RealityError)
+        f = SpectralForm(1, 2, CIRCLE, {mirror(xi): np.conj(a)})
+        assert list(f.modes) == [mirror(xi)]
+        assert np.array_equal(f.modes[mirror(xi)], np.conj(a))
 
 
 def test_modes_frozen():
@@ -134,18 +154,20 @@ def assert_real_xi0(f):
         assert a.flags.c_contiguous and not a.flags.writeable
 
 
-@pytest.mark.parametrize("check", [True, False])
+@pytest.mark.parametrize("with_pair", [True, False])
 @pytest.mark.parametrize("dtype", [float, complex])
-def test_constructor_stores_xi0_real(check, dtype):
+def test_constructor_stores_xi0_real(with_pair, dtype):
     rng = np.random.default_rng(21)
     a0 = rng.standard_normal((CIRCLE.n, 7))
     a1 = rng.standard_normal((CIRCLE.n, 7)) + 1j * rng.standard_normal((CIRCLE.n, 7))
     xi = (1, 0, 0, 0, 0, 0)
-    modes = {ZERO_XI: a0.astype(dtype), xi: a1, (-1, 0, 0, 0, 0, 0): np.conj(a1)}
-    f = SpectralForm(1, 2, CIRCLE, modes, check=check)
+    modes = {ZERO_XI: a0.astype(dtype), xi: a1} if with_pair else {ZERO_XI: a0.astype(dtype)}
+    f = SpectralForm(1, 2, CIRCLE, modes)
     assert_real_xi0(f)
     assert np.array_equal(f.modes[ZERO_XI], a0)
-    assert np.array_equal(f.modes[xi], a1)
+    assert list(f.modes) == ([ZERO_XI, xi] if with_pair else [ZERO_XI])
+    if with_pair:
+        assert np.array_equal(f.modes[xi], a1)
 
 
 def test_imaginary_xi0_mode_raises_under_check():
@@ -156,6 +178,35 @@ def test_imaginary_xi0_mode_raises_under_check():
     f = SpectralForm(1, 0, CIRCLE, {ZERO_XI: np.ones((CIRCLE.n, 7)) + 1e-10j})
     assert_real_xi0(f)
     assert np.array_equal(f.modes[ZERO_XI], np.ones((CIRCLE.n, 7)))
+
+
+def test_a_nan_imaginary_xi0_entry_is_not_real():
+    # A NaN imaginary part is outside any tolerance: it is refused, not
+    # stored as 0.0.
+    a = np.ones((CIRCLE.n, 7), dtype=complex)
+    a[4, 2] = complex(1.0, math.nan)
+    with pytest.raises(RealityError, match="not real"):
+        SpectralForm(1, 0, CIRCLE, {ZERO_XI: a})
+
+
+@pytest.mark.parametrize("where", ["xi0-real-part", "other-mode"])
+def test_a_nan_elsewhere_leaves_the_tolerance_finite(where):
+    # The scale is taken over finite entries only, so a NaN elsewhere
+    # cannot make the tolerance NaN and let an imaginary part of 1 through.
+    a0 = np.ones((CIRCLE.n, 7), dtype=complex)
+    a0[0, 0] += 1j
+    a1 = np.ones((CIRCLE.n, 7), dtype=complex)
+    if where == "xi0-real-part":
+        a0[3, 1] = math.nan
+    else:
+        a1[3, 1] = math.nan
+    with pytest.raises(RealityError, match="not real"):
+        SpectralForm(1, 1, CIRCLE, {ZERO_XI: a0, (1, 0, 0, 0, 0, 0): a1})
+    # A NaN real part with a zero imaginary part is a value, not a
+    # violation of reality: it is stored.
+    a0[0, 0] = 1.0
+    f = SpectralForm(1, 1, CIRCLE, {ZERO_XI: a0, (1, 0, 0, 0, 0, 0): a1})
+    assert np.isnan(f.modes[ZERO_XI]).any() == (where == "xi0-real-part")
 
 
 def _xi0_paths():
@@ -521,6 +572,21 @@ def test_parseval_mode_vs_quadrature():
         assert abs(norm_l2(f) - quad) <= 1e-10 * quad
 
 
+@pytest.mark.parametrize("grid", [CIRCLE, INTERVAL], ids=["circle", "interval"])
+def test_parseval_counts_each_mirror_mode(grid):
+    # norm_l2^2 sums the stored modes, each xi != 0 twice for its mirror;
+    # the samples hold every mode, so their torus mean of |f|^2 under the
+    # t-weights is the same number.
+    rng = np.random.default_rng(26)
+    f = (rand_field(3, 2, grid, rng, active=(0, 2, 5), nmodes=8)
+         + rand_field(3, 2, grid, rng, active=(), nmodes=1))
+    assert ZERO_XI in f.modes and sum(map(any, f.modes)) >= 5
+    phys, _ = sample_physical(f)
+    dens = (phys.reshape(grid.n, -1, f.ncomp) ** 2).sum(axis=2).mean(axis=1)
+    quad = float(grid.weights @ dens)
+    assert abs(norm_l2(f) ** 2 - quad) <= 1e-13 * quad
+
+
 def test_norm_sup_constant_field():
     f = SpectralForm.from_constant(phi0(), CIRCLE)
     assert abs(norm_sup(f) - np.sqrt(7.0)) < 1e-12
@@ -540,8 +606,11 @@ def test_physical_sampling_bitwise_equals_six_axis_fft(active):
     f = rand_field(3, 2, CIRCLE, rng, active=active, nmodes=3)
     phys, dims = sample_physical(f)
     assert sum(m > 1 for m in dims) == len(active)
+    # The expanded spectrum: each stored mode and the conjugate at -xi.
+    expanded = dict(f.modes)
+    expanded.update((mirror(xi), np.conj(a)) for xi, a in f.modes.items() if any(xi))
     spec = np.zeros((CIRCLE.n,) + dims + (35,), dtype=complex)
-    for xi, a in f.modes.items():
+    for xi, a in expanded.items():
         spec[(slice(None),) + tuple(xi[d] % dims[d] for d in range(6))] += a
     axes = tuple(range(1, 7))
     want = np.real(np.fft.ifftn(spec, axes=axes) * np.prod(dims))
@@ -594,7 +663,7 @@ def test_harmonic_project_mean_is_summed_pairwise():
     k = np.arange(1, 36)
     arr = 1.0 + 1e-3 * np.sin(2 * np.pi * np.outer(grid.points, k) / grid.length
                               + 0.3 * k)
-    f = SpectralForm(3, 0, grid, {ZERO_XI: arr}, check=False)
+    f = SpectralForm(3, 0, grid, {ZERO_XI: arr})
     got = harmonic_project(f).modes[ZERO_XI][0]
     want = np.array([math.fsum(arr[:, c]) / grid.n for c in range(35)])
     assert got.dtype == np.float64
@@ -682,7 +751,7 @@ def test_cyl_structure_validation():
     with pytest.raises(ValueError, match="stable"):
         CylStructure(Omega0().scale(0.0), omega0(), 1, pert, 1.0)
     arr[3, 20] = np.inf
-    bad = SpectralForm(3, 2, INTERVAL, {ZERO_XI: arr}, check=False)
+    bad = SpectralForm(3, 2, INTERVAL, {ZERO_XI: arr})
     with pytest.raises(ValueError, match="finite"):
         CylStructure(Omega0(), omega0(), 1, bad, 1.0)
 
@@ -723,7 +792,7 @@ def test_leibniz_rule():
         return SpectralForm(degree, 1, CIRCLE, {xi: arr})
 
     a = smooth_field(1, (1, 0, 0, 0, 0, 0), 2)
-    b = smooth_field(2, (0, 0, 0, -1, 0, 0), 3)
+    b = smooth_field(2, (0, 0, 0, 1, 0, 0), 3)
     lhs = exterior_d(a.wedge(b))
     rhs = exterior_d(a).wedge(b) + (-1.0) * a.wedge(exterior_d(b))
     scale = max(1.0, lhs.amplitude())

@@ -156,7 +156,7 @@ def decaying_half(slot):
     grid = TGrid.interval(0.0, 11.0, 64)
     arr = np.zeros((grid.n, 35))
     arr[:, slot] = 1e-2 * gluing._envelope(grid.points)[0] * np.exp(-grid.points)
-    pert = SpectralForm(3, 2, grid, {ZERO_XI: arr}, check=False)
+    pert = SpectralForm(3, 2, grid, {ZERO_XI: arr})
     return CylStructure(Omega0(), omega0(), 1, pert, 1.0)
 
 
@@ -209,7 +209,7 @@ def test_alpha_plus_d_eta_translation_invariant():
         tail = np.zeros((len(t), 21), dtype=acc.dtype)
         tail[:, 6:] = acc
         eta[xi] = rho[:, None] * tail
-    eta = SpectralForm(2, alpha.band, alpha.grid, eta, check=False)
+    eta = SpectralForm(2, alpha.band, alpha.grid, eta)
     total = alpha + exterior_d(eta)
     # past t = L-1 the correction is the bare tail integral; the first two
     # rows are excluded so the difference stencil reads only that region
@@ -280,7 +280,7 @@ def test_glue_rejects_non_finite_samples():
     pert = plus.perturbation
     nan_modes = {xi: np.full_like(a, np.nan) for xi, a in pert.modes.items()}
     object.__setattr__(plus, "perturbation", SpectralForm(
-        3, pert.band, pert.grid, nan_modes, check=False))
+        3, pert.band, pert.grid, nan_modes))
     with pytest.raises(ValueError, match="glued mode"):
         glue_fields(plus, flat_structure(-1), 5.0)
 
@@ -368,13 +368,44 @@ def test_flat_glue_is_the_constant_model(flat_glued):
     assert np.array_equal(arr, np.tile(MODEL.astype(complex), (arr.shape[0], 1)))
 
 
-def test_glued_modes_stay_conjugate_paired():
-    plus = modulated_shear_structure(1)
-    glued = glue_fields(plus, flat_structure(-1), 5.0)
-    for xi, arr in glued.modes.items():
-        mirror = tuple(-v for v in xi)
-        assert mirror in glued.modes
-        assert np.array_equal(glued.modes[mirror], np.conj(arr))
+E2 = (1, 0, 0, 0, 0, 0)
+
+
+def readme_pair_neck(length=5.0):
+    """The README glue-sweep pair, modulated shear against flat."""
+    plus = modulated_shear_structure(1, rate=1.0, amplitude=0.05)
+    return glue_fields(plus, flat_structure(-1), length)
+
+
+def test_readme_pair_glues_to_modes_zero_and_e2():
+    # The modulation cos(x_2) is stored as its canonical mode e_2 alone;
+    # the mirror -e_2 is its conjugate, kept by no mode of the neck.
+    plus = modulated_shear_structure(1, rate=1.0, amplitude=0.05)
+    assert list(plus.perturbation.modes) == [E2]
+    glued = readme_pair_neck()
+    assert list(glued.modes) == [ZERO_XI, E2]
+    assert glued.modes[ZERO_XI].dtype == np.float64
+    assert glued.modes[E2].dtype == np.complex128
+    meas = torsion_residual(glued)
+    assert list(meas.dstar.modes) == [ZERO_XI, E2]
+    out, _ = torsion_reduce(glued, max_iter=2)
+    assert list(out.modes) == [ZERO_XI, E2]
+
+
+def test_a_readme_pair_step_solves_two_modes(monkeypatch):
+    # One solve for xi = 0 and one for e_2; the mirror -e_2 takes none.
+    glued = readme_pair_neck()
+    meas = torsion_residual(glued)
+    solved = []
+    real = gluing._solve
+
+    def counting(grid, xi, rhat):
+        solved.append(xi)
+        return real(grid, xi, rhat)
+
+    monkeypatch.setattr(gluing, "_solve", counting)
+    gluing._step(glued, meas)
+    assert solved == [ZERO_XI, E2]
 
 
 def test_closed_perturbation_glues_closed_and_flat_past_cutoff():
@@ -417,7 +448,7 @@ def test_exact_perturbation_keeps_d_and_moves_dstar(flat_glued):
     xi = (1, 0, 0, 0, 0, 0)
     prof = np.outer(np.exp(1j * 2 * np.pi * grid.points / grid.length),
                     rng.standard_normal(21) + 1j * rng.standard_normal(21))
-    chi = SpectralForm(2, 2, grid, {xi: prof, tuple(-v for v in xi): np.conj(prof)})
+    chi = SpectralForm(2, 2, grid, {xi: prof})
     pert = exterior_d(chi)
     pert = pert.scale(1e-3 / norm_sup(pert))
     meas = torsion_residual(flat_glued + pert)
@@ -464,8 +495,7 @@ def exact_perturbed(flat_glued, seed, eps=1e-3):
                   rng.standard_normal(21))
     a1 = np.outer(np.exp(1j * w * t),
                   rng.standard_normal(21) + 1j * rng.standard_normal(21))
-    chi = SpectralForm(2, 2, grid, {ZERO_XI: a0, xi: a1,
-                                    tuple(-v for v in xi): np.conj(a1)})
+    chi = SpectralForm(2, 2, grid, {ZERO_XI: a0, xi: a1})
     pert = exterior_d(chi)
     return flat_glued + pert.scale(eps / norm_sup(pert))
 
@@ -697,7 +727,7 @@ def sample_space_update(dstar):
         else:
             shat = gluing._solve(grid, xi, np.fft.fft(arr, axis=0))
             modes[xi] = np.fft.ifft(shat, axis=0)
-    return exterior_d(SpectralForm(2, dstar.band, grid, modes, check=False))
+    return exterior_d(SpectralForm(2, dstar.band, grid, modes))
 
 
 @pytest.mark.parametrize("kind", ["closed", "modulated"])
